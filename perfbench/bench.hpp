@@ -30,8 +30,6 @@ struct Args {
   bool trace = false;
   /// Tiny problem sizes (self-test): every path runs, nothing is tuned.
   bool tiny = false;
-  /// Where the traced run writes its Chrome trace-event JSON.
-  std::string trace_dir = ".bench_out";
 };
 
 struct Metric {
@@ -60,6 +58,12 @@ struct Result {
   void note(const std::string& line) { report.push_back(line); }
   /// A named quantity in the report ("name value unit").
   void note_value(const std::string& name, double v, const std::string& unit);
+  /// Marks the per-layer metrics this workload does not exercise: each
+  /// pattern is a metric name, or a prefix ending in '.' for a whole
+  /// layer. They read 0 and the report says why. Marking a metric that
+  /// is already set throws, so nothing is filled in silently.
+  void not_applicable(const std::vector<std::string>& patterns,
+                      const std::string& why);
 };
 
 // ---- the names every run prints --------------------------------------------
@@ -70,8 +74,8 @@ struct MetricSpec {
   const char* unit;
 };
 extern const std::vector<MetricSpec> kEndToEnd;
-/// Per-layer metrics (printed by every workload with --trace 1). A layer a
-/// workload does not exercise reads 0 there.
+/// Per-layer metrics (printed by every workload with --trace 1). Each
+/// workload sets every one of them or marks it not applicable.
 extern const std::vector<MetricSpec> kPerLayer;
 
 // ---- span tracer -------------------------------------------------------------
@@ -141,8 +145,45 @@ class Tracer {
 /// Nearest-rank percentile (p in [0, 1]) of a copy of `xs`; 0 when empty.
 double percentile(std::vector<double> xs, double p);
 double median(std::vector<double> xs);
-/// Peak resident set of this process so far, in MiB.
+/// Throughput of consecutive groups of `group` operations (their work over
+/// the time they took), median over the groups. A group holds its slow
+/// outliers in full, so the result moves with the tail where the median
+/// operation does not, while one disturbed group cannot move it. Fewer
+/// than `group` operations form one group.
+double median_group_rate(const std::vector<double>& op_s, double work_per_op,
+                         std::size_t group);
+/// Peak resident set of this process (VmHWM) since the start or the last
+/// restart_peak_rss(), in MiB.
 double peak_rss_mb();
+/// Hands free heap memory back to the system (malloc_trim) and restarts
+/// the peak resident set from the current one. Called once after set-up,
+/// outside any timing: how much freed memory the allocator's per-thread
+/// arenas keep after set-up's short-lived threads is left to chance (the
+/// server's peak varied from 19 to 25 MiB on one input), and the peak of
+/// the measured phase should not carry it.
+void restart_peak_rss();
+
+/// CPU time of the whole host so far (/proc/stat, all CPUs, in ticks):
+/// the part the hypervisor gave to other guests ("steal") and the total.
+/// Zeros when unreadable.
+struct CpuTicks {
+  double steal = 0;
+  double total = 0;
+};
+CpuTicks cpu_ticks();
+/// The share of CPU time stolen between two readings (0 when no tick
+/// passed).
+double steal_share(const CpuTicks& from, const CpuTicks& to);
+
+/// The values of the operations measured while the hypervisor took the
+/// least CPU time, in their order: those whose steal share is at most
+/// max(25th percentile of the shares, 1%). On a shared virtual host the
+/// steal share of a call explains most of its slowdown (a 0.3 s lk23 call
+/// took 0.5 s at 10% steal), and it changes from second to second, so
+/// every run has such operations; timing only those keeps neighbours'
+/// load out of the gated figures.
+std::vector<double> least_stolen(const std::vector<double>& values,
+                                 const std::vector<double>& steal);
 
 /// Host context recorded with every result: CPUs, topology, build,
 /// seed, affinity mode.
@@ -159,6 +200,8 @@ std::uint64_t derive_seed(std::uint64_t run_seed, std::uint64_t stream);
 struct E2E {
   double setup_s = 0;
   double peak_rss_mb = 0;
+  /// median_group_rate of the measured operations (the server: its
+  /// saturation rate).
   double work_per_s = 0;
   double latency_p50_ms = 0;
 };
@@ -167,20 +210,21 @@ void set_e2e(Result& r, const E2E& e);
 /// trace.overhead.<metric> = (traced - untraced) / untraced.
 void set_overheads(Result& r, const E2E& untraced, const E2E& traced);
 /// Span counts and self times into `r`; the spans to
-/// <trace_dir>/<workload>-seed<seed>.trace.json.
+/// .bench_out/<workload>-seed<seed>[-tiny].trace.json.
 void finish_trace(Result& r, const Args& a, const Tracer& tracer);
 
 /// The runtime.* and affinity.bind_failures layer metrics from summed
 /// ProgramStats; `iterations` (sweeps or frames) divides the per-iter ones.
 void set_runtime_layers(Result& r, const orwl::rt::ProgramStats& s,
                         double iterations);
+/// The metrics set_runtime_layers sets.
+extern const std::vector<std::string> kProgramStatsLayers;
 
 /// Median time of one in-process write cycle on a local rt::Location.
 double measure_local_handoff_ns();
 
 // ---- workloads -------------------------------------------------------------------
 
-Result run_lk23_halo(const Args& a);
 Result run_matmul_ring(const Args& a);
 Result run_video_dataflow(const Args& a);
 Result run_server_open_loop(const Args& a);

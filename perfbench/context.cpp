@@ -1,4 +1,5 @@
 // Metric name tables, timing helpers and the host context of a result.
+#include <malloc.h>
 #include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -7,6 +8,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "bench.hpp"
@@ -72,6 +75,28 @@ void Result::note_value(const std::string& name, double v,
   report.push_back(name + " " + buf + " " + unit);
 }
 
+void Result::not_applicable(const std::vector<std::string>& patterns,
+                            const std::string& why) {
+  const auto matches = [](const std::string& pattern, const std::string& n) {
+    return pattern == n || (!pattern.empty() && pattern.back() == '.' &&
+                            n.rfind(pattern, 0) == 0);
+  };
+  for (const std::string& pattern : patterns) {
+    bool any = false;
+    for (const MetricSpec& m : kPerLayer) {
+      if (!matches(pattern, m.name)) continue;
+      any = true;
+      if (layer.count(m.name) != 0) {
+        throw std::logic_error(std::string("metric ") + m.name +
+                               " is set and marked not applicable");
+      }
+      layer[m.name] = {0.0, m.unit};
+    }
+    if (!any) throw std::logic_error("no per-layer metric matches " + pattern);
+    note("n/a " + pattern + " (" + why + ")");
+  }
+}
+
 double percentile(std::vector<double> xs, double p) {
   if (xs.empty()) return 0;
   std::sort(xs.begin(), xs.end());
@@ -83,10 +108,62 @@ double percentile(std::vector<double> xs, double p) {
 
 double median(std::vector<double> xs) { return percentile(std::move(xs), 0.5); }
 
+double median_group_rate(const std::vector<double>& op_s, double work_per_op,
+                         std::size_t group) {
+  group = std::max<std::size_t>(1, std::min(group, op_s.size()));
+  std::vector<double> rates;
+  for (std::size_t g = 0; g + group <= op_s.size(); g += group) {
+    double s = 0;
+    for (std::size_t i = g; i < g + group; ++i) s += op_s[i];
+    if (s > 0) rates.push_back(work_per_op * static_cast<double>(group) / s);
+  }
+  return median(rates);
+}
+
 double peak_rss_mb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // kB
+    }
+  }
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
+
+void restart_peak_rss() {
+  malloc_trim(0);
+  std::ofstream("/proc/self/clear_refs") << "5";
+}
+
+CpuTicks cpu_ticks() {
+  std::ifstream f("/proc/stat");
+  std::string cpu;
+  double v[8] = {};
+  f >> cpu;
+  for (double& x : v) f >> x;
+  if (!f || cpu != "cpu") return {};
+  CpuTicks t;
+  for (const double x : v) t.total += x;
+  t.steal = v[7];
+  return t;
+}
+
+double steal_share(const CpuTicks& from, const CpuTicks& to) {
+  const double total = to.total - from.total;
+  return total > 0 ? (to.steal - from.steal) / total : 0.0;
+}
+
+std::vector<double> least_stolen(const std::vector<double>& values,
+                                 const std::vector<double>& steal) {
+  const double limit = std::max(percentile(steal, 0.25), 0.01);
+  std::vector<double> kept;
+  for (std::size_t i = 0; i < values.size() && i < steal.size(); ++i) {
+    if (steal[i] <= limit) kept.push_back(values[i]);
+  }
+  return kept;
 }
 
 std::uint64_t derive_seed(std::uint64_t run_seed, std::uint64_t stream) {
@@ -114,6 +191,13 @@ void set_overheads(Result& r, const E2E& u, const E2E& t) {
   r.set_layer("trace.overhead.latency_p50_ms",
               rel(t.latency_p50_ms, u.latency_p50_ms), "fraction");
 }
+
+const std::vector<std::string> kProgramStatsLayers = {
+    "runtime.control_events_per_iter", "runtime.inline_grant_ratio",
+    "runtime.futex_waits_per_iter",    "runtime.futex_wakes_per_iter",
+    "runtime.data_transfers",          "runtime.arena_refills",
+    "affinity.bind_failures",
+};
 
 void set_runtime_layers(Result& r, const orwl::rt::ProgramStats& s,
                         double iterations) {
@@ -148,9 +232,12 @@ void finish_trace(Result& r, const Args& a, const Tracer& tracer) {
   for (const auto& [name, ms] : tracer.self_ms()) {
     r.note_value("self_ms." + name, ms, "ms");
   }
-  std::filesystem::create_directories(a.trace_dir);
-  const std::string path = a.trace_dir + "/" + a.workload + "-seed" +
-                           std::to_string(a.seed) + ".trace.json";
+  // The self-test's tiny runs get their own file names, so they never
+  // overwrite the trace of a real run.
+  std::filesystem::create_directories(".bench_out");
+  const std::string path = ".bench_out/" + a.workload + "-seed" +
+                           std::to_string(a.seed) + (a.tiny ? "-tiny" : "") +
+                           ".trace.json";
   std::map<std::string, std::string> meta;
   for (std::size_t i = 0; i < r.report.size(); ++i) {
     meta["context." + std::to_string(i)] = r.report[i];

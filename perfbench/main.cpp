@@ -1,21 +1,18 @@
 // orwl_e2e_bench: one workload per invocation.
 //
 //   orwl_e2e_bench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//                  [--tiny] [--trace-dir <dir>]
+//                  [--tiny]
 //
 // Prints a human-readable report (host context, the workload's own
 // metric names) and, as the last line, one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // holding every end-to-end metric (--trace 0) or every per-layer metric
-// (--trace 1). Exits 1 when any output failed verification, 2 on a usage
-// error.
-#include <malloc.h>
-
+// (--trace 1). Exits 1 when any output failed verification or a metric
+// is missing, 2 on a usage error.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <string>
@@ -28,7 +25,6 @@ using perfbench::Args;
 using perfbench::Result;
 
 const std::map<std::string, std::function<Result(const Args&)>> kWorkloads = {
-    {"lk23_halo", perfbench::run_lk23_halo},
     {"matmul_ring", perfbench::run_matmul_ring},
     {"video_dataflow", perfbench::run_video_dataflow},
     {"server_open_loop", perfbench::run_server_open_loop},
@@ -39,8 +35,8 @@ const std::map<std::string, std::function<Result(const Args&)>> kWorkloads = {
 [[noreturn]] void usage(const std::string& why) {
   std::fprintf(stderr,
                "orwl_e2e_bench: %s\nusage: orwl_e2e_bench --workload <name> "
-               "--seed <n> --seconds <s> --trace <0|1> [--tiny] "
-               "[--trace-dir <dir>]\nworkloads:",
+               "--seed <n> --seconds <s> --trace <0|1> [--tiny]\n"
+               "workloads:",
                why.c_str());
   for (const auto& [name, fn] : kWorkloads) {
     std::fprintf(stderr, " %s", name.c_str());
@@ -68,8 +64,6 @@ Args parse(int argc, char** argv) {
         a.seconds = std::stod(v);
       } else if (k == "--trace") {
         a.trace = std::stoi(v) != 0;
-      } else if (k == "--trace-dir") {
-        a.trace_dir = v;
       } else {
         usage("unknown argument " + k);
       }
@@ -84,18 +78,24 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-/// Prints the metrics named in `specs`; one that `got` lacks reads 0
-/// (a layer this workload does not exercise).
+/// Prints the metrics named in `specs`. One that `got` lacks, or that is
+/// not finite, or (with `positive`) not above 0, reads 0 and clears `ok`.
 std::string metrics_json(const std::vector<perfbench::MetricSpec>& specs,
                          const std::map<std::string, perfbench::Metric>& got,
-                         bool& finite) {
+                         bool positive, bool& ok) {
   std::string out = "{";
   char buf[512];
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto it = got.find(specs[i].name);
     double v = it == got.end() ? 0.0 : it->second.value;
-    if (!std::isfinite(v)) {
-      finite = false;
+    const char* problem = it == got.end()   ? "was not set"
+                          : !std::isfinite(v) ? "is not finite"
+                          : positive && !(v > 0) ? "is not above 0"
+                                                 : nullptr;
+    if (problem != nullptr) {
+      std::fprintf(stderr, "orwl_e2e_bench: metric %s %s\n", specs[i].name,
+                   problem);
+      ok = false;
       v = 0;
     }
     std::snprintf(buf, sizeof buf, "%s\"%s\": {\"value\": %.17g, \"unit\": \"%s\"}",
@@ -105,32 +105,12 @@ std::string metrics_json(const std::vector<perfbench::MetricSpec>& specs,
   return out + "}";
 }
 
-/// Steal and total jiffies of all CPUs from /proc/stat (zeros when
-/// unreadable).
-std::pair<double, double> cpu_steal_total() {
-  std::ifstream f("/proc/stat");
-  std::string cpu;
-  double v[8] = {};
-  f >> cpu;
-  for (double& x : v) f >> x;
-  if (!f || cpu != "cpu") return {0, 0};
-  double total = 0;
-  for (const double x : v) total += x;
-  return {v[7], total};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
-  // Pin glibc's mmap threshold at its 128 KiB default. Left dynamic, it
-  // rises after the first large free, so whether a freed buffer goes back
-  // to the OS depends on allocation history and on which arena a
-  // short-lived thread got: the server's peak RSS then varied from 21 to
-  // 31 MiB between runs of the same input.
-  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   Result r;
-  const auto [steal0, total0] = cpu_steal_total();
+  const perfbench::CpuTicks ticks0 = perfbench::cpu_ticks();
   try {
     r = kWorkloads.at(a.workload)(a);
   } catch (const std::exception& e) {
@@ -138,13 +118,11 @@ int main(int argc, char** argv) {
                  a.workload.c_str(), e.what());
     return 1;
   }
-  // A shared virtual host lends its CPUs out; the share taken from this
-  // run explains most of the run-to-run spread.
-  const auto [steal1, total1] = cpu_steal_total();
-  if (total1 > total0) {
-    r.note_value("host.steal_fraction", (steal1 - steal0) / (total1 - total0),
-                 "fraction");
-  }
+  // A shared virtual host lends its CPUs out: the share taken during the
+  // whole run.
+  r.note_value("host.steal_fraction",
+               perfbench::steal_share(ticks0, perfbench::cpu_ticks()),
+               "fraction");
   for (const std::string& line : r.report) std::printf("# %s\n", line.c_str());
   std::printf("# failed_ratio %.6g fraction (%llu of %llu)\n",
               r.attempted > 0 ? static_cast<double>(r.failed) /
@@ -153,11 +131,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.failed),
               static_cast<unsigned long long>(r.attempted));
 
-  bool finite = true;
+  // End-to-end metrics are never 0; a per-layer metric may be (a count
+  // that must stay 0, or one marked not applicable), but must be set.
+  bool metrics_ok = true;
   const std::string metrics =
-      a.trace ? metrics_json(perfbench::kPerLayer, r.layer, finite)
-              : metrics_json(perfbench::kEndToEnd, r.e2e, finite);
-  const bool correct = r.failed == 0 && r.attempted > 0 && finite;
+      a.trace ? metrics_json(perfbench::kPerLayer, r.layer, false, metrics_ok)
+              : metrics_json(perfbench::kEndToEnd, r.e2e, true, metrics_ok);
+  const bool correct = r.failed == 0 && r.attempted > 0 && metrics_ok;
   std::printf(
       "{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "
       "\"metrics\": %s}\n",

@@ -5,9 +5,13 @@
 
 Builds the benchmark (as run.py does), then runs every workload named in
 BENCHMARK.json with --tiny, untraced and traced, and checks that:
-  * every end_to_end metric of BENCHMARK.json is printed with its unit
-    (--trace 0), and every per_layer metric with its unit (--trace 1);
-  * every output verified (correct, no failed operation).
+  * every end_to_end metric of BENCHMARK.json is printed with its unit and
+    a value above 0 (--trace 0), and every per_layer metric with its unit
+    (--trace 1);
+  * every output verified and every metric was set (correct, no failed
+    operation). A per-layer metric a workload does not exercise must be
+    marked not applicable by the workload; an unset one makes the run
+    incorrect.
 Exits 0 when all checks pass, 1 otherwise.
 """
 import json
@@ -20,8 +24,7 @@ import run
 
 def check(workload, trace, spec):
     cmd = [run.BINARY, "--workload", workload, "--seed", "7",
-           "--seconds", "1", "--trace", str(trace), "--tiny",
-           "--trace-dir", os.path.join(".bench_out", "selftest")]
+           "--seconds", "1", "--trace", str(trace), "--tiny"]
     proc = subprocess.run(cmd, cwd=run.ROOT, capture_output=True, text=True,
                           timeout=run.RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -41,6 +44,8 @@ def check(workload, trace, spec):
             problems.append(f"missing metric {name}")
         elif got[name].get("unit") != unit:
             problems.append(f"{name}: unit {got[name].get('unit')} != {unit}")
+        elif trace == 0 and not got[name].get("value", 0) > 0:
+            problems.append(f"{name}: value {got[name].get('value')} <= 0")
     for name in sorted(set(got) - set(want)):
         problems.append(f"metric {name} is not in BENCHMARK.json")
     return problems

@@ -1,6 +1,7 @@
 // dist_shm / dist_tcp: one home dist::Registry and one dist::Client in
 // the same process, closed loop with one 8-byte write cycle outstanding
 // at a time. The wire and the granter thread do nearly all the work.
+#include <sched.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -25,6 +26,40 @@ using namespace orwl;
 using Span = Tracer::Span;
 
 constexpr std::size_t kPayload = 8;
+
+/// Where the two sides of the hand-off run. Left to the scheduler, the
+/// client and the home's threads shared a CPU in some processes and not
+/// in others, and the cycle cost of a whole run sat in one of two modes
+/// (about 22 or 32 us over shm). Pinning each side to its own PU fixes the
+/// layout: the home's threads (granter, listener, connection readers)
+/// start while the creating thread is pinned to `home` and inherit its
+/// mask; the client's reader and the measuring thread run on `client`.
+/// With one usable PU both sides share it.
+struct SidePins {
+  cpu_set_t original{};
+  int client = -1, home = -1;
+
+  SidePins() {
+    if (sched_getaffinity(0, sizeof original, &original) != 0) return;
+    for (int c = 0; c < CPU_SETSIZE && home < 0; ++c) {
+      if (!CPU_ISSET(c, &original)) continue;
+      (client < 0 ? client : home) = c;
+    }
+    if (home < 0) home = client;
+  }
+  ~SidePins() { sched_setaffinity(0, sizeof original, &original); }
+  SidePins(const SidePins&) = delete;
+  SidePins& operator=(const SidePins&) = delete;
+
+  /// Pins the calling thread to one side's PU.
+  void enter(int cpu) const {
+    if (cpu < 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    sched_setaffinity(0, sizeof one, &one);
+  }
+};
 
 /// One full ORWL write cycle: a one-shot write handle enqueued
 /// standalone, acquired, the payload counter bumped, released.
@@ -89,55 +124,88 @@ struct DistPhase {
   std::vector<double> detect_ms, connect_ms;
   std::vector<double> acquire_us, release_us;
   double p99_us = 0;  ///< not gated: its run-to-run spread is too wide
+  std::size_t kept = 0;  ///< cycles of the least-stolen windows
   std::uint64_t cycles = 0, grants_sent = 0, orphans = 0;
 };
 
 DistPhase run_phase(const Args& a, dist::DistMode mode, Tracer& tr,
                     double seconds, int reps, int rep_base) {
   DistPhase ph;
-  std::unique_ptr<DistRig> rig;
+  const SidePins pins;
   std::vector<double> setup;
-  // Warm-up runs for a fixed time, not a fixed count: the cycle cost of
-  // a whole process sits in one of two modes (about 20 or 30 us over shm)
-  // that change from run to run, which made a counted warm-up bimodal.
-  const double warmup_s = a.tiny ? 0.005 : 0.1;
-  for (int r = 0; r < reps; ++r) {
-    rig.reset();
-    Span s(tr, "setup", static_cast<std::uint64_t>(r));
+  // One timed set-up, up to the end of the first write cycle.
+  const auto set_up = [&](int rep) {
+    const auto id = static_cast<std::uint64_t>(rep);
+    Span s(tr, "setup", id);
     const auto t0 = Clock::now();
     {
-      Span d(tr, "topo.detect", r);
+      Span d(tr, "topo.detect", id);
       (void)topo::detect_host();
     }
     ph.detect_ms.push_back(seconds_since(t0) * 1e3);
-    rig = std::make_unique<DistRig>();
-    const std::string url = serve(*rig, mode, rep_base + r);
+    pins.enter(pins.home);
+    auto rig = std::make_unique<DistRig>();
+    const std::string url = serve(*rig, mode, rep_base + rep);
+    pins.enter(pins.client);
     const auto tc = Clock::now();
     {
-      Span c(tr, "dist.connect", r);
+      Span c(tr, "dist.connect", id);
       rig->client = dist::Client::connect(url);
       rig->remote = &rig->client->attach("cell");
     }
     ph.connect_ms.push_back(seconds_since(tc) * 1e3);
-    {
-      Span w(tr, "dist.warmup", r);
-      const auto tw = Clock::now();
-      do {
-        write_cycle(*rig->remote);
-        ++rig->cycles;
-      } while (seconds_since(tw) < warmup_s);
-    }
+    write_cycle(*rig->remote);
+    ++rig->cycles;
     setup.push_back(seconds_since(t0));
-  }
-  ph.e2e.setup_s = median(setup);
+    return rig;
+  };
 
-  std::vector<double> cycle_s;
+  // The first rig is the one measured. The other set-ups are spread over
+  // the measured phase, each on a rig of its own that is dropped at once:
+  // run back to back, all set-ups of a run met the host in one state, and
+  // their median sat at about 0.6 or 1.0 ms over tcp from run to run.
+  const std::unique_ptr<DistRig> rig = set_up(0);
+  int setups = 1;
+
+  // Warm-up runs for a fixed time, not a fixed count, because the cycle
+  // cost of a whole process sits in one of two modes (about 20 or 30 us
+  // over shm) that change from run to run, which made a counted warm-up
+  // bimodal.
+  {
+    Span w(tr, "dist.warmup");
+    const auto tw = Clock::now();
+    do {
+      write_cycle(*rig->remote);
+      ++rig->cycles;
+    } while (seconds_since(tw) < (a.tiny ? 0.005 : 0.1));
+  }
+  // The measured cycles allocate nothing of the program's; what grows
+  // after this point is the benchmark's own record of every cycle.
+  ph.e2e.peak_rss_mb = peak_rss_mb();
+
+  // Cycles are timed in windows of kWindow; the host's steal share of
+  // each window is read between cycles and given to each of its cycles.
+  constexpr std::size_t kWindow = 2000;
+  std::vector<double> cycle_s, cycle_steal;
   cycle_s.reserve(1 << 20);
+  CpuTicks window_ticks = cpu_ticks();
+  const auto close_window = [&] {
+    const CpuTicks now = cpu_ticks();
+    cycle_steal.resize(cycle_s.size(), steal_share(window_ticks, now));
+    window_ticks = now;
+  };
   {
     Span ms(tr, "measure");
-    const auto end = Clock::now() + std::chrono::duration<double>(seconds);
+    const auto start = Clock::now();
+    const auto end = start + std::chrono::duration<double>(seconds);
+    const auto setup_every = std::chrono::duration<double>(seconds / reps);
     for (std::uint64_t i = 0; cycle_s.size() < 100 || Clock::now() < end;
          ++i) {
+      if (cycle_s.size() - cycle_steal.size() == kWindow) close_window();
+      if (setups < reps && Clock::now() >= start + setups * setup_every) {
+        (void)set_up(setups++);
+        continue;
+      }
       const auto t0 = Clock::now();
       if (!tr.enabled()) {
         write_cycle(*rig->remote);
@@ -167,12 +235,15 @@ DistPhase run_phase(const Args& a, dist::DistMode mode, Tracer& tr,
       }
       cycle_s.push_back(seconds_since(t0));
     }
+    close_window();
   }
+  while (setups < reps) (void)set_up(setups++);
+  ph.e2e.setup_s = median(setup);
   rig->cycles += cycle_s.size();
-  ph.e2e.peak_rss_mb = peak_rss_mb();
-  const double median_s = median(cycle_s);
-  ph.e2e.work_per_s = median_s > 0 ? 1.0 / median_s : 0;
-  ph.e2e.latency_p50_ms = median_s * 1e3;
+  const std::vector<double> kept = least_stolen(cycle_s, cycle_steal);
+  ph.e2e.work_per_s = median_group_rate(kept, 1.0, 250);
+  ph.e2e.latency_p50_ms = median(kept) * 1e3;
+  ph.kept = kept.size();
   ph.p99_us = percentile(cycle_s, 0.99) * 1e6;
   ph.attempted = cycle_s.size();
 
@@ -199,7 +270,7 @@ DistPhase run_phase(const Args& a, dist::DistMode mode, Tracer& tr,
 Result run_dist(const Args& a, dist::DistMode mode, const std::string& lane) {
   Result r;
   add_host_context(r, a);
-  const int reps = a.tiny ? 1 : 5;
+  const int reps = a.tiny ? 1 : 31;
   Tracer off(false);
   Tracer on(a.trace);
 
@@ -210,6 +281,7 @@ Result run_dist(const Args& a, dist::DistMode mode, const std::string& lane) {
     r.failed = u.failed;
     r.note_value(lane + "_handoff_us_p50", u.e2e.latency_p50_ms * 1e3, "us");
     r.note_value(lane + "_handoff_us_p99", u.p99_us, "us");
+    r.note_value("cycles_least_stolen", static_cast<double>(u.kept), "count");
     return r;
   }
 
@@ -242,6 +314,13 @@ Result run_dist(const Args& a, dist::DistMode mode, const std::string& lane) {
   r.set_layer("dist.wire_overhead_x",
               handoff_ns > 0 ? u.e2e.latency_p50_ms * 1e6 / handoff_ns : 0,
               "x");
+  std::vector<std::string> no_program = {
+      "orwl.", "treematch.", "affinity.", "apps.", "pool.", "sim.", "server.",
+      "runtime.control_threads", "runtime.control_shards"};
+  for (const std::string& m : kProgramStatsLayers) {
+    if (m.rfind("runtime.", 0) == 0) no_program.push_back(m);
+  }
+  r.not_applicable(no_program, "no Program is built or placed here");
   finish_trace(r, a, on);
   return r;
 }

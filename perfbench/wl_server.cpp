@@ -1,6 +1,6 @@
 // server_open_loop: the host carved into two tenants (lk23 and video
 // handlers, small requests), fed Poisson arrivals from
-// server::make_open_loop_trace at about half of each tenant's
+// server::make_open_loop_trace at about 15% of each tenant's
 // saturation. The benchmark's own loop submits each request at its
 // scheduled time, so generator lateness shows, and times every request
 // from its scheduled arrival.
@@ -28,7 +28,7 @@ using namespace orwl;
 using Span = Tracer::Span;
 
 /// The lk23 tenant's saturation is the median of this many bursts.
-constexpr int kBursts = 5;
+constexpr int kBursts = 9;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -38,7 +38,7 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
 struct ServerShape {
   std::size_t lk23_n, lk23_iters;
   apps::VideoParams video;
-  double lk23_rps, video_rps;  ///< about half of each tenant's saturation
+  double lk23_rps, video_rps;  ///< about 15% of each tenant's saturation
   double saturation_rps_hint;  ///< sizes the saturation phase
 };
 
@@ -124,6 +124,7 @@ struct ServerPhase {
   rt::ProgramStats lk23_runtime;
   std::uint64_t lk23_completed = 0;
   std::size_t accepted = 0;  ///< open-loop requests the server took
+  std::size_t kept = 0;      ///< of them, those in least-stolen windows
 };
 
 /// Builds a server with both tenants admitted and warmed up.
@@ -220,6 +221,7 @@ ServerPhase run_phase(const Args& a, const ServerShape& sh, Tracer& tr,
     ph.control_threads = static_cast<double>(probe.num_control_threads());
     ph.control_shards = static_cast<double>(probe.num_control_shards());
   }
+  restart_peak_rss();
   rec[0].reset();
   rec[1].reset();
   const std::uint64_t exceptions_before =
@@ -236,6 +238,11 @@ ServerPhase run_phase(const Args& a, const ServerShape& sh, Tracer& tr,
   std::mutex mu;
   std::condition_variable cv;
   std::size_t completed = 0, accepted = 0, shed = 0;
+  // The host's steal share per window of the open loop, read at the
+  // first arrival past each window's end; a request counts in the window
+  // of its scheduled arrival.
+  constexpr double kWindowMs = 500;
+  std::vector<CpuTicks> window_ticks = {cpu_ticks()};
   {
     Span ol(tr, "server.open_loop");
     const auto t0 = Clock::now();
@@ -244,6 +251,10 @@ ServerPhase run_phase(const Args& a, const ServerShape& sh, Tracer& tr,
           t0 + std::chrono::duration_cast<Clock::duration>(
                    std::chrono::duration<double, std::milli>(trace[i].at_ms));
       std::this_thread::sleep_until(due);
+      while (trace[i].at_ms >=
+             kWindowMs * static_cast<double>(window_ticks.size())) {
+        window_ticks.push_back(cpu_ticks());
+      }
       ph.late_ms_max = std::max(ph.late_ms_max, ms_between(due, Clock::now()));
       const std::size_t lane = trace[i].lane;
       Span s(tr, "server.submit",
@@ -265,9 +276,15 @@ ServerPhase run_phase(const Args& a, const ServerShape& sh, Tracer& tr,
     std::unique_lock<std::mutex> lk(mu);
     cv.wait(lk, [&] { return completed == accepted; });
   }
-  std::vector<double> done_ms;
-  for (const double l : latency) {
-    if (l >= 0) done_ms.push_back(l);
+  window_ticks.push_back(cpu_ticks());
+  std::vector<double> done_ms, done_steal;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (latency[i] < 0) continue;
+    const std::size_t w = std::min(
+        static_cast<std::size_t>(trace[i].at_ms / kWindowMs),
+        window_ticks.size() - 2);
+    done_ms.push_back(latency[i]);
+    done_steal.push_back(steal_share(window_ticks[w], window_ticks[w + 1]));
   }
   for (int lane = 0; lane < 2; ++lane) {
     std::lock_guard<std::mutex> lk(rec[lane].mu);
@@ -286,14 +303,16 @@ ServerPhase run_phase(const Args& a, const ServerShape& sh, Tracer& tr,
   // Back-to-back bursts; the median burst rate resists a passing stall.
   const auto burst = static_cast<std::size_t>(
       std::max(5.0, sh.saturation_rps_hint * 0.3 * seconds / kBursts));
-  std::vector<double> burst_rps;
+  std::vector<double> burst_rps, burst_steal;
   for (int b = 0; b < kBursts; ++b) {
     Span s(tr, "server.saturation", static_cast<std::uint64_t>(b));
+    const CpuTicks ticks0 = cpu_ticks();
     burst_rps.push_back(
         server::measure_saturation_rps(*rig.server, rig.lk23, burst));
+    burst_steal.push_back(steal_share(ticks0, cpu_ticks()));
   }
   const std::size_t sat_requests = burst * kBursts;
-  const double sat_rps = median(burst_rps);
+  const double sat_rps = median(least_stolen(burst_rps, burst_steal));
   ph.e2e.peak_rss_mb = peak_rss_mb();
 
   const auto after = rig.server->stats();
@@ -317,7 +336,9 @@ ServerPhase run_phase(const Args& a, const ServerShape& sh, Tracer& tr,
   }
 
   ph.e2e.work_per_s = sat_rps;
-  ph.e2e.latency_p50_ms = percentile(done_ms, 0.5);
+  const std::vector<double> kept = least_stolen(done_ms, done_steal);
+  ph.e2e.latency_p50_ms = percentile(kept, 0.5);
+  ph.kept = kept.size();
   ph.p99_ms = percentile(done_ms, 0.99);
   {
     Span s(tr, "server.teardown");
@@ -332,7 +353,7 @@ Result run_server_open_loop(const Args& a) {
   Result r;
   add_host_context(r, a);
   const ServerShape sh = shape(a);
-  const int reps = a.tiny ? 1 : 3;
+  const int reps = a.tiny ? 1 : 7;
   Tracer off(false);
   Tracer on(a.trace);
   r.note("server.rates lk23 " + std::to_string(sh.lk23_rps) + " req/s, video " +
@@ -347,6 +368,8 @@ Result run_server_open_loop(const Args& a) {
     r.note_value("p99_ms", u.p99_ms, "ms");
     r.note_value("saturation_rps", u.e2e.work_per_s, "req/s");
     r.note_value("requests", static_cast<double>(u.accepted), "count");
+    r.note_value("requests_least_stolen", static_cast<double>(u.kept),
+                 "count");
     r.note_value("runtime.control_threads", u.control_threads, "count");
     r.note_value("runtime.control_shards", u.control_shards, "count");
     return r;
@@ -387,6 +410,9 @@ Result run_server_open_loop(const Args& a) {
   r.set_layer("runtime.control_threads", u.control_threads, "count");
   r.set_layer("runtime.control_shards", u.control_shards, "count");
   r.note("runtime.*: lk23 tenant rollup over the untraced phase, per sweep");
+  r.not_applicable({"affinity.speedup_vs_off", "apps.", "pool.", "sim."},
+                   "requests run inside the server, with no reference runs");
+  r.not_applicable({"dist."}, "no remote location here");
   {
     Span h(on, "runtime.local_handoff");
     r.set_layer("runtime.handoff_ns", measure_local_handoff_ns(), "ns");
