@@ -47,8 +47,8 @@ inline void annotate_arena_counters(benchmark::State& state) {
   state.counters["arena_node_misses"] = static_cast<double>(s.node_misses);
 }
 
-/// Attach accumulated parking counters (zero on the ORWL_FUTEX=0
-/// condvar path, so the JSON also records which path the run took).
+/// Attach accumulated parking counters: futex sleeps entered and wake
+/// calls issued, so the JSON records how often the run parked.
 inline void annotate_parking_counters(benchmark::State& state,
                                       std::uint64_t futex_waits,
                                       std::uint64_t futex_wakes) {

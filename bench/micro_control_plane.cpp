@@ -2,9 +2,9 @@
 // threads each cycle a private lock through the hand-off path
 // (acquire -> reinsert_and_release -> control-thread grant) at the
 // highest rate they can. With a single shard every hand-off serializes
-// through one mutex + condvar; with one shard per NUMA node of the
-// SMP20E7 fixture the queues are routed to independent shards and the
-// hand-off throughput scales with the producers.
+// through one shard mutex and futex word; with one shard per NUMA node
+// of the SMP20E7 fixture the queues are routed to independent shards and
+// the hand-off throughput scales with the producers.
 //
 // Counters: items = completed lock cycles; "inline" = grants the plane
 // performed inline (saturation/stop fallback, should stay near zero).

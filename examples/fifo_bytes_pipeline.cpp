@@ -14,8 +14,7 @@
 //   ./fifo_bytes_pipeline
 //
 // and the tail of the output shows the arena / futex counters the
-// runtime kept while the pipeline ran (ORWL_ARENA=off ORWL_FUTEX=0
-// switches back to the plain heap + condvar legacy paths).
+// runtime kept while the pipeline ran.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>

@@ -5,12 +5,12 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "runtime/futex.hpp"
+
 #if defined(__linux__)
 #include <fcntl.h>
-#include <linux/futex.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 #endif
 
@@ -80,33 +80,21 @@ void* map_segment(const std::string& name, std::size_t bytes, bool create) {
 }
 #endif
 
+// Ring and segment words live in memory mapped by both processes, so
+// every park and wake on them is process-shared. A zero timeout polls
+// (futex_wait itself reads 0 as "wait forever").
+void shm_wait(std::atomic<std::uint32_t>& w, std::uint32_t expect,
+              std::uint32_t timeout_ms) {
+  if (timeout_ms > 0) {
+    rt::futex_wait(w, expect, timeout_ms, rt::FutexScope::Shared);
+  }
+}
+
+void shm_wake_all(std::atomic<std::uint32_t>& w) {
+  rt::futex_wake(w, /*all=*/true, rt::FutexScope::Shared);
+}
+
 }  // namespace
-
-void shm_futex_wait(const std::atomic<std::uint32_t>* w, std::uint32_t expect,
-                    std::uint32_t timeout_ms) {
-#if defined(__linux__)
-  timespec ts{};
-  ts.tv_sec = timeout_ms / 1000;
-  ts.tv_nsec = static_cast<long>(timeout_ms % 1000) * 1000000L;
-  // Plain (non-PRIVATE) futex: the word is shared between processes.
-  ::syscall(SYS_futex, reinterpret_cast<const std::uint32_t*>(w), FUTEX_WAIT,
-            expect, &ts, nullptr, 0);
-#else
-  (void)w;
-  (void)expect;
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(std::min<std::uint32_t>(timeout_ms, 1)));
-#endif
-}
-
-void shm_futex_wake_all(const std::atomic<std::uint32_t>* w) {
-#if defined(__linux__)
-  ::syscall(SYS_futex, reinterpret_cast<const std::uint32_t*>(w), FUTEX_WAKE,
-            INT32_MAX, nullptr, nullptr, 0);
-#else
-  (void)w;
-#endif
-}
 
 // ---- ShmRing --------------------------------------------------------------
 
@@ -133,7 +121,7 @@ bool ShmRing::push(const std::byte* p, std::size_t n,
       if (abort && abort()) return false;
       const std::uint32_t bell = space_bell_.load(std::memory_order_acquire);
       if (head_.load(std::memory_order_acquire) != head) continue;
-      shm_futex_wait(&space_bell_, bell, 10);
+      shm_wait(space_bell_, bell, 10);
     }
     const std::size_t chunk = n < space ? n : space;
     const std::size_t pos = static_cast<std::size_t>(tail & mask);
@@ -144,7 +132,7 @@ bool ShmRing::push(const std::byte* p, std::size_t n,
     std::memcpy(buf(), p + first, chunk - first);
     tail_.store(tail + chunk, std::memory_order_release);
     doorbell_.fetch_add(1, std::memory_order_release);
-    shm_futex_wake_all(&doorbell_);
+    shm_wake_all(doorbell_);
     p += chunk;
     n -= chunk;
   }
@@ -160,7 +148,7 @@ std::size_t ShmRing::pop(std::byte* out, std::size_t max,
     if (closed()) return 0;
     const std::uint32_t bell = doorbell_.load(std::memory_order_acquire);
     if (tail_.load(std::memory_order_acquire) == head) {
-      shm_futex_wait(&doorbell_, bell, timeout_ms);
+      shm_wait(doorbell_, bell, timeout_ms);
     }
     tail = tail_.load(std::memory_order_acquire);
     if (tail == head) return 0;
@@ -175,13 +163,13 @@ std::size_t ShmRing::pop(std::byte* out, std::size_t max,
   std::memcpy(out + first, buf(), chunk - first);
   head_.store(head + chunk, std::memory_order_release);
   space_bell_.fetch_add(1, std::memory_order_release);
-  shm_futex_wake_all(&space_bell_);
+  shm_wake_all(space_bell_);
   return chunk;
 }
 
 void ShmRing::close() noexcept {
   closed_.store(1, std::memory_order_release);
-  shm_futex_wake_all(&doorbell_);
+  shm_wake_all(doorbell_);
 }
 
 // ---- frame stream decoding shared by both sides ---------------------------
@@ -246,7 +234,7 @@ void ShmServerTransport::listen_loop() {
     const std::uint32_t announced =
         h->announce.load(std::memory_order_acquire);
     if (accepted >= announced) {
-      shm_futex_wait(&h->announce, announced, 100);
+      shm_wait(h->announce, announced, 100);
       continue;
     }
     // Announce order need not match id order (clients race between id
@@ -274,7 +262,7 @@ bool ShmServerTransport::try_accept(std::uint32_t id) {
   if (mem == nullptr) return false;  // not created yet; next sweep retries
   auto* ch = static_cast<ConnHeader*>(mem);
   if (ch->ready.load(std::memory_order_acquire) == 0) {
-    shm_futex_wait(&ch->ready, 0, 50);
+    shm_wait(ch->ready, 0, 50);
     if (ch->ready.load(std::memory_order_acquire) == 0) {
       ::munmap(mem, bytes);
       return false;
@@ -413,9 +401,9 @@ ShmClientTransport::ShmClientTransport(const std::string& base) {
   c2s_ = ShmRing::init(block, cap);
   s2c_ = ShmRing::init(block + ring_block_bytes(cap), cap);
   ch->ready.store(1, std::memory_order_release);
-  shm_futex_wake_all(&ch->ready);
+  shm_wake_all(ch->ready);
   h->announce.fetch_add(1, std::memory_order_acq_rel);
-  shm_futex_wake_all(&h->announce);
+  shm_wake_all(h->announce);
   ::munmap(lmem, sizeof(ListenHeader));
 #else
   (void)base;

@@ -6,9 +6,8 @@
 // direction — and announces it by bumping the listen segment's doorbell.
 // The home side's listener thread maps the new segment and serves it.
 //
-// Rings use process-shared futex doorbells (the runtime's futex.hpp is
-// FUTEX_*_PRIVATE and cannot cross processes, so this file carries its own
-// shared-word helpers): the producer bumps a doorbell and wakes the
+// Rings use process-shared futex doorbells (runtime/futex.hpp with
+// FutexScope::Shared): the producer bumps a doorbell and wakes the
 // consumer; the consumer bumps a space bell when it frees room so a
 // blocked producer resumes. Frames larger than the ring stream through it
 // in chunks, so the fixed capacity (ORWL_DIST_SHM_SLOTS x 64 B) bounds
@@ -31,14 +30,6 @@ namespace orwl::dist {
 
 /// Bytes per ring slot; ORWL_DIST_SHM_SLOTS counts these.
 inline constexpr std::size_t kShmSlotBytes = 64;
-
-/// Wait/wake on a 32-bit word that lives in memory shared across
-/// processes (plain FUTEX_WAIT/WAKE, not the PRIVATE variants used by the
-/// intra-process runtime). wait returns when *w != expect, on wake, or
-/// after timeout_ms.
-void shm_futex_wait(const std::atomic<std::uint32_t>* w, std::uint32_t expect,
-                    std::uint32_t timeout_ms);
-void shm_futex_wake_all(const std::atomic<std::uint32_t>* w);
 
 /// One direction of a connection: a fixed-capacity SPSC byte ring mapped
 /// into both processes. Exactly one producer and one consumer thread.

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "support/env.hpp"
-
 namespace orwl::rt {
 
 namespace {
@@ -18,7 +16,6 @@ constexpr std::size_t kMaxClassShift = 16;                   // 64 KiB
 constexpr std::size_t kNumClasses =
     kMaxClassShift - kMinClassShift + 1;
 constexpr std::uint32_t kClassLarge = 0xFFFFFFFEu;
-constexpr std::uint32_t kClassHeap = 0xFFFFFFFFu;
 constexpr std::uint32_t kMagic = 0xA93A73E4u;
 
 constexpr std::size_t class_bytes(std::size_t idx) noexcept {
@@ -48,11 +45,10 @@ std::vector<std::pair<std::uint64_t, Arena*>>& arena_registry() {
 /// Prefixed to every allocation at (result - sizeof(Header)), so a bare
 /// pointer routes back to its owning arena, block start and size class.
 struct Arena::Header {
-  Arena* owner;             ///< nullptr never happens; heap blocks keep
-                            ///< their arena for counter symmetry
-  void* block;              ///< block start: freelist node / heap base /
+  Arena* owner;             ///< never nullptr
+  void* block;              ///< block start: freelist node or
                             ///< large-mapping key
-  std::uint32_t size_class; ///< class index, kClassLarge or kClassHeap
+  std::uint32_t size_class; ///< class index or kClassLarge
   std::uint32_t magic;      ///< corruption / double-free tripwire
 };
 
@@ -183,7 +179,6 @@ thread_local ThreadMagazines tl_magazines;
 
 Arena::Arena(int node, std::size_t slab_bytes)
     : slab_bytes_(std::max(slab_bytes, std::size_t{4096})),
-      heap_(!enabled_from_env()),
       node_(node),
       id_(g_arena_ids.fetch_add(1, std::memory_order_relaxed)) {
   free_.assign(kNumClasses, nullptr);
@@ -223,20 +218,6 @@ void Arena::take_back_blocks(std::uint32_t cls, void* const* blocks,
   }
 }
 
-bool Arena::enabled_from_env() {
-  const std::optional<std::string> mode = support::env_string(kArenaEnvVar);
-  if (!mode || mode->empty()) return true;  // unset => shard arenas
-  if (support::iequals(*mode, "off") || *mode == "0" ||
-      support::iequals(*mode, "false")) {
-    return false;
-  }
-  if (support::iequals(*mode, "shard") || *mode == "1" ||
-      support::iequals(*mode, "on") || support::iequals(*mode, "true")) {
-    return true;
-  }
-  support::throw_bad_env(kArenaEnvVar, *mode, "shard or off");
-}
-
 Arena& Arena::runtime_default() {
   // Leaked on purpose: objects freed from static destructors (test
   // fixtures, globals holding queues) must find the arena alive.
@@ -272,18 +253,6 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   if (align < alignof(std::max_align_t)) align = alignof(std::max_align_t);
   // Worst-case prefix: header plus alignment slack past it.
   const std::size_t need = bytes + kHeaderSize + align;
-
-  if (heap_) {
-    void* raw = ::operator new(need);
-    void* result = reinterpret_cast<void*>(
-        align_up(reinterpret_cast<std::uintptr_t>(raw) + kHeaderSize, align));
-    write_header(result, this, raw, kClassHeap);
-    // Heap mode leaves bytes_reserved/refills at ~0: the counters then
-    // read as "the node-bound path is off", which is the point of the
-    // escape hatch.
-    allocs_.fetch_add(1, std::memory_order_relaxed);
-    return result;
-  }
 
   // Magazine fast path: same thread freed a same-class block recently.
   if (need <= class_bytes(kNumClasses - 1) && need <= slab_bytes_ / 2) {
@@ -354,10 +323,6 @@ void Arena::deallocate(void* p) noexcept {
 
 void Arena::release(Header* h) noexcept {
   frees_.fetch_add(1, std::memory_order_relaxed);
-  if (h->size_class == kClassHeap) {
-    ::operator delete(h->block);
-    return;
-  }
   // Small blocks park in the freeing thread's magazine when there is
   // room; the next same-class alloc on that thread skips the mutex.
   if (h->size_class < kNumClasses && magazine_put(h)) return;
@@ -391,7 +356,6 @@ bool Arena::magazine_put(Header* h) noexcept {
 }
 
 void Arena::rebind(int node) {
-  if (heap_) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (node == node_.load(std::memory_order_relaxed)) return;
   node_.store(node, std::memory_order_release);

@@ -15,10 +15,6 @@
 // between shards; memory stays where it was allocated until rebind()
 // migrates the backing pages).
 //
-// Escape hatch: ORWL_ARENA=off (read at construction) makes every arena
-// a thin veneer over ::operator new, keeping the old heap path diffable.
-// ORWL_ARENA=shard (default) is the node-bound slab path.
-//
 // Thread safety: all public member functions are safe to call
 // concurrently; the arena serializes on one internal mutex. The lock is
 // cold by design — callers (RequestQueue, ControlPlane) allocate under
@@ -39,10 +35,6 @@
 
 namespace orwl::rt {
 
-/// ORWL_ARENA=off|shard — off routes every arena to the plain heap
-/// (placement-blind legacy path), shard (default) uses node-bound slabs.
-inline constexpr const char* kArenaEnvVar = "ORWL_ARENA";
-
 struct ThreadMagazines;  // per-thread block caches (arena.cpp)
 
 class Arena {
@@ -59,7 +51,7 @@ class Arena {
 
   /// Counter snapshot (also surfaced as ProgramStats::arena_*).
   struct Stats {
-    std::uint64_t bytes_reserved = 0;  ///< backing bytes mmap'd / new'd
+    std::uint64_t bytes_reserved = 0;  ///< backing bytes mmap'd
     std::uint64_t refills = 0;         ///< slab + large backing allocations
     std::uint64_t node_misses = 0;     ///< bind asked for a host node, pages
                                        ///< landed elsewhere (or tag-only)
@@ -71,9 +63,7 @@ class Arena {
   };
 
   /// `node` is the NUMA node backing slabs are bound to (kAnyNode =
-  /// first touch). The ORWL_ARENA mode is captured here, per arena, so
-  /// tests can flip the env var with support::ScopedEnv and construct
-  /// arenas in either mode side by side.
+  /// first touch).
   explicit Arena(int node = kAnyNode,
                  std::size_t slab_bytes = kDefaultSlabBytes);
   ~Arena();
@@ -81,12 +71,9 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// True when ORWL_ARENA is unset or `shard` right now (the default).
-  static bool enabled_from_env();
-
-  /// Process-wide fallback arena (any-node, heap-or-slab per env at
-  /// first use). Intentionally leaked: runtime objects may free into it
-  /// from static destructors after main().
+  /// Process-wide fallback arena (any-node). Intentionally leaked:
+  /// runtime objects may free into it from static destructors after
+  /// main().
   static Arena& runtime_default();
 
   /// Allocate `bytes` with at least `align` alignment. Never returns
@@ -100,11 +87,10 @@ class Arena {
 
   /// Move the arena to a new NUMA node: future slabs are bound there and
   /// existing backing pages are migrated (topo::MemBind::migrate_to).
-  /// No-op when the node is unchanged or the arena is in heap mode.
+  /// No-op when the node is unchanged.
   void rebind(int node);
 
   int node() const noexcept { return node_.load(std::memory_order_acquire); }
-  bool heap_mode() const noexcept { return heap_; }
   std::size_t slab_bytes() const noexcept { return slab_bytes_; }
 
   Stats stats() const noexcept;
@@ -126,7 +112,6 @@ class Arena {
   static std::size_t class_index(std::size_t need) noexcept;
 
   const std::size_t slab_bytes_;
-  const bool heap_;  ///< ORWL_ARENA=off at construction
   std::atomic<int> node_;
 
   mutable std::mutex mu_;

@@ -21,11 +21,6 @@ void dedupe_queues(QueueVec& queues) {
   queues.erase(std::unique(queues.begin(), queues.end()), queues.end());
 }
 
-bool resolve_futex(int use_futex) {
-  if (use_futex < 0) return futex_enabled_from_env();
-  return use_futex != 0 && futex_supported();
-}
-
 }  // namespace
 
 std::size_t ControlPlane::effective_shards(const ControlPlaneOptions& opts) {
@@ -43,8 +38,7 @@ ControlPlane::ControlPlane(std::size_t nthreads)
 ControlPlane::ControlPlane(const ControlPlaneOptions& opts)
     : num_threads_(opts.num_threads),
       num_shards_(effective_shards(opts)),
-      shard_capacity_(opts.shard_capacity),
-      futex_(resolve_futex(opts.use_futex)) {
+      shard_capacity_(opts.shard_capacity) {
   shards_.reserve(num_shards_);
   for (std::size_t s = 0; s < num_shards_; ++s) {
     Arena* arena = s < opts.shard_arenas.size() && opts.shard_arenas[s]
@@ -104,18 +98,12 @@ void ControlPlane::stop() {
 }
 
 void ControlPlane::wake_shard(Shard& shard, bool all) {
-  if (futex_) {
-    // The event push (or the stopping flag) was published under shard.mu
-    // before this bump; a worker that re-checked its predicate before
-    // the bump sees the seq change at futex_wait and returns.
-    shard.seq.fetch_add(1, std::memory_order_release);
-    futex_wake(shard.seq, all);
-    shard.futex_wakes.fetch_add(1, std::memory_order_relaxed);
-  } else if (all) {
-    shard.cv.notify_all();
-  } else {
-    shard.cv.notify_one();
-  }
+  // The event push (or the stopping flag) was published under shard.mu
+  // before this bump; a worker that re-checked its predicate before the
+  // bump sees the seq change at futex_wait and returns.
+  shard.seq.fetch_add(1, std::memory_order_release);
+  futex_wake(shard.seq, all);
+  shard.futex_wakes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ControlPlane::post(RequestQueue* q, std::size_t shard_index) {
@@ -185,39 +173,23 @@ void ControlPlane::worker_loop(std::size_t shard_index) {
   for (;;) {
     {
       std::unique_lock lock(shard.mu);
-      if (futex_) {
-        // Futex sleep without holding the mutex: snapshot the wakeup
-        // word under the lock, drop it, and wait for the word to move.
-        // Any post after the snapshot bumps seq, so the wait returns
-        // immediately — no lost wakeup, and posters never queue behind
-        // a sleeping worker's mutex.
-        while (!shard.stopping && shard.events.empty()) {
-          const std::uint32_t seq =
-              shard.seq.load(std::memory_order_acquire);
-          lock.unlock();
-          // Before parking, lend a hand to a loaded sibling shard.
-          if (steal_events(shard_index, batch)) {
-            drain_batch(/*stolen=*/true);
-            lock.lock();
-            continue;
-          }
-          shard.futex_waits.fetch_add(1, std::memory_order_relaxed);
-          futex_wait(shard.seq, seq, /*timeout_ms=*/0);
+      // Futex sleep without holding the mutex: snapshot the wakeup word
+      // under the lock, drop it, and wait for the word to move. Any post
+      // after the snapshot bumps seq, so the wait returns immediately —
+      // no lost wakeup, and posters never queue behind a sleeping
+      // worker's mutex.
+      while (!shard.stopping && shard.events.empty()) {
+        const std::uint32_t seq = shard.seq.load(std::memory_order_acquire);
+        lock.unlock();
+        // Before parking, lend a hand to a loaded sibling shard.
+        if (steal_events(shard_index, batch)) {
+          drain_batch(/*stolen=*/true);
           lock.lock();
+          continue;
         }
-      } else {
-        while (!shard.stopping && shard.events.empty()) {
-          lock.unlock();
-          if (steal_events(shard_index, batch)) {
-            drain_batch(/*stolen=*/true);
-            lock.lock();
-            continue;
-          }
-          lock.lock();
-          shard.cv.wait(lock, [&] {
-            return shard.stopping || !shard.events.empty();
-          });
-        }
+        shard.futex_waits.fetch_add(1, std::memory_order_relaxed);
+        futex_wait(shard.seq, seq, /*timeout_ms=*/0);
+        lock.lock();
       }
       if (shard.events.empty()) return;  // stopping and fully drained
       batch.swap(shard.events);

@@ -15,7 +15,9 @@
 // unrelated locality domains never contend on a common mutex. These are
 // the threads Algorithm 1 places on hyperthread siblings or spare cores;
 // control thread j serves shard j % num_shards, and the Program aligns
-// the tree_match control placement with that fixed assignment.
+// the tree_match control placement with that fixed assignment. An idle
+// worker parks on its shard's futex word (runtime/futex.hpp), after
+// first trying to steal events from a loaded sibling shard.
 //
 // post() never loses an event: when the plane is stopped, stopping, or
 // the target shard is saturated, the grant is performed inline by the
@@ -28,7 +30,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -58,10 +59,6 @@ struct ControlPlaneOptions {
   /// Events a shard may hold before post() falls back to an inline grant
   /// (back-pressure instead of unbounded queue growth); 0 = unbounded.
   std::size_t shard_capacity = 4096;
-
-  /// Futex worker parking: -1 follows ORWL_FUTEX (on by default on
-  /// Linux), 0/1 force condvar/futex.
-  int use_futex = -1;
 
   /// Arena backing shard s's event deque (and its worker's drain
   /// buffers); missing or null entries fall back to the process arena.
@@ -129,7 +126,7 @@ class ControlPlane {
     return inline_grants_.load(std::memory_order_relaxed);
   }
 
-  /// Worker futex sleeps / poster futex wakes (0 on the condvar path).
+  /// Worker futex sleeps / poster futex wakes.
   std::uint64_t futex_waits() const noexcept;
   std::uint64_t futex_wakes() const noexcept;
 
@@ -137,8 +134,6 @@ class ControlPlane {
   /// (granted by the thief before it parks, instead of waiting for the
   /// loaded shard's worker to catch up).
   std::uint64_t shard_steals() const noexcept;
-
-  bool futex_parking() const noexcept { return futex_; }
 
  private:
   /// Event deque drawing from the shard's node-bound arena.
@@ -148,7 +143,6 @@ class ControlPlane {
     explicit Shard(Arena* a)
         : events(ArenaAllocator<RequestQueue*>(a)), arena(a) {}
     std::mutex mu;
-    std::condition_variable cv;             ///< ORWL_FUTEX=0 path
     std::atomic<std::uint32_t> seq{0};      ///< futex wakeup word
     EventDeque events;
     /// events.size() republished after every mutation under mu, so
@@ -170,7 +164,6 @@ class ControlPlane {
   const std::size_t num_threads_;
   const std::size_t num_shards_;
   const std::size_t shard_capacity_;
-  const bool futex_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};

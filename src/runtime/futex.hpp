@@ -1,25 +1,23 @@
-// Futex-backed parking for the grant engine and the control-plane
-// shards.
+// Futex parking — the one way the runtime puts a thread to sleep.
 //
-// The PR-3 grant engine made the *granted* fast path lock-free, but a
-// blocked acquirer still parked on a per-slot std::mutex +
-// std::condition_variable pair, and every shard worker slept on a
-// condvar — so the contended hand-off cycle carried pthread mutex
-// traffic even though the protocol state lives entirely in one atomic
-// word. These helpers park directly on a 32-bit sequence word via
-// SYS_futex (FUTEX_*_PRIVATE) on Linux.
+// The grant engine (blocked acquirers, one word per request slot), the
+// control-plane shard workers, the steal executor's idle workers and the
+// shm transport's ring doorbells all park directly on a 32-bit sequence
+// word via SYS_futex on Linux; no mutex/condvar pair sits on any of
+// those paths.
 //
-// Protocol (same for slots and shards): the waiter reads the sequence
-// word, re-checks its predicate, then futex-waits for the sequence to
-// change; the waker updates the predicate state first, bumps the
-// sequence (release), then wakes. A wake between the waiter's re-check
-// and its futex_wait makes the wait return immediately (EAGAIN) — no
-// lost wakeup, no mutex.
+// Protocol (same everywhere): the waiter reads the sequence word,
+// re-checks its predicate, then futex-waits for the sequence to change;
+// the waker updates the predicate state first, bumps the sequence
+// (release), then wakes. A wake between the waiter's re-check and its
+// futex_wait makes the wait return immediately (EAGAIN) — no lost
+// wakeup, no mutex. Timed waits are supported (FUTEX_WAIT takes a
+// relative timeout), which is what the acquire-timeout guard runs on.
 //
-// ORWL_FUTEX=1|0 (default 1 on Linux) gates the path; the condvar path
-// is retained for non-Linux hosts and as a diffable fallback. Timed
-// waits are supported (FUTEX_WAIT takes a relative timeout) so the
-// acquire-timeout guard works on both paths.
+// Scope: FutexScope::Private (FUTEX_*_PRIVATE) for words inside one
+// process, FutexScope::Shared (plain FUTEX_WAIT/WAKE) for words in memory
+// mapped by several processes. Non-Linux hosts fall back to C++20 atomic
+// waiting, polling coarsely for timed waits.
 //
 // TSan note: the happens-before edges all come from the atomic
 // predicate/sequence words, which TSan models; the futex syscall only
@@ -28,8 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-
-#include "support/env.hpp"
 
 #if defined(__linux__)
 #include <climits>
@@ -46,23 +42,9 @@
 
 namespace orwl::rt {
 
-/// ORWL_FUTEX=1|0 — park blocked acquirers and shard workers on futexes
-/// (Linux, default) instead of mutex+condvar pairs.
-inline constexpr const char* kFutexEnvVar = "ORWL_FUTEX";
-
-constexpr bool futex_supported() noexcept {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Effective gate: the env knob is read per call (ScopedEnv-testable,
-/// same idiom as membind.cpp) and forced off where SYS_futex is absent.
-inline bool futex_enabled_from_env() {
-  return futex_supported() && support::env_bool(kFutexEnvVar, true);
-}
+/// Which processes may park on a word: only this one (the runtime's
+/// own words), or every process mapping it (shm doorbells).
+enum class FutexScope { Private, Shared };
 
 /// Block until `word != expected` is *signalled* (futex_wake after a
 /// sequence bump), a spurious return, or the timeout. `timeout_ms <= 0`
@@ -70,8 +52,8 @@ inline bool futex_enabled_from_env() {
 /// re-check their predicate on true (spurious and EAGAIN returns are
 /// folded into "woken").
 inline bool futex_wait(std::atomic<std::uint32_t>& word,
-                       std::uint32_t expected,
-                       std::int64_t timeout_ms) noexcept {
+                       std::uint32_t expected, std::int64_t timeout_ms,
+                       FutexScope scope = FutexScope::Private) noexcept {
 #if defined(__linux__)
   timespec ts;
   timespec* tsp = nullptr;
@@ -82,12 +64,13 @@ inline bool futex_wait(std::atomic<std::uint32_t>& word,
   }
   const long rc =
       syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
-              FUTEX_WAIT_PRIVATE, expected, tsp, nullptr, 0);
+              scope == FutexScope::Private ? FUTEX_WAIT_PRIVATE : FUTEX_WAIT,
+              expected, tsp, nullptr, 0);
   return !(rc == -1 && errno == ETIMEDOUT);
 #else
-  // Portability fallback (the gate is off here, so this only runs if a
-  // caller forces futex mode on a non-Linux host): untimed waits map to
-  // C++20 atomic waiting; timed waits poll coarsely.
+  // Portability fallback: untimed waits map to C++20 atomic waiting;
+  // timed waits poll coarsely.
+  (void)scope;
   if (timeout_ms <= 0) {
     word.wait(expected, std::memory_order_acquire);
     return true;
@@ -104,12 +87,14 @@ inline bool futex_wait(std::atomic<std::uint32_t>& word,
 
 /// Wake one (or all) futex_wait-ers parked on `word`. Call after
 /// bumping the sequence word with release ordering.
-inline void futex_wake(std::atomic<std::uint32_t>& word,
-                       bool all) noexcept {
+inline void futex_wake(std::atomic<std::uint32_t>& word, bool all,
+                       FutexScope scope = FutexScope::Private) noexcept {
 #if defined(__linux__)
   syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
-          FUTEX_WAKE_PRIVATE, all ? INT_MAX : 1, nullptr, nullptr, 0);
+          scope == FutexScope::Private ? FUTEX_WAKE_PRIVATE : FUTEX_WAKE,
+          all ? INT_MAX : 1, nullptr, nullptr, 0);
 #else
+  (void)scope;
   if (all) {
     word.notify_all();
   } else {

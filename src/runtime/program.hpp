@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -208,22 +209,20 @@ struct ProgramStats {
   /// skipped and counted here instead of inflating locations_bound.
   std::size_t locations_skipped_unsized = 0;
 
-  // ---- runtime arenas + futex parking (ORWL_ARENA / ORWL_FUTEX) ----------
-  /// Backing bytes the per-shard arenas reserved from the OS (0 when
-  /// ORWL_ARENA=off — the legacy heap path).
+  // ---- runtime arenas + futex parking -------------------------------------
+  /// Backing bytes the per-shard arenas reserved from the OS.
   std::uint64_t arena_bytes = 0;
   /// Slab/large-mapping refills across all shard arenas.
   std::uint64_t arena_refills = 0;
   /// Refills whose node-bound pages the host could have placed on the
   /// requested node but did not (fixture-only nodes are not misses).
   std::uint64_t arena_node_misses = 0;
-  /// Futex sleeps entered by blocked acquirers and control workers
-  /// (0 when ORWL_FUTEX=0 — the condvar path).
+  /// Futex sleeps entered by blocked acquirers and control workers.
   std::uint64_t futex_waits = 0;
   /// Futex wake calls issued by granters and event posters.
   std::uint64_t futex_wakes = 0;
   /// Arena allocations served from a thread-local magazine, no mutex
-  /// (0 when ORWL_ARENA=off or no thread registered a magazine).
+  /// (0 when no thread registered a magazine).
   std::uint64_t arena_magazine_hits = 0;
 
   // ---- work-stealing executor (ORWL_STEAL) -------------------------------

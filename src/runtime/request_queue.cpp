@@ -12,8 +12,7 @@
 namespace orwl::rt {
 
 RequestQueue::RequestQueue(Arena* arena)
-    : arena_(arena ? arena : &Arena::runtime_default()),
-      futex_(futex_enabled_from_env()) {
+    : arena_(arena ? arena : &Arena::runtime_default()) {
   std::lock_guard lock(mu_);
   cur_ = make_window_locked(kInitialWindowCapacity);
   window_.store(cur_, std::memory_order_release);
@@ -34,10 +33,6 @@ RequestQueue::~RequestQueue() {
 
 void RequestQueue::set_arena(Arena* arena) noexcept {
   if (arena != nullptr) arena_.store(arena, std::memory_order_release);
-}
-
-void RequestQueue::set_futex(bool on) noexcept {
-  futex_ = on && futex_supported();
 }
 
 RequestQueue::Window* RequestQueue::make_window_locked(
@@ -223,14 +218,10 @@ void RequestQueue::acquire_slow(Ticket t) {
       return;
     }
   }
-  if (futex_) {
-    acquire_parked_futex(t, s);
-  } else {
-    acquire_parked_condvar(t, s);
-  }
+  acquire_parked(t, s);
 }
 
-void RequestQueue::acquire_parked_futex(Ticket t, Slot* s) {
+void RequestQueue::acquire_parked(Ticket t, Slot* s) {
   // Announce the parking with a bare CAS — no lock. The granter's
   // exchange either happens first (we observe kGranted below) or sees
   // kParked and then bumps seq before waking; our wait loop reads seq
@@ -272,40 +263,6 @@ void RequestQueue::acquire_parked_futex(Ticket t, Slot* s) {
     }
     // Spurious return, seq changed, or a wake for a recycled slot:
     // re-check the predicate and keep waiting.
-  }
-}
-
-void RequestQueue::acquire_parked_condvar(Ticket t, Slot* s) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms_);
-  std::unique_lock park(s->park_mu);
-  // Announce the parking while holding park_mu: the granter's exchange
-  // either happens first (we observe kGranted here) or sees kParked and
-  // serializes on park_mu before notifying, so the wakeup cannot be lost.
-  std::uint64_t expected = pack(t, kWaiting);
-  if (!s->word.compare_exchange_strong(expected, pack(t, kParked),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-    if (expected == pack(t, kGranted)) return;
-    if (expected != pack(t, kParked)) {
-      throw std::runtime_error("RequestQueue::acquire: unknown ticket");
-    }
-    // Already parked: a previous acquire of this ticket timed out and left
-    // the announcement in place. Fall through and wait for the grant.
-  }
-  for (;;) {
-    if (s->word.load(std::memory_order_acquire) == pack(t, kGranted)) {
-      return;
-    }
-    if (timeout_ms_ == 0) {
-      s->park_cv.wait(park);
-    } else if (s->park_cv.wait_until(park, deadline) ==
-               std::cv_status::timeout) {
-      if (s->word.load(std::memory_order_acquire) == pack(t, kGranted)) {
-        return;
-      }
-      throw_acquire_timeout(t);
-    }
   }
 }
 
@@ -360,22 +317,14 @@ Ticket RequestQueue::reinsert_and_release(Ticket t, AccessMode mode) {
 
 void RequestQueue::wake_parked(const std::vector<Slot*>& wake) {
   for (Slot* s : wake) {
-    if (futex_) {
-      // The grant (word exchange) happened before this seq bump; a waiter
-      // that read the old seq re-checks the word and returns, one that
-      // read the new seq sees EAGAIN from the kernel. Either way no
-      // mutex is touched on the hand-off path.
-      s->seq.fetch_add(1, std::memory_order_release);
-      futex_wake(s->seq, /*all=*/true);
-      futex_wakes_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Empty critical section: a parked owner holds park_mu from its state
-    // transition until it enters the condvar wait, so locking here ensures
-    // the notify cannot slip into that gap. A slot recycled in the
-    // meantime at worst receives a spurious (predicate-checked) wakeup.
-    { std::lock_guard guard(s->park_mu); }
-    s->park_cv.notify_all();
+    // The grant (word exchange) happened before this seq bump; a waiter
+    // that read the old seq re-checks the word and returns, one that
+    // read the new seq sees EAGAIN from the kernel. Either way no mutex
+    // is touched on the hand-off path. A slot recycled in the meantime at
+    // worst receives a spurious (predicate-checked) wakeup.
+    s->seq.fetch_add(1, std::memory_order_release);
+    futex_wake(s->seq, /*all=*/true);
+    futex_wakes_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

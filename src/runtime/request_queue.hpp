@@ -20,13 +20,12 @@
 // scan anywhere. Each request lives in a reusable Slot whose atomic state
 // word packs (ticket << 2) | phase; grants are published by flipping that
 // word, which makes granted() and the already-granted acquire() fast path
-// lock-free. Blocked acquirers park on their own slot's futex word
-// (ORWL_FUTEX=1, the default — see runtime/futex.hpp) or mutex/condvar
-// pair (ORWL_FUTEX=0, and the portability fallback), and only the newly
-// granted writer — or exactly the parked members of a newly granted
-// reader group — are woken (no broadcast). The slot window grows by
-// doubling; superseded windows are retired, never freed, so stale
-// lock-free lookups stay safe (the state-word ticket check rejects them).
+// lock-free. Blocked acquirers park on their own slot's futex word (see
+// runtime/futex.hpp), and only the newly granted writer — or exactly the
+// parked members of a newly granted reader group — are woken (no
+// broadcast). The slot window grows by doubling; superseded windows are
+// retired, never freed, so stale lock-free lookups stay safe (the
+// state-word ticket check rejects them).
 //
 // Memory: windows and slot chunks come from the queue's rt::Arena (the
 // arena of the control shard serving this queue, node-bound) — nothing
@@ -34,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,7 +69,7 @@ class GrantHook {
 class RequestQueue {
  public:
   /// `arena` backs the slot window and slot chunks (null = the process
-  /// fallback arena). Futex parking defaults to ORWL_FUTEX (on, Linux).
+  /// fallback arena).
   explicit RequestQueue(Arena* arena = nullptr);
   ~RequestQueue();
   RequestQueue(const RequestQueue&) = delete;
@@ -85,12 +83,6 @@ class RequestQueue {
   Arena* arena() const noexcept {
     return arena_.load(std::memory_order_acquire);
   }
-
-  /// Force futex (true) or mutex+condvar (false) parking, overriding
-  /// ORWL_FUTEX — test hook. Forced back off where futexes are
-  /// unsupported. Not thread-safe; set before concurrent use.
-  void set_futex(bool on) noexcept;
-  bool futex_parking() const noexcept { return futex_; }
 
   /// Parking-path statistics (ProgramStats::futex_*). Lock-free.
   std::uint64_t futex_waits() const noexcept {
@@ -185,14 +177,10 @@ class RequestQueue {
 
   /// One request cell. Slots are arena-owned (stable addresses for the
   /// lifetime of the queue) and recycled through a freelist at release.
-  /// `seq` is the futex parking word; park_mu/park_cv serve the
-  /// ORWL_FUTEX=0 path.
   struct Slot {
     std::atomic<std::uint64_t> word{0};
     AccessMode mode = AccessMode::Read;  ///< written under mu_ at enqueue
-    std::atomic<std::uint32_t> seq{0};   ///< bumped per wake (futex path)
-    std::mutex park_mu;
-    std::condition_variable park_cv;
+    std::atomic<std::uint32_t> seq{0};   ///< futex word, bumped per wake
   };
 
   /// Ticket -> slot map for the live window: slot(t) = slots[t & mask].
@@ -232,8 +220,7 @@ class RequestQueue {
   // ---- lock-free paths ---------------------------------------------------
 
   void acquire_slow(Ticket t);
-  void acquire_parked_futex(Ticket t, Slot* s);
-  void acquire_parked_condvar(Ticket t, Slot* s);
+  void acquire_parked(Ticket t, Slot* s);
   void wake_parked(const std::vector<Slot*>& wake);
 
   /// The deadlock-guard error, with enough context to find the stuck
@@ -259,7 +246,6 @@ class RequestQueue {
   std::atomic<std::uint64_t> futex_wakes_{0};
 
   std::atomic<Arena*> arena_;  ///< allocation source (re-pointed on route)
-  bool futex_;                 ///< futex vs condvar parking
   std::uint64_t timeout_ms_ = 120000;
   std::string tag_;
   GrantHook* hook_ = nullptr;

@@ -1,6 +1,5 @@
 #include "runtime/steal_executor.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -71,7 +70,7 @@ void StealExecutor::WorkerContext::push(std::uint64_t item) {
 
 StealExecutor::StealExecutor(const topo::Topology& t,
                              std::vector<WorkerSpec> workers, Config cfg)
-    : cfg_(cfg), use_futex_(futex_enabled_from_env()) {
+    : cfg_(cfg) {
   if (workers.empty()) {
     throw std::invalid_argument("StealExecutor: no workers");
   }
@@ -306,13 +305,7 @@ void StealExecutor::run_worker(std::size_t w, const ItemFn& fn) {
       ws.parks.fetch_add(1, std::memory_order_relaxed);
       parked_.fetch_add(1, std::memory_order_acq_rel);
       const std::uint32_t seq = work_seq_.load(std::memory_order_acquire);
-      if (!quiescent()) {
-        if (use_futex_) {
-          futex_wait(work_seq_, seq, /*timeout_ms=*/10);
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-      }
+      if (!quiescent()) futex_wait(work_seq_, seq, /*timeout_ms=*/10);
       parked_.fetch_sub(1, std::memory_order_acq_rel);
       fruitless = 0;
     } else {

@@ -239,7 +239,6 @@ class StealExecutor {
 
   alignas(64) std::atomic<std::uint32_t> work_seq_{0};
   std::atomic<int> parked_{0};
-  const bool use_futex_;
 
   /// Session state: the body lenders run, null between sessions.
   std::atomic<const ItemFn*> session_fn_{nullptr};

@@ -20,36 +20,7 @@ using orwl::rt::ArenaPtr;
 using orwl::rt::arena_new;
 using orwl::support::ScopedEnv;
 
-TEST(Arena, EnvGateDefaultsOn) {
-  ScopedEnv unset(orwl::rt::kArenaEnvVar, nullptr);
-  EXPECT_TRUE(Arena::enabled_from_env());
-}
-
-TEST(Arena, EnvGateRecognizesOff) {
-  {
-    ScopedEnv off(orwl::rt::kArenaEnvVar, "off");
-    EXPECT_FALSE(Arena::enabled_from_env());
-  }
-  {
-    ScopedEnv zero(orwl::rt::kArenaEnvVar, "0");
-    EXPECT_FALSE(Arena::enabled_from_env());
-  }
-  {
-    ScopedEnv shard(orwl::rt::kArenaEnvVar, "shard");
-    EXPECT_TRUE(Arena::enabled_from_env());
-  }
-}
-
-// The slab-path tests pin ORWL_ARENA=shard: the legacy CI leg exports
-// ORWL_ARENA=off for the whole ctest run, and Arena captures the mode
-// at construction — without the pin these would silently test the heap
-// veneer instead of the freelists.
-class ArenaSlab : public ::testing::Test {
- protected:
-  ScopedEnv shard_mode_{orwl::rt::kArenaEnvVar, "shard"};
-};
-
-TEST_F(ArenaSlab, SizeClassRoundTrips) {
+TEST(ArenaSlab, SizeClassRoundTrips) {
   Arena arena;
   // One allocation per size class, each written end to end and freed:
   // the header must survive a full fill of the user bytes.
@@ -65,7 +36,7 @@ TEST_F(ArenaSlab, SizeClassRoundTrips) {
   EXPECT_EQ(arena.live_allocs(), 0u);
 }
 
-TEST_F(ArenaSlab, FreelistReusesFreedBlock) {
+TEST(ArenaSlab, FreelistReusesFreedBlock) {
   Arena arena;
   void* a = arena.allocate(128);
   Arena::deallocate(a);
@@ -76,7 +47,7 @@ TEST_F(ArenaSlab, FreelistReusesFreedBlock) {
   Arena::deallocate(b);
 }
 
-TEST_F(ArenaSlab, DistinctClassesDoNotAlias) {
+TEST(ArenaSlab, DistinctClassesDoNotAlias) {
   Arena arena;
   void* small = arena.allocate(64);
   void* big = arena.allocate(4096);
@@ -89,7 +60,7 @@ TEST_F(ArenaSlab, DistinctClassesDoNotAlias) {
   Arena::deallocate(big2);
 }
 
-TEST_F(ArenaSlab, AlignmentHonored) {
+TEST(ArenaSlab, AlignmentHonored) {
   Arena arena;
   for (std::size_t align : {8u, 16u, 64u, 128u}) {
     void* p = arena.allocate(24, align);
@@ -98,7 +69,7 @@ TEST_F(ArenaSlab, AlignmentHonored) {
   }
 }
 
-TEST_F(ArenaSlab, ExhaustionGrowsNewSlab) {
+TEST(ArenaSlab, ExhaustionGrowsNewSlab) {
   // Tiny slabs so a handful of allocations forces a refill.
   Arena arena(Arena::kAnyNode, /*slab_bytes=*/8 * 1024);
   const std::uint64_t before = arena.stats().refills;
@@ -112,7 +83,7 @@ TEST_F(ArenaSlab, ExhaustionGrowsNewSlab) {
   EXPECT_EQ(arena.live_allocs(), 0u);
 }
 
-TEST_F(ArenaSlab, LargeAllocationBypassesSlabs) {
+TEST(ArenaSlab, LargeAllocationBypassesSlabs) {
   Arena arena(Arena::kAnyNode, /*slab_bytes=*/16 * 1024);
   // Larger than any size class: must still round-trip and be writable.
   const std::size_t big = 256 * 1024;
@@ -124,7 +95,7 @@ TEST_F(ArenaSlab, LargeAllocationBypassesSlabs) {
   EXPECT_EQ(arena.live_allocs(), 0u);
 }
 
-TEST_F(ArenaSlab, EmulatedBindFallsBackWithoutMisses) {
+TEST(ArenaSlab, EmulatedBindFallsBackWithoutMisses) {
   // ORWL_MEMBIND=emulate removes the NUMA syscalls; binding to a node the
   // host cannot honor must degrade to plain pages and must NOT count as a
   // node miss (the gate arena_node_misses == 0 relies on this for
@@ -139,7 +110,7 @@ TEST_F(ArenaSlab, EmulatedBindFallsBackWithoutMisses) {
   EXPECT_GT(arena.stats().bytes_reserved, 0u);
 }
 
-TEST_F(ArenaSlab, BindToHostNodeIsMissFree) {
+TEST(ArenaSlab, BindToHostNodeIsMissFree) {
   // Binding to a node the host really has must produce zero misses too
   // (this is the smp20e7-fixture acceptance gate in miniature).
   const std::vector<int> nodes = orwl::topo::MemBind::host_node_ids();
@@ -152,7 +123,7 @@ TEST_F(ArenaSlab, BindToHostNodeIsMissFree) {
   EXPECT_EQ(arena.node(), node);
 }
 
-TEST_F(ArenaSlab, RebindMovesNodeAndCounts) {
+TEST(ArenaSlab, RebindMovesNodeAndCounts) {
   Arena arena(Arena::kAnyNode);
   void* p = arena.allocate(256);  // force a slab so rebind has pages
   const std::uint64_t before = arena.stats().rebinds;
@@ -172,24 +143,7 @@ TEST_F(ArenaSlab, RebindMovesNodeAndCounts) {
   EXPECT_EQ(arena.live_allocs(), 0u);
 }
 
-TEST(Arena, HeapModeIsThinVeneer) {
-  ScopedEnv off(orwl::rt::kArenaEnvVar, "off");
-  Arena arena(/*node=*/0);
-  EXPECT_TRUE(arena.heap_mode());
-  void* p = arena.allocate(512);
-  std::memset(p, 0x44, 512);
-  Arena::deallocate(p);
-  const Arena::Stats s = arena.stats();
-  // Heap mode reserves nothing node-bound: the counters that feed the
-  // CI gate stay at zero so ORWL_ARENA=off is visible in bench JSON.
-  EXPECT_EQ(s.bytes_reserved, 0u);
-  EXPECT_EQ(s.refills, 0u);
-  EXPECT_EQ(s.node_misses, 0u);
-  EXPECT_EQ(s.allocs, 1u);
-  EXPECT_EQ(s.frees, 1u);
-}
-
-TEST_F(ArenaSlab, CrossArenaFreeRoutesToOwner) {
+TEST(ArenaSlab, CrossArenaFreeRoutesToOwner) {
   Arena a;
   Arena b;
   void* pa = a.allocate(128);
@@ -204,7 +158,7 @@ TEST_F(ArenaSlab, CrossArenaFreeRoutesToOwner) {
   EXPECT_EQ(b.live_allocs(), 0u);
 }
 
-TEST_F(ArenaSlab, ArenaNewAndPtrRunDestructors) {
+TEST(ArenaSlab, ArenaNewAndPtrRunDestructors) {
   Arena arena;
   static std::atomic<int> destroyed{0};
   struct Probe {
@@ -220,7 +174,7 @@ TEST_F(ArenaSlab, ArenaNewAndPtrRunDestructors) {
   EXPECT_EQ(arena.live_allocs(), 0u);
 }
 
-TEST_F(ArenaSlab, AllocatorAdapterWorksWithContainers) {
+TEST(ArenaSlab, AllocatorAdapterWorksWithContainers) {
   Arena arena;
   {
     std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(&arena)};
@@ -246,7 +200,7 @@ TEST(Arena, AllocatorEqualityIsArenaIdentity) {
   EXPECT_EQ(rebound.arena(), &a);
 }
 
-TEST_F(ArenaSlab, ConcurrentAllocFreeIsRaceFree) {
+TEST(ArenaSlab, ConcurrentAllocFreeIsRaceFree) {
   Arena arena;
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;

@@ -1,9 +1,10 @@
 // The sharded control plane: shard clamping, routing, batched draining,
-// and the inline-grant fallback that makes post() safe against stop()
-// races and shard saturation.
+// futex parking of idle shard workers, and the inline-grant fallback that
+// makes post() safe against stop() races and shard saturation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,19 @@ ControlPlaneOptions sharded(std::size_t threads, std::size_t shards) {
   o.num_threads = threads;
   o.num_shards = shards;
   return o;
+}
+
+/// Polls `pred` until it holds, with a deadline so a parking bug fails
+/// the test instead of hanging it.
+template <typename F>
+[[nodiscard]] bool eventually(F&& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 // ------------------------------------------------------------ sharding ----
@@ -209,6 +223,60 @@ TEST(ControlPlaneFallback, ReleaseRacingStopNeverStrandsWaiter) {
     releaser.join();
     q.release(w2);  // post after stop: inline grant path
   }
+}
+
+// ------------------------------------------------------- worker parking ----
+
+TEST(ControlPlaneParking, IdleWorkerParksAndPostWakesIt) {
+  ControlPlane cp(sharded(1, 1));
+  cp.start();
+  // With no events, the worker parks on its shard word.
+  ASSERT_TRUE(eventually([&] { return cp.futex_waits() >= 1; }));
+  RequestQueue q;
+  q.set_control_plane(&cp);
+  q.set_acquire_timeout(10000);
+  const Ticket w1 = q.enqueue(AccessMode::Write);
+  const Ticket w2 = q.enqueue(AccessMode::Write);
+  q.release(w1);  // posts to the parked worker's shard
+  q.acquire(w2);
+  EXPECT_TRUE(q.granted(w2));
+  EXPECT_GE(cp.futex_wakes(), 1u);
+  // The worker counts the event just after granting it.
+  EXPECT_TRUE(eventually([&] { return cp.events_processed() == 1; }));
+  EXPECT_EQ(cp.inline_grants(), 0u);  // the worker granted, not the poster
+  q.release(w2);
+  cp.stop();
+}
+
+TEST(ControlPlaneParking, StopReturnsPromptlyWhileWorkerIsParked) {
+  ControlPlane cp(sharded(1, 1));
+  cp.start();
+  RequestQueue q;
+  q.set_control_plane(&cp);
+  q.set_acquire_timeout(10000);
+  constexpr int kHandOffs = 3;
+  Ticket t = q.enqueue(AccessMode::Write);
+  for (int i = 0; i < kHandOffs; ++i) {
+    const Ticket next = q.enqueue(AccessMode::Write);
+    q.release(t);
+    q.acquire(next);
+    t = next;
+  }
+  // Every event drained; with nothing left to post, the worker goes back
+  // to sleep on its shard word (an untimed wait: only stop() wakes it).
+  ASSERT_TRUE(eventually([&] {
+    return cp.events_processed() == static_cast<std::uint64_t>(kHandOffs);
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_GE(cp.futex_waits(), 1u);
+  const auto start = std::chrono::steady_clock::now();
+  cp.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_FALSE(cp.running());
+  EXPECT_EQ(cp.events_processed() + cp.inline_grants(),
+            static_cast<std::uint64_t>(kHandOffs));
+  EXPECT_TRUE(q.granted(t));
+  q.release(t);
 }
 
 // ---------------------------------------------------- batched draining ----

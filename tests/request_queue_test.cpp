@@ -503,30 +503,12 @@ TEST(RequestQueue, StressMixedModesFifoGroupsAndGrantCount) {
   }
 }
 
-// ------------------------------------------- futex vs condvar parking ----
+// ------------------------------------------------------ futex parking ----
 
-// Every blocking behavior must be identical under both parking paths;
-// ORWL_FUTEX only changes *how* a parked thread sleeps, never *when* it
-// wakes. The fixture forces the path explicitly so the suite covers both
-// regardless of the environment's default.
-class RequestQueueParking : public ::testing::TestWithParam<bool> {
- protected:
-  bool want_futex() const { return GetParam(); }
-  void configure(RequestQueue& q) const {
-    q.set_futex(want_futex());
-    if (want_futex()) {
-      // On hosts without futex support set_futex downgrades; skip the
-      // futex leg there rather than re-testing the condvar path twice.
-      if (!q.futex_parking()) GTEST_SKIP() << "no futex on this host";
-    } else {
-      ASSERT_FALSE(q.futex_parking());
-    }
-  }
-};
-
-TEST_P(RequestQueueParking, AcquireBlocksUntilGrant) {
+// Blocked acquirers park on their slot's futex word; the deadlock guard
+// is a timed futex wait on the same word.
+TEST(RequestQueueParking, AcquireBlocksUntilGrant) {
   RequestQueue q;
-  configure(q);
   const Ticket w1 = q.enqueue(AccessMode::Write);
   const Ticket w2 = q.enqueue(AccessMode::Write);
   std::atomic<bool> got{false};
@@ -534,22 +516,20 @@ TEST_P(RequestQueueParking, AcquireBlocksUntilGrant) {
     q.acquire(w2);
     got.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The waiter counts its futex sleep just before entering it.
+  while (q.futex_waits() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_FALSE(got.load());
   q.release(w1);
   waiter.join();
   EXPECT_TRUE(got.load());
-  if (want_futex()) {
-    EXPECT_GE(q.futex_wakes(), 1u);
-  } else {
-    EXPECT_EQ(q.futex_waits(), 0u);
-    EXPECT_EQ(q.futex_wakes(), 0u);
-  }
+  EXPECT_GE(q.futex_waits(), 1u);
+  EXPECT_GE(q.futex_wakes(), 1u);
 }
 
-TEST_P(RequestQueueParking, AcquireTimesOutOnDeadlock) {
+TEST(RequestQueueParking, AcquireTimesOutOnDeadlock) {
   RequestQueue q;
-  configure(q);
   q.set_acquire_timeout(50);
   q.enqueue(AccessMode::Write);  // never released
   const Ticket w2 = q.enqueue(AccessMode::Write);
@@ -557,23 +537,28 @@ TEST_P(RequestQueueParking, AcquireTimesOutOnDeadlock) {
   EXPECT_THROW(q.acquire(w2), std::runtime_error);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_GE(elapsed, std::chrono::milliseconds(45));
+  // The guard is a timed futex wait that nobody wakes.
+  EXPECT_GE(q.futex_waits(), 1u);
+  EXPECT_EQ(q.futex_wakes(), 0u);
 }
 
-TEST_P(RequestQueueParking, TimedOutTicketStillGrantableLater) {
+TEST(RequestQueueParking, TimedOutTicketStillGrantableLater) {
   RequestQueue q;
-  configure(q);
   q.set_acquire_timeout(30);
   const Ticket w1 = q.enqueue(AccessMode::Write);
   const Ticket w2 = q.enqueue(AccessMode::Write);
   EXPECT_THROW(q.acquire(w2), std::runtime_error);
+  EXPECT_GE(q.futex_waits(), 1u);
+  EXPECT_EQ(q.futex_wakes(), 0u);
+  // The timed-out slot stays announced as parked, so the grant wakes it.
   q.release(w1);
+  EXPECT_GE(q.futex_wakes(), 1u);
   q.acquire(w2);  // grant arrived after the timeout: still usable
   q.release(w2);
 }
 
-TEST_P(RequestQueueParking, ManyThreadsMutualExclusion) {
+TEST(RequestQueueParking, ManyThreadsMutualExclusion) {
   RequestQueue q;
-  configure(q);
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
   std::vector<Ticket> tickets(kThreads);
@@ -599,13 +584,11 @@ TEST_P(RequestQueueParking, ManyThreadsMutualExclusion) {
   for (auto& th : threads) th.join();
   EXPECT_FALSE(overlap.load());
   EXPECT_EQ(counter, kThreads * kIters);
+  // Eight writers queue behind one another: acquirers parked and were
+  // woken by the grants.
+  EXPECT_GE(q.futex_waits(), 1u);
+  EXPECT_GE(q.futex_wakes(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(FutexAndCondvar, RequestQueueParking,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "futex" : "condvar";
-                         });
 
 // ------------------------------------------------------ control plane ----
 
