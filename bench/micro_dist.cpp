@@ -64,8 +64,9 @@ void BM_HandoffIntra(benchmark::State& state) {
 }
 
 /// Home + client in one process, but every cycle still crosses the full
-/// transport: REQ_WRITE and DATA+RELEASE on the wire, the granter
-/// thread proxying into the real queue, GRANT carrying the payload back.
+/// transport: REQ_WRITE and DATA+RELEASE on the wire, the home's
+/// transport thread proxying into the real queue and shipping the GRANT
+/// that carries the payload back from the grant itself.
 struct DistFixture {
   rt::Location loc{0, 0, 0};
   dist::Registry reg;

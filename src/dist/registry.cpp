@@ -1,6 +1,5 @@
 #include "dist/registry.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -24,23 +23,24 @@ wire::Frame error_frame(std::uint64_t cookie, const std::string& msg) {
 Registry::~Registry() { stop(); }
 
 void Registry::export_location(const std::string& name, rt::Location* loc) {
-  std::unique_ptr<Export> ex;
-  Export* raw = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (by_name_.count(name) != 0) {
-      throw std::invalid_argument("Registry: duplicate export \"" + name +
-                                  "\"");
-    }
-    ex = std::make_unique<Export>();
-    ex->name = name;
-    ex->loc = loc;
-    ex->id = exports_.size();
-    raw = ex.get();
-    by_name_[name] = ex->id;
-    exports_.push_back(std::move(ex));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (by_name_.count(name) != 0) {
+    throw std::invalid_argument("Registry: duplicate export \"" + name +
+                                "\"");
   }
-  raw->granter = std::thread([this, raw] { granter_loop(raw); });
+  if (loc->queue().remote_sink() != nullptr) {
+    throw std::invalid_argument("Registry: location of \"" + name +
+                                "\" is already exported");
+  }
+  auto ex = std::make_unique<Export>();
+  ex->reg = this;
+  ex->name = name;
+  ex->loc = loc;
+  ex->id = exports_.size();
+  Export* raw = ex.get();
+  exports_.push_back(std::move(ex));
+  by_name_[name] = raw->id;
+  loc->queue().set_remote_sink(raw);
 }
 
 void Registry::unexport(const std::string& name) {
@@ -58,7 +58,6 @@ void Registry::serve(std::unique_ptr<ServerTransport> transport) {
     if (transport_) throw std::logic_error("Registry: already serving");
     shm_ = dynamic_cast<ShmServerTransport*>(transport.get()) != nullptr;
     transport_ = std::move(transport);
-    transport_raw_.store(transport_.get(), std::memory_order_release);
   }
   transport_->start({
       [this](PeerId p, wire::Frame&& f) { on_frame(p, std::move(f)); },
@@ -75,8 +74,13 @@ void Registry::stop() {
     for (auto& e : exports_) exports.push_back(e.get());
   }
   for (Export* ex : exports) {
-    ex->cv.notify_all();
-    if (ex->granter.joinable()) ex->granter.join();
+    // An unexported location may be gone already (its owner only had to
+    // keep it alive until unexport); the sink stays on its queue.
+    {
+      std::lock_guard<std::mutex> elock(ex->mu);
+      if (!ex->active) continue;
+    }
+    ex->loc->queue().set_remote_sink(nullptr);
   }
 }
 
@@ -156,13 +160,19 @@ void Registry::handle_request(PeerId peer, const wire::Frame& f,
                               rt::AccessMode mode) {
   Export* ex = find_export(f.location);
   if (ex == nullptr) return;
-  std::lock_guard<std::mutex> elock(ex->mu);
-  // Enqueue and record under the export mutex: the proxy FIFO's order
-  // must equal the home queue's ticket order for this export.
-  const rt::Ticket t = ex->loc->queue().enqueue(mode);
-  ex->fifo.push_back({peer, f.ticket, t, mode, false});
+  add_proxy(ex, peer, f.ticket, ex->loc->queue().enqueue(mode), mode);
+}
+
+void Registry::add_proxy(Export* ex, PeerId peer, std::uint64_t reqid,
+                         rt::Ticket t, rt::AccessMode mode) {
+  // Recorded before parking: once parked, the sink may look `t` up on
+  // another thread at any moment.
+  {
+    std::lock_guard<std::mutex> elock(ex->mu);
+    ex->queued[t] = {peer, reqid, mode, false};
+  }
   proxy_requests_.fetch_add(1, std::memory_order_release);
-  ex->cv.notify_all();
+  if (!ex->loc->queue().park_remote(t)) ship(ex, t);
 }
 
 void Registry::handle_data(PeerId peer, const wire::Frame& f) {
@@ -182,22 +192,23 @@ void Registry::handle_data(PeerId peer, const wire::Frame& f) {
 void Registry::handle_release(PeerId peer, const wire::Frame& f) {
   Export* ex = find_export(f.location);
   if (ex == nullptr) return;
-  std::lock_guard<std::mutex> elock(ex->mu);
-  const auto it = ex->granted.find({peer, f.ticket});
-  if (it == ex->granted.end()) return;  // reclaimed meanwhile
-  const rt::Ticket old = it->second.ticket;
-  const rt::AccessMode mode = it->second.mode;
-  ex->granted.erase(it);
+  GrantedProxy held;
+  {
+    std::lock_guard<std::mutex> elock(ex->mu);
+    const auto it = ex->granted.find({peer, f.ticket});
+    if (it == ex->granted.end()) return;  // reclaimed meanwhile
+    held = it->second;
+    ex->granted.erase(it);
+  }
   releases_.fetch_add(1, std::memory_order_release);
+  rt::RequestQueue& q = ex->loc->queue();
   if ((f.flags & wire::kFlagReinsert) != 0) {
     // The iterative handle2 cycle, run atomically in the home queue so
     // the re-inserted request keeps the cyclic FIFO position.
-    const rt::Ticket next = ex->loc->queue().reinsert_and_release(old, mode);
-    ex->fifo.push_back({peer, f.aux, next, mode, false});
-    proxy_requests_.fetch_add(1, std::memory_order_release);
-    ex->cv.notify_all();
+    const rt::Ticket next = q.reinsert_and_release(held.ticket, held.mode);
+    add_proxy(ex, peer, f.aux, next, held.mode);
   } else {
-    ex->loc->queue().release(old);
+    q.release(held.ticket);
   }
 }
 
@@ -208,97 +219,82 @@ void Registry::on_disconnect(PeerId peer) {
     for (auto& e : exports_) exports.push_back(e.get());
   }
   for (Export* ex : exports) {
-    std::lock_guard<std::mutex> elock(ex->mu);
-    // Granted proxies: the client held the lock and is gone — release
-    // now (its unsent write-back is lost) so the FIFO moves on.
-    for (auto it = ex->granted.begin(); it != ex->granted.end();) {
-      if (it->first.first == peer) {
-        ex->loc->queue().release(it->second.ticket);
-        orphans_.fetch_add(1, std::memory_order_release);
-        it = ex->granted.erase(it);
-      } else {
-        ++it;
+    std::vector<rt::Ticket> held;
+    {
+      std::lock_guard<std::mutex> elock(ex->mu);
+      // Granted proxies: the client held the lock and is gone — release
+      // them (below, unlocked) so the FIFO moves on; their unsent
+      // write-back is lost.
+      for (auto it = ex->granted.begin(); it != ex->granted.end();) {
+        if (it->first.first == peer) {
+          held.push_back(it->second.ticket);
+          it = ex->granted.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      // Queued proxies: still waiting their turn; flag them so the sink
+      // releases instead of shipping a GRANT into the void.
+      for (auto& [t, p] : ex->queued) {
+        if (p.peer == peer) p.orphaned = true;
       }
     }
-    // Queued proxies: still waiting their turn; flag them so the granter
-    // releases instead of shipping a GRANT into the void.
-    for (Proxy& p : ex->fifo) {
-      if (p.peer == peer) p.orphaned = true;
-    }
-    ex->cv.notify_all();
+    for (const rt::Ticket t : held) reclaim(ex, t);
   }
 }
 
-void Registry::granter_loop(Export* ex) {
-  std::unique_lock<std::mutex> lk(ex->mu);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    if (ex->fifo.empty()) {
-      ex->cv.wait_for(lk, std::chrono::milliseconds(50));
-      continue;
-    }
-    const Proxy front = ex->fifo.front();
-    // Poll the lock-free grant word outside the mutex. The home queue is
-    // FIFO, so nothing behind `front` can be granted before it.
-    lk.unlock();
-    bool granted = false;
-    for (unsigned spin = 0; !stopping_.load(std::memory_order_acquire);) {
-      if (ex->loc->queue().granted(front.ticket)) {
-        granted = true;
-        break;
+void Registry::reclaim(Export* ex, rt::Ticket t) {
+  ex->loc->queue().release(t);
+  orphans_.fetch_add(1, std::memory_order_release);
+}
+
+void Registry::ship(Export* ex, rt::Ticket t) noexcept {
+  Proxy p;
+  wire::Frame g;
+  {
+    std::lock_guard<std::mutex> elock(ex->mu);
+    const auto it = ex->queued.find(t);
+    if (it == ex->queued.end()) return;
+    p = it->second;
+    ex->queued.erase(it);
+    if (!p.orphaned) {
+      // The proxy holds the lock now (writer: exclusively; reader:
+      // sharing with readers who only read), so the buffer is stable to
+      // copy. Copied before the proxy is published as granted: from then
+      // on a disconnect may release it under us.
+      g.type = wire::Type::Grant;
+      g.location = ex->id;
+      g.ticket = p.reqid;
+      const rt::Location* loc = ex->loc;
+      if (loc->data() != nullptr && loc->size() > 0) {
+        g.payload.assign(loc->data(), loc->data() + loc->size());
       }
-      if (++spin < 64) {
-        // hot spin
-      } else if (spin < 256) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            spin < 4096 ? 50 : 500));
-      }
-    }
-    lk.lock();
-    if (!granted) continue;  // stopping
-    // Re-read the head: a disconnect may have orphaned it meanwhile.
-    if (ex->fifo.empty() || ex->fifo.front().ticket != front.ticket) continue;
-    const bool orphaned = ex->fifo.front().orphaned;
-    ex->fifo.pop_front();
-    if (orphaned) {
-      ex->loc->queue().release(front.ticket);
-      orphans_.fetch_add(1, std::memory_order_release);
-      continue;
-    }
-    // Ship the grant with the buffer bytes. The proxy holds the lock at
-    // this point (writer: exclusively; reader: sharing with readers who
-    // only read), so the buffer is stable to copy.
-    wire::Frame g;
-    g.type = wire::Type::Grant;
-    g.location = ex->id;
-    g.ticket = front.reqid;
-    rt::Location* loc = ex->loc;
-    if (loc->data() != nullptr && loc->size() > 0) {
-      g.payload.assign(loc->data(), loc->data() + loc->size());
-    }
-    ex->granted[{front.peer, front.reqid}] = {front.ticket, front.mode};
-    // Counted before the frame leaves: the client can otherwise race its
-    // RELEASE back through the transport thread before this thread (just
-    // preempted post-send) gets to the counter, and a stats() reader
-    // would see a release whose grant was never counted.
-    grants_sent_.fetch_add(1, std::memory_order_release);
-    lk.unlock();
-    ServerTransport* t = transport_raw_.load(std::memory_order_acquire);
-    const bool sent = t != nullptr && t->send(front.peer, g);
-    lk.lock();
-    if (!sent) {
-      grants_sent_.fetch_sub(1, std::memory_order_release);
-      // Peer vanished between disconnect bookkeeping and our send: treat
-      // as an orphan if the release path has not already reclaimed it.
-      const auto it = ex->granted.find({front.peer, front.reqid});
-      if (it != ex->granted.end()) {
-        ex->loc->queue().release(it->second.ticket);
-        orphans_.fetch_add(1, std::memory_order_release);
-        ex->granted.erase(it);
-      }
+      ex->granted[{p.peer, p.reqid}] = {t, p.mode};
+      // Counted before the frame leaves: the client can otherwise race
+      // its RELEASE back through the transport thread before this thread
+      // gets to the counter, and a stats() reader would see a release
+      // whose grant was never counted.
+      grants_sent_.fetch_add(1, std::memory_order_release);
     }
   }
+  if (p.orphaned) {
+    reclaim(ex, t);
+    return;
+  }
+  if (transport_->send(p.peer, g)) return;
+  grants_sent_.fetch_sub(1, std::memory_order_release);
+  // The peer vanished between its disconnect bookkeeping and this send:
+  // reclaim the proxy unless the disconnect path already did.
+  bool mine = false;
+  {
+    std::lock_guard<std::mutex> elock(ex->mu);
+    const auto it = ex->granted.find({p.peer, p.reqid});
+    if (it != ex->granted.end() && it->second.ticket == t) {
+      ex->granted.erase(it);
+      mine = true;
+    }
+  }
+  if (mine) reclaim(ex, t);
 }
 
 }  // namespace orwl::dist

@@ -4,29 +4,37 @@
 // and runs the RemoteMirror half of the protocol: every REQ frame becomes
 // a proxy ticket in the location's real RequestQueue, so remote and local
 // requesters share one FIFO and the grant engine stays the single source
-// of truth for ordering. A per-export granter thread watches the oldest
-// outstanding proxy (lock-free queue.granted(), adaptive backoff — the
-// home queue grants strictly in ticket order, so polling the front
-// suffices and preserves exact FIFO across the wire) and ships GRANT
-// frames carrying the buffer bytes; RELEASE/DATA frames from the client
-// complete the cycle, with the reinsert flag running the iterative
-// handle2 re-insert atomically in the home queue.
+// of truth for ordering.
+//
+// Grants are event-driven, with no thread of the registry's own. Each
+// export is its queue's rt::RemoteGrantSink, and every proxy ticket is
+// parked remotely (RequestQueue::park_remote). The thread that grants a
+// proxy therefore ships its GRANT frame with the buffer bytes, right after
+// the grant: a control thread, a local releaser, or the transport thread
+// handling the previous holder's RELEASE. A proxy already granted when it
+// is parked (an uncontended request) is shipped inline by the transport
+// thread that received the REQ. The send runs on the granting thread, so
+// a client whose ring or socket is full holds that thread until its
+// reader catches up. RELEASE/DATA frames from the client complete the
+// cycle, with the reinsert flag running the iterative handle2 re-insert
+// atomically in the home queue.
 //
 // Orphan reclamation: when a client disconnects, its granted proxies are
 // released immediately (their write-back is lost — the client died) and
-// its queued proxies are flagged; the granter releases those the moment
-// the queue grants them, so the FIFO drains instead of deadlocking.
+// its queued proxies are flagged; the sink releases those the moment the
+// queue grants them, so the FIFO drains instead of deadlocking.
+//
+// Locking: an export's mutex guards only its proxy maps and is never held
+// across a queue call, because a queue call may run the sink (and so take
+// that mutex) on the same thread.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dist/transport.hpp"
@@ -52,18 +60,24 @@ class Registry {
 
   /// Export `loc` under `name`. The location must outlive the registry's
   /// stop(). Exports may be added before or after serve(). Throws
-  /// std::invalid_argument on a duplicate name.
+  /// std::invalid_argument on a duplicate name, or when `loc` is already
+  /// exported (its queue has a remote sink).
   void export_location(const std::string& name, rt::Location* loc);
 
   /// Reject future attaches to `name`; outstanding proxies drain
-  /// normally. Unknown names are a no-op (evict paths are idempotent).
+  /// normally, so the export stays its queue's remote sink. The location
+  /// may then be destroyed before the registry, but one that outlives it
+  /// must have no proxy left queued by then. Unknown names are a no-op
+  /// (evict paths are idempotent).
   void unexport(const std::string& name);
 
   /// Start serving over `transport` (shm or tcp; exactly one serve per
   /// registry).
   void serve(std::unique_ptr<ServerTransport> transport);
 
-  /// Stop the transport and every granter thread. Idempotent.
+  /// Stop the transport and detach every active export from its queue
+  /// (waiting out sink calls in flight). Proxies still queued or granted
+  /// then are abandoned: they stay in their queues. Idempotent.
   void stop();
 
   /// The transport's connectable address ("" before serve()).
@@ -80,7 +94,6 @@ class Registry {
   struct Proxy {
     PeerId peer = 0;
     std::uint64_t reqid = 0;
-    rt::Ticket ticket = 0;
     rt::AccessMode mode = rt::AccessMode::Read;
     bool orphaned = false;
   };
@@ -91,16 +104,17 @@ class Registry {
     rt::AccessMode mode = rt::AccessMode::Read;
   };
 
-  struct Export {
+  struct Export final : rt::RemoteGrantSink {
+    Registry* reg = nullptr;
     std::string name;
     rt::Location* loc = nullptr;
     std::uint64_t id = 0;
     bool active = true;
-    std::mutex mu;  ///< orders queue ops against fifo bookkeeping
-    std::condition_variable cv;
-    std::deque<Proxy> fifo;
+    std::mutex mu;  ///< guards the maps below; never held across a queue call
+    std::map<rt::Ticket, Proxy> queued;  ///< by home ticket
     std::map<std::pair<PeerId, std::uint64_t>, GrantedProxy> granted;
-    std::thread granter;
+
+    void on_remote_grant(rt::Ticket t) noexcept override { reg->ship(this, t); }
   };
 
   void on_frame(PeerId peer, wire::Frame&& f);
@@ -109,16 +123,21 @@ class Registry {
   void handle_request(PeerId peer, const wire::Frame& f, rt::AccessMode mode);
   void handle_data(PeerId peer, const wire::Frame& f);
   void handle_release(PeerId peer, const wire::Frame& f);
-  void granter_loop(Export* ex);
+  /// Enqueue a proxy for (peer, reqid) at home ticket `t` and park it
+  /// remotely; ships its GRANT inline when `t` is already granted.
+  void add_proxy(Export* ex, PeerId peer, std::uint64_t reqid, rt::Ticket t,
+                 rt::AccessMode mode);
+  /// Hand the granted proxy ticket `t` to its client: a GRANT frame with
+  /// the buffer bytes, or a release when the client is gone.
+  void ship(Export* ex, rt::Ticket t) noexcept;
+  /// Release the proxy ticket of a client that is gone.
+  void reclaim(Export* ex, rt::Ticket t);
   Export* find_export(std::uint64_t id);
 
   mutable std::mutex mu_;  ///< guards exports_/by_name_
   std::vector<std::unique_ptr<Export>> exports_;
   std::map<std::string, std::uint64_t> by_name_;
   std::unique_ptr<ServerTransport> transport_;
-  /// Same pointer, published for granter threads that may start before
-  /// serve(): they read it lock-free on every send.
-  std::atomic<ServerTransport*> transport_raw_{nullptr};
   bool shm_ = false;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> attaches_{0};

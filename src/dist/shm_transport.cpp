@@ -1,5 +1,6 @@
 #include "dist/shm_transport.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -94,6 +95,13 @@ void shm_wake_all(std::atomic<std::uint32_t>& w) {
   rt::futex_wake(w, /*all=*/true, rt::FutexScope::Shared);
 }
 
+/// How long a home connection reader polls its empty ring before it
+/// parks. Longer than one remote write cycle (about 10-25 us on one
+/// host), so a client in a closed loop finds the reader awake and skips
+/// the futex wake. The client reader does not poll: the thread it hands
+/// frames to is the one that would run next on its PU.
+constexpr std::chrono::microseconds kHomeReaderSpin{50};
+
 }  // namespace
 
 // ---- ShmRing --------------------------------------------------------------
@@ -119,9 +127,15 @@ bool ShmRing::push(const std::byte* p, std::size_t n,
       space = static_cast<std::size_t>(capacity_ - (tail - head));
       if (space > 0) break;
       if (abort && abort()) return false;
+      // Announce, then re-check (both seq_cst), against pop()'s head
+      // store then announcement load: either pop sees us and wakes, or
+      // we see its new head and do not park.
       const std::uint32_t bell = space_bell_.load(std::memory_order_acquire);
-      if (head_.load(std::memory_order_acquire) != head) continue;
-      shm_wait(space_bell_, bell, 10);
+      producers_parked_.fetch_add(1, std::memory_order_seq_cst);
+      if (head_.load(std::memory_order_seq_cst) == head) {
+        shm_wait(space_bell_, bell, 10);
+      }
+      producers_parked_.fetch_sub(1, std::memory_order_relaxed);
     }
     const std::size_t chunk = n < space ? n : space;
     const std::size_t pos = static_cast<std::size_t>(tail & mask);
@@ -130,9 +144,11 @@ bool ShmRing::push(const std::byte* p, std::size_t n,
                                               pos;
     std::memcpy(buf() + pos, p, first);
     std::memcpy(buf(), p + first, chunk - first);
-    tail_.store(tail + chunk, std::memory_order_release);
+    tail_.store(tail + chunk, std::memory_order_seq_cst);
     doorbell_.fetch_add(1, std::memory_order_release);
-    shm_wake_all(doorbell_);
+    if (consumers_parked_.load(std::memory_order_seq_cst) != 0) {
+      shm_wake_all(doorbell_);
+    }
     p += chunk;
     n -= chunk;
   }
@@ -140,16 +156,32 @@ bool ShmRing::push(const std::byte* p, std::size_t n,
 }
 
 std::size_t ShmRing::pop(std::byte* out, std::size_t max,
-                         std::uint32_t timeout_ms) {
+                         std::uint32_t timeout_ms,
+                         std::chrono::nanoseconds spin) {
   const std::uint64_t mask = capacity_ - 1;
   std::uint64_t head = head_.load(std::memory_order_relaxed);
   std::uint64_t tail = tail_.load(std::memory_order_acquire);
+  if (tail == head && spin.count() > 0) {
+    const auto until = std::chrono::steady_clock::now() + spin;
+    while (tail == head && !closed() &&
+           std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+      tail = tail_.load(std::memory_order_acquire);
+    }
+  }
   if (tail == head) {
-    if (closed()) return 0;
+    // The bell is read before closed(): close() sets the flag, then
+    // bumps the bell, so a close we miss here still ends the wait.
     const std::uint32_t bell = doorbell_.load(std::memory_order_acquire);
-    if (tail_.load(std::memory_order_acquire) == head) {
+    if (closed()) return 0;
+    // Announce, then re-check (both seq_cst), against push()'s tail
+    // store then announcement load: either push sees us and wakes, or we
+    // see its new tail and do not park.
+    consumers_parked_.fetch_add(1, std::memory_order_seq_cst);
+    if (tail_.load(std::memory_order_seq_cst) == head) {
       shm_wait(doorbell_, bell, timeout_ms);
     }
+    consumers_parked_.fetch_sub(1, std::memory_order_relaxed);
     tail = tail_.load(std::memory_order_acquire);
     if (tail == head) return 0;
   }
@@ -161,14 +193,17 @@ std::size_t ShmRing::pop(std::byte* out, std::size_t max,
                                             pos;
   std::memcpy(out, buf() + pos, first);
   std::memcpy(out + first, buf(), chunk - first);
-  head_.store(head + chunk, std::memory_order_release);
+  head_.store(head + chunk, std::memory_order_seq_cst);
   space_bell_.fetch_add(1, std::memory_order_release);
-  shm_wake_all(space_bell_);
+  if (producers_parked_.load(std::memory_order_seq_cst) != 0) {
+    shm_wake_all(space_bell_);
+  }
   return chunk;
 }
 
 void ShmRing::close() noexcept {
   closed_.store(1, std::memory_order_release);
+  doorbell_.fetch_add(1, std::memory_order_release);
   shm_wake_all(doorbell_);
 }
 
@@ -291,16 +326,31 @@ bool ShmServerTransport::try_accept(std::uint32_t id) {
 void ShmServerTransport::conn_loop(PeerId id, Conn* c) {
   FrameStream stream;
   std::byte chunk[4096];
-  while (running_.load(std::memory_order_acquire)) {
-    const std::size_t n = c->c2s->pop(chunk, sizeof chunk, 100);
+  const auto deliver = [&](std::size_t n) {
+    return stream.feed(chunk, n, [&](wire::Frame&& f) {
+      if (handlers_.on_frame) handlers_.on_frame(id, std::move(f));
+    });
+  };
+  bool ok = true;  // false on a malformed stream: drop the peer
+  while (ok && running_.load(std::memory_order_acquire)) {
+    const std::size_t n =
+        c->c2s->pop(chunk, sizeof chunk, 100, kHomeReaderSpin);
     if (n == 0) {
       if (c->c2s->closed() && c->c2s->readable() == 0) break;
       continue;
     }
-    const bool ok = stream.feed(chunk, n, [&](wire::Frame&& f) {
-      if (handlers_.on_frame) handlers_.on_frame(id, std::move(f));
-    });
-    if (!ok) break;  // malformed stream: drop the peer
+    ok = deliver(n);
+  }
+  // Woken by stop(): deliver what the client sent before it (typically a
+  // last DATA + RELEASE + BYE), but nothing it sends later.
+  if (!running_.load(std::memory_order_acquire)) {
+    for (std::size_t left = c->c2s->readable(); ok && left > 0;) {
+      const std::size_t n =
+          c->c2s->pop(chunk, std::min(sizeof chunk, left), 0);
+      if (n == 0) break;
+      left -= n;
+      ok = deliver(n);
+    }
   }
   c->gone.store(true, std::memory_order_release);
   if (running_.load(std::memory_order_acquire) && handlers_.on_disconnect) {
@@ -343,6 +393,11 @@ void ShmServerTransport::stop() {
     }
     return;
   }
+  // The listener and the connection readers park with a timeout; bump
+  // and wake their words so stop() returns now, not when they time out.
+  auto* h = static_cast<ListenHeader*>(listen_map_);
+  h->announce.fetch_add(1, std::memory_order_release);
+  shm_wake_all(h->announce);
   if (listener_.joinable()) listener_.join();
   std::map<PeerId, std::unique_ptr<Conn>> conns;
   {
@@ -351,11 +406,13 @@ void ShmServerTransport::stop() {
   }
   for (auto& [id, c] : conns) {
     c->gone.store(true, std::memory_order_release);
+    c->c2s->close();
   }
   for (auto& [id, c] : conns) {
-    // A granter may still be inside send() holding a raw Conn*; gone and
-    // !running_ abort its ring push, so the counter drains fast. Only
-    // then is it safe to unmap the rings and destroy the conn.
+    // A thread shipping a grant may still be inside send() holding a raw
+    // Conn*; gone and !running_ abort its ring push, so the counter
+    // drains fast. Only then is it safe to unmap the rings and destroy
+    // the conn.
     while (c->active_sends.load(std::memory_order_acquire) != 0) {
       std::this_thread::yield();
     }
@@ -453,7 +510,10 @@ bool ShmClientTransport::send(const wire::Frame& f) {
 void ShmClientTransport::stop() {
 #if defined(__linux__)
   const bool was_running = running_.exchange(false, std::memory_order_acq_rel);
-  if (map_ != nullptr && c2s_ != nullptr) c2s_->close();
+  if (map_ != nullptr && c2s_ != nullptr) {
+    c2s_->close();
+    s2c_->close();  // wakes our parked reader instead of its 100 ms timeout
+  }
   if (was_running && reader_.joinable()) reader_.join();
   if (map_ != nullptr) {
     ::munmap(map_, map_bytes_);

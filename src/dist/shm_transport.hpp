@@ -7,14 +7,21 @@
 // The home side's listener thread maps the new segment and serves it.
 //
 // Rings use process-shared futex doorbells (runtime/futex.hpp with
-// FutexScope::Shared): the producer bumps a doorbell and wakes the
-// consumer; the consumer bumps a space bell when it frees room so a
-// blocked producer resumes. Frames larger than the ring stream through it
-// in chunks, so the fixed capacity (ORWL_DIST_SHM_SLOTS x 64 B) bounds
-// memory, not message size.
+// FutexScope::Shared): the producer bumps a doorbell, the consumer bumps
+// a space bell when it frees room. A side about to park announces itself
+// in the ring header first, and the other side makes the futex_wake
+// syscall only when someone is announced, so a ring whose consumer is
+// awake costs no syscall per frame. The home side's connection readers
+// poll their ring for a short fixed time before parking: a client's
+// next frame (the RELEASE after a GRANT, the next REQ) usually lands
+// within that time, and neither side then pays for a wakeup. Frames
+// larger than the ring stream through it in chunks, so the fixed
+// capacity (ORWL_DIST_SHM_SLOTS x 64 B) bounds memory, not message
+// size.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -52,13 +59,17 @@ class ShmRing {
   bool push(const std::byte* p, std::size_t n,
             const std::function<bool()>& abort);
 
-  /// Pop up to `max` bytes into `out`; blocks up to timeout_ms when the
-  /// ring is empty. Returns 0 on timeout or when the ring is closed and
-  /// drained (check closed() to tell the two apart).
-  std::size_t pop(std::byte* out, std::size_t max, std::uint32_t timeout_ms);
+  /// Pop up to `max` bytes into `out`. When the ring is empty, polls it
+  /// for up to `spin`, then blocks up to timeout_ms. Returns 0 on timeout
+  /// or when the ring is closed and drained (check closed() to tell the
+  /// two apart).
+  std::size_t pop(std::byte* out, std::size_t max, std::uint32_t timeout_ms,
+                  std::chrono::nanoseconds spin = {});
 
-  /// Producer-side orderly close: a drained consumer sees closed() and
-  /// treats it as end-of-stream.
+  /// Orderly close: a drained consumer sees closed() and treats it as
+  /// end-of-stream; a consumer parked on the ring is woken. The producer
+  /// closes at the end of its stream; the home side also closes the
+  /// rings it consumes when it stops.
   void close() noexcept;
   bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire) != 0;
@@ -76,10 +87,12 @@ class ShmRing {
   // Consumer-written line.
   alignas(64) std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint32_t> space_bell_{0};
+  std::atomic<std::uint32_t> consumers_parked_{0};  ///< on doorbell_
   // Producer-written line.
   alignas(64) std::atomic<std::uint64_t> tail_{0};
   std::atomic<std::uint32_t> doorbell_{0};
   std::atomic<std::uint32_t> closed_{0};
+  std::atomic<std::uint32_t> producers_parked_{0};  ///< on space_bell_
   alignas(64) std::uint64_t capacity_ = 0;
   // Payload bytes follow the header in the same mapping.
   std::byte* buf() noexcept { return reinterpret_cast<std::byte*>(this + 1); }

@@ -203,8 +203,9 @@ void TcpServerTransport::drop_conn(PeerId id, bool notify) {
   conn->gone.store(true, std::memory_order_release);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   {
-    // A granter may be mid-send on this connection: closing the fd under
-    // it would race the descriptor number. Take the send mutex first.
+    // A thread shipping a grant may be mid-send on this connection:
+    // closing the fd under it would race the descriptor number. Take the
+    // send mutex first.
     std::lock_guard<std::mutex> lock(conn->send_mu);
     ::close(conn->fd);
     conn->fd = -1;
@@ -222,7 +223,7 @@ bool TcpServerTransport::send(PeerId peer, const wire::Frame& f) {
   std::vector<std::byte> bytes;
   wire::encode(f, bytes);
   // Hold mu_ only to find the conn; sending holds the per-conn mutex so
-  // concurrent granters serialize per peer, not across peers.
+  // concurrent grant shippers serialize per peer, not across peers.
   Conn* c = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -258,9 +259,9 @@ void TcpServerTransport::stop() {
     conns.swap(conns_);
     by_fd_.clear();
   }
-  // A granter may still be inside send() holding a raw Conn*; running_
-  // is already false, which aborts its send_all, so each counter drains
-  // fast. Only then is it safe to close fds and destroy the conns.
+  // A grant shipper may still be inside send() holding a raw Conn*;
+  // running_ is already false, which aborts its send_all, so each counter
+  // drains fast. Only then is it safe to close fds and destroy the conns.
   for (auto& [id, c] : conns) {
     c->gone.store(true, std::memory_order_release);
   }

@@ -5,9 +5,10 @@
 // proxy thread that owns the listening socket and every client
 // connection: reads are non-blocking and fan into the registry's frame
 // handler; writes take a per-connection mutex and poll() through partial
-// sends, so granter threads can push GRANTs concurrently with the epoll
-// loop. Loopback-testable; the interface above this file is transport
-// agnostic (see transport.hpp) so RDMA can replace it wholesale.
+// sends, so whichever thread grants a proxy ticket (a control thread, a
+// local releaser) can push its GRANT concurrently with the epoll loop.
+// Loopback-testable; the interface above this file is transport agnostic
+// (see transport.hpp) so RDMA can replace it wholesale.
 #pragma once
 
 #include <atomic>

@@ -4,6 +4,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "runtime/control_plane.hpp"
 #include "runtime/futex.hpp"
@@ -116,7 +117,11 @@ void RequestQueue::grant_one_locked(Ticket t, Slot* s,
   const std::uint64_t prev =
       s->word.exchange(pack(t, kGranted), std::memory_order_acq_rel);
   grants_.fetch_add(1, std::memory_order_relaxed);
-  if ((prev & kPhaseMask) == kParked) wake.push_back(s);
+  static_assert((kParked & 1) != 0 && (kRemote & 1) != 0 &&
+                (kWaiting & 1) == 0 && (kGranted & 1) == 0);
+  if ((prev & 1) != 0) {
+    wake.push_back((prev & kPhaseMask) == kRemote ? tag_remote(s) : s);
+  }
 }
 
 bool RequestQueue::grant_some_locked(std::vector<Slot*>& wake) {
@@ -316,7 +321,12 @@ Ticket RequestQueue::reinsert_and_release(Ticket t, AccessMode mode) {
 }
 
 void RequestQueue::wake_parked(const std::vector<Slot*>& wake) {
+  bool remote = false;
   for (Slot* s : wake) {
+    if (is_remote(s)) {
+      remote = true;
+      continue;
+    }
     // The grant (word exchange) happened before this seq bump; a waiter
     // that read the old seq re-checks the word and returns, one that
     // read the new seq sees EAGAIN from the kernel. Either way no mutex
@@ -326,6 +336,52 @@ void RequestQueue::wake_parked(const std::vector<Slot*>& wake) {
     futex_wake(s->seq, /*all=*/true);
     futex_wakes_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (remote) grant_remote(wake);
+}
+
+void RequestQueue::grant_remote(const std::vector<Slot*>& wake) {
+  // Announce the call before reading the sink (both seq_cst): a detach
+  // that stores null either is seen here or sees this call in flight and
+  // waits for it, so the sink outlives every call made on it.
+  sink_calls_.fetch_add(1, std::memory_order_seq_cst);
+  if (RemoteGrantSink* sink = sink_.load(std::memory_order_seq_cst)) {
+    for (const Slot* s : wake) {
+      if (!is_remote(s)) continue;
+      // Still this ticket's word: only the sink's owner releases a
+      // remote grant, and it learns of this one from the call below.
+      const Ticket t =
+          untag(s)->word.load(std::memory_order_acquire) >> kPhaseBits;
+      sink->on_remote_grant(t);
+    }
+  }
+  sink_calls_.fetch_sub(1, std::memory_order_release);
+}
+
+void RequestQueue::set_remote_sink(RemoteGrantSink* sink) noexcept {
+  sink_.store(sink, std::memory_order_seq_cst);
+  if (sink != nullptr) return;
+  while (sink_calls_.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
+}
+
+bool RequestQueue::park_remote(Ticket t) {
+  // Same announcement as acquire_parked: the granter's exchange either
+  // happens first (the CAS sees kGranted and the caller ships the grant)
+  // or sees kRemote and queues the ticket for the sink. Exactly one of
+  // the two owns the hand-off.
+  const Window* w = window_.load(std::memory_order_acquire);
+  Slot* s = w->slots[t & w->mask].load(std::memory_order_acquire);
+  std::uint64_t expected = pack(t, kWaiting);
+  if (s != nullptr &&
+      s->word.compare_exchange_strong(expected, pack(t, kRemote),
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+    return true;
+  }
+  if (s != nullptr && expected == pack(t, kGranted)) return false;
+  throw std::logic_error("RequestQueue::park_remote: ticket " +
+                         std::to_string(t) + " is not waiting");
 }
 
 void RequestQueue::grant_from_control() {

@@ -23,9 +23,14 @@
 // lock-free. Blocked acquirers park on their own slot's futex word (see
 // runtime/futex.hpp), and only the newly granted writer — or exactly the
 // parked members of a newly granted reader group — are woken (no
-// broadcast). The slot window grows by doubling; superseded windows are
-// retired, never freed, so stale lock-free lookups stay safe (the
-// state-word ticket check rejects them).
+// broadcast). A ticket can also park *remotely* (park_remote): the home
+// side of a distributed location parks each proxy ticket that way, and
+// whichever thread grants it hands the ticket to the queue's
+// RemoteGrantSink instead of waking a futex, so the GRANT frame leaves
+// from the grant itself (no thread polls for it). The slot window grows
+// by doubling; superseded windows are retired, never freed, so stale
+// lock-free lookups stay safe (the state-word ticket check rejects
+// them).
 //
 // Memory: windows and slot chunks come from the queue's rt::Arena (the
 // arena of the control shard serving this queue, node-bound) — nothing
@@ -64,6 +69,25 @@ class GrantHook {
 
   /// Called once per hand-off grant pass of the attached queue.
   virtual void before_grant() noexcept = 0;
+};
+
+/// Receiver of the grants of remote-phase tickets (see
+/// RequestQueue::park_remote).
+///
+/// The paper's control threads do the lock hand-off *and* the data
+/// transfer when the grant happens (Sec. IV-A). For a location exported
+/// to other processes (dist::Registry) the data transfer is the GRANT
+/// frame carrying the buffer bytes, so the registry installs itself here
+/// and ships that frame from whichever thread granted the proxy ticket: a
+/// control thread, a local releaser, an enqueuer, or the transport thread
+/// releasing the previous remote holder. The call runs outside the queue
+/// mutex and may re-enter the queue (release the ticket, enqueue, ...).
+class RemoteGrantSink {
+ public:
+  virtual ~RemoteGrantSink() = default;
+
+  /// Called exactly once per remote-phase ticket, once it is granted.
+  virtual void on_remote_grant(Ticket t) noexcept = 0;
 };
 
 class RequestQueue {
@@ -127,6 +151,17 @@ class RequestQueue {
   /// transfer.
   void set_grant_hook(GrantHook* hook) noexcept { hook_ = hook; }
 
+  /// Install the sink that receives the grants of remote-phase tickets.
+  /// Thread-safe. Detaching (null) waits until every sink call already
+  /// in flight has returned, so the old sink may be destroyed right
+  /// after; it must not be called from inside a sink call. A
+  /// remote-phase ticket granted while no sink is installed stays
+  /// granted with no holder.
+  void set_remote_sink(RemoteGrantSink* sink) noexcept;
+  RemoteGrantSink* remote_sink() const noexcept {
+    return sink_.load(std::memory_order_acquire);
+  }
+
   /// Append a request; returns its ticket. Grants immediately when the
   /// request lands in the eligible head group.
   Ticket enqueue(AccessMode mode);
@@ -138,6 +173,15 @@ class RequestQueue {
 
   /// True when the ticket is already granted (non-blocking, lock-free).
   bool granted(Ticket t) const;
+
+  /// Park a queued ticket remotely: its grant goes to the remote sink
+  /// (on the granting thread, after the queue mutex is dropped) instead
+  /// of waking a local acquirer. Returns true when parked — the sink
+  /// will be called exactly once with `t`. Returns false when `t` is
+  /// already granted; the caller then owns the hand-off and the sink is
+  /// never called for it. Lock-free. Throws std::logic_error when `t`
+  /// is neither waiting nor granted (unknown, released, or parked).
+  bool park_remote(Ticket t);
 
   /// Remove a granted request and hand the resource to the next group.
   /// Throws std::logic_error when the ticket is absent or not granted.
@@ -168,6 +212,7 @@ class RequestQueue {
   static constexpr std::uint64_t kWaiting = 0;  ///< queued, owner not parked
   static constexpr std::uint64_t kParked = 1;   ///< owner blocked in acquire
   static constexpr std::uint64_t kGranted = 2;  ///< lock held by owner
+  static constexpr std::uint64_t kRemote = 3;   ///< grant goes to the sink
   static constexpr unsigned kPhaseBits = 2;
   static constexpr std::uint64_t kPhaseMask = (1u << kPhaseBits) - 1;
 
@@ -198,6 +243,22 @@ class RequestQueue {
 
   static constexpr std::size_t kSlotChunk = 8;  ///< slots per slab block
 
+  /// Entries of a grant pass's wake list: parked slots as they are,
+  /// remote-phase slots with the low pointer bit set (slots are at least
+  /// 8-byte aligned). One list and one branch keep the local hand-off
+  /// path as it was.
+  static Slot* tag_remote(Slot* s) noexcept {
+    static_assert(alignof(Slot) >= 2);
+    return reinterpret_cast<Slot*>(reinterpret_cast<std::uintptr_t>(s) | 1);
+  }
+  static bool is_remote(const Slot* s) noexcept {
+    return (reinterpret_cast<std::uintptr_t>(s) & 1) != 0;
+  }
+  static const Slot* untag(const Slot* s) noexcept {
+    return reinterpret_cast<const Slot*>(reinterpret_cast<std::uintptr_t>(s) &
+                                         ~std::uintptr_t{1});
+  }
+
   // ---- all helpers below require mu_ held -------------------------------
 
   /// Appends the request and returns its ticket; the caller adjusts
@@ -208,8 +269,9 @@ class RequestQueue {
   /// The slot of `t` when it is live and granted, else nullptr.
   Slot* granted_slot_locked(Ticket t) const noexcept;
   void release_locked(Ticket t, Slot* s);
-  /// Grant the eligible head group (Sec. III rule); parked slots needing a
-  /// wakeup are appended to `wake`. Returns true when anything was granted.
+  /// Grant the eligible head group (Sec. III rule); parked slots needing
+  /// a wakeup and (tagged) remote-phase slots are appended to `wake`.
+  /// Returns true when anything was granted.
   bool grant_some_locked(std::vector<Slot*>& wake);
   void grant_one_locked(Ticket t, Slot* s, std::vector<Slot*>& wake);
   /// After a release: true when a control-plane post must happen once the
@@ -221,7 +283,10 @@ class RequestQueue {
 
   void acquire_slow(Ticket t);
   void acquire_parked(Ticket t, Slot* s);
+  /// Futex-wake the parked slots, then hand the remote ones to the sink
+  /// (grant_remote). Runs with mu_ dropped.
   void wake_parked(const std::vector<Slot*>& wake);
+  void grant_remote(const std::vector<Slot*>& wake);
 
   /// The deadlock-guard error, with enough context to find the stuck
   /// protocol: queue tag (location + tenant), ticket, configured timeout.
@@ -249,6 +314,8 @@ class RequestQueue {
   std::uint64_t timeout_ms_ = 120000;
   std::string tag_;
   GrantHook* hook_ = nullptr;
+  std::atomic<RemoteGrantSink*> sink_{nullptr};
+  std::atomic<std::uint32_t> sink_calls_{0};  ///< sink calls in flight
   ControlPlane* control_ = nullptr;
   std::atomic<std::uint32_t> control_shard_{0};
 };

@@ -1,7 +1,8 @@
 // Distributed ORWL: wire protocol round-trips and fuzzed decoding, shm
 // ring wrap/doorbell behavior, registry + client end-to-end over both
 // transports (in-process and across fork()), exact FIFO order across the
-// wire, orphaned-client ticket reclamation, and the env/URL knobs.
+// wire, orphaned-client ticket reclamation, grants shipped by the
+// granting thread, prompt shm shutdown, and the env/URL knobs.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <thread>
@@ -619,6 +621,83 @@ TEST(DistFacade, ProgramRemoteAndBuilderExports) {
   ASSERT_TRUE(eventually([&] { return reg.stats().releases >= 1; }));
   EXPECT_EQ(home.local<std::uint64_t>(loc(0)).value(), 42u);
   reg.stop();
+}
+
+// ------------------------------------------------------- grant path ----
+
+TEST(DistGrantPath, LocalReleaseShipsQueuedGrant) {
+  // No thread polls for grants: a remote write queued behind a local
+  // writer is shipped by the local writer's release itself.
+  const std::string base = unique_base("grant");
+  Home home(std::make_unique<dist::ShmServerTransport>(base, 64));
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  dist::RemoteLocation& remote = client->attach("counter");
+
+  rt::Handle local;
+  local.insert_standalone(home.loc, AccessMode::Write);
+  local.acquire();
+  std::atomic<bool> acquired{false};
+  std::thread writer([&] {
+    rt::Handle h;
+    h.insert_standalone(remote, AccessMode::Write);
+    rt::Section sec(h);
+    acquired.store(true, std::memory_order_release);
+    ++*sec.as<std::uint64_t>();
+  });
+  ASSERT_TRUE(
+      eventually([&] { return home.reg.stats().proxy_requests >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(home.reg.stats().grants_sent, 0u);
+  EXPECT_FALSE(acquired.load(std::memory_order_acquire));
+  local.release();
+  writer.join();
+  EXPECT_TRUE(acquired.load(std::memory_order_acquire));
+  EXPECT_EQ(home.reg.stats().grants_sent, 1u);
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().releases >= 1; }));
+  EXPECT_EQ(home.value(), 1u);
+  client->close();
+  home.reg.stop();
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+TEST(DistGrantPath, ExportsSpawnNoThreads) {
+  const std::size_t before = thread_count();
+  std::vector<std::unique_ptr<rt::Location>> locs;
+  dist::Registry reg;
+  for (int i = 0; i < 8; ++i) {
+    locs.push_back(std::make_unique<rt::Location>(i, 0, 0));
+    locs.back()->scale(sizeof(std::uint64_t));
+    reg.export_location("loc" + std::to_string(i), locs.back().get());
+  }
+  EXPECT_EQ(thread_count(), before);
+  // One location cannot back two exports: both would be its queue's sink.
+  EXPECT_THROW(reg.export_location("again", locs[0].get()),
+               std::invalid_argument);
+  reg.stop();
+}
+
+TEST(DistShutdown, ShmStopWithAnOpenClientIsPrompt) {
+  // The listener and the connection reader park with 100 ms timeouts;
+  // stop() must wake them instead of waiting those out.
+  const std::string base = unique_base("stop");
+  Home home(std::make_unique<dist::ShmServerTransport>(base, 64));
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  client->attach("counter");
+  // Let the home's reader finish polling and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  home.reg.stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+  client->close();
 }
 
 // ------------------------------------------------- two-process (fork) ----

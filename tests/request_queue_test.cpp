@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -590,6 +591,136 @@ TEST(RequestQueueParking, ManyThreadsMutualExclusion) {
   EXPECT_GE(q.futex_wakes(), 1u);
 }
 
+// ------------------------------------------------------- remote phase ----
+
+/// Records every remote grant with the thread it arrived on, then runs
+/// `then` (a re-entrant queue call, typically) on the same thread.
+struct RecordingSink final : RemoteGrantSink {
+  std::mutex mu;
+  std::vector<std::pair<Ticket, std::thread::id>> calls;
+  std::function<void(Ticket)> then;
+
+  void on_remote_grant(Ticket t) noexcept override {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      calls.emplace_back(t, std::this_thread::get_id());
+    }
+    if (then) then(t);
+  }
+  std::size_t count() {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls.size();
+  }
+};
+
+TEST(RequestQueueRemote, ParkedTicketGoesToTheSinkOnTheReleasingThread) {
+  RequestQueue q;
+  RecordingSink sink;
+  q.set_remote_sink(&sink);
+  // The sink releases the remote ticket right away, re-entering the
+  // queue from inside the hand-off: no queue lock may be held there.
+  sink.then = [&](Ticket t) { q.release(t); };
+  const Ticket w1 = q.enqueue(AccessMode::Write);
+  const Ticket w2 = q.enqueue(AccessMode::Write);
+  EXPECT_TRUE(q.park_remote(w2));
+  EXPECT_EQ(sink.count(), 0u);
+  std::thread::id releaser;
+  std::thread th([&] {
+    releaser = std::this_thread::get_id();
+    q.release(w1);
+  });
+  th.join();
+  ASSERT_EQ(sink.count(), 1u);
+  EXPECT_EQ(sink.calls[0].first, w2);
+  EXPECT_EQ(sink.calls[0].second, releaser);
+  EXPECT_EQ(q.pending(), 0u);
+  // A remote grant is not a local wakeup.
+  EXPECT_EQ(q.futex_wakes(), 0u);
+  q.set_remote_sink(nullptr);
+}
+
+TEST(RequestQueueRemote, AlreadyGrantedTicketIsNotParked) {
+  RequestQueue q;
+  RecordingSink sink;
+  q.set_remote_sink(&sink);
+  const Ticket w = q.enqueue(AccessMode::Write);
+  EXPECT_FALSE(q.park_remote(w));  // the caller ships the grant itself
+  q.release(w);
+  const Ticket r1 = q.enqueue(AccessMode::Read);
+  const Ticket r2 = q.enqueue(AccessMode::Read);
+  EXPECT_FALSE(q.park_remote(r2));  // joined the granted reader group
+  q.release(r1);
+  q.release(r2);
+  EXPECT_EQ(sink.count(), 0u);
+  // Released, unknown and already parked tickets are misuse.
+  EXPECT_THROW(q.park_remote(w), std::logic_error);
+  EXPECT_THROW(q.park_remote(999), std::logic_error);
+  const Ticket w3 = q.enqueue(AccessMode::Write);
+  const Ticket w4 = q.enqueue(AccessMode::Write);
+  EXPECT_TRUE(q.park_remote(w4));
+  EXPECT_THROW(q.park_remote(w4), std::logic_error);
+  sink.then = [&](Ticket t) { q.release(t); };
+  q.release(w3);
+  EXPECT_EQ(sink.count(), 1u);
+  q.set_remote_sink(nullptr);
+}
+
+TEST(RequestQueueRemote, ReaderGroupWakesLocalAndCallsSinkForRemote) {
+  RequestQueue q;
+  RecordingSink sink;
+  q.set_remote_sink(&sink);
+  const Ticket w = q.enqueue(AccessMode::Write);
+  const Ticket local = q.enqueue(AccessMode::Read);
+  const Ticket remote1 = q.enqueue(AccessMode::Read);
+  const Ticket remote2 = q.enqueue(AccessMode::Read);
+  EXPECT_TRUE(q.park_remote(remote1));
+  EXPECT_TRUE(q.park_remote(remote2));
+  std::thread reader([&] { q.acquire(local); });
+  while (q.futex_waits() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  q.release(w);  // grants the whole reader group
+  reader.join();
+  EXPECT_EQ(q.futex_wakes(), 1u);
+  ASSERT_EQ(sink.count(), 2u);
+  EXPECT_EQ(sink.calls[0].first, remote1);
+  EXPECT_EQ(sink.calls[1].first, remote2);
+  q.release(local);
+  q.release(remote1);
+  q.release(remote2);
+  EXPECT_EQ(q.pending(), 0u);
+  q.set_remote_sink(nullptr);
+}
+
+TEST(RequestQueueRemote, DetachWaitsForSinkCallsInFlight) {
+  RequestQueue q;
+  RecordingSink sink;
+  std::atomic<bool> entered{false}, gate{false};
+  sink.then = [&](Ticket) {
+    entered.store(true);
+    while (!gate.load()) std::this_thread::yield();
+  };
+  q.set_remote_sink(&sink);
+  const Ticket w1 = q.enqueue(AccessMode::Write);
+  const Ticket w2 = q.enqueue(AccessMode::Write);
+  ASSERT_TRUE(q.park_remote(w2));
+  std::thread releaser([&] { q.release(w1); });
+  while (!entered.load()) std::this_thread::yield();
+  std::atomic<bool> detached{false};
+  std::thread detacher([&] {
+    q.set_remote_sink(nullptr);
+    detached.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(detached.load());
+  gate.store(true);
+  releaser.join();
+  detacher.join();
+  EXPECT_TRUE(detached.load());
+  EXPECT_EQ(q.remote_sink(), nullptr);
+  q.release(w2);
+}
+
 // ------------------------------------------------------ control plane ----
 
 TEST(ControlPlane, HandsOffGrantsThroughControlThreads) {
@@ -604,6 +735,26 @@ TEST(ControlPlane, HandsOffGrantsThroughControlThreads) {
   q.release(w2);
   cp.stop();
   EXPECT_GE(cp.events_processed(), 1u);
+}
+
+TEST(ControlPlane, ControlThreadShipsRemoteGrants) {
+  ControlPlane cp(1);
+  cp.start();
+  RequestQueue q;
+  q.set_control_plane(&cp);
+  RecordingSink sink;
+  q.set_remote_sink(&sink);
+  const Ticket w1 = q.enqueue(AccessMode::Write);
+  const Ticket w2 = q.enqueue(AccessMode::Write);
+  ASSERT_TRUE(q.park_remote(w2));
+  q.release(w1);  // posts the hand-off; a control thread grants w2
+  while (sink.count() == 0) std::this_thread::yield();
+  ASSERT_EQ(sink.count(), 1u);
+  EXPECT_EQ(sink.calls[0].first, w2);
+  EXPECT_NE(sink.calls[0].second, std::this_thread::get_id());
+  q.release(w2);
+  cp.stop();
+  q.set_remote_sink(nullptr);
 }
 
 TEST(ControlPlane, ZeroThreadsMeansInlineGrants) {
