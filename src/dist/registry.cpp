@@ -44,12 +44,18 @@ void Registry::export_location(const std::string& name, rt::Location* loc) {
 }
 
 void Registry::unexport(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) return;
-  Export* ex = exports_[it->second].get();
-  std::lock_guard<std::mutex> elock(ex->mu);
-  ex->active = false;
+  Export* ex = nullptr;
+  bool detach = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = by_name_.find(name);
+    if (it == by_name_.end()) return;
+    ex = exports_[it->second].get();
+    std::lock_guard<std::mutex> elock(ex->mu);
+    ex->active = false;
+    detach = take_drained_locked(ex);
+  }
+  if (detach) ex->loc->queue().set_remote_sink(nullptr);
 }
 
 void Registry::serve(std::unique_ptr<ServerTransport> transport) {
@@ -74,13 +80,15 @@ void Registry::stop() {
     for (auto& e : exports_) exports.push_back(e.get());
   }
   for (Export* ex : exports) {
-    // An unexported location may be gone already (its owner only had to
-    // keep it alive until unexport); the sink stays on its queue.
+    // A detached export's location may be gone already (it had drained
+    // after unexport); every other location is still alive.
+    bool detach = false;
     {
       std::lock_guard<std::mutex> elock(ex->mu);
-      if (!ex->active) continue;
+      detach = ex->attached;
+      ex->attached = false;
     }
-    ex->loc->queue().set_remote_sink(nullptr);
+    if (detach) ex->loc->queue().set_remote_sink(nullptr);
   }
 }
 
@@ -160,7 +168,43 @@ void Registry::handle_request(PeerId peer, const wire::Frame& f,
                               rt::AccessMode mode) {
   Export* ex = find_export(f.location);
   if (ex == nullptr) return;
+  bool active = false;
+  {
+    std::lock_guard<std::mutex> elock(ex->mu);
+    active = ex->active;
+    if (active) ++ex->adding;  // not drained before add_proxy has run
+  }
+  if (!active) {
+    refuse(peer, ex, f.ticket);
+    return;
+  }
   add_proxy(ex, peer, f.ticket, ex->loc->queue().enqueue(mode), mode);
+}
+
+void Registry::refuse(PeerId peer, const Export* ex, std::uint64_t reqid) {
+  rejected_.fetch_add(1, std::memory_order_release);
+  wire::Frame e =
+      error_frame(ex->id, "export \"" + ex->name + "\" was withdrawn");
+  e.flags = wire::kFlagRequest;
+  e.ticket = reqid;
+  transport_->send(peer, e);
+}
+
+bool Registry::take_drained_locked(Export* ex) {
+  if (ex->active || !ex->attached || ex->adding != 0 ||
+      !ex->queued.empty() || !ex->granted.empty()) {
+    return false;
+  }
+  ex->attached = false;
+  return true;
+}
+
+void Registry::detach_if_drained(Export* ex) {
+  {
+    std::lock_guard<std::mutex> elock(ex->mu);
+    if (!take_drained_locked(ex)) return;
+  }
+  ex->loc->queue().set_remote_sink(nullptr);
 }
 
 void Registry::add_proxy(Export* ex, PeerId peer, std::uint64_t reqid,
@@ -169,6 +213,7 @@ void Registry::add_proxy(Export* ex, PeerId peer, std::uint64_t reqid,
   // another thread at any moment.
   {
     std::lock_guard<std::mutex> elock(ex->mu);
+    --ex->adding;
     ex->queued[t] = {peer, reqid, mode, false};
   }
   proxy_requests_.fetch_add(1, std::memory_order_release);
@@ -192,24 +237,36 @@ void Registry::handle_data(PeerId peer, const wire::Frame& f) {
 void Registry::handle_release(PeerId peer, const wire::Frame& f) {
   Export* ex = find_export(f.location);
   if (ex == nullptr) return;
+  const bool wants_reinsert = (f.flags & wire::kFlagReinsert) != 0;
   GrantedProxy held;
+  bool reinsert = false;
+  bool detach = false;
   {
     std::lock_guard<std::mutex> elock(ex->mu);
     const auto it = ex->granted.find({peer, f.ticket});
     if (it == ex->granted.end()) return;  // reclaimed meanwhile
     held = it->second;
     ex->granted.erase(it);
+    // An unexported location takes no new request, re-inserted or not.
+    reinsert = wants_reinsert && ex->active;
+    if (reinsert) {
+      ++ex->adding;
+    } else {
+      detach = take_drained_locked(ex);
+    }
   }
   releases_.fetch_add(1, std::memory_order_release);
   rt::RequestQueue& q = ex->loc->queue();
-  if ((f.flags & wire::kFlagReinsert) != 0) {
+  if (reinsert) {
     // The iterative handle2 cycle, run atomically in the home queue so
     // the re-inserted request keeps the cyclic FIFO position.
     const rt::Ticket next = q.reinsert_and_release(held.ticket, held.mode);
     add_proxy(ex, peer, f.aux, next, held.mode);
-  } else {
-    q.release(held.ticket);
+    return;
   }
+  q.release(held.ticket);
+  if (wants_reinsert) refuse(peer, ex, f.aux);
+  if (detach) q.set_remote_sink(nullptr);
 }
 
 void Registry::on_disconnect(PeerId peer) {
@@ -240,6 +297,7 @@ void Registry::on_disconnect(PeerId peer) {
       }
     }
     for (const rt::Ticket t : held) reclaim(ex, t);
+    detach_if_drained(ex);
   }
 }
 
@@ -279,6 +337,7 @@ void Registry::ship(Export* ex, rt::Ticket t) noexcept {
   }
   if (p.orphaned) {
     reclaim(ex, t);
+    detach_if_drained(ex);
     return;
   }
   if (transport_->send(p.peer, g)) return;
@@ -295,6 +354,7 @@ void Registry::ship(Export* ex, rt::Ticket t) noexcept {
     }
   }
   if (mine) reclaim(ex, t);
+  detach_if_drained(ex);
 }
 
 }  // namespace orwl::dist

@@ -13,9 +13,11 @@
 // the grant: a control thread, a local releaser, or the transport thread
 // handling the previous holder's RELEASE. A proxy already granted when it
 // is parked (an uncontended request) is shipped inline by the transport
-// thread that received the REQ. The send runs on the granting thread, so
-// a client whose ring or socket is full holds that thread until its
-// reader catches up. RELEASE/DATA frames from the client complete the
+// thread that received the REQ. The send never waits for the client: a
+// frame its ring or socket cannot take at once is queued on the
+// connection (ServerTransport::send), so a slow or stalled client holds
+// up neither the granting thread nor the reader of its own requests.
+// RELEASE/DATA frames from the client complete the
 // cycle, with the reinsert flag running the iterative handle2 re-insert
 // atomically in the home queue.
 //
@@ -24,9 +26,12 @@
 // its queued proxies are flagged; the sink releases those the moment the
 // queue grants them, so the FIFO drains instead of deadlocking.
 //
-// Locking: an export's mutex guards only its proxy maps and is never held
-// across a queue call, because a queue call may run the sink (and so take
-// that mutex) on the same thread.
+// Unexport: new attaches and requests are refused; once the outstanding
+// proxies drain, the export detaches from the queue.
+//
+// Locking: an export's mutex guards only its proxy maps and state and is
+// never held across a queue call, because a queue call may run the sink
+// (and so take that mutex) on the same thread.
 #pragma once
 
 #include <atomic>
@@ -50,7 +55,7 @@ class Registry {
     std::uint64_t grants_sent = 0;
     std::uint64_t releases = 0;
     std::uint64_t orphans_reclaimed = 0;
-    std::uint64_t rejected = 0;
+    std::uint64_t rejected = 0;  ///< refused attaches and requests
   };
 
   Registry() = default;
@@ -64,20 +69,21 @@ class Registry {
   /// exported (its queue has a remote sink).
   void export_location(const std::string& name, rt::Location* loc);
 
-  /// Reject future attaches to `name`; outstanding proxies drain
-  /// normally, so the export stays its queue's remote sink. The location
-  /// may then be destroyed before the registry, but one that outlives it
-  /// must have no proxy left queued by then. Unknown names are a no-op
-  /// (evict paths are idempotent).
+  /// Refuse future attaches to `name` and new requests from clients
+  /// already attached (their acquire fails); outstanding proxies drain
+  /// normally. The location must stay alive until they have drained or
+  /// the registry has stopped. Once none is left the export detaches
+  /// from the location's queue, which may then be destroyed or exported
+  /// again. Unknown names are a no-op (evict paths are idempotent).
   void unexport(const std::string& name);
 
   /// Start serving over `transport` (shm or tcp; exactly one serve per
   /// registry).
   void serve(std::unique_ptr<ServerTransport> transport);
 
-  /// Stop the transport and detach every active export from its queue
-  /// (waiting out sink calls in flight). Proxies still queued or granted
-  /// then are abandoned: they stay in their queues. Idempotent.
+  /// Stop the transport and detach every export still attached from its
+  /// queue (waiting out sink calls in flight). Proxies still queued or
+  /// granted then are abandoned: they stay in their queues. Idempotent.
   void stop();
 
   /// The transport's connectable address ("" before serve()).
@@ -109,8 +115,10 @@ class Registry {
     std::string name;
     rt::Location* loc = nullptr;
     std::uint64_t id = 0;
-    bool active = true;
-    std::mutex mu;  ///< guards the maps below; never held across a queue call
+    std::mutex mu;  ///< guards the rest; never held across a queue call
+    bool active = true;    ///< accepts attaches and new requests
+    bool attached = true;  ///< installed as its queue's remote sink
+    int adding = 0;        ///< requests between enqueue and add_proxy
     std::map<rt::Ticket, Proxy> queued;  ///< by home ticket
     std::map<std::pair<PeerId, std::uint64_t>, GrantedProxy> granted;
 
@@ -132,6 +140,14 @@ class Registry {
   void ship(Export* ex, rt::Ticket t) noexcept;
   /// Release the proxy ticket of a client that is gone.
   void reclaim(Export* ex, rt::Ticket t);
+  /// Answer a request of an unexported location with an ERROR frame.
+  void refuse(PeerId peer, const Export* ex, std::uint64_t reqid);
+  /// True, and marks `ex` detached, when it is unexported and has no
+  /// proxy left: the caller then detaches it from its queue once ex->mu
+  /// is dropped. Requires ex->mu held.
+  static bool take_drained_locked(Export* ex);
+  /// Detach `ex` from its queue when it has drained.
+  void detach_if_drained(Export* ex);
   Export* find_export(std::uint64_t id);
 
   mutable std::mutex mu_;  ///< guards exports_/by_name_

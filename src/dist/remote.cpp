@@ -100,9 +100,13 @@ void RemoteLocation::acquire_request(rt::Ticket t) {
   if (it == reqs_.end()) {
     throw std::logic_error("remote acquire: unknown ticket");
   }
-  if (!cv_.wait_for(lock, kAcquireTimeout,
-                    [&] { return it->second.granted || dead_; })) {
+  if (!cv_.wait_for(lock, kAcquireTimeout, [&] {
+        return it->second.granted || it->second.refused || dead_;
+      })) {
     throw std::runtime_error("remote acquire: timeout waiting for GRANT");
+  }
+  if (it->second.refused) {
+    throw std::runtime_error("remote acquire: " + refusal_);
   }
   if (!it->second.granted && dead_) {
     throw std::runtime_error("remote acquire: connection lost");
@@ -187,6 +191,16 @@ void RemoteLocation::on_grant(wire::Frame&& f) {
     std::memcpy(data(), f.payload.data(), n);
   }
   it->second.granted = true;
+  cv_.notify_all();
+}
+
+void RemoteLocation::on_refused(wire::Frame&& f) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = reqs_.find(f.ticket);
+  if (it == reqs_.end()) return;
+  refusal_.assign(reinterpret_cast<const char*>(f.payload.data()),
+                  f.payload.size());
+  it->second.refused = true;
   cv_.notify_all();
 }
 
@@ -281,6 +295,16 @@ void Client::on_frame(wire::Frame&& f) {
       return;
     }
     case wire::Type::Error: {
+      if ((f.flags & wire::kFlagRequest) != 0) {
+        RemoteLocation* loc = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          const auto it = locs_.find(f.location);
+          if (it != locs_.end()) loc = it->second.get();
+        }
+        if (loc != nullptr) loc->on_refused(std::move(f));
+        return;
+      }
       std::lock_guard<std::mutex> lock(mu_);
       const auto it = pending_.find(f.location);
       if (it == pending_.end()) return;

@@ -62,11 +62,13 @@ class RemoteLocation final : public rt::Location {
 
   RemoteLocation(Client* client, std::uint64_t eid, std::size_t bytes);
   void on_grant(wire::Frame&& f);
+  void on_refused(wire::Frame&& f);  // the home took back the export
   void fail_all();  // connection lost: wake every waiter with an error
 
   struct Req {
     rt::AccessMode mode = rt::AccessMode::Read;
     bool granted = false;
+    bool refused = false;
   };
 
   Client* client_;
@@ -77,6 +79,7 @@ class RemoteLocation final : public rt::Location {
   std::unordered_map<std::uint64_t, Req> reqs_;
   std::size_t active_ = 0;  ///< requests currently acquired by this client
   bool dead_ = false;
+  std::string refusal_;  ///< the home's message when it refused a request
 };
 
 /// One connection to a home registry. Thread-compatible: attach() from

@@ -116,11 +116,33 @@ ShmRing* ShmRing::init(void* mem, std::size_t capacity) noexcept {
   return r;
 }
 
+void ShmRing::write(const std::byte* p, std::size_t n,
+                    std::uint64_t tail) noexcept {
+  const std::size_t pos = static_cast<std::size_t>(tail & (capacity_ - 1));
+  const std::size_t first =
+      n < capacity_ - pos ? n : static_cast<std::size_t>(capacity_) - pos;
+  std::memcpy(buf() + pos, p, first);
+  std::memcpy(buf(), p + first, n - first);
+  tail_.store(tail + n, std::memory_order_seq_cst);
+  doorbell_.fetch_add(1, std::memory_order_release);
+  if (consumers_parked_.load(std::memory_order_seq_cst) != 0) {
+    shm_wake_all(doorbell_);
+  }
+}
+
+std::size_t ShmRing::push_some(const std::byte* p, std::size_t n) noexcept {
+  const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+  const std::uint64_t head = head_.load(std::memory_order_acquire);
+  const std::size_t space = static_cast<std::size_t>(capacity_ - (tail - head));
+  const std::size_t chunk = n < space ? n : space;
+  if (chunk > 0) write(p, chunk, tail);
+  return chunk;
+}
+
 bool ShmRing::push(const std::byte* p, std::size_t n,
                    const std::function<bool()>& abort) {
-  const std::uint64_t mask = capacity_ - 1;
   while (n > 0) {
-    std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     std::size_t space = 0;
     for (;;) {
       const std::uint64_t head = head_.load(std::memory_order_acquire);
@@ -138,17 +160,7 @@ bool ShmRing::push(const std::byte* p, std::size_t n,
       producers_parked_.fetch_sub(1, std::memory_order_relaxed);
     }
     const std::size_t chunk = n < space ? n : space;
-    const std::size_t pos = static_cast<std::size_t>(tail & mask);
-    const std::size_t first =
-        chunk < capacity_ - pos ? chunk : static_cast<std::size_t>(capacity_) -
-                                              pos;
-    std::memcpy(buf() + pos, p, first);
-    std::memcpy(buf(), p + first, chunk - first);
-    tail_.store(tail + chunk, std::memory_order_seq_cst);
-    doorbell_.fetch_add(1, std::memory_order_release);
-    if (consumers_parked_.load(std::memory_order_seq_cst) != 0) {
-      shm_wake_all(doorbell_);
-    }
+    write(p, chunk, tail);
     p += chunk;
     n -= chunk;
   }
@@ -352,7 +364,11 @@ void ShmServerTransport::conn_loop(PeerId id, Conn* c) {
       ok = deliver(n);
     }
   }
-  c->gone.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(c->send_mu);
+    c->gone.store(true, std::memory_order_release);
+  }
+  c->writer_cv.notify_all();
   if (running_.load(std::memory_order_acquire) && handlers_.on_disconnect) {
     handlers_.on_disconnect(id);
   }
@@ -374,13 +390,49 @@ bool ShmServerTransport::send(PeerId peer, const wire::Frame& f) {
     std::vector<std::byte> bytes;
     wire::encode(f, bytes);
     std::lock_guard<std::mutex> lock(c->send_mu);
-    ok = c->s2c->push(bytes.data(), bytes.size(), [this, c] {
-      return !running_.load(std::memory_order_acquire) ||
-             c->gone.load(std::memory_order_acquire);
-    });
+    ok = !c->gone.load(std::memory_order_acquire);
+    // Written inline as far as the ring has room, unless bytes are
+    // waiting ahead of it. The rest joins the backlog: the sender may be
+    // this connection's own reader, or a control thread, and must not
+    // wait for the client to read.
+    std::size_t done = 0;
+    if (ok && !c->flushing && c->backlog.empty()) {
+      done = c->s2c->push_some(bytes.data(), bytes.size());
+    }
+    if (ok && done < bytes.size()) {
+      c->backlog.insert(c->backlog.end(), bytes.begin() + done, bytes.end());
+      if (!c->writer.joinable()) {
+        c->writer = std::thread([this, c] { write_loop(c); });
+      }
+      c->writer_cv.notify_one();
+    }
   }
   c->active_sends.fetch_sub(1, std::memory_order_acq_rel);
   return ok;
+}
+
+void ShmServerTransport::write_loop(Conn* c) {
+  const auto abort = [this, c] {
+    return !running_.load(std::memory_order_acquire) ||
+           c->gone.load(std::memory_order_acquire);
+  };
+  std::vector<std::byte> out;
+  std::unique_lock<std::mutex> lock(c->send_mu);
+  for (;;) {
+    c->writer_cv.wait(lock, [&] { return !c->backlog.empty() || abort(); });
+    if (abort()) return;
+    out.clear();
+    out.swap(c->backlog);
+    // While flushing, senders append behind these bytes instead of
+    // writing to the ring, so the stream keeps send order and the ring
+    // keeps a single producer.
+    c->flushing = true;
+    lock.unlock();
+    const bool ok = c->s2c->push(out.data(), out.size(), abort);
+    lock.lock();
+    c->flushing = false;
+    if (!ok) return;
+  }
 }
 
 void ShmServerTransport::stop() {
@@ -405,17 +457,22 @@ void ShmServerTransport::stop() {
     conns.swap(conns_);
   }
   for (auto& [id, c] : conns) {
-    c->gone.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(c->send_mu);
+      c->gone.store(true, std::memory_order_release);
+    }
+    c->writer_cv.notify_all();
     c->c2s->close();
   }
   for (auto& [id, c] : conns) {
     // A thread shipping a grant may still be inside send() holding a raw
-    // Conn*; gone and !running_ abort its ring push, so the counter
-    // drains fast. Only then is it safe to unmap the rings and destroy
-    // the conn.
+    // Conn*; send() never waits on the ring, so the counter drains fast.
+    // gone and !running_ abort the writer's push within one 10 ms park.
+    // Only then is it safe to unmap the rings and destroy the conn.
     while (c->active_sends.load(std::memory_order_acquire) != 0) {
       std::this_thread::yield();
     }
+    if (c->writer.joinable()) c->writer.join();
     c->s2c->close();
     if (c->reader.joinable()) c->reader.join();
     ::munmap(c->map, c->map_bytes);

@@ -17,11 +17,14 @@
 // within that time, and neither side then pays for a wakeup. Frames
 // larger than the ring stream through it in chunks, so the fixed
 // capacity (ORWL_DIST_SHM_SLOTS x 64 B) bounds memory, not message
-// size.
+// size. The part of a home-side send that does not fit in the free ring
+// space is queued for the connection's writer thread (started the first
+// time bytes have to wait), so the sender never waits for the client.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -59,6 +62,10 @@ class ShmRing {
   bool push(const std::byte* p, std::size_t n,
             const std::function<bool()>& abort);
 
+  /// Append as many of the n bytes as the ring has room for now and
+  /// return that count (possibly 0). Never blocks.
+  std::size_t push_some(const std::byte* p, std::size_t n) noexcept;
+
   /// Pop up to `max` bytes into `out`. When the ring is empty, polls it
   /// for up to `spin`, then blocks up to timeout_ms. Returns 0 on timeout
   /// or when the ring is closed and drained (check closed() to tell the
@@ -83,6 +90,10 @@ class ShmRing {
 
  private:
   ShmRing() = default;
+
+  /// Copy n bytes (n <= free space) in at `tail`, publish them and ring
+  /// the doorbell.
+  void write(const std::byte* p, std::size_t n, std::uint64_t tail) noexcept;
 
   // Consumer-written line.
   alignas(64) std::atomic<std::uint64_t> head_{0};
@@ -119,7 +130,13 @@ class ShmServerTransport final : public ServerTransport {
     ShmRing* c2s = nullptr;  ///< client -> server (we consume)
     ShmRing* s2c = nullptr;  ///< server -> client (we produce)
     std::thread reader;
-    std::mutex send_mu;
+    std::mutex send_mu;  ///< guards the three members below
+    /// Bytes that did not fit in s2c when sent, in send order; the
+    /// writer thread streams them out as the client reads.
+    std::vector<std::byte> backlog;
+    bool flushing = false;  ///< the writer is pushing bytes it took
+    std::condition_variable writer_cv;
+    std::thread writer;  ///< started on the first frame that waits
     std::string seg_name;
     std::atomic<bool> gone{false};
     /// Senders inside send() past the conns_ lookup (they hold this
@@ -129,6 +146,7 @@ class ShmServerTransport final : public ServerTransport {
 
   void listen_loop();
   void conn_loop(PeerId id, Conn* c);
+  void write_loop(Conn* c);
   bool try_accept(std::uint32_t id);
 
   std::string base_;

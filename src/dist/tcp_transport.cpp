@@ -54,6 +54,24 @@ bool drain_frames(std::vector<std::byte>& buf, Sink&& sink) {
   return true;
 }
 
+/// Write as much of [p, p+n) as the socket takes without blocking.
+/// Returns the bytes written, or -1 when the connection is broken.
+ssize_t send_some(int fd, const std::byte* p, std::size_t n) {
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t sent =
+        ::send(fd, p + done, n - done, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (sent > 0) {
+      done += static_cast<std::size_t>(sent);
+      continue;
+    }
+    if (sent < 0 && errno == EINTR) continue;
+    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    return -1;
+  }
+  return static_cast<ssize_t>(done);
+}
+
 /// Blocking-ish send over a non-blocking fd: polls through EAGAIN and
 /// partial writes. Returns false when the peer or transport went away.
 bool send_all(int fd, const std::byte* p, std::size_t n,
@@ -166,6 +184,10 @@ void TcpServerTransport::epoll_loop() {
         c = conns_[id].get();
       }
       bool drop = false;
+      if ((events[i].events & EPOLLOUT) != 0) {
+        std::lock_guard<std::mutex> lock(c->send_mu);
+        drop = !flush_locked(c);  // still read what the peer sent
+      }
       for (;;) {
         const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
         if (got > 0) {
@@ -219,6 +241,19 @@ void TcpServerTransport::drop_conn(PeerId id, bool notify) {
   if (notify && handlers_.on_disconnect) handlers_.on_disconnect(id);
 }
 
+bool TcpServerTransport::flush_locked(Conn* c) {
+  const ssize_t sent = send_some(c->fd, c->outbuf.data(), c->outbuf.size());
+  if (sent < 0) return false;
+  c->outbuf.erase(c->outbuf.begin(), c->outbuf.begin() + sent);
+  if (c->outbuf.empty()) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = c->fd;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->fd, &ev);
+  }
+  return true;
+}
+
 bool TcpServerTransport::send(PeerId peer, const wire::Frame& f) {
   std::vector<std::byte> bytes;
   wire::encode(f, bytes);
@@ -239,7 +274,23 @@ bool TcpServerTransport::send(PeerId peer, const wire::Frame& f) {
   {
     std::lock_guard<std::mutex> lock(c->send_mu);
     if (!c->gone.load(std::memory_order_acquire) && c->fd >= 0) {
-      ok = send_all(c->fd, bytes.data(), bytes.size(), running_);
+      // Bytes queued earlier go first. What the socket does not take now
+      // is queued: the sender may be the epoll thread itself, or a
+      // control thread, and must not wait for this client to read.
+      ssize_t sent = 0;
+      if (c->outbuf.empty()) {
+        sent = send_some(c->fd, bytes.data(), bytes.size());
+      }
+      ok = sent >= 0;
+      if (ok && static_cast<std::size_t>(sent) < bytes.size()) {
+        if (c->outbuf.empty()) {
+          epoll_event ev{};
+          ev.events = EPOLLIN | EPOLLOUT;
+          ev.data.fd = c->fd;
+          ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->fd, &ev);
+        }
+        c->outbuf.insert(c->outbuf.end(), bytes.begin() + sent, bytes.end());
+      }
     }
   }
   c->active_sends.fetch_sub(1, std::memory_order_acq_rel);
@@ -260,8 +311,8 @@ void TcpServerTransport::stop() {
     by_fd_.clear();
   }
   // A grant shipper may still be inside send() holding a raw Conn*;
-  // running_ is already false, which aborts its send_all, so each counter
-  // drains fast. Only then is it safe to close fds and destroy the conns.
+  // send() never waits on the socket, so each counter drains fast. Only
+  // then is it safe to close fds and destroy the conns.
   for (auto& [id, c] : conns) {
     c->gone.store(true, std::memory_order_release);
   }
@@ -352,6 +403,7 @@ TcpServerTransport::~TcpServerTransport() = default;
 std::string TcpServerTransport::address() const { return ""; }
 void TcpServerTransport::start(Handlers) {}
 void TcpServerTransport::epoll_loop() {}
+bool TcpServerTransport::flush_locked(Conn*) { return false; }
 void TcpServerTransport::drop_conn(PeerId, bool) {}
 bool TcpServerTransport::send(PeerId, const wire::Frame&) { return false; }
 void TcpServerTransport::stop() {}

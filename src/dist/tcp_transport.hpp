@@ -4,9 +4,12 @@
 // the stream needs no extra framing. The home side runs one epoll-driven
 // proxy thread that owns the listening socket and every client
 // connection: reads are non-blocking and fan into the registry's frame
-// handler; writes take a per-connection mutex and poll() through partial
-// sends, so whichever thread grants a proxy ticket (a control thread, a
-// local releaser) can push its GRANT concurrently with the epoll loop.
+// handler. Writes take a per-connection mutex, so whichever thread grants
+// a proxy ticket (a control thread, a local releaser, the epoll thread
+// itself) can send its GRANT concurrently with the epoll loop. A send
+// never waits for the client: bytes the socket does not take at once
+// are queued on the connection and written by the epoll thread when the
+// socket becomes writable.
 // Loopback-testable; the interface above this file is transport agnostic
 // (see transport.hpp) so RDMA can replace it wholesale.
 #pragma once
@@ -42,7 +45,10 @@ class TcpServerTransport final : public ServerTransport {
  private:
   struct Conn {
     int fd = -1;
-    std::mutex send_mu;
+    std::mutex send_mu;  ///< guards fd for senders and outbuf
+    /// Bytes the socket did not take when sent, in send order; the epoll
+    /// thread writes them out as the socket drains (EPOLLOUT).
+    std::vector<std::byte> outbuf;
     std::vector<std::byte> inbuf;
     std::atomic<bool> gone{false};
     /// Senders inside send() past the conns_ lookup (they hold this
@@ -51,6 +57,10 @@ class TcpServerTransport final : public ServerTransport {
   };
 
   void epoll_loop();
+  /// Write out c's outbuf as far as the socket takes it; stop watching
+  /// for EPOLLOUT once it is empty. False on a broken connection.
+  /// Requires c->send_mu held.
+  bool flush_locked(Conn* c);
   void drop_conn(PeerId id, bool notify);
 
   int listen_fd_ = -1;

@@ -48,7 +48,10 @@ class ServerTransport {
   /// further callbacks fire.
   virtual void stop() = 0;
 
-  /// Send one frame to a peer. Thread-safe. False when the peer is gone.
+  /// Send one frame to a peer. Thread-safe, and never waits for the
+  /// peer to read: what the connection cannot take right now is queued,
+  /// in order, and written as the peer drains. (The sender may be the
+  /// thread that reads this peer's frames.) False when the peer is gone.
   virtual bool send(PeerId peer, const wire::Frame& f) = 0;
 
   /// Connectable address of this transport ("host:port" for tcp, the

@@ -40,6 +40,10 @@ const char* to_string(Type t) noexcept;
 /// orwl_handle2 cycle); aux carries the client's new reqid.
 inline constexpr std::uint16_t kFlagReinsert = 1u << 0;
 
+/// Error flag: the error refuses a request rather than an attach;
+/// location is the export id and ticket the client's reqid.
+inline constexpr std::uint16_t kFlagRequest = 1u << 1;
+
 /// Bytes of the fixed header: magic(4) version(1) type(1) flags(2)
 /// location(8) ticket(8) aux(8) payload_len(4).
 inline constexpr std::size_t kHeaderBytes = 36;

@@ -12,6 +12,18 @@
 
 namespace orwl::rt {
 
+namespace {
+
+/// The sink calls this thread is inside, innermost first, so a detach
+/// made from inside a sink call does not wait for that call.
+struct SinkCall {
+  const RequestQueue* queue;
+  const SinkCall* outer;
+};
+thread_local const SinkCall* tl_sink_calls = nullptr;
+
+}  // namespace
+
 RequestQueue::RequestQueue(Arena* arena)
     : arena_(arena ? arena : &Arena::runtime_default()) {
   std::lock_guard lock(mu_);
@@ -345,6 +357,8 @@ void RequestQueue::grant_remote(const std::vector<Slot*>& wake) {
   // waits for it, so the sink outlives every call made on it.
   sink_calls_.fetch_add(1, std::memory_order_seq_cst);
   if (RemoteGrantSink* sink = sink_.load(std::memory_order_seq_cst)) {
+    const SinkCall call{this, tl_sink_calls};
+    tl_sink_calls = &call;
     for (const Slot* s : wake) {
       if (!is_remote(s)) continue;
       // Still this ticket's word: only the sink's owner releases a
@@ -353,6 +367,7 @@ void RequestQueue::grant_remote(const std::vector<Slot*>& wake) {
           untag(s)->word.load(std::memory_order_acquire) >> kPhaseBits;
       sink->on_remote_grant(t);
     }
+    tl_sink_calls = call.outer;
   }
   sink_calls_.fetch_sub(1, std::memory_order_release);
 }
@@ -360,7 +375,11 @@ void RequestQueue::grant_remote(const std::vector<Slot*>& wake) {
 void RequestQueue::set_remote_sink(RemoteGrantSink* sink) noexcept {
   sink_.store(sink, std::memory_order_seq_cst);
   if (sink != nullptr) return;
-  while (sink_calls_.load(std::memory_order_seq_cst) != 0) {
+  std::uint32_t own = 0;
+  for (const SinkCall* c = tl_sink_calls; c != nullptr; c = c->outer) {
+    if (c->queue == this) ++own;
+  }
+  while (sink_calls_.load(std::memory_order_seq_cst) > own) {
     std::this_thread::yield();
   }
 }

@@ -153,10 +153,10 @@ class RequestQueue {
 
   /// Install the sink that receives the grants of remote-phase tickets.
   /// Thread-safe. Detaching (null) waits until every sink call already
-  /// in flight has returned, so the old sink may be destroyed right
-  /// after; it must not be called from inside a sink call. A
-  /// remote-phase ticket granted while no sink is installed stays
-  /// granted with no holder.
+  /// in flight on other threads has returned, so the old sink may be
+  /// destroyed once the calling thread has left its own sink calls (a
+  /// sink may detach itself from inside a call). A remote-phase ticket
+  /// granted while no sink is installed stays granted with no holder.
   void set_remote_sink(RemoteGrantSink* sink) noexcept;
   RemoteGrantSink* remote_sink() const noexcept {
     return sink_.load(std::memory_order_acquire);

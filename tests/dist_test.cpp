@@ -2,15 +2,21 @@
 // ring wrap/doorbell behavior, registry + client end-to-end over both
 // transports (in-process and across fork()), exact FIFO order across the
 // wire, orphaned-client ticket reclamation, grants shipped by the
-// granting thread, prompt shm shutdown, and the env/URL knobs.
+// granting thread, prompt shm shutdown, slow or stalled clients that
+// must not hold up the home, unexport, and the env/URL knobs.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <random>
@@ -25,6 +31,7 @@
 #include "dist/transport.hpp"
 #include "dist/wire.hpp"
 #include "orwl/orwl.hpp"
+#include "runtime/control_plane.hpp"
 #include "runtime/handle.hpp"
 #include "runtime/location.hpp"
 #include "support/env.hpp"
@@ -698,6 +705,245 @@ TEST(DistShutdown, ShmStopWithAnOpenClientIsPrompt) {
   const auto took = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(took, std::chrono::milliseconds(50));
   client->close();
+}
+
+// ---------------------------------------------------- back-pressure ----
+
+/// Run `body` on `n` threads; abort the whole test binary when they have
+/// not all finished within `seconds` (a deadlocked protocol would
+/// otherwise hang the suite, and stuck threads cannot be joined).
+template <typename F>
+void run_or_abort(int n, int seconds, const char* what, F&& body) {
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      body(i);
+      finished.fetch_add(1, std::memory_order_acq_rel);
+    });
+  }
+  if (!eventually([&] { return finished.load() == n; }, seconds)) {
+    std::fprintf(stderr, "%s: threads still blocked after %d s\n", what,
+                 seconds);
+    std::abort();
+  }
+  for (auto& t : threads) t.join();
+}
+
+TEST(DistBackPressure, FramesLargerThanTheRingDoNotDeadlock) {
+  // Three 64 KiB locations behind 4 KiB shm rings, so every GRANT and
+  // every DATA frame streams through its ring in chunks. Client threads
+  // write two of them and read the third through one connection while a
+  // local writer takes turns on the first. Home-side grants then leave
+  // from the connection's reader (an uncontended read, or the grant a
+  // RELEASE hands on) and from the local releaser while client threads
+  // are mid-send with a location's mutex held. No thread that drains a
+  // ring may wait for space in the opposite ring.
+  constexpr std::size_t kBytes = 64 * 1024;
+  constexpr std::size_t kWords = kBytes / sizeof(std::uint64_t);
+  constexpr int kIters = 60;
+  std::vector<std::unique_ptr<rt::Location>> locs;
+  dist::Registry reg;
+  for (int i = 0; i < 3; ++i) {
+    locs.push_back(std::make_unique<rt::Location>(i, 0, 0));
+    locs.back()->scale(kBytes);
+    std::memset(locs.back()->data(), 0, kBytes);
+    reg.export_location("big" + std::to_string(i), locs.back().get());
+  }
+  reg.serve(std::make_unique<dist::ShmServerTransport>(unique_base("big"),
+                                                      64));
+  auto client = dist::Client::connect(reg.url("big0"));
+  dist::RemoteLocation* remote[3] = {&client->attach("big0"),
+                                     &client->attach("big1"),
+                                     &client->attach("big2")};
+
+  run_or_abort(7, 60, "FramesLargerThanTheRingDoNotDeadlock", [&](int i) {
+    rt::Location& loc = i == 6 ? *locs[0] : *remote[i % 3];
+    const AccessMode mode = i % 3 == 2 ? AccessMode::Read : AccessMode::Write;
+    for (int k = 0; k < kIters; ++k) {
+      rt::Handle h;
+      h.insert_standalone(loc, mode);
+      rt::Section sec(h);
+      if (mode == AccessMode::Read) {
+        const std::uint64_t* r = sec.as_const<std::uint64_t>();
+        ASSERT_EQ(r[0], r[kWords - 1]) << "torn buffer";
+        continue;
+      }
+      std::uint64_t* w = sec.as<std::uint64_t>();
+      ASSERT_EQ(w[0], w[kWords - 1]) << "torn buffer";
+      w[kWords - 1] = ++w[0];
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return reg.stats().releases >= 6 * kIters; }));
+  EXPECT_EQ(*reinterpret_cast<std::uint64_t*>(locs[0]->data()), 3u * kIters);
+  EXPECT_EQ(*reinterpret_cast<std::uint64_t*>(locs[1]->data()), 2u * kIters);
+  client->close();
+  reg.stop();
+}
+
+wire::Frame hello_frame(const std::string& name) {
+  wire::Frame f;
+  f.type = wire::Type::Hello;
+  f.location = 1;  // cookie
+  f.payload.resize(name.size());
+  std::memcpy(f.payload.data(), name.data(), name.size());
+  return f;
+}
+
+wire::Frame write_request(std::uint64_t export_id, std::uint64_t reqid) {
+  wire::Frame f;
+  f.type = wire::Type::ReqWrite;
+  f.location = export_id;
+  f.ticket = reqid;
+  return f;
+}
+
+TEST(DistBackPressure, StalledShmClientDoesNotHoldUpTheControlThread) {
+  // A client that never reads is owed a 64 KiB GRANT that its 4 KiB ring
+  // cannot hold. The control thread that grants it must not wait for
+  // that client: a local location served by the same control thread
+  // keeps changing hands.
+  constexpr std::size_t kBytes = 64 * 1024;
+  rt::ControlPlane cp(1);
+  cp.start();
+  rt::Location big{0, 0, 0};
+  rt::Location local{1, 0, 0};
+  big.scale(kBytes);
+  big.queue().set_control_plane(&cp);
+  local.queue().set_control_plane(&cp);
+  dist::Registry reg;
+  reg.export_location("big", &big);
+  reg.serve(std::make_unique<dist::ShmServerTransport>(unique_base("stall"),
+                                                      64));
+  // A client transport that is never started: nothing reads its ring.
+  dist::ShmClientTransport stalled(reg.address());
+  ASSERT_TRUE(stalled.send(hello_frame("big")));
+  // The request queues behind a local writer, so the control thread
+  // grants it when the writer releases.
+  rt::Handle holder;
+  holder.insert_standalone(big, AccessMode::Write);
+  holder.acquire();
+  ASSERT_TRUE(stalled.send(write_request(/*export_id=*/0, /*reqid=*/1)));
+  ASSERT_TRUE(eventually([&] { return reg.stats().proxy_requests >= 1; }));
+  const std::uint64_t events = cp.events_processed();
+  holder.release();
+  ASSERT_TRUE(eventually([&] { return reg.stats().grants_sent >= 1; }));
+  ASSERT_TRUE(eventually([&] { return cp.events_processed() > events; }));
+
+  // Each release hands the lock to a queued writer through the control
+  // thread.
+  rt::RequestQueue& q = local.queue();
+  for (int k = 0; k < 100; ++k) {
+    const rt::Ticket first = q.enqueue(AccessMode::Write);
+    const rt::Ticket second = q.enqueue(AccessMode::Write);
+    q.release(first);
+    ASSERT_TRUE(eventually([&] { return q.granted(second); }, 10))
+        << "hand-off " << k << " never happened";
+    q.release(second);
+  }
+  // The control thread counts an event after its grant.
+  EXPECT_TRUE(eventually(
+      [&] { return cp.events_processed() >= events + 1 + 100; }, 10));
+  EXPECT_EQ(cp.inline_grants(), 0u);
+  reg.stop();
+  stalled.stop();
+  cp.stop();
+}
+
+TEST(DistBackPressure, StalledTcpClientDoesNotHoldUpOtherClients) {
+  // A raw socket that attaches and requests an 8 MiB location, then
+  // never reads: far more than the socket buffers hold. The epoll thread
+  // ships that GRANT inline and must not wait for the socket to drain,
+  // or no other client would be served.
+  constexpr std::size_t kBytes = 8u << 20;
+  rt::Location big{0, 0, 0};
+  big.scale(kBytes);
+  Home home(std::make_unique<dist::TcpServerTransport>(0));
+  home.reg.export_location("big", &big);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(dist::parse_url(home.reg.url("big")).port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  std::vector<std::byte> out;
+  wire::encode(hello_frame("big"), out);
+  wire::encode(write_request(/*export_id=*/1, /*reqid=*/1), out);
+  ASSERT_EQ(::send(fd, out.data(), out.size(), 0),
+            static_cast<ssize_t>(out.size()));
+  ASSERT_TRUE(
+      eventually([&] { return home.reg.stats().grants_sent >= 1; }));
+
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  dist::RemoteLocation& remote = client->attach("counter");
+  for (int i = 0; i < 50; ++i) {
+    rt::Handle h;
+    h.insert_standalone(remote, AccessMode::Write);
+    rt::Section sec(h);
+    ++*sec.as<std::uint64_t>();
+  }
+  client->close();
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().releases >= 50; }));
+  EXPECT_EQ(home.value(), 50u);
+  ::close(fd);
+  home.reg.stop();
+}
+
+// ----------------------------------------------------------- unexport ----
+
+TEST(DistUnexport, DrainedExportDetachesAndCanBeExportedAgain) {
+  Home home(std::make_unique<dist::TcpServerTransport>(0));
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  dist::RemoteLocation& remote = client->attach("counter");
+
+  // Unexported while a remote writer holds the lock: that proxy drains
+  // normally, and only then does the export leave the queue.
+  {
+    rt::Handle held;
+    held.insert_standalone(remote, AccessMode::Write);
+    rt::Section sec(held);
+    home.reg.unexport("counter");
+    EXPECT_NE(home.loc.queue().remote_sink(), nullptr);
+    ++*sec.as<std::uint64_t>();
+  }
+  ASSERT_TRUE(eventually(
+      [&] { return home.loc.queue().remote_sink() == nullptr; }));
+  EXPECT_EQ(home.value(), 1u);
+
+  // A new request from the attached client is refused, not left hanging.
+  rt::Handle refused;
+  refused.insert_standalone(remote, AccessMode::Write);
+  try {
+    refused.acquire();
+    FAIL() << "a request to an unexported location must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("withdrawn"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(home.reg.stats().rejected, 1u);
+  client->kill();
+
+  // The location can be exported again: under a new name here, and in a
+  // second registry once this one is gone.
+  home.reg.export_location("counter-again", &home.loc);
+  auto again = dist::Client::connect(home.reg.url("counter-again"));
+  {
+    rt::Handle h;
+    h.insert_standalone(again->attach("counter-again"), AccessMode::Write);
+    rt::Section sec(h);
+    ++*sec.as<std::uint64_t>();
+  }
+  again->close();
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().releases >= 2; }));
+  EXPECT_EQ(home.value(), 2u);
+  home.reg.stop();
+  EXPECT_EQ(home.loc.queue().remote_sink(), nullptr);
+  dist::Registry second;
+  EXPECT_NO_THROW(second.export_location("counter", &home.loc));
+  second.stop();
 }
 
 // ------------------------------------------------- two-process (fork) ----

@@ -721,6 +721,30 @@ TEST(RequestQueueRemote, DetachWaitsForSinkCallsInFlight) {
   q.release(w2);
 }
 
+TEST(RequestQueueRemote, SinkCanDetachItselfFromInsideACall) {
+  // The sink releases its ticket (a nested grant pass on the same queue
+  // calls it again for the next one) and detaches on the last ticket,
+  // while two sink calls of this thread are in flight: the detach must
+  // not wait for them.
+  RequestQueue q;
+  RecordingSink sink;
+  q.set_remote_sink(&sink);
+  const Ticket w1 = q.enqueue(AccessMode::Write);
+  const Ticket w2 = q.enqueue(AccessMode::Write);
+  const Ticket w3 = q.enqueue(AccessMode::Write);
+  ASSERT_TRUE(q.park_remote(w2));
+  ASSERT_TRUE(q.park_remote(w3));
+  sink.then = [&](Ticket t) {
+    q.release(t);
+    if (t == w3) q.set_remote_sink(nullptr);
+  };
+  q.release(w1);
+  ASSERT_EQ(sink.count(), 2u);
+  EXPECT_EQ(sink.calls[1].first, w3);
+  EXPECT_EQ(q.remote_sink(), nullptr);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
 // ------------------------------------------------------ control plane ----
 
 TEST(ControlPlane, HandsOffGrantsThroughControlThreads) {
