@@ -117,7 +117,7 @@ tm::Placement run_workload(const topo::Topology& machine,
 
 void bench_replace(benchmark::State& state, rt::ReplaceMode mode) {
   const topo::Topology machine = topo::make_smp20e7();
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const tm::CommMatrix truth = true_matrix();
   const tm::Placement oracle = tm::tree_match(machine, truth);
   const double cost_oracle = tm::modeled_cost(machine, truth, oracle);

@@ -37,6 +37,7 @@
 #include "dist/transport.hpp"
 #include "runtime/handle.hpp"
 #include "runtime/location.hpp"
+#include "support/env.hpp"
 
 namespace {
 
@@ -121,10 +122,11 @@ FrameSlot run_dist(dist::DistMode mode) {
   std::unique_ptr<dist::ServerTransport> transport;
   if (mode == dist::DistMode::Shm) {
     transport = std::make_unique<dist::ShmServerTransport>(
-        "orwl-bp-" + std::to_string(getpid()), dist::dist_shm_slots_from_env());
+        "orwl-bp-" + std::to_string(getpid()),
+        support::resolve<std::size_t>(support::knob::kDistShmSlots));
   } else {
     transport = std::make_unique<dist::TcpServerTransport>(
-        dist::dist_port_from_env());
+        support::resolve<std::uint16_t>(support::knob::kDistPort));
   }
   const std::string url =
       (mode == dist::DistMode::Shm ? "orwl+shm://" : "orwl://") +
@@ -173,7 +175,7 @@ int check(const char* what, const FrameSlot& got, const FrameSlot& want) {
 }  // namespace
 
 int main() {
-  const dist::DistMode mode = dist::dist_mode_from_env();
+  const auto mode = support::resolve<dist::DistMode>(support::knob::kDist);
   const FrameSlot want = run_intra();
   std::printf("[dist_bytes_pipeline] intra frames=%" PRIu64
               " fnv=0x%016" PRIx64 "\n",

@@ -36,6 +36,7 @@
 #include "dist/transport.hpp"
 #include "runtime/handle.hpp"
 #include "runtime/location.hpp"
+#include "support/env.hpp"
 
 namespace {
 
@@ -101,10 +102,11 @@ Cell run_dist(dist::DistMode mode) {
   std::unique_ptr<dist::ServerTransport> transport;
   if (mode == dist::DistMode::Shm) {
     transport = std::make_unique<dist::ShmServerTransport>(
-        "orwl-pp-" + std::to_string(getpid()), dist::dist_shm_slots_from_env());
+        "orwl-pp-" + std::to_string(getpid()),
+        support::resolve<std::size_t>(support::knob::kDistShmSlots));
   } else {
     transport = std::make_unique<dist::TcpServerTransport>(
-        dist::dist_port_from_env());
+        support::resolve<std::uint16_t>(support::knob::kDistPort));
   }
   const std::string url =
       (mode == dist::DistMode::Shm ? "orwl+shm://" : "orwl://") +
@@ -155,7 +157,7 @@ int check(const char* what, const Cell& got, const Cell& want) {
 }  // namespace
 
 int main() {
-  const dist::DistMode mode = dist::dist_mode_from_env();
+  const auto mode = support::resolve<dist::DistMode>(support::knob::kDist);
   const Cell want = run_intra();
   std::printf("[dist_ping_pong] intra count=%" PRIu64 " fnv=0x%016" PRIx64
               "\n",

@@ -24,6 +24,8 @@
 #include <cstdlib>
 
 #include "apps/graph.hpp"
+#include "runtime/steal_executor.hpp"
+#include "support/env.hpp"
 
 int main(int argc, char** argv) {
   using namespace orwl;
@@ -33,7 +35,8 @@ int main(int argc, char** argv) {
   const apps::GridGraph g = apps::GridGraph::make(n);
   std::printf("grid %zux%zu (%zu vertices), %zu tasks, ORWL_STEAL=%s\n", n,
               n, g.num_vertices(), tasks,
-              rt::to_string(rt::resolve_steal_mode(rt::StealMode::FromEnv)));
+              rt::to_string(support::resolve<rt::StealMode>(
+                  support::knob::kSteal)));
 
   // BFS from the top-left corner: the frontier is seeded by task 0
   // alone — the executor spreads it.

@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "support/env.hpp"
-
 namespace orwl::aff {
-
-bool enabled_from_env() {
-  return support::env_bool(kAffinityEnvVar, false);
-}
 
 tm::CommMatrix comm_matrix_from_graph(const rt::TaskGraph& graph) {
   tm::CommMatrix m(graph.num_tasks);

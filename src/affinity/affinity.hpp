@@ -22,13 +22,6 @@
 
 namespace orwl::aff {
 
-/// Name of the switch the paper specifies: "the ORWL user only has to set
-/// the environment variable ORWL_AFFINITY to 1" (Sec. IV-B).
-inline constexpr const char* kAffinityEnvVar = "ORWL_AFFINITY";
-
-/// True when ORWL_AFFINITY requests automatic placement.
-bool enabled_from_env();
-
 /// orwl_dependency_get: derive the thread communication matrix from the
 /// task-location graph.
 ///

@@ -5,39 +5,7 @@
 namespace orwl::dist {
 
 const char* to_string(DistMode m) noexcept {
-  switch (m) {
-    case DistMode::Off: return "off";
-    case DistMode::Shm: return "shm";
-    case DistMode::Tcp: return "tcp";
-  }
-  return "?";
-}
-
-DistMode dist_mode_from_env() {
-  const auto v = support::env_string(kDistEnvVar);
-  if (!v || v->empty() || support::iequals(*v, "off")) return DistMode::Off;
-  if (support::iequals(*v, "shm")) return DistMode::Shm;
-  if (support::iequals(*v, "tcp")) return DistMode::Tcp;
-  support::throw_bad_env(kDistEnvVar, *v, "off, shm or tcp");
-}
-
-std::uint16_t dist_port_from_env(std::uint16_t fallback) {
-  const long v = support::env_long(kDistPortEnvVar, fallback);
-  if (v < 0 || v > 65535) {
-    support::throw_bad_env(kDistPortEnvVar, std::to_string(v),
-                           "a port in [0, 65535]");
-  }
-  return static_cast<std::uint16_t>(v);
-}
-
-std::size_t dist_shm_slots_from_env(std::size_t fallback) {
-  const long v =
-      support::env_long(kDistShmSlotsEnvVar, static_cast<long>(fallback));
-  if (v < 16) {
-    support::throw_bad_env(kDistShmSlotsEnvVar, std::to_string(v),
-                           "at least 16 slots");
-  }
-  return static_cast<std::size_t>(v);
+  return support::choice_name(support::knob::kDist, m);
 }
 
 }  // namespace orwl::dist

@@ -76,34 +76,12 @@ class ClientTransport {
   virtual bool send(const wire::Frame& f) = 0;
 };
 
-// ---- configuration knobs --------------------------------------------------
-
-/// Transport selector: off (intra-process only, default), shm, tcp.
-inline constexpr const char* kDistEnvVar = "ORWL_DIST";
-
-/// TCP listen port for the home side (default 0 = ephemeral; the bound
-/// port is published through ServerTransport::address()).
-inline constexpr const char* kDistPortEnvVar = "ORWL_DIST_PORT";
-
-/// Capacity of each shm ring direction, in 64-byte slots (default 1024,
-/// i.e. 64 KiB per direction). Frames larger than the ring stream through
-/// it in chunks.
-inline constexpr const char* kDistShmSlotsEnvVar = "ORWL_DIST_SHM_SLOTS";
-
+/// Transport selector (ORWL_DIST, read with support::resolve): off
+/// (intra-process only, default), shm, tcp. Enumerators follow
+/// support::knob::kDist's spellings. The transports' own knobs are
+/// ORWL_DIST_PORT and ORWL_DIST_SHM_SLOTS (support/env.hpp).
 enum class DistMode : std::uint8_t { Off, Shm, Tcp };
 
 const char* to_string(DistMode m) noexcept;
-
-/// Resolve ORWL_DIST. Unset/empty => Off; anything but off/shm/tcp throws
-/// std::invalid_argument naming the variable.
-DistMode dist_mode_from_env();
-
-/// Resolve ORWL_DIST_PORT (0..65535; default `fallback`). Out-of-range or
-/// garbage throws std::invalid_argument naming the variable.
-std::uint16_t dist_port_from_env(std::uint16_t fallback = 0);
-
-/// Resolve ORWL_DIST_SHM_SLOTS (>= 16; default `fallback`). Garbage or a
-/// ring too small to make progress throws std::invalid_argument.
-std::size_t dist_shm_slots_from_env(std::size_t fallback = 1024);
 
 }  // namespace orwl::dist

@@ -149,7 +149,7 @@ class Local<T[]> {
 
   /// orwl_scale in elements, not bytes. Under ORWL_HUGEPAGES=1 a buffer
   /// of at least one huge page is backed by MAP_HUGETLB storage when the
-  /// host provides it (see topo::kHugePagesEnvVar).
+  /// host provides it (see support::knob::kHugePages).
   void scale(std::size_t count) { loc_->scale(count * sizeof(T)); }
 
   /// Size-only scale for graph extraction (no allocation).

@@ -43,11 +43,6 @@ namespace orwl::rt {
 
 class RequestQueue;
 
-/// Environment override for the number of control-plane shards the
-/// Program creates (default: one per NUMA node, clamped to the number of
-/// control threads).
-inline constexpr const char* kControlShardsEnvVar = "ORWL_CONTROL_SHARDS";
-
 struct ControlPlaneOptions {
   /// Dedicated control threads (0 => no threads, every post grants
   /// inline).

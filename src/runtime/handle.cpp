@@ -83,7 +83,7 @@ void Handle::release() {
   // control thread's grant hook sees it when deciding whether to migrate
   // the buffer (two lock-free stores; skipped under cheaper policies).
   if (mode_ == AccessMode::Write && prog_ != nullptr &&
-      prog_->data_transfer() == DataTransferPolicy::Adaptive) {
+      prog_->data_transfer() == DataTransferMode::Adaptive) {
     loc_->note_writer_node(prog_->placed_node_of_task(task_));
   }
   // Leave our task id on the location before the hand-off fires, so the

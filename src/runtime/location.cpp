@@ -6,13 +6,8 @@
 
 namespace orwl::rt {
 
-const char* to_string(DataTransferPolicy p) noexcept {
-  switch (p) {
-    case DataTransferPolicy::Off: return "off";
-    case DataTransferPolicy::Owner: return "owner";
-    case DataTransferPolicy::Adaptive: return "adaptive";
-  }
-  return "?";
+const char* to_string(DataTransferMode p) noexcept {
+  return support::choice_name(support::knob::kDataTransfer, p);
 }
 
 void Location::scale(std::size_t bytes) {
@@ -22,15 +17,15 @@ void Location::scale(std::size_t bytes) {
   // host has no hugetlb pool.
   const std::size_t huge = topo::MemBind::huge_page_size();
   buf_.set_huge_pages(huge > 0 && bytes >= huge &&
-                      support::env_bool(topo::kHugePagesEnvVar, false));
+                      support::resolve<bool>(support::knob::kHugePages));
   buf_.resize(bytes);
   size_ = bytes;
 }
 
 void Location::bind_home(int node) {
   const int old_home = home_node_.exchange(node, std::memory_order_acq_rel);
-  if (policy_ == DataTransferPolicy::Off || node < 0) return;
-  if (policy_ == DataTransferPolicy::Adaptive && old_home == node &&
+  if (policy_ == DataTransferMode::Off || node < 0) return;
+  if (policy_ == DataTransferMode::Adaptive && old_home == node &&
       buf_.node() >= 0) {
     // Re-placement that did not move the owner: a buffer the adaptive
     // policy already parked next to its writers must not bounce back to
@@ -75,9 +70,9 @@ void Location::note_writer_node(int node) noexcept {
 }
 
 void Location::before_grant() noexcept {
-  if (policy_ == DataTransferPolicy::Off) return;
+  if (policy_ == DataTransferMode::Off) return;
   int target = home_node_.load(std::memory_order_acquire);
-  if (policy_ == DataTransferPolicy::Adaptive) {
+  if (policy_ == DataTransferMode::Adaptive) {
     // Follow the writers: only a streak of K consecutive granted writers
     // on one node is evidence the producer settled there — then move the
     // pages next to it before waking the next grantee. A shorter streak

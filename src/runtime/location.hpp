@@ -26,26 +26,16 @@
 namespace orwl::rt {
 
 /// Grant-time data-transfer policy of the runtime
-/// (ORWL_DATA_TRANSFER / ProgramOptions::data_transfer).
-enum class DataTransferPolicy : std::uint8_t {
+/// (ORWL_DATA_TRANSFER / ProgramOptions::data_transfer). Enumerators
+/// follow support::knob::kDataTransfer's spellings.
+enum class DataTransferMode : std::uint8_t {
   Off,    ///< first-touch only: never bind or migrate location buffers
   Owner,  ///< bind each buffer to its owner task's placed NUMA node
   Adaptive,  ///< Owner, plus grant-time migration toward recent writers
 };
 
 /// Human-readable policy name ("off", "owner", "adaptive").
-const char* to_string(DataTransferPolicy p) noexcept;
-
-/// Environment override for the data-transfer policy; accepted values are
-/// "off", "owner" and "adaptive" (default: owner).
-inline constexpr const char* kDataTransferEnvVar = "ORWL_DATA_TRANSFER";
-
-/// Environment override for the adaptive policy's migration hysteresis:
-/// the buffer follows the writers only after K consecutive granted
-/// writers on the same non-buffer node (default 2). Higher values resist
-/// ping-ponging workloads; 1 chases every writer.
-inline constexpr const char* kDataTransferHysteresisEnvVar =
-    "ORWL_DATA_TRANSFER_HYSTERESIS";
+const char* to_string(DataTransferMode p) noexcept;
 
 class Location : private GrantHook {
  public:
@@ -141,8 +131,8 @@ class Location : private GrantHook {
 
   /// Set the transfer policy. Not thread-safe; the Program configures it
   /// before the location is used concurrently.
-  void set_data_transfer(DataTransferPolicy p) noexcept { policy_ = p; }
-  DataTransferPolicy data_transfer() const noexcept { return policy_; }
+  void set_data_transfer(DataTransferMode p) noexcept { policy_ = p; }
+  DataTransferMode data_transfer() const noexcept { return policy_; }
 
   /// The hook the Program installs on this location's queue (grant-time
   /// data transfer runs through it).
@@ -151,7 +141,7 @@ class Location : private GrantHook {
   /// Declare `node` the home of this location (its owner task's placed
   /// NUMA node) and migrate the buffer there. Called by the runtime at
   /// placement time, on dynamic re-placement, and for live inserts.
-  /// Thread-safe. No-op under DataTransferPolicy::Off or for node < 0.
+  /// Thread-safe. No-op under DataTransferMode::Off or for node < 0.
   /// Under Adaptive, a re-bind to an *unchanged* home leaves a buffer
   /// the writers already pulled elsewhere in place, and a re-bind to a
   /// new home resets the (now stale) writer history.
@@ -235,7 +225,7 @@ class Location : private GrantHook {
     return static_cast<std::uint32_t>(s);
   }
 
-  DataTransferPolicy policy_ = DataTransferPolicy::Off;
+  DataTransferMode policy_ = DataTransferMode::Off;
   std::uint32_t hysteresis_ = 2;
   std::atomic<int> home_node_{-1};
   std::atomic<std::uint64_t> writer_streak_{pack_streak(-1, 0)};

@@ -15,72 +15,8 @@
 
 namespace orwl::rt {
 
-namespace {
-
-DataTransferPolicy resolve_data_transfer(DataTransferMode mode) {
-  switch (mode) {
-    case DataTransferMode::Off: return DataTransferPolicy::Off;
-    case DataTransferMode::Owner: return DataTransferPolicy::Owner;
-    case DataTransferMode::Adaptive: return DataTransferPolicy::Adaptive;
-    case DataTransferMode::FromEnv: break;
-  }
-  const auto v = support::env_string(kDataTransferEnvVar);
-  if (v.has_value() && !v->empty()) {
-    if (support::iequals(*v, "off")) return DataTransferPolicy::Off;
-    if (support::iequals(*v, "owner")) return DataTransferPolicy::Owner;
-    if (support::iequals(*v, "adaptive")) return DataTransferPolicy::Adaptive;
-    support::throw_bad_env(kDataTransferEnvVar, *v, "off, owner or adaptive");
-  }
-  return DataTransferPolicy::Owner;
-}
-
-std::size_t resolve_transfer_hysteresis(std::size_t from_options) {
-  if (from_options != 0) return from_options;
-  const long env = support::env_long(kDataTransferHysteresisEnvVar, -1);
-  return env > 0 ? static_cast<std::size_t>(env) : 2;
-}
-
-ReplaceMode resolve_replace(ReplaceMode mode) {
-  if (mode != ReplaceMode::FromEnv) return mode;
-  const auto v = support::env_string(kReplaceEnvVar);
-  if (v.has_value() && !v->empty()) {
-    if (support::iequals(*v, "off")) return ReplaceMode::Off;
-    if (support::iequals(*v, "auto")) return ReplaceMode::Auto;
-    if (support::iequals(*v, "passive")) return ReplaceMode::Passive;
-    support::throw_bad_env(kReplaceEnvVar, *v, "off, auto or passive");
-  }
-  return ReplaceMode::Off;
-}
-
-double resolve_replace_threshold(double from_options) {
-  if (from_options > 0.0) return from_options;
-  const double env = support::env_double(kReplaceThresholdEnvVar, 0.25);
-  return env > 0.0 ? env : 0.25;
-}
-
-double resolve_replace_decay(double from_options) {
-  const double v = from_options >= 0.0
-                       ? from_options
-                       : support::env_double(kReplaceDecayEnvVar, 0.5);
-  return std::clamp(v, 0.0, 1.0);
-}
-
-std::size_t resolve_replace_interval(std::size_t from_options) {
-  if (from_options != 0) return from_options;
-  const long env = support::env_long(kReplaceIntervalEnvVar, -1);
-  return env > 0 ? static_cast<std::size_t>(env) : 16;
-}
-
-}  // namespace
-
 const char* to_string(ReplaceMode m) noexcept {
-  switch (m) {
-    case ReplaceMode::Off: return "off";
-    case ReplaceMode::Passive: return "passive";
-    case ReplaceMode::Auto: return "auto";
-    case ReplaceMode::FromEnv: return "from-env";
-  }
-  return "?";
+  return support::choice_name(support::knob::kReplace, m);
 }
 
 Program::Program(std::size_t num_tasks, ProgramOptions opts)
@@ -99,24 +35,33 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
     topology_ = &owned_topology_;
   }
 
-  switch (opts_.affinity) {
-    case AffinityMode::Off: affinity_enabled_ = false; break;
-    case AffinityMode::On: affinity_enabled_ = true; break;
-    case AffinityMode::FromEnv: affinity_enabled_ = aff::enabled_from_env();
-  }
+  // Every knob is resolved before any thread starts.
+  using support::resolve;
+  namespace knob = support::knob;
+  affinity_enabled_ =
+      resolve(knob::kAffinity, opts_.affinity) == AffinityMode::On;
+  data_policy_ = resolve(knob::kDataTransfer, opts_.data_transfer);
+  const std::size_t hysteresis = resolve(knob::kDataTransferHysteresis,
+                                         opts_.data_transfer_hysteresis);
+  replace_policy_ = resolve(knob::kReplace, opts_.replace);
+  replace_threshold_ =
+      resolve(knob::kReplaceThreshold, opts_.replace_threshold);
+  replace_decay_ = std::clamp(
+      resolve(knob::kReplaceDecay, opts_.replace_decay), 0.0, 1.0);
+  replace_interval_ = resolve(knob::kReplaceInterval, opts_.replace_interval);
+  steal_mode_ = resolve(knob::kSteal, opts_.steal);
+  steal_spin_ = resolve(knob::kStealSpin, opts_.steal_spin);
 
   std::size_t nc = opts_.control_threads;
   if (nc == ProgramOptions::kAutoControlThreads) {
     nc = std::max<std::size_t>(1, num_tasks_ / 4);
   }
   // One event shard per NUMA node (topology subtree on NUMA-less
-  // machines), overridable via ORWL_CONTROL_SHARDS, never more shards
-  // than control threads to serve them.
-  std::size_t nshards = opts_.control_shards;
-  if (nshards == ProgramOptions::kAutoControlShards) {
+  // machines) unless the option or ORWL_CONTROL_SHARDS says otherwise,
+  // never more shards than control threads to serve them.
+  std::size_t nshards = resolve(knob::kControlShards, opts_.control_shards);
+  if (!opts_.control_shards && nshards == 0) {
     nshards = topo::recommended_shard_count(*topology_);
-    const long env_shards = support::env_long(kControlShardsEnvVar, -1);
-    if (env_shards > 0) nshards = static_cast<std::size_t>(env_shards);
   }
   ControlPlaneOptions cp_opts;
   cp_opts.num_threads = nc;
@@ -147,15 +92,6 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
   control_ = std::make_unique<ControlPlane>(cp_opts);
   stats_.control_shards = control_->num_shards();
 
-  data_policy_ = resolve_data_transfer(opts_.data_transfer);
-  const std::size_t hysteresis =
-      resolve_transfer_hysteresis(opts_.data_transfer_hysteresis);
-  replace_policy_ = resolve_replace(opts_.replace);
-  replace_threshold_ = resolve_replace_threshold(opts_.replace_threshold);
-  replace_decay_ = resolve_replace_decay(opts_.replace_decay);
-  replace_interval_ = resolve_replace_interval(opts_.replace_interval);
-  steal_mode_ = resolve_steal_mode(opts_.steal);
-  steal_spin_ = resolve_steal_spin(opts_.steal_spin);
   if (replace_policy_ != ReplaceMode::Off) {
     meter_ = std::make_unique<CommMeter>(control_->num_shards(), num_tasks_,
                                          cp_opts.shard_arenas);
@@ -191,7 +127,7 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
       locations_.back()->set_data_transfer(data_policy_);
       locations_.back()->set_transfer_hysteresis(
           static_cast<std::uint32_t>(hysteresis));
-      if (data_policy_ != DataTransferPolicy::Off) {
+      if (data_policy_ != DataTransferMode::Off) {
         // Grant-time data transfer: the control thread serving this
         // location's shard migrates the buffer before waking a grantee.
         locations_.back()->queue().set_grant_hook(
@@ -460,7 +396,7 @@ void Program::update_task_nodes_locked() {
 }
 
 void Program::bind_location_memory_locked() {
-  if (data_policy_ == DataTransferPolicy::Off) return;
+  if (data_policy_ == DataTransferMode::Off) return;
   std::size_t bound = 0;
   std::size_t skipped = 0;
   for (auto& loc : locations_) {

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,54 +44,27 @@ class CommMeter;
 
 using TaskFn = std::function<void(TaskContext&)>;
 
+/// Automatic placement at orwl_schedule(); Off/On are ORWL_AFFINITY's 0/1.
 enum class AffinityMode {
-  Off,      ///< never place
-  On,       ///< always place
-  FromEnv,  ///< follow ORWL_AFFINITY (the paper's automatic mode)
-};
-
-/// How ProgramOptions selects the grant-time data-transfer policy
-/// (the runtime-internal policy itself is rt::DataTransferPolicy).
-enum class DataTransferMode {
-  Off,       ///< never bind or migrate location buffers
-  Owner,     ///< bind buffers to the owner task's placed NUMA node
-  Adaptive,  ///< Owner + grant-time migration toward recent writers
-  FromEnv,   ///< follow ORWL_DATA_TRANSFER (default: owner)
+  Off,  ///< never place
+  On,   ///< always place
 };
 
 /// Online re-placement policy (ORWL_REPLACE / ProgramOptions::replace):
 /// whether the runtime measures the communication matrix the grant engine
 /// actually observes and re-runs Algorithm 1 when it diverges from the
-/// declared one.
+/// declared one. Enumerators follow support::knob::kReplace's spellings.
 enum class ReplaceMode {
   Off,      ///< no measurement, no re-placement (zero overhead)
   Passive,  ///< measure and count divergence triggers, never move anything
   Auto,     ///< measure and re-place when divergence crosses the threshold
-  FromEnv,  ///< follow ORWL_REPLACE (default: off)
 };
 
 const char* to_string(ReplaceMode m) noexcept;
 
-/// Environment override for the re-placement policy; accepted values are
-/// "off", "passive" and "auto" (default: off).
-inline constexpr const char* kReplaceEnvVar = "ORWL_REPLACE";
-
-/// Divergence threshold (0..1, tm::normalized_distance between the
-/// measured and the placement-defining matrix) above which a re-placement
-/// check triggers. Default 0.25.
-inline constexpr const char* kReplaceThresholdEnvVar =
-    "ORWL_REPLACE_THRESHOLD";
-
-/// Exponential decay of the measured matrix per harvest:
-/// m = decay * m + delta. Default 0.5; 0 forgets everything between
-/// checks, values near 1 average over many intervals.
-inline constexpr const char* kReplaceDecayEnvVar = "ORWL_REPLACE_DECAY";
-
-/// Iterations (per task) between divergence checks at run_iterations
-/// boundaries. Default 16.
-inline constexpr const char* kReplaceIntervalEnvVar =
-    "ORWL_REPLACE_INTERVAL";
-
+/// Every knob below that has an ORWL_* variable is a std::optional: unset
+/// follows the variable (support::resolve; see the table in
+/// support/env.hpp), set always beats it.
 struct ProgramOptions {
   std::size_t locations_per_task = 1;
 
@@ -99,19 +73,19 @@ struct ProgramOptions {
   static constexpr std::size_t kAutoControlThreads = ~std::size_t{0};
   std::size_t control_threads = kAutoControlThreads;
 
-  /// Control-plane event shards; kAutoControlShards picks one shard per
-  /// NUMA node of the topology (see topo::recommended_shard_count),
-  /// overridable with ORWL_CONTROL_SHARDS. Always clamped to
-  /// [1, control_threads].
-  static constexpr std::size_t kAutoControlShards = ~std::size_t{0};
-  std::size_t control_shards = kAutoControlShards;
+  /// Control-plane event shards (ORWL_CONTROL_SHARDS; default one shard
+  /// per NUMA node of the topology, see topo::recommended_shard_count).
+  /// Always clamped to [1, control_threads].
+  std::optional<std::size_t> control_shards;
 
-  AffinityMode affinity = AffinityMode::FromEnv;
+  /// Run the affinity module at orwl_schedule(). Unset follows
+  /// ORWL_AFFINITY (default off), the paper's one-variable switch.
+  std::optional<AffinityMode> affinity;
 
   /// Location-memory management: which NUMA node location buffers live on
   /// and whether control threads migrate them at grant time (the "data
-  /// transfer" half of Sec. IV-A). Overridable with ORWL_DATA_TRANSFER.
-  DataTransferMode data_transfer = DataTransferMode::FromEnv;
+  /// transfer" half of Sec. IV-A). ORWL_DATA_TRANSFER, default owner.
+  std::optional<DataTransferMode> data_transfer;
 
   /// Topology to place on. Null => detect the host machine. The pointed-to
   /// topology must outlive the Program.
@@ -132,33 +106,34 @@ struct ProgramOptions {
 
   /// Grant streak length after which the adaptive data-transfer policy
   /// migrates a buffer toward a remote writer node (K consecutive
-  /// granted writers on the same non-buffer node). 0 = follow
-  /// ORWL_DATA_TRANSFER_HYSTERESIS (default 2).
-  std::size_t data_transfer_hysteresis = 0;
+  /// granted writers on the same non-buffer node; 0 acts as 1).
+  /// ORWL_DATA_TRANSFER_HYSTERESIS, default 2.
+  std::optional<std::size_t> data_transfer_hysteresis;
 
-  /// Online re-placement policy (measured-matrix feedback loop).
-  ReplaceMode replace = ReplaceMode::FromEnv;
+  /// Online re-placement policy (measured-matrix feedback loop;
+  /// ORWL_REPLACE, default off).
+  std::optional<ReplaceMode> replace;
 
-  /// Divergence threshold for the re-placement trigger; 0 = follow
-  /// ORWL_REPLACE_THRESHOLD (default 0.25).
-  double replace_threshold = 0.0;
+  /// Divergence threshold for the re-placement trigger, >= 0; the
+  /// divergence is at most 1, so above 1 never triggers.
+  /// ORWL_REPLACE_THRESHOLD, default 0.25.
+  std::optional<double> replace_threshold;
 
-  /// Measured-matrix decay per harvest; negative = follow
-  /// ORWL_REPLACE_DECAY (default 0.5). 0 is a valid explicit value
-  /// (forget everything between checks).
-  double replace_decay = -1.0;
+  /// Measured-matrix decay per harvest, clamped into [0, 1]; 0 forgets
+  /// everything between checks. ORWL_REPLACE_DECAY, default 0.5.
+  std::optional<double> replace_decay;
 
-  /// Per-task iterations between divergence checks; 0 = follow
-  /// ORWL_REPLACE_INTERVAL (default 16).
-  std::size_t replace_interval = 0;
+  /// Per-task iterations between divergence checks (0 never checks).
+  /// ORWL_REPLACE_INTERVAL, default 16.
+  std::optional<std::size_t> replace_interval;
 
   /// Work-stealing policy of the dynamic-work executor behind
   /// orwl::Task::for_each (ORWL_STEAL: off|node|all, default all).
-  StealMode steal = StealMode::FromEnv;
+  std::optional<StealMode> steal;
 
-  /// Fruitless victim sweeps before an executor worker parks; 0 =
-  /// follow ORWL_STEAL_SPIN (default 64).
-  std::size_t steal_spin = 0;
+  /// Fruitless victim sweeps before an executor worker parks.
+  /// ORWL_STEAL_SPIN, default 64.
+  std::optional<std::size_t> steal_spin;
 
   /// Tenant tag carried into lock-protocol diagnostics: every location
   /// queue's acquire-timeout error names its location, owner task, slot
@@ -281,7 +256,7 @@ class Program {
 
   /// The resolved data-transfer policy (options/env, fixed at
   /// construction).
-  DataTransferPolicy data_transfer() const noexcept { return data_policy_; }
+  DataTransferMode data_transfer() const noexcept { return data_policy_; }
 
   /// NUMA node (in this program's topology) of the task's placed PU.
   /// \param t Task id.
@@ -487,7 +462,7 @@ class Program {
   topo::Topology owned_topology_;        // when detected
   const topo::Topology* topology_;       // never null after ctor
   bool affinity_enabled_;
-  DataTransferPolicy data_policy_ = DataTransferPolicy::Off;
+  DataTransferMode data_policy_ = DataTransferMode::Off;
 
   /// NUMA node of each task's placed PU (-1 unplaced); written under
   /// place_mu_, read lock-free by the write-release fast path.

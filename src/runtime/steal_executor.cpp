@@ -27,35 +27,7 @@ thread_local StealExecutor::WorkerContext* tl_worker_ctx = nullptr;
 }  // namespace
 
 const char* to_string(StealMode m) noexcept {
-  switch (m) {
-    case StealMode::Off:
-      return "off";
-    case StealMode::Node:
-      return "node";
-    case StealMode::All:
-      return "all";
-    case StealMode::FromEnv:
-      return "fromenv";
-  }
-  return "?";
-}
-
-StealMode resolve_steal_mode(StealMode from_options) {
-  if (from_options != StealMode::FromEnv) return from_options;
-  const auto v = support::env_string(kStealEnvVar);
-  if (v.has_value() && !v->empty()) {
-    if (support::iequals(*v, "off")) return StealMode::Off;
-    if (support::iequals(*v, "node")) return StealMode::Node;
-    if (support::iequals(*v, "all")) return StealMode::All;
-    support::throw_bad_env(kStealEnvVar, *v, "off, node or all");
-  }
-  return StealMode::All;
-}
-
-std::size_t resolve_steal_spin(std::size_t from_options) {
-  if (from_options != 0) return from_options;
-  const long env = support::env_long(kStealSpinEnvVar, -1);
-  return env > 0 ? static_cast<std::size_t>(env) : 64;
+  return support::choice_name(support::knob::kSteal, m);
 }
 
 void StealExecutor::WorkerContext::push(std::uint64_t item) {
@@ -73,10 +45,6 @@ StealExecutor::StealExecutor(const topo::Topology& t,
     : cfg_(cfg) {
   if (workers.empty()) {
     throw std::invalid_argument("StealExecutor: no workers");
-  }
-  if (cfg_.mode == StealMode::FromEnv) {
-    throw std::invalid_argument(
-        "StealExecutor: mode must be resolved before construction");
   }
 
   const int numa_depth =

@@ -50,28 +50,15 @@ namespace orwl::rt {
 
 class CommMeter;
 
-/// Steal policy (ORWL_STEAL / ProgramOptions::steal).
+/// Steal policy (ORWL_STEAL / ProgramOptions::steal). Enumerators follow
+/// support::knob::kSteal's spellings.
 enum class StealMode {
-  Off,      ///< no stealing: each worker drains only its own deque
-  Node,     ///< steal from same-NUMA-node victims only
-  All,      ///< full locality order, remote nodes last (default)
-  FromEnv,  ///< follow ORWL_STEAL
+  Off,   ///< no stealing: each worker drains only its own deque
+  Node,  ///< steal from same-NUMA-node victims only
+  All,   ///< full locality order, remote nodes last (default)
 };
 
 const char* to_string(StealMode m) noexcept;
-
-/// Environment override for the steal policy ("off", "node", "all").
-inline constexpr const char* kStealEnvVar = "ORWL_STEAL";
-
-/// Fruitless victim sweeps before a worker parks (default 64).
-inline constexpr const char* kStealSpinEnvVar = "ORWL_STEAL_SPIN";
-
-/// Resolve FromEnv against ORWL_STEAL (ProgramOptions beats env, so an
-/// explicit mode passes through unchanged). Default: All.
-StealMode resolve_steal_mode(StealMode from_options);
-
-/// Resolve a 0 spin budget against ORWL_STEAL_SPIN. Default: 64.
-std::size_t resolve_steal_spin(std::size_t from_options);
 
 class StealExecutor {
  public:
@@ -82,7 +69,7 @@ class StealExecutor {
   using ItemFn = std::function<void(std::uint64_t, WorkerContext&)>;
 
   struct Config {
-    StealMode mode = StealMode::All;  ///< Off/Node/All (FromEnv invalid here)
+    StealMode mode = StealMode::All;
     std::size_t spin = 64;            ///< fruitless sweeps before parking
     std::size_t deque_capacity = 8192;
   };
@@ -131,7 +118,7 @@ class StealExecutor {
   /// \param t       Topology the victim order and termination tree are
   ///                derived from; must outlive the executor.
   /// \param workers One entry per participating worker (>= 1).
-  /// \param cfg     Resolved policy knobs (mode must not be FromEnv).
+  /// \param cfg     Resolved policy knobs.
   StealExecutor(const topo::Topology& t, std::vector<WorkerSpec> workers,
                 Config cfg);
   ~StealExecutor();

@@ -84,17 +84,6 @@ struct Server::Tenant {
   std::vector<std::string> dist_exports;
 };
 
-namespace {
-
-std::size_t env_size(const char* var, std::size_t explicit_value,
-                     long fallback) {
-  if (explicit_value != 0) return explicit_value;
-  const long v = support::env_long(var, fallback);
-  return static_cast<std::size_t>(std::max(1L, v));
-}
-
-}  // namespace
-
 Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
   if (opts_.topology != nullptr) {
     topo_ = opts_.topology;
@@ -102,12 +91,12 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
     owned_topo_ = topo::detect_host();
     topo_ = &owned_topo_;
   }
-  max_tenants_ = env_size(kMaxTenantsEnvVar, opts_.max_tenants, 8);
-  queue_cap_ = env_size(kQueueCapEnvVar, opts_.queue_capacity, 256);
-  grow_backlog_ = env_size(kGrowBacklogEnvVar, opts_.grow_backlog, 2);
-  shrink_idle_ms_ = static_cast<std::uint64_t>(
-      env_size(kShrinkIdleEnvVar,
-               static_cast<std::size_t>(opts_.shrink_idle_ms), 50));
+  using support::resolve;
+  namespace knob = support::knob;
+  max_tenants_ = resolve(knob::kServerMaxTenants, opts_.max_tenants);
+  queue_cap_ = resolve(knob::kServerQueueCap, opts_.queue_capacity);
+  grow_backlog_ = resolve(knob::kServerGrowBacklog, opts_.grow_backlog);
+  shrink_idle_ms_ = resolve(knob::kServerShrinkIdleMs, opts_.shrink_idle_ms);
 }
 
 Server::~Server() {

@@ -36,13 +36,6 @@
 
 namespace orwl::server {
 
-/// Env knobs of the server defaults (each read only when the matching
-/// ServerOptions field is left at 0 — explicit options always win).
-inline constexpr const char* kMaxTenantsEnvVar = "ORWL_SERVER_MAX_TENANTS";
-inline constexpr const char* kQueueCapEnvVar = "ORWL_SERVER_QUEUE_CAP";
-inline constexpr const char* kGrowBacklogEnvVar = "ORWL_SERVER_GROW_BACKLOG";
-inline constexpr const char* kShrinkIdleEnvVar = "ORWL_SERVER_SHRINK_IDLE_MS";
-
 /// What a tenant's handler sees: its private slice of the machine. The
 /// pointers stay valid until the tenant is evicted (or the Server dies).
 struct TenantEnv {
@@ -90,17 +83,20 @@ struct ServerOptions {
   /// tolerated (same contract as topo::bind_current_thread).
   bool bind_threads = false;
 
-  /// 0 => ORWL_SERVER_MAX_TENANTS (default 8).
-  std::size_t max_tenants = 0;
+  // Unset fields follow their ORWL_SERVER_* variable (support::resolve);
+  // set fields always beat it.
+
+  /// Admission ceiling. ORWL_SERVER_MAX_TENANTS, default 8.
+  std::optional<std::size_t> max_tenants;
   /// Per-tenant request-queue capacity; submits beyond it are shed.
-  /// 0 => ORWL_SERVER_QUEUE_CAP (default 256).
-  std::size_t queue_capacity = 0;
+  /// ORWL_SERVER_QUEUE_CAP, default 256.
+  std::optional<std::size_t> queue_capacity;
   /// Grow the pool when queued > grow_backlog * workers.
-  /// 0 => ORWL_SERVER_GROW_BACKLOG (default 2).
-  std::size_t grow_backlog = 0;
+  /// ORWL_SERVER_GROW_BACKLOG, default 2.
+  std::optional<std::size_t> grow_backlog;
   /// A worker above the floor exits after this long without work.
-  /// 0 => ORWL_SERVER_SHRINK_IDLE_MS (default 50).
-  std::uint64_t shrink_idle_ms = 0;
+  /// ORWL_SERVER_SHRINK_IDLE_MS, default 50.
+  std::optional<std::uint64_t> shrink_idle_ms;
 
   /// Base program options every tenant starts from; the server overrides
   /// topology (the carve) and tag (the tenant name) per tenant. Leave

@@ -144,12 +144,11 @@ Topology detect_host() {
   // Explicit override first: lets users and CI pin a fixture topology
   // (e.g. ORWL_TOPOLOGY=smp12e5 or ORWL_TOPOLOGY=numa:2:4:1) on hosts
   // where sysfs probing is unavailable or misleading.
-  if (const auto spec = support::env_string(kTopologyEnvVar)) {
-    if (!spec->empty()) {
-      if (auto t = make_named(*spec)) return std::move(*t);
-      support::throw_bad_env(kTopologyEnvVar, *spec,
-                             "a known fixture spec (see topo::make_named)");
-    }
+  const auto spec = support::resolve<std::string>(support::knob::kTopology);
+  if (!spec.empty()) {
+    if (auto t = make_named(spec)) return std::move(*t);
+    support::throw_bad_env(support::knob::kTopology.name, spec,
+                           "a known fixture spec (see topo::make_named)");
   }
 #if defined(__linux__)
   return detect_from_sysfs("/sys", host_cpu_count());

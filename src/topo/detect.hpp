@@ -13,10 +13,6 @@
 
 namespace orwl::topo {
 
-/// Environment variable that overrides detection with a fixture spec
-/// understood by make_named() ("smp12e5", "flat:8", "numa:2:4:1", ...).
-inline constexpr const char* kTopologyEnvVar = "ORWL_TOPOLOGY";
-
 /// Detect the host machine. Honors ORWL_TOPOLOGY as a fixture override;
 /// never throws: on any inconsistency (including non-Linux hosts with no
 /// sysfs) it falls back to a flat fixture over the online CPUs.

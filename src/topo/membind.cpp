@@ -36,33 +36,26 @@ constexpr unsigned kMpolMfMove = 0x2;  // MPOL_MF_MOVE
 constexpr std::size_t kMovePagesChunk = 16384;  // pages per syscall
 #endif
 
-/// ORWL_MEMBIND=emulate forces the portable fallback. Read per call (not
-/// cached) so tests can toggle it with ScopedEnv.
-enum class MemBindMode { Native, Emulate, Invalid };
+/// ORWL_MEMBIND's spellings, in the knob row's order.
+enum class MemBindMode { Auto, Emulate };
 
-MemBindMode membind_mode() noexcept {
-  const auto v = support::env_string(kMemBindEnvVar);
-  if (!v || v->empty() || support::iequals(*v, "auto")) {
-    return MemBindMode::Native;
-  }
-  if (support::iequals(*v, "emulate")) return MemBindMode::Emulate;
-  return MemBindMode::Invalid;
+/// Allocate-path check: true when ORWL_MEMBIND=emulate forces the
+/// portable fallback; rejects a malformed value loudly. Read per call
+/// (not cached) so tests can toggle it with ScopedEnv.
+bool force_emulation_checked() {
+  return support::resolve<MemBindMode>(support::knob::kMemBind) ==
+         MemBindMode::Emulate;
 }
 
 /// True when the syscall lane must be skipped. noexcept callers (migrate,
 /// residency queries) route garbage to the safe emulate lane; the throwing
 /// validation lives on the allocate path, which every buffer passes first.
 bool force_emulation() noexcept {
-  return membind_mode() != MemBindMode::Native;
-}
-
-/// Allocate-path variant: rejects a malformed ORWL_MEMBIND loudly.
-bool force_emulation_checked() {
-  const auto v = support::env_string(kMemBindEnvVar);
-  if (membind_mode() == MemBindMode::Invalid) {
-    support::throw_bad_env(kMemBindEnvVar, *v, "auto or emulate");
+  try {
+    return force_emulation_checked();
+  } catch (...) {
+    return true;
   }
-  return force_emulation();
 }
 
 std::size_t round_to_pages(std::size_t bytes) {

@@ -28,20 +28,6 @@
 
 namespace orwl::topo {
 
-/// Environment override for the physical binding backend.
-/// `auto` (default/unset): use mmap + mbind/move_pages when available;
-/// `emulate`: force the portable heap fallback (every binding is
-/// tag-only). Tests use `emulate` to pin down the fallback paths on any
-/// host.
-inline constexpr const char* kMemBindEnvVar = "ORWL_MEMBIND";
-
-/// Environment switch for huge-page location buffers (`0`/`1`, default
-/// off): when set, Location::scale requests MAP_HUGETLB storage for
-/// buffers of at least one huge page. Allocation falls back to normal
-/// pages transparently when the host has no hugetlb pool (or on
-/// non-Linux hosts), so enabling it is always safe.
-inline constexpr const char* kHugePagesEnvVar = "ORWL_HUGEPAGES";
-
 /// A page-granular memory area with an intended NUMA node.
 ///
 /// The low-level primitive: one anonymous mapping (or heap block in

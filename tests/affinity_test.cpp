@@ -2,7 +2,6 @@
 
 #include "affinity/affinity.hpp"
 #include "affinity/report.hpp"
-#include "support/env.hpp"
 #include "topo/machines.hpp"
 
 namespace {
@@ -27,18 +26,6 @@ TaskGraph chain_graph(std::size_t n, std::size_t bytes) {
     }
   }
   return g;
-}
-
-// ----------------------------------------------------------- env var ----
-
-TEST(AffinityEnv, FollowsOrwlAffinityVariable) {
-  // Guard restores whatever value the caller had on scope exit.
-  support::ScopedEnv guard(aff::kAffinityEnvVar, nullptr);
-  EXPECT_FALSE(aff::enabled_from_env());
-  guard.set("1");
-  EXPECT_TRUE(aff::enabled_from_env());
-  guard.set("0");
-  EXPECT_FALSE(aff::enabled_from_env());
 }
 
 // ------------------------------------------------- matrix extraction ----

@@ -100,7 +100,7 @@ TEST(ArenaSlab, EmulatedBindFallsBackWithoutMisses) {
   // host cannot honor must degrade to plain pages and must NOT count as a
   // node miss (the gate arena_node_misses == 0 relies on this for
   // fixture topologies wider than the host).
-  ScopedEnv emulate(orwl::topo::kMemBindEnvVar, "emulate");
+  ScopedEnv emulate(orwl::support::knob::kMemBind.name, "emulate");
   Arena arena(/*node=*/3);
   void* p = arena.allocate(512);
   ASSERT_NE(p, nullptr);

@@ -26,45 +26,45 @@ rt::ProgramOptions fixture_opts(const topo::Topology& machine) {
   return o;
 }
 
-TEST(DataTransferPolicy, ToString) {
-  EXPECT_STREQ(to_string(rt::DataTransferPolicy::Off), "off");
-  EXPECT_STREQ(to_string(rt::DataTransferPolicy::Owner), "owner");
-  EXPECT_STREQ(to_string(rt::DataTransferPolicy::Adaptive), "adaptive");
+TEST(DataTransferMode, ToString) {
+  EXPECT_STREQ(to_string(rt::DataTransferMode::Off), "off");
+  EXPECT_STREQ(to_string(rt::DataTransferMode::Owner), "owner");
+  EXPECT_STREQ(to_string(rt::DataTransferMode::Adaptive), "adaptive");
 }
 
-TEST(DataTransferPolicy, ResolvedFromOptionsAndEnv) {
+TEST(DataTransferMode, ResolvedFromOptionsAndEnv) {
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o;
   o.topology = &machine;
   o.affinity = rt::AffinityMode::Off;
 
   {
-    support::ScopedEnv env(rt::kDataTransferEnvVar, nullptr);
+    support::ScopedEnv env(support::knob::kDataTransfer.name, nullptr);
     EXPECT_EQ(rt::Program(2, o).data_transfer(),
-              rt::DataTransferPolicy::Owner)
+              rt::DataTransferMode::Owner)
         << "unset env must yield the default policy";
   }
   {
-    support::ScopedEnv env(rt::kDataTransferEnvVar, "off");
-    EXPECT_EQ(rt::Program(2, o).data_transfer(), rt::DataTransferPolicy::Off);
+    support::ScopedEnv env(support::knob::kDataTransfer.name, "off");
+    EXPECT_EQ(rt::Program(2, o).data_transfer(), rt::DataTransferMode::Off);
   }
   {
-    support::ScopedEnv env(rt::kDataTransferEnvVar, "ADAPTIVE");
+    support::ScopedEnv env(support::knob::kDataTransfer.name, "ADAPTIVE");
     EXPECT_EQ(rt::Program(2, o).data_transfer(),
-              rt::DataTransferPolicy::Adaptive);
+              rt::DataTransferMode::Adaptive);
   }
   {
     // A typo'd policy must fail loudly, naming the variable.
-    support::ScopedEnv env(rt::kDataTransferEnvVar, "bogus");
+    support::ScopedEnv env(support::knob::kDataTransfer.name, "bogus");
     EXPECT_THROW(rt::Program(2, o), std::invalid_argument);
   }
   {
     // Explicit options beat the environment.
-    support::ScopedEnv env(rt::kDataTransferEnvVar, "adaptive");
+    support::ScopedEnv env(support::knob::kDataTransfer.name, "adaptive");
     rt::ProgramOptions explicit_off = o;
     explicit_off.data_transfer = rt::DataTransferMode::Off;
     EXPECT_EQ(rt::Program(2, explicit_off).data_transfer(),
-              rt::DataTransferPolicy::Off);
+              rt::DataTransferMode::Off);
   }
 }
 
@@ -108,7 +108,7 @@ TEST(ScaleHint, HugePagesEnvRequestsHugeBacking) {
   // ORWL_HUGEPAGES=1 routes large scales through the MAP_HUGETLB lane
   // (with transparent fallback — CI hosts have no hugetlb pool, so the
   // observable contract here is "usable zeroed buffer either way").
-  support::ScopedEnv huge(topo::kHugePagesEnvVar, "1");
+  support::ScopedEnv huge(support::knob::kHugePages.name, "1");
   rt::Location loc(0, 0, 0);
   const std::size_t hps = topo::MemBind::huge_page_size();
   const std::size_t bytes = hps > 0 ? hps : 1 << 20;
@@ -124,7 +124,7 @@ TEST(ScaleHint, HugePagesEnvRequestsHugeBacking) {
 // ------------------------------------------------------ owner binding ----
 
 TEST(DataTransfer, OwnerBindingFollowsThePlacement) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
   o.data_transfer = rt::DataTransferMode::Owner;
@@ -153,7 +153,7 @@ TEST(DataTransfer, OwnerBindingFollowsThePlacement) {
 }
 
 TEST(DataTransfer, OffPolicyNeverTouchesBuffers) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
   o.data_transfer = rt::DataTransferMode::Off;
@@ -178,7 +178,7 @@ TEST(DataTransfer, RecomputeRebindsLocations) {
   // The dynamic API path: a program that ran without the affinity module
   // gets a placement afterwards — affinity_compute() must (re)bind every
   // location buffer, exactly like a re-placement at run time would.
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
   o.affinity = rt::AffinityMode::Off;
@@ -208,7 +208,7 @@ TEST(DataTransfer, RecomputeRebindsLocations) {
 }
 
 TEST(DataTransfer, LiveInsertRoutesAndBindsTheLocation) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
   rt::Program prog(4, o);
@@ -244,7 +244,7 @@ TEST(DataTransfer, LiveInsertRoutesAndBindsTheLocation) {
 /// Harness around a bare Location + ControlPlane: drives one hand-off
 /// through the control thread so the grant hook runs exactly once.
 struct GrantHarness {
-  explicit GrantHarness(rt::DataTransferPolicy policy) : cp(1) {
+  explicit GrantHarness(rt::DataTransferMode policy) : cp(1) {
     loc.set_data_transfer(policy);
     loc.queue().set_grant_hook(loc.grant_hook());
     loc.queue().set_control_plane(&cp);
@@ -269,8 +269,8 @@ struct GrantHarness {
 };
 
 TEST(DataTransfer, AdaptiveFollowsConsistentWriters) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Adaptive);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Adaptive);
   h.loc.scale(1 << 14);
   h.loc.bind_home(0);
   ASSERT_EQ(h.loc.memory_node(), 0);
@@ -289,8 +289,8 @@ TEST(DataTransfer, AdaptiveDoesNotBounceHomeOnAStrayWriter) {
   // single stray writer from node 2 makes the history inconsistent — the
   // pages must stay on node 1, not be yanked back to the home node just
   // to migrate out again two grants later.
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Adaptive);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Adaptive);
   h.loc.scale(1 << 14);
   h.loc.bind_home(0);
   h.loc.note_writer_node(1);
@@ -309,8 +309,8 @@ TEST(DataTransfer, AdaptiveRebindToUnchangedHomeKeepsWriterBinding) {
   // A re-placement that does not move the owner re-runs bind_home with
   // the same node; a buffer the writers already pulled to another node
   // must stay there (no home/writer ping-pong).
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Adaptive);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Adaptive);
   h.loc.scale(1 << 14);
   h.loc.bind_home(0);
   h.loc.note_writer_node(1);
@@ -329,8 +329,8 @@ TEST(DataTransfer, AdaptiveRebindToUnchangedHomeKeepsWriterBinding) {
 }
 
 TEST(DataTransfer, AdaptiveIgnoresASingleRemoteWriter) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Adaptive);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Adaptive);
   h.loc.scale(1 << 14);
   h.loc.bind_home(0);
   h.loc.note_writer_node(1);  // one-off remote writer: noise
@@ -344,8 +344,8 @@ TEST(DataTransfer, AdaptivePingPongWritersNeverMigrate) {
   // alternating between two nodes never accumulate K consecutive grants
   // on one node, so the buffer stays parked on its home node instead of
   // bouncing with every phase.
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Adaptive);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Adaptive);
   h.loc.scale(1 << 14);
   h.loc.bind_home(0);
   for (int round = 0; round < 8; ++round) {
@@ -357,10 +357,10 @@ TEST(DataTransfer, AdaptivePingPongWritersNeverMigrate) {
 }
 
 TEST(DataTransfer, AdaptiveHysteresisThresholdIsConfigurable) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   {
     // K = 1: chase every placed writer immediately.
-    GrantHarness h(rt::DataTransferPolicy::Adaptive);
+    GrantHarness h(rt::DataTransferMode::Adaptive);
     h.loc.set_transfer_hysteresis(1);
     h.loc.scale(1 << 14);
     h.loc.bind_home(0);
@@ -370,7 +370,7 @@ TEST(DataTransfer, AdaptiveHysteresisThresholdIsConfigurable) {
   }
   {
     // K = 3: two consecutive remote writers are still not enough.
-    GrantHarness h(rt::DataTransferPolicy::Adaptive);
+    GrantHarness h(rt::DataTransferMode::Adaptive);
     h.loc.set_transfer_hysteresis(3);
     h.loc.scale(1 << 14);
     h.loc.bind_home(0);
@@ -388,8 +388,8 @@ TEST(DataTransfer, AdaptiveSettledPhaseSwitchesAfterDecay) {
   // A long settled phase on node 1, then the writer set moves to node 2
   // for good: the saturated streak must decay away and the buffer follow
   // the new phase after a bounded number of grants (no sticky-forever).
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Adaptive);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Adaptive);
   h.loc.scale(1 << 14);
   h.loc.bind_home(0);
   for (int i = 0; i < 10; ++i) h.loc.note_writer_node(1);
@@ -416,19 +416,20 @@ TEST(DataTransfer, HysteresisResolvedFromOptionsAndEnv) {
   o.topology = &machine;
   o.affinity = rt::AffinityMode::Off;
   {
-    support::ScopedEnv env(rt::kDataTransferHysteresisEnvVar, nullptr);
+    support::ScopedEnv env(support::knob::kDataTransferHysteresis.name,
+                           nullptr);
     rt::Program prog(2, o);
     EXPECT_EQ(prog.location(0).transfer_hysteresis(), 2u)
         << "unset env must yield the default threshold";
   }
   {
-    support::ScopedEnv env(rt::kDataTransferHysteresisEnvVar, "5");
+    support::ScopedEnv env(support::knob::kDataTransferHysteresis.name, "5");
     rt::Program prog(2, o);
     EXPECT_EQ(prog.location(0).transfer_hysteresis(), 5u);
   }
   {
     // Explicit options beat the environment.
-    support::ScopedEnv env(rt::kDataTransferHysteresisEnvVar, "5");
+    support::ScopedEnv env(support::knob::kDataTransferHysteresis.name, "5");
     rt::ProgramOptions explicit_k = o;
     explicit_k.data_transfer_hysteresis = 3;
     rt::Program prog(2, explicit_k);
@@ -437,8 +438,8 @@ TEST(DataTransfer, HysteresisResolvedFromOptionsAndEnv) {
 }
 
 TEST(DataTransfer, OwnerPolicyRestoresDriftedBuffers) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Owner);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Owner);
   h.loc.scale(1 << 14);
   h.loc.bind_home(1);
   h.loc.buffer().bind_to(0);  // drift the buffer off its home
@@ -450,8 +451,8 @@ TEST(DataTransfer, OwnerPolicyRestoresDriftedBuffers) {
 }
 
 TEST(DataTransfer, OffPolicyHookIsInert) {
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  GrantHarness h(rt::DataTransferPolicy::Off);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  GrantHarness h(rt::DataTransferMode::Off);
   h.loc.scale(1 << 14);
   h.loc.bind_home(1);  // records the home but must not bind under Off
   h.loc.note_writer_node(0);
@@ -466,7 +467,7 @@ TEST(DataTransfer, AdaptiveEndToEndUnderContention) {
   // iterative handles: migrations happen concurrently with grants, parks
   // and releases. Mostly a TSan/ASan target; the semantic assertions are
   // that every iteration ran and the final buffer binding is a real node.
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
   o.data_transfer = rt::DataTransferMode::Adaptive;

@@ -13,6 +13,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace orwl::topo;
+constexpr const char* kTopologyVar = orwl::support::knob::kTopology.name;
 
 /// Builds a fake sysfs tree describing a synthetic machine.
 class FakeSysfs {
@@ -134,19 +135,19 @@ TEST(Detect, NamedFixturesParse) {
 }
 
 TEST(Detect, EnvOverrideSelectsFixture) {
-  orwl::support::ScopedEnv guard(kTopologyEnvVar, "numa:2:4:1");
+  orwl::support::ScopedEnv guard(kTopologyVar, "numa:2:4:1");
   const Topology t = detect_host();
   EXPECT_EQ(t.num_pus(), 8u);
   EXPECT_EQ(t.at_depth(t.depth_of_type(ObjType::NumaNode)).size(), 2u);
 }
 
 TEST(Detect, BadEnvOverrideIsRejectedNotIgnored) {
-  orwl::support::ScopedEnv guard(kTopologyEnvVar, "not-a-machine");
+  orwl::support::ScopedEnv guard(kTopologyVar, "not-a-machine");
   EXPECT_THROW(detect_host(), std::invalid_argument);
 }
 
 TEST(Detect, HostDetectionProducesUsableTopology) {
-  orwl::support::ScopedEnv guard(kTopologyEnvVar, nullptr);
+  orwl::support::ScopedEnv guard(kTopologyVar, nullptr);
   const Topology t = detect_host();
   EXPECT_GE(t.num_pus(), 1u);
   EXPECT_EQ(static_cast<int>(t.num_pus()) >= host_cpu_count() ? 1 : 0, 1)

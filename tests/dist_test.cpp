@@ -196,55 +196,19 @@ TEST(Wire, FuzzedGarbageNeverCrashesTheDecoder) {
 
 // ----------------------------------------------------------- knobs ----
 
+// ORWL_DIST's spellings map onto DistMode in order (parsing itself is
+// covered for every knob by support_test's KnobTable).
 TEST(DistKnobs, ModeParsesStrictly) {
-  {
-    support::ScopedEnv e(dist::kDistEnvVar, nullptr);
-    EXPECT_EQ(dist::dist_mode_from_env(), dist::DistMode::Off);
-  }
-  {
-    support::ScopedEnv e(dist::kDistEnvVar, "shm");
-    EXPECT_EQ(dist::dist_mode_from_env(), dist::DistMode::Shm);
-  }
-  {
-    support::ScopedEnv e(dist::kDistEnvVar, "TCP");
-    EXPECT_EQ(dist::dist_mode_from_env(), dist::DistMode::Tcp);
-  }
-  {
-    support::ScopedEnv e(dist::kDistEnvVar, "rdma-someday");
-    try {
-      dist::dist_mode_from_env();
-      FAIL() << "garbage ORWL_DIST must throw";
-    } catch (const std::invalid_argument& ex) {
-      EXPECT_NE(std::string(ex.what()).find("ORWL_DIST"), std::string::npos)
-          << "the error must name the variable: " << ex.what();
-    }
-  }
-}
-
-TEST(DistKnobs, PortAndSlotsValidateRanges) {
-  {
-    support::ScopedEnv e(dist::kDistPortEnvVar, nullptr);
-    EXPECT_EQ(dist::dist_port_from_env(7777), 7777);
-  }
-  {
-    support::ScopedEnv e(dist::kDistPortEnvVar, "9099");
-    EXPECT_EQ(dist::dist_port_from_env(), 9099);
-  }
-  {
-    support::ScopedEnv e(dist::kDistPortEnvVar, "70000");
-    EXPECT_THROW(dist::dist_port_from_env(), std::invalid_argument);
-  }
-  {
-    support::ScopedEnv e(dist::kDistPortEnvVar, "http");
-    EXPECT_THROW(dist::dist_port_from_env(), std::invalid_argument);
-  }
-  {
-    support::ScopedEnv e(dist::kDistShmSlotsEnvVar, "256");
-    EXPECT_EQ(dist::dist_shm_slots_from_env(), 256u);
-  }
-  {
-    support::ScopedEnv e(dist::kDistShmSlotsEnvVar, "2");  // too small
-    EXPECT_THROW(dist::dist_shm_slots_from_env(), std::invalid_argument);
+  const std::pair<const char*, dist::DistMode> spellings[] = {
+      {"off", dist::DistMode::Off}, {"shm", dist::DistMode::Shm},
+      {"tcp", dist::DistMode::Tcp}};
+  support::ScopedEnv e(support::knob::kDist.name, nullptr);
+  EXPECT_EQ(support::resolve<dist::DistMode>(support::knob::kDist),
+            dist::DistMode::Off);
+  for (const auto& [spelling, m] : spellings) {
+    e.set(spelling);
+    EXPECT_EQ(support::resolve<dist::DistMode>(support::knob::kDist), m);
+    EXPECT_STREQ(dist::to_string(m), spelling);
   }
 }
 

@@ -76,7 +76,7 @@ TEST(MemBind, BindingIntentIsQueryableEvenWithoutRealNuma) {
 }
 
 TEST(MemBind, ForcedEmulationFallback) {
-  orwl::support::ScopedEnv force(orwl::topo::kMemBindEnvVar, "emulate");
+  orwl::support::ScopedEnv force(orwl::support::knob::kMemBind.name, "emulate");
   EXPECT_FALSE(MemBind::numa_syscalls_available());
   MemBind m = MemBind::allocate(1 << 16, 2);
   ASSERT_NE(m.data(), nullptr);
@@ -157,7 +157,7 @@ TEST(NumaBuffer, ResizeZeroInitializesAndReuses) {
 }
 
 TEST(NumaBuffer, BindIsStickyAcrossResize) {
-  orwl::support::ScopedEnv force(orwl::topo::kMemBindEnvVar, "emulate");
+  orwl::support::ScopedEnv force(orwl::support::knob::kMemBind.name, "emulate");
   NumaBuffer buf;
   EXPECT_TRUE(buf.bind_to(3));  // binding an empty buffer records intent
   EXPECT_EQ(buf.migrations(), 0u) << "no storage yet, nothing migrated";
@@ -171,7 +171,7 @@ TEST(NumaBuffer, BindIsStickyAcrossResize) {
 }
 
 TEST(NumaBuffer, RebindMigratesLiveStorage) {
-  orwl::support::ScopedEnv force(orwl::topo::kMemBindEnvVar, "emulate");
+  orwl::support::ScopedEnv force(orwl::support::knob::kMemBind.name, "emulate");
   NumaBuffer buf;
   buf.resize(8192);
   EXPECT_TRUE(buf.bind_to(0));
@@ -226,7 +226,7 @@ TEST(HugePages, SmallRequestsNeverUseHugePages) {
 }
 
 TEST(HugePages, EmulationForcesTheFallback) {
-  orwl::support::ScopedEnv emu(orwl::topo::kMemBindEnvVar, "emulate");
+  orwl::support::ScopedEnv emu(orwl::support::knob::kMemBind.name, "emulate");
   const std::size_t hps = MemBind::huge_page_size();
   MemBind m = MemBind::allocate(hps > 0 ? hps : 1 << 20,
                                 MemBind::kAnyNode, /*huge=*/true);

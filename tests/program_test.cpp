@@ -366,8 +366,7 @@ TEST(ProgramAffinity, OffModeComputesNothing) {
 
 TEST(ProgramAffinity, EnvVarSwitchesAutomaticMode) {
   orwl::support::ScopedEnv guard("ORWL_AFFINITY", "1");
-  ProgramOptions o;
-  o.affinity = AffinityMode::FromEnv;
+  ProgramOptions o;  // affinity unset: follow ORWL_AFFINITY
   o.acquire_timeout_ms = 20000;
   Program prog(2, o);
   EXPECT_TRUE(prog.affinity_enabled());

@@ -45,26 +45,26 @@ TEST(ReplaceMode, ResolvedFromOptionsAndEnv) {
   o.affinity = rt::AffinityMode::Off;
 
   {
-    support::ScopedEnv env(rt::kReplaceEnvVar, nullptr);
+    support::ScopedEnv env(support::knob::kReplace.name, nullptr);
     EXPECT_EQ(rt::Program(2, o).replace_mode(), rt::ReplaceMode::Off)
         << "unset env must yield the zero-overhead default";
   }
   {
-    support::ScopedEnv env(rt::kReplaceEnvVar, "passive");
+    support::ScopedEnv env(support::knob::kReplace.name, "passive");
     EXPECT_EQ(rt::Program(2, o).replace_mode(), rt::ReplaceMode::Passive);
   }
   {
-    support::ScopedEnv env(rt::kReplaceEnvVar, "AUTO");
+    support::ScopedEnv env(support::knob::kReplace.name, "AUTO");
     EXPECT_EQ(rt::Program(2, o).replace_mode(), rt::ReplaceMode::Auto);
   }
   {
     // A typo'd mode must fail loudly, naming the variable.
-    support::ScopedEnv env(rt::kReplaceEnvVar, "bogus");
+    support::ScopedEnv env(support::knob::kReplace.name, "bogus");
     EXPECT_THROW(rt::Program(2, o), std::invalid_argument);
   }
   {
     // Explicit options beat the environment.
-    support::ScopedEnv env(rt::kReplaceEnvVar, "auto");
+    support::ScopedEnv env(support::knob::kReplace.name, "auto");
     rt::ProgramOptions explicit_off = o;
     explicit_off.replace = rt::ReplaceMode::Off;
     EXPECT_EQ(rt::Program(2, explicit_off).replace_mode(),
@@ -79,26 +79,32 @@ TEST(ReplaceMode, KnobsResolvedFromOptionsAndEnv) {
   o.affinity = rt::AffinityMode::Off;
 
   {
-    support::ScopedEnv t(rt::kReplaceThresholdEnvVar, nullptr);
-    support::ScopedEnv d(rt::kReplaceDecayEnvVar, nullptr);
-    support::ScopedEnv i(rt::kReplaceIntervalEnvVar, nullptr);
+    support::ScopedEnv t(support::knob::kReplaceThreshold.name, nullptr);
+    support::ScopedEnv d(support::knob::kReplaceDecay.name, nullptr);
+    support::ScopedEnv i(support::knob::kReplaceInterval.name, nullptr);
     rt::Program p(2, o);
     EXPECT_DOUBLE_EQ(p.replace_threshold(), 0.25);
     EXPECT_DOUBLE_EQ(p.replace_decay(), 0.5);
     EXPECT_EQ(p.replace_interval(), 16u);
   }
   {
-    support::ScopedEnv t(rt::kReplaceThresholdEnvVar, "0.4");
-    support::ScopedEnv d(rt::kReplaceDecayEnvVar, "0.9");
-    support::ScopedEnv i(rt::kReplaceIntervalEnvVar, "3");
+    support::ScopedEnv t(support::knob::kReplaceThreshold.name, "0.4");
+    support::ScopedEnv d(support::knob::kReplaceDecay.name, "0.9");
+    support::ScopedEnv i(support::knob::kReplaceInterval.name, "3");
     rt::Program p(2, o);
     EXPECT_DOUBLE_EQ(p.replace_threshold(), 0.4);
     EXPECT_DOUBLE_EQ(p.replace_decay(), 0.9);
     EXPECT_EQ(p.replace_interval(), 3u);
   }
   {
+    // 0 is a valid threshold (any divergence triggers), not "use the
+    // default".
+    support::ScopedEnv t(support::knob::kReplaceThreshold.name, "0");
+    EXPECT_DOUBLE_EQ(rt::Program(2, o).replace_threshold(), 0.0);
+  }
+  {
     // Options beat env; decay clamps into [0, 1].
-    support::ScopedEnv t(rt::kReplaceThresholdEnvVar, "0.4");
+    support::ScopedEnv t(support::knob::kReplaceThreshold.name, "0.4");
     rt::ProgramOptions o2 = o;
     o2.replace_threshold = 0.1;
     o2.replace_decay = 7.0;
@@ -304,7 +310,7 @@ void run_skewed_pairs(rt::ProgramOptions opts, std::size_t iters,
 
 TEST(Replace, PassiveMeasuresAndTriggersButNeverMoves) {
   const topo::Topology machine = topo::make_numa(2, 4, 1);
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   rt::ProgramOptions o = fixture_opts(machine);
   o.replace = rt::ReplaceMode::Passive;
   o.replace_interval = 1;
@@ -323,7 +329,7 @@ TEST(Replace, PassiveMeasuresAndTriggersButNeverMoves) {
 
 TEST(Replace, MeasuredMatrixReflectsTheSkew) {
   const topo::Topology machine = topo::make_numa(2, 4, 1);
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   rt::ProgramOptions o = fixture_opts(machine);
   o.replace = rt::ReplaceMode::Passive;
   o.replace_interval = 1;
@@ -374,7 +380,7 @@ TEST(Replace, MeasuredMatrixReflectsTheSkew) {
 
 TEST(Replace, AutoReplacesAndStateFollows) {
   const topo::Topology machine = topo::make_numa(2, 4, 1);
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   rt::ProgramOptions o = fixture_opts(machine);
   o.replace = rt::ReplaceMode::Auto;
   o.replace_interval = 1;
@@ -433,7 +439,7 @@ TEST(Replace, AutoReplacesAndStateFollows) {
 
 TEST(Replace, ImpossibleThresholdNeverTriggers) {
   const topo::Topology machine = topo::make_numa(2, 4, 1);
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   rt::ProgramOptions o = fixture_opts(machine);
   o.replace = rt::ReplaceMode::Auto;
   o.replace_interval = 1;
@@ -449,8 +455,8 @@ TEST(Replace, ImpossibleThresholdNeverTriggers) {
 
 TEST(Replace, OffMeansNoMeterAndNoChecks) {
   const topo::Topology machine = topo::make_numa(2, 4, 1);
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
-  support::ScopedEnv env(rt::kReplaceEnvVar, nullptr);
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
+  support::ScopedEnv env(support::knob::kReplace.name, nullptr);
   rt::ProgramOptions o = fixture_opts(machine);
 
   rt::ProgramStats s;
@@ -465,7 +471,7 @@ TEST(Replace, OffMeansNoMeterAndNoChecks) {
 
 TEST(VersionStamp, UnchangedGraphSkipsAlgorithmOne) {
   const topo::Topology machine = topo::make_numa(2, 2, 1);
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
 
   ProgramBuilder builder(2, fixture_opts(machine));
   builder.task(0).owns<double>().writes<double>(loc(0, 0), 0).iterates(4);
@@ -514,7 +520,7 @@ TEST(VersionStamp, GraphVersionBumpsOnDeclaredInserts) {
 
 TEST(BindLocationMemory, HintOnlyBuffersAreSkippedAndCounted) {
   const topo::Topology machine = topo::make_numa(2, 2, 1);
-  support::ScopedEnv emu(topo::kMemBindEnvVar, "emulate");
+  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   rt::ProgramOptions o = fixture_opts(machine);
   o.locations_per_task = 2;
   rt::Program p(2, o);

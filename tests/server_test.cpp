@@ -155,10 +155,10 @@ TEST(ServerAdmission, HonorsMaxTenantsLimit) {
 
 TEST(ServerAdmission, EnvKnobsFillUnsetOptions) {
   const topo::Topology t = topo::make_fig2_machine();
-  support::ScopedEnv max(kMaxTenantsEnvVar, "3");
-  support::ScopedEnv cap(kQueueCapEnvVar, "17");
-  support::ScopedEnv grow(kGrowBacklogEnvVar, "5");
-  support::ScopedEnv idle(kShrinkIdleEnvVar, "123");
+  support::ScopedEnv max(support::knob::kServerMaxTenants.name, "3");
+  support::ScopedEnv cap(support::knob::kServerQueueCap.name, "17");
+  support::ScopedEnv grow(support::knob::kServerGrowBacklog.name, "5");
+  support::ScopedEnv idle(support::knob::kServerShrinkIdleMs.name, "123");
   Server server(on_fixture(&t));
   EXPECT_EQ(server.max_tenants(), 3u);
   EXPECT_EQ(server.queue_capacity(), 17u);

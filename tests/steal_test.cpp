@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/graph.hpp"
@@ -17,8 +18,6 @@
 namespace {
 
 using orwl::rt::Arena;
-using orwl::rt::resolve_steal_mode;
-using orwl::rt::resolve_steal_spin;
 using orwl::rt::StealDeque;
 using orwl::rt::StealExecutor;
 using orwl::rt::StealMode;
@@ -167,26 +166,36 @@ TEST(VictimTable, Fig2RowsArePermutations) {
 
 // ---- the knobs ----------------------------------------------------------
 
-TEST(StealKnobs, OptionsBeatEnv) {
-  ScopedEnv env(orwl::rt::kStealEnvVar, "off");
-  EXPECT_EQ(resolve_steal_mode(StealMode::FromEnv), StealMode::Off);
-  EXPECT_EQ(resolve_steal_mode(StealMode::Node), StealMode::Node);
-  EXPECT_EQ(resolve_steal_mode(StealMode::All), StealMode::All);
-}
-
-TEST(StealKnobs, EnvDefaultsToAll) {
-  ScopedEnv unset(orwl::rt::kStealEnvVar, nullptr);
-  EXPECT_EQ(resolve_steal_mode(StealMode::FromEnv), StealMode::All);
-}
-
-TEST(StealKnobs, SpinBudget) {
+// The Program resolves ORWL_STEAL / ORWL_STEAL_SPIN once, options beating
+// the environment; the spellings map onto StealMode in order. Parsing
+// itself is covered for every knob by support_test's KnobTable.
+TEST(StealKnobs, ProgramResolvesModeAndSpin) {
+  const Topology machine = orwl::topo::make_numa(2, 2, 1);
+  orwl::rt::ProgramOptions o;
+  o.topology = &machine;
+  o.affinity = orwl::rt::AffinityMode::Off;
+  ScopedEnv mode(orwl::support::knob::kSteal.name, nullptr);
+  ScopedEnv spin(orwl::support::knob::kStealSpin.name, nullptr);
   {
-    ScopedEnv env(orwl::rt::kStealSpinEnvVar, "7");
-    EXPECT_EQ(resolve_steal_spin(0), 7u);
-    EXPECT_EQ(resolve_steal_spin(5), 5u);  // options beat env
+    const orwl::rt::Program p(2, o);
+    EXPECT_EQ(p.steal_mode(), StealMode::All);
+    EXPECT_EQ(p.steal_spin(), 64u);
   }
-  ScopedEnv unset(orwl::rt::kStealSpinEnvVar, nullptr);
-  EXPECT_EQ(resolve_steal_spin(0), 64u);
+  const std::pair<const char*, StealMode> spellings[] = {
+      {"off", StealMode::Off}, {"node", StealMode::Node},
+      {"all", StealMode::All}};
+  for (const auto& [spelling, m] : spellings) {
+    mode.set(spelling);
+    EXPECT_EQ(orwl::rt::Program(2, o).steal_mode(), m) << spelling;
+    EXPECT_STREQ(orwl::rt::to_string(m), spelling);
+  }
+  spin.set("7");
+  EXPECT_EQ(orwl::rt::Program(2, o).steal_spin(), 7u);
+  o.steal = StealMode::Node;
+  o.steal_spin = 5;
+  const orwl::rt::Program p(2, o);
+  EXPECT_EQ(p.steal_mode(), StealMode::Node);
+  EXPECT_EQ(p.steal_spin(), 5u);
 }
 
 // ---- the executor -------------------------------------------------------
@@ -400,7 +409,7 @@ TEST(ForEach, StatsLandInProgramStats) {
 class GraphModes : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GraphModes, BfsMatchesSequential) {
-  ScopedEnv mode(orwl::rt::kStealEnvVar, GetParam());
+  ScopedEnv mode(orwl::support::knob::kSteal.name, GetParam());
   const auto g = orwl::apps::GridGraph::make(40);
   const auto expect = orwl::apps::bfs_sequential(g, 0);
   const auto got = orwl::apps::bfs_orwl(g, 0, 4);
@@ -408,7 +417,7 @@ TEST_P(GraphModes, BfsMatchesSequential) {
 }
 
 TEST_P(GraphModes, PagerankBitIdentical) {
-  ScopedEnv mode(orwl::rt::kStealEnvVar, GetParam());
+  ScopedEnv mode(orwl::support::knob::kSteal.name, GetParam());
   const auto g = orwl::apps::GridGraph::make(32);
   const auto expect = orwl::apps::pagerank_sequential(g, 5);
   const auto got = orwl::apps::pagerank_orwl(g, 5, 4);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <map>
+#include <string>
 
 #include "support/env.hpp"
 #include "support/rng.hpp"
@@ -28,24 +33,30 @@ TEST_F(EnvTest, SetReturnsValue) {
   EXPECT_EQ(env_string("ORWL_TEST_VAR").value(), "hello");
 }
 
+// Test rows over ORWL_TEST_VAR, one per parser behind resolve().
+constexpr Knob kTestFalse{"ORWL_TEST_VAR", KnobKind::Bool, "0"};
+constexpr Knob kTestTrue{"ORWL_TEST_VAR", KnobKind::Bool, "1"};
+constexpr Knob kTestLong{"ORWL_TEST_VAR", KnobKind::Integer, "99", -1000};
+constexpr Knob kTestReal{"ORWL_TEST_VAR", KnobKind::Real, "1.5", -1};
+
 TEST_F(EnvTest, BoolTruthySpellings) {
   for (const char* v : {"1", "true", "TRUE", "yes", "on", "On"}) {
     setenv("ORWL_TEST_VAR", v, 1);
-    EXPECT_TRUE(env_bool("ORWL_TEST_VAR", false)) << v;
+    EXPECT_TRUE(resolve<bool>(kTestFalse)) << v;
   }
 }
 
 TEST_F(EnvTest, BoolFalsySpellings) {
-  for (const char* v : {"0", "false", "no", "off", ""}) {
+  for (const char* v : {"0", "false", "no", "off", "OFF"}) {
     setenv("ORWL_TEST_VAR", v, 1);
-    EXPECT_FALSE(env_bool("ORWL_TEST_VAR", true)) << '"' << v << '"';
+    EXPECT_FALSE(resolve<bool>(kTestTrue)) << '"' << v << '"';
   }
 }
 
 TEST_F(EnvTest, BoolRejectsGarbageNamingTheVariable) {
   setenv("ORWL_TEST_VAR", "banana", 1);
   try {
-    env_bool("ORWL_TEST_VAR", true);
+    (void)resolve<bool>(kTestTrue);
     FAIL() << "garbage boolean must throw, not fall back";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("ORWL_TEST_VAR"), std::string::npos)
@@ -57,28 +68,34 @@ TEST_F(EnvTest, BoolRejectsGarbageNamingTheVariable) {
 
 TEST_F(EnvTest, BoolFallbackOnUnset) {
   unsetenv("ORWL_TEST_VAR");
-  EXPECT_TRUE(env_bool("ORWL_TEST_VAR", true));
-  EXPECT_FALSE(env_bool("ORWL_TEST_VAR", false));
+  EXPECT_TRUE(resolve<bool>(kTestTrue));
+  EXPECT_FALSE(resolve<bool>(kTestFalse));
 }
 
 TEST_F(EnvTest, LongParsesAndFallsBack) {
   setenv("ORWL_TEST_VAR", "42", 1);
-  EXPECT_EQ(env_long("ORWL_TEST_VAR", -1), 42);
+  EXPECT_EQ(resolve<long>(kTestLong), 42);
   setenv("ORWL_TEST_VAR", "-7", 1);
-  EXPECT_EQ(env_long("ORWL_TEST_VAR", -1), -7);
+  EXPECT_EQ(resolve<long>(kTestLong), -7);
   setenv("ORWL_TEST_VAR", "12x", 1);
-  EXPECT_THROW(env_long("ORWL_TEST_VAR", -1), std::invalid_argument);
+  EXPECT_THROW(resolve<long>(kTestLong), std::invalid_argument);
+  // Beyond `long`: strtol saturates at LONG_MAX/LONG_MIN with ERANGE; the
+  // saturated value must not pass for a real setting.
+  setenv("ORWL_TEST_VAR", "99999999999999999999", 1);
+  EXPECT_THROW(resolve<long>(kTestLong), std::invalid_argument);
+  setenv("ORWL_TEST_VAR", "-99999999999999999999", 1);
+  EXPECT_THROW(resolve<long>(kTestLong), std::invalid_argument);
   unsetenv("ORWL_TEST_VAR");
-  EXPECT_EQ(env_long("ORWL_TEST_VAR", 99), 99);
+  EXPECT_EQ(resolve<long>(kTestLong), 99);
 }
 
 TEST_F(EnvTest, DoubleParsesAndRejectsGarbage) {
   setenv("ORWL_TEST_VAR", "0.75", 1);
-  EXPECT_DOUBLE_EQ(env_double("ORWL_TEST_VAR", -1.0), 0.75);
+  EXPECT_DOUBLE_EQ(resolve<double>(kTestReal), 0.75);
   setenv("ORWL_TEST_VAR", "0.75oops", 1);
-  EXPECT_THROW(env_double("ORWL_TEST_VAR", -1.0), std::invalid_argument);
+  EXPECT_THROW(resolve<double>(kTestReal), std::invalid_argument);
   unsetenv("ORWL_TEST_VAR");
-  EXPECT_DOUBLE_EQ(env_double("ORWL_TEST_VAR", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(resolve<double>(kTestReal), 1.5);
 }
 
 TEST_F(EnvTest, ScopedEnvRestoresPreviousValue) {
@@ -99,6 +116,161 @@ TEST_F(EnvTest, ScopedEnvRestoresUnsetState) {
     EXPECT_EQ(env_string("ORWL_TEST_VAR").value(), "transient");
   }
   EXPECT_FALSE(env_string("ORWL_TEST_VAR").has_value());
+}
+
+// -------------------------------------------------------- knob table ----
+
+/// Whether `k`'s environment value `v` is rejected, naming the variable.
+bool rejects(const Knob& k, const char* v) {
+  ScopedEnv env(k.name, v);
+  try {
+    (void)read_knob(k);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(k.name), std::string::npos)
+        << "the error must name the variable: " << e.what();
+    return true;
+  }
+  return false;
+}
+
+/// A valid setting of `k` other than its default.
+std::string other_value(const Knob& k) {
+  switch (k.kind) {
+    case KnobKind::Bool: return "1";
+    case KnobKind::Integer:
+    case KnobKind::Real:
+      return std::to_string(
+          static_cast<long>(std::isfinite(k.max) ? k.max : k.min + 3));
+    case KnobKind::Choice:
+      return k.choices[std::string(k.fallback) == k.choices[0] ? 1 : 0];
+    case KnobKind::String: return "flat:2";
+  }
+  return "";
+}
+
+// One loop over every row: the default when unset, env then option
+// precedence, case-insensitive spellings, and loud rejection of garbage,
+// out-of-range and overflowing values.
+TEST(KnobTable, EveryRowResolvesAndValidates) {
+  for (const Knob* kp : kKnobs) {
+    const Knob& k = *kp;
+    SCOPED_TRACE(k.name);
+    ScopedEnv env(k.name, nullptr);
+    const std::string fallback = k.fallback;
+
+    // Unset (and empty) gives the row's default; a row without one
+    // resolves to T{} for the caller to derive.
+    for (const char* unset : {static_cast<const char*>(nullptr), ""}) {
+      env.set(unset);
+      switch (k.kind) {
+        case KnobKind::Bool:
+        case KnobKind::Integer:
+          EXPECT_EQ(resolve<long>(k),
+                    fallback.empty() ? 0 : std::stol(fallback));
+          break;
+        case KnobKind::Real:
+          EXPECT_DOUBLE_EQ(resolve<double>(k), std::stod(fallback));
+          break;
+        case KnobKind::Choice:
+          EXPECT_STREQ(k.choices[resolve<std::size_t>(k)], k.fallback);
+          break;
+        case KnobKind::String:
+          EXPECT_EQ(resolve<std::string>(k), fallback);
+          break;
+      }
+    }
+
+    // The environment beats the default; an explicit option beats both
+    // and is passed through unchecked.
+    const std::string other = other_value(k);
+    ASSERT_NE(other, fallback);
+    env.set(other.c_str());
+    switch (k.kind) {
+      case KnobKind::Bool:
+      case KnobKind::Integer:
+        EXPECT_EQ(resolve<long>(k), std::stol(other));
+        EXPECT_EQ(resolve<long>(k, 12345L), 12345);
+        break;
+      case KnobKind::Real:
+        EXPECT_DOUBLE_EQ(resolve<double>(k), std::stod(other));
+        EXPECT_DOUBLE_EQ(resolve<double>(k, 7.5), 7.5);
+        break;
+      case KnobKind::Choice:
+        EXPECT_STREQ(k.choices[resolve<std::size_t>(k)], other.c_str());
+        EXPECT_EQ(resolve<std::size_t>(k, std::size_t{2}), 2u);
+        break;
+      case KnobKind::String:
+        EXPECT_EQ(resolve<std::string>(k), other);
+        EXPECT_EQ(resolve<std::string>(k, std::string("x")), "x");
+        break;
+    }
+
+    // Spellings are case-insensitive; spelling i resolves to index i.
+    if (k.kind == KnobKind::Bool) {
+      for (const char* v : {"TRUE", "On", "yes"}) {
+        env.set(v);
+        EXPECT_TRUE(resolve<bool>(k)) << v;
+      }
+      env.set("OFF");
+      EXPECT_FALSE(resolve<bool>(k));
+    }
+    for (std::size_t i = 0; i < k.choices.size() && k.choices[i]; ++i) {
+      std::string upper = k.choices[i];
+      for (char& c : upper) c = static_cast<char>(std::toupper(c));
+      env.set(upper.c_str());
+      EXPECT_EQ(resolve<std::size_t>(k), i) << upper;
+    }
+
+    // Garbage throws, naming the variable. A String row is validated by
+    // its reader (detect_test covers a bad ORWL_TOPOLOGY).
+    if (k.kind != KnobKind::String) {
+      EXPECT_TRUE(rejects(k, "bogus!"));
+    }
+
+    // Below the range, above a finite one, and past `long` all throw.
+    if (k.kind == KnobKind::Integer || k.kind == KnobKind::Real) {
+      const std::string below = std::to_string(static_cast<long>(k.min) - 1);
+      EXPECT_TRUE(rejects(k, below.c_str())) << below;
+      if (std::isfinite(k.max)) {
+        const std::string above =
+            std::to_string(static_cast<long>(k.max) + 1);
+        EXPECT_TRUE(rejects(k, above.c_str())) << above;
+      }
+      EXPECT_TRUE(rejects(k, k.kind == KnobKind::Integer
+                                 ? "99999999999999999999"
+                                 : "1e999"));
+      EXPECT_TRUE(rejects(k, "nan"));
+    }
+  }
+}
+
+// BUILDING.md's runtime configuration reference documents the table:
+// the same variables with the same defaults.
+TEST(KnobTable, MatchesBuildingMd) {
+  std::ifstream in(ORWL_SOURCE_DIR "/BUILDING.md");
+  ASSERT_TRUE(in.good()) << "cannot read " ORWL_SOURCE_DIR "/BUILDING.md";
+  std::map<std::string, std::string> documented;
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) {
+      in_section = line == "## Runtime configuration reference";
+    }
+    if (!in_section || line.rfind("| `ORWL_", 0) != 0) continue;
+    // | `NAME` | values (`default`) | field | effect |; the default is
+    // the backticked text in the values' last parentheses, or empty when
+    // those parentheses hold prose ("(unset: probe sysfs)").
+    const std::size_t name_end = line.find('`', 3);
+    const std::size_t values = line.find('|', name_end) + 1;
+    const std::string cell =
+        line.substr(values, line.find('|', values) - values);
+    const std::size_t open = cell.rfind("(`");
+    const bool prose = open == std::string::npos || cell.rfind('(') != open;
+    documented[line.substr(3, name_end - 3)] =
+        prose ? "" : cell.substr(open + 2, cell.find('`', open + 2) - open - 2);
+  }
+  std::map<std::string, std::string> table;
+  for (const Knob* k : kKnobs) table[k->name] = k->fallback;
+  EXPECT_EQ(documented, table);
 }
 
 TEST(IEquals, Basics) {
