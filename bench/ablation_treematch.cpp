@@ -1,4 +1,4 @@
-// Ablation of Algorithm 1's design choices (DESIGN.md §4):
+// Ablation of Algorithm 1's design choices:
 //   1. control-thread management (hyperthread siblings / spare cores)
 //      on vs. off,
 //   2. exact vs. greedy grouping engine,

@@ -61,7 +61,9 @@ void BM_WriteCycleUncontended(benchmark::State& state) {
 BENCHMARK(BM_WriteCycleUncontended);
 
 void BM_WriteCycleWithControlPlane(benchmark::State& state) {
-  ControlPlane cp(2);
+  ControlPlaneOptions opts;
+  opts.num_threads = 2;
+  ControlPlane cp(opts);
   cp.start();
   RequestQueue q;
   q.set_control_plane(&cp);

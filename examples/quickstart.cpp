@@ -4,8 +4,8 @@
 // Each task owns one double-typed location; task k > 0 additionally
 // reads its predecessor's location and averages the two values. The
 // whole task-location graph is *declared* before anything runs, so the
-// communication matrix and the placement are available up front — no
-// dry-run pass, no thread spawned. Run with
+// communication matrix is read straight off the declarations — nothing
+// allocated, no thread spawned. Run with
 //
 //   ORWL_AFFINITY=1 ./quickstart
 //
@@ -46,15 +46,13 @@ int main() {
     std::printf("task %zu: value = %.6f\n", me, w.ref());
   });
 
+  // The matrix the affinity module will place by, read off the
+  // declarations: nothing has been built or executed yet.
+  std::puts("communication matrix read off the declarations"
+            " (nothing built, nothing run):");
+  std::printf("%s", aff::render_comm_matrix(builder.comm_matrix()).c_str());
+
   Program program = builder.build();
-
-  // The declared graph is live before run(): extract the matrix and the
-  // placement the affinity module would use — nothing has executed yet.
-  program.dependency_get();
-  std::puts("communication matrix extracted from the declared graph"
-            " (pre-run, no dry-run pass):");
-  std::printf("%s", aff::render_comm_matrix(program.comm_matrix()).c_str());
-
   program.run();
 
   if (program.stats().affinity_applied) {

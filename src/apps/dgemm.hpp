@@ -2,8 +2,7 @@
 //
 // The paper uses Intel MKL's DGEMM inside the matrix-multiplication
 // benchmark; we substitute a cache-blocked, register-tiled kernel (the
-// evaluation compares *placements*, not BLAS implementations — see
-// DESIGN.md).
+// evaluation compares *placements*, not BLAS implementations).
 #pragma once
 
 #include <cstddef>

@@ -138,7 +138,6 @@ std::vector<double> pagerank_orwl(const GridGraph& g, std::size_t iters,
   Program p(num_tasks, prog_opts);
   p.set_task_body([&](Task& t) {
     t.schedule();
-    if (t.dry_run()) return;
     // Fixed chunk ownership only seeds the work; the executor moves the
     // chunks wherever PUs are free. Writes are disjoint per chunk and
     // each sweep's reads see the previous sweep through the collective's

@@ -8,8 +8,7 @@
 //
 // The paper processes camera footage; we substitute a deterministic
 // synthetic scene (moving bright squares over a textured noisy
-// background) that exercises the identical per-pixel code paths — see
-// DESIGN.md, "Substitutions".
+// background) that exercises the identical per-pixel code paths.
 #pragma once
 
 #include <array>

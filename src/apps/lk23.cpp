@@ -379,11 +379,7 @@ tm::CommMatrix lk23_ops_comm_matrix(std::size_t n, std::size_t by,
   // The gatherer of a block reads the halo locations of the four
   // neighboring blocks.
   const std::size_t tasks = 4 * by * bx;
-  rt::ProgramOptions opts;
-  opts.dry_run = true;  // builder: sizes recorded, nothing allocated
-  opts.affinity = rt::AffinityMode::Off;
-  opts.control_threads = 0;
-  ProgramBuilder builder(tasks, opts);
+  ProgramBuilder builder(tasks);
 
   const auto task_of = [](std::size_t b, std::size_t r) { return b * 4 + r; };
   for (std::size_t id = 0; id < tasks; ++id) {
@@ -429,11 +425,9 @@ tm::CommMatrix lk23_ops_comm_matrix(std::size_t n, std::size_t by,
     }
   }
 
-  // The declared graph is the whole point here: no body, no run() — the
-  // matrix falls out of the declarations directly.
-  Program prog = builder.build();
-  prog.dependency_get();
-  return prog.comm_matrix();
+  // The declared graph is the whole point here: no body, no build() —
+  // the matrix falls out of the declarations directly.
+  return builder.comm_matrix();
 }
 
 }  // namespace orwl::apps

@@ -76,8 +76,8 @@ void lk23_forkjoin(Lk23Problem& p, std::size_t iters, std::size_t blocks_y,
 /// Build the communication matrix of the paper's thread decomposition
 /// (4 operation threads per block: center compute + 3 border handlers)
 /// for an n x n problem on blocks_y x blocks_x blocks. Declaratively
-/// wired and extracted by the same dependency_get() code path a real
-/// execution uses — without running (or even spawning) any task.
+/// wired and read off the declarations (ProgramBuilder::comm_matrix) —
+/// no runtime is created and no task is spawned.
 /// Thread count = 4 * blocks_y * blocks_x.
 tm::CommMatrix lk23_ops_comm_matrix(std::size_t n, std::size_t blocks_y,
                                     std::size_t blocks_x);

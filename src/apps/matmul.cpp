@@ -123,16 +123,9 @@ tm::CommMatrix matmul_comm_matrix(std::size_t n, std::size_t tasks) {
     throw std::invalid_argument(
         "matmul_comm_matrix: n must be a positive multiple of tasks");
   }
-  // Same wiring as the run, declared dry: sizes are recorded without
-  // allocating and the matrix comes from the declared graph — no task
-  // thread is ever spawned (the v1 path dry-ran the whole program here).
-  rt::ProgramOptions opts;
-  opts.dry_run = true;
-  opts.affinity = rt::AffinityMode::Off;
-  opts.control_threads = 0;
-  Program prog = matmul_builder(n, tasks, opts).build();
-  prog.dependency_get();
-  return prog.comm_matrix();
+  // Same wiring as the run, read off the declarations: nothing is
+  // allocated and no runtime or task thread is created.
+  return matmul_builder(n, tasks, {}).comm_matrix();
 }
 
 }  // namespace orwl::apps

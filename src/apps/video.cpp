@@ -203,12 +203,11 @@ VideoResult video_sequential(const VideoParams& params) {
 
 namespace {
 
-/// Builds (and, unless the options say dry_run, executes) the ORWL video
-/// program on the v2 declarative builder: every stage states what it
-/// owns, reads, writes and streams up front, so the task-location graph
-/// — the producer's FIFO channel included — exists before anything runs.
-/// Graph extraction (`matrix != nullptr` with opts.dry_run) therefore
-/// executes zero task bodies: build(), dependency_get(), done.
+/// Declares the ORWL video program on the v2 builder and either reads
+/// its communication matrix off the declarations (`matrix != nullptr`)
+/// or builds and executes it. Every stage states what it owns, reads,
+/// writes and streams up front, so the task-location graph — the
+/// producer's FIFO channel included — exists before anything runs.
 void run_video_program(const VideoParams& params, rt::ProgramOptions opts,
                        VideoResult* result, tm::CommMatrix* matrix,
                        rt::ProgramStats* stats = nullptr) {
@@ -434,16 +433,14 @@ void run_video_program(const VideoParams& params, rt::ProgramOptions opts,
         });
       });
 
-  Program prog = builder.build();
-
   if (matrix != nullptr) {
-    // The declared graph IS the communication matrix: no run(), no task
-    // executions, no thread spawns needed.
-    prog.dependency_get();
-    *matrix = prog.comm_matrix();
+    // The declared graph IS the communication matrix: no build(), no
+    // task executions, no thread spawns needed.
+    *matrix = builder.comm_matrix();
+    return;
   }
-  if (opts.dry_run) return;
 
+  Program prog = builder.build();
   const auto t0 = std::chrono::steady_clock::now();
   prog.run();
   const double secs = std::chrono::duration<double>(
@@ -469,12 +466,8 @@ VideoResult video_orwl(const VideoParams& params,
 }
 
 tm::CommMatrix video_comm_matrix(const VideoParams& params) {
-  rt::ProgramOptions opts;
-  opts.dry_run = true;
-  opts.affinity = rt::AffinityMode::Off;
-  opts.control_threads = 0;
   tm::CommMatrix m;
-  run_video_program(params, opts, nullptr, &m);
+  run_video_program(params, {}, nullptr, &m);
   return m;
 }
 

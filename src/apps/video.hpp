@@ -90,8 +90,8 @@ VideoResult video_orwl(const VideoParams& params,
 VideoResult video_forkjoin(const VideoParams& params,
                            pool::ThreadPool& pool);
 
-/// Communication matrix of the ORWL task graph, extracted by dry-running
-/// the real wiring (this is the matrix of the paper's Fig. 1).
+/// Communication matrix of the ORWL task graph, read off the real
+/// wiring's declarations (this is the matrix of the paper's Fig. 1).
 tm::CommMatrix video_comm_matrix(const VideoParams& params);
 
 /// Task names matching the paper's Fig. 2 labels.

@@ -1,11 +1,11 @@
 // Simulation workload builders for the three evaluation applications.
 //
 // These connect the real applications to the testbed performance model:
-// the communication matrices come from dry-running the actual ORWL
-// wirings (the same dependency_get() path a native execution uses), and
-// the per-thread compute / memory characteristics are derived from the
-// applications' arithmetic (flops per cell, streamed arrays, working
-// sets). See DESIGN.md §6 and EXPERIMENTS.md for the modeling notes.
+// the communication matrices are read off the actual ORWL wirings'
+// declarations (ProgramBuilder::comm_matrix, the matrix a native run
+// places by), and the per-thread compute / memory characteristics are
+// derived from the applications' arithmetic (flops per cell, streamed
+// arrays, working sets). The modeling notes are in sim/simulator.hpp.
 #pragma once
 
 #include "apps/video.hpp"

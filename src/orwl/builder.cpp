@@ -4,6 +4,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "affinity/affinity.hpp"
+#include "runtime/graph.hpp"
+
 namespace orwl {
 
 ProgramBuilder::ProgramBuilder(std::size_t num_tasks, Options opts)
@@ -46,28 +49,40 @@ ProgramBuilder& ProgramBuilder::export_location(LocRef r, std::string name) {
   return *this;
 }
 
-Program ProgramBuilder::build() {
-  if (built_) {
-    throw std::logic_error("ProgramBuilder::build: already built");
-  }
-  built_ = true;
+ProgramBuilder::Plan ProgramBuilder::make_plan() const {
+  Plan plan;
 
   // The slot space comes from the declarations: owned slots size it, and
   // access targets extend it so a link to an (unsized) foreign slot still
   // resolves to a real location.
   std::size_t slots = 1;
-  for (const TaskSpec& spec : specs_) {
-    for (const TaskSpec::OwnDecl& o : spec.owns_) {
+  for (TaskId t = 0; t < specs_.size(); ++t) {
+    for (const TaskSpec::OwnDecl& o : specs_[t].owns_) {
       slots = std::max(slots, o.slot + 1);
     }
-    for (const TaskSpec::AccessDecl& a : spec.accesses_) {
-      if (a.target.task >= specs_.size()) {
-        throw std::out_of_range(
-            "ProgramBuilder::build: access target names task " +
-            std::to_string(a.target.task) + " of " +
-            std::to_string(specs_.size()));
+    const std::vector<TaskSpec::AccessDecl>& acc = specs_[t].accesses_;
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      const LocRef target = acc[i].target;
+      if (target.task >= specs_.size()) {
+        throw std::out_of_range("ProgramBuilder: access target names task " +
+                                std::to_string(target.task) + " of " +
+                                std::to_string(specs_.size()));
       }
-      slots = std::max(slots, a.target.slot + 1);
+      // Bodies look links up by (location, mode): a second same-mode
+      // link of one task on one location would be unreachable — its
+      // granted request never acquired, stalling the location's FIFO.
+      // Reject the ambiguity at declaration time.
+      for (std::size_t j = 0; j < i; ++j) {
+        if (acc[j].target == target && acc[j].mode == acc[i].mode) {
+          throw std::logic_error(
+              "ProgramBuilder: task " + std::to_string(t) + " declares two " +
+              to_string(acc[i].mode) + " links on location (" +
+              std::to_string(target.task) + ", " +
+              std::to_string(target.slot) +
+              ") — bodies could only ever reach the first");
+        }
+      }
+      slots = std::max(slots, target.slot + 1);
     }
   }
   for (const auto& [ref, name] : exports_) {
@@ -79,53 +94,122 @@ Program ProgramBuilder::build() {
   // slot named by owns()/reads()/writes(). Only the producer's slots in
   // a channel's range carry buffers; the same range on other tasks stays
   // an empty (harmless) location.
-  struct PlannedChannel {
-    TaskId producer;
-    const TaskSpec::FifoOutDecl* decl;
-    std::size_t first_slot;
-  };
-  std::vector<PlannedChannel> channels;
   std::size_t next_slot = slots;
   for (TaskId t = 0; t < specs_.size(); ++t) {
     for (const TaskSpec::FifoOutDecl& f : specs_[t].fifo_outs_) {
       if (f.depth < 2) {
         throw std::invalid_argument(
-            "ProgramBuilder::build: channel \"" + f.name +
+            "ProgramBuilder: channel \"" + f.name +
             "\" needs depth >= 2 (one slot cannot alternate)");
       }
       if (f.bytes == 0) {
-        throw std::invalid_argument("ProgramBuilder::build: channel \"" +
-                                    f.name + "\" declares zero-byte items");
+        throw std::invalid_argument("ProgramBuilder: channel \"" + f.name +
+                                    "\" declares zero-byte items");
       }
-      for (const PlannedChannel& seen : channels) {
+      for (const Plan::Channel& seen : plan.channels) {
         if (seen.decl->name == f.name) {
           throw std::logic_error(
-              "ProgramBuilder::build: channel \"" + f.name +
+              "ProgramBuilder: channel \"" + f.name +
               "\" declared twice (tasks " + std::to_string(seen.producer) +
               " and " + std::to_string(t) + ")");
         }
       }
-      channels.push_back(PlannedChannel{t, &f, next_slot});
+      plan.channels.push_back(Plan::Channel{t, &f, next_slot, {}});
       next_slot += f.depth;
     }
   }
-  opts_.locations_per_task = next_slot;
+  plan.locations_per_task = next_slot;
+
+  for (TaskId t = 0; t < specs_.size(); ++t) {
+    for (const TaskSpec::FifoInDecl& fin : specs_[t].fifo_ins_) {
+      auto ch = std::find_if(
+          plan.channels.begin(), plan.channels.end(),
+          [&](const Plan::Channel& c) { return c.decl->name == fin.name; });
+      if (ch == plan.channels.end()) {
+        throw std::logic_error("ProgramBuilder: task " + std::to_string(t) +
+                               " consumes undeclared channel \"" + fin.name +
+                               "\" (no task declared fifo_out on it)");
+      }
+      if (ch->producer == t) {
+        throw std::logic_error("ProgramBuilder: task " + std::to_string(t) +
+                               " consumes its own channel \"" + fin.name +
+                               "\"");
+      }
+      const std::type_info* type = ch->decl->type;
+      if (fin.type != nullptr && type != nullptr && *fin.type != *type) {
+        throw std::logic_error(
+            "ProgramBuilder: channel \"" + fin.name +
+            "\" carries items of type " + type->name() + "; task " +
+            std::to_string(t) + " consumes it as " + fin.type->name());
+      }
+      if (std::find(ch->consumers.begin(), ch->consumers.end(), t) !=
+          ch->consumers.end()) {
+        throw std::logic_error("ProgramBuilder: task " + std::to_string(t) +
+                               " declares fifo_in twice on channel \"" +
+                               fin.name + "\"");
+      }
+      ch->consumers.push_back(t);
+    }
+  }
+  return plan;
+}
+
+tm::CommMatrix ProgramBuilder::comm_matrix() const {
+  const Plan plan = make_plan();
+  const std::size_t per_task = plan.locations_per_task;
+  rt::TaskGraph g;
+  g.num_tasks = specs_.size();
+  g.locations_per_task = per_task;
+  g.locations.resize(specs_.size() * per_task);
+  for (std::size_t id = 0; id < g.locations.size(); ++id) {
+    g.locations[id].id = id;
+    g.locations[id].owner = id / per_task;
+  }
+  // Same location ids, sizes and access sets as the runtime records for
+  // build() — so the matrix matches the built program's cell for cell.
+  const auto at = [&](TaskId task, std::size_t slot) -> rt::LocationInfo& {
+    return g.locations[task * per_task + slot];
+  };
+  for (TaskId t = 0; t < specs_.size(); ++t) {
+    for (const TaskSpec::OwnDecl& o : specs_[t].owns_) {
+      at(t, o.slot).bytes = o.bytes;
+    }
+    for (const TaskSpec::AccessDecl& a : specs_[t].accesses_) {
+      at(a.target.task, a.target.slot)
+          .accesses.push_back(rt::Access{t, a.mode, a.priority});
+    }
+  }
+  for (const Plan::Channel& ch : plan.channels) {
+    for (std::size_t s = 0; s < ch.decl->depth; ++s) {
+      rt::LocationInfo& l = at(ch.producer, ch.first_slot + s);
+      l.bytes = ch.decl->bytes;
+      l.accesses.push_back(rt::Access{ch.producer, AccessMode::Write, 0});
+      for (const TaskId c : ch.consumers) {
+        l.accesses.push_back(rt::Access{c, AccessMode::Read, 1});
+      }
+    }
+  }
+  return aff::comm_matrix_from_graph(g);
+}
+
+Program ProgramBuilder::build() {
+  if (built_) {
+    throw std::logic_error("ProgramBuilder::build: already built");
+  }
+  const Plan plan = make_plan();
+  built_ = true;
+  opts_.locations_per_task = plan.locations_per_task;
 
   Program p(specs_.size(), opts_);
   p.declarative_ = true;
   p.declared_exports_ = exports_;
 
   // Scale the owned locations first (sizes precede links, exactly like
-  // the Listing 1 init phase). Dry-run programs record sizes only.
+  // the Listing 1 init phase).
   for (TaskId t = 0; t < specs_.size(); ++t) {
     const TaskSpec& spec = specs_[t];
     for (const TaskSpec::OwnDecl& o : spec.owns_) {
-      rt::Location& l = p.rt_->location(t, o.slot);
-      if (opts_.dry_run) {
-        l.scale_hint(o.bytes);
-      } else {
-        l.scale(o.bytes);
-      }
+      p.rt_->location(t, o.slot).scale(o.bytes);
     }
     p.iterations_[t] = spec.iterations_;
     p.init_[t] = spec.init_;
@@ -148,20 +232,6 @@ Program ProgramBuilder::build() {
   // work without running a single body.
   for (TaskId t = 0; t < specs_.size(); ++t) {
     for (const TaskSpec::AccessDecl& a : specs_[t].accesses_) {
-      // Bodies look links up by (location, mode): a second same-mode
-      // link of one task on one location would be unreachable — its
-      // granted request never acquired, stalling the location's FIFO.
-      // Reject the ambiguity at declaration time.
-      for (const Program::DeclaredLink& seen : p.links_[t]) {
-        if (seen.target == a.target && seen.mode == a.mode) {
-          throw std::logic_error(
-              "ProgramBuilder::build: task " + std::to_string(t) +
-              " declares two " + to_string(a.mode) +
-              " links on location (" + std::to_string(a.target.task) +
-              ", " + std::to_string(a.target.slot) +
-              ") — bodies could only ever reach the first");
-        }
-      }
       auto handle = std::make_unique<rt::Handle2>();
       p.rt_->declare_insert(t,
                             p.rt_->location(a.target.task, a.target.slot),
@@ -175,7 +245,7 @@ Program ProgramBuilder::build() {
   // pre-register the producer's write handles (priority 0) and every
   // consumer's read handles (priority 1), and hand the rings to the rt
   // endpoints the bodies will drive.
-  for (const PlannedChannel& pc : channels) {
+  for (const Plan::Channel& pc : plan.channels) {
     auto ch = std::make_unique<Program::FifoChannel>();
     ch->name = pc.decl->name;
     ch->producer = pc.producer;
@@ -186,11 +256,7 @@ Program ProgramBuilder::build() {
     std::vector<rt::Handle2*> ring;
     for (std::size_t s = 0; s < ch->depth; ++s) {
       rt::Location& l = p.rt_->location(ch->producer, ch->first_slot + s);
-      if (opts_.dry_run) {
-        l.scale_hint(ch->bytes);
-      } else {
-        l.scale(ch->bytes);
-      }
+      l.scale(ch->bytes);
       auto h = std::make_unique<rt::Handle2>();
       p.rt_->declare_insert(ch->producer, l, AccessMode::Write,
                             /*priority=*/0, *h);
@@ -198,56 +264,21 @@ Program ProgramBuilder::build() {
       ch->producer_handles.push_back(std::move(h));
     }
     ch->out.adopt(std::move(ring));
-    p.fifos_.push_back(std::move(ch));
-  }
-  for (TaskId t = 0; t < specs_.size(); ++t) {
-    for (const TaskSpec::FifoInDecl& fin : specs_[t].fifo_ins_) {
-      Program::FifoChannel* ch = nullptr;
-      for (auto& c : p.fifos_) {
-        if (c->name == fin.name) {
-          ch = c.get();
-          break;
-        }
-      }
-      if (ch == nullptr) {
-        throw std::logic_error("ProgramBuilder::build: task " +
-                               std::to_string(t) +
-                               " consumes undeclared channel \"" + fin.name +
-                               "\" (no task declared fifo_out on it)");
-      }
-      if (ch->producer == t) {
-        throw std::logic_error(
-            "ProgramBuilder::build: task " + std::to_string(t) +
-            " consumes its own channel \"" + fin.name + "\"");
-      }
-      if (fin.type != nullptr && ch->type != nullptr &&
-          *fin.type != *ch->type) {
-        throw std::logic_error(
-            "ProgramBuilder::build: channel \"" + fin.name +
-            "\" carries items of type " + ch->type->name() + "; task " +
-            std::to_string(t) + " consumes it as " + fin.type->name());
-      }
-      for (const auto& seen : ch->consumers) {
-        if (seen->task == t) {
-          throw std::logic_error("ProgramBuilder::build: task " +
-                                 std::to_string(t) +
-                                 " declares fifo_in twice on channel \"" +
-                                 fin.name + "\"");
-        }
-      }
+    for (const TaskId c : pc.consumers) {
       auto end = std::make_unique<Program::FifoConsumerEnd>();
-      end->task = t;
-      std::vector<rt::Handle2*> ring;
+      end->task = c;
+      std::vector<rt::Handle2*> reads;
       for (std::size_t s = 0; s < ch->depth; ++s) {
         rt::Location& l = p.rt_->location(ch->producer, ch->first_slot + s);
         auto h = std::make_unique<rt::Handle2>();
-        p.rt_->declare_insert(t, l, AccessMode::Read, /*priority=*/1, *h);
-        ring.push_back(h.get());
+        p.rt_->declare_insert(c, l, AccessMode::Read, /*priority=*/1, *h);
+        reads.push_back(h.get());
         end->handles.push_back(std::move(h));
       }
-      end->fifo.adopt(std::move(ring));
+      end->fifo.adopt(std::move(reads));
       ch->consumers.push_back(std::move(end));
     }
+    p.fifos_.push_back(std::move(ch));
   }
   return p;
 }

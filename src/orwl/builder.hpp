@@ -7,11 +7,11 @@
 // running the init phase. Each TaskSpec declares what its task owns
 // (typed locations), which locations it reads/writes (with FIFO
 // priorities), how many iterations it runs, and optionally its init and
-// compute bodies. build() materializes a declarative orwl::Program whose
-// task-location graph is registered with the runtime immediately:
-// dependency_get() / affinity_compute() work before run(), so extracting
-// the communication matrix no longer needs the v1 dry-run double
-// execution.
+// compute bodies. comm_matrix() reads the communication matrix straight
+// off those declarations, without creating anything. build()
+// materializes a declarative orwl::Program whose task-location graph is
+// registered with the runtime immediately: dependency_get() /
+// affinity_compute() work before run().
 //
 //   ProgramBuilder b(kTasks);
 //   for (TaskId t = 0; t < kTasks; ++t) {
@@ -20,6 +20,7 @@
 //     if (t > 0) spec.reads<double>(loc(t - 1), t);
 //   }
 //   b.body([](Task& task) { ... guards on task.write_link<double>(...) });
+//   tm::CommMatrix m = b.comm_matrix();  // nothing built, nothing run
 //   Program p = b.build();
 //   p.dependency_get();          // matrix available: nothing has run
 //   p.run();
@@ -132,8 +133,8 @@ class TaskSpec {
     return *this;
   }
 
-  /// Compute body: runs after the schedule barrier (skipped in dry-run
-  /// programs). Overrides a ProgramBuilder::body SPMD body for this task.
+  /// Compute body: runs after the schedule barrier. Overrides a
+  /// ProgramBuilder::body SPMD body for this task.
   TaskSpec& body(TaskBody fn) {
     body_ = std::move(fn);
     return *this;
@@ -211,9 +212,8 @@ class TaskSpec {
 class ProgramBuilder {
  public:
   /// Builder for `num_tasks` tasks. opts.locations_per_task is derived
-  /// from the owns() declarations (their maximum slot + 1); the other
-  /// options pass through unchanged. With opts.dry_run the built program
-  /// records sizes without allocating (scale_hint), for graph-only use.
+  /// from the declarations (every named slot plus the channel rings);
+  /// the other options pass through unchanged.
   explicit ProgramBuilder(std::size_t num_tasks, Options opts = {});
 
   /// The declaration record of task `t`.
@@ -236,11 +236,37 @@ class ProgramBuilder {
   /// Materialize the declarative program: create the runtime, scale the
   /// owned locations, and pre-register every declared access so the
   /// graph exists before anything runs. The builder can build() once.
-  /// \throws std::logic_error on re-build; std::out_of_range for access
-  ///         targets outside the declared task/slot space.
+  /// \throws std::logic_error on re-build or a malformed declaration
+  ///         (duplicate link, bad channel wiring); std::out_of_range for
+  ///         access targets outside the declared task space;
+  ///         std::invalid_argument for a channel of depth < 2 or
+  ///         zero-byte items.
   Program build();
 
+  /// The communication matrix of the declared program, read off the
+  /// declarations alone: no runtime, location buffer or thread is
+  /// created, so paper-scale sizes cost nothing. Equal, cell for cell,
+  /// to build() + dependency_get() + comm_matrix(). Callable before or
+  /// after build().
+  /// \throws the same exceptions as build() for a malformed declaration.
+  tm::CommMatrix comm_matrix() const;
+
  private:
+  /// The declarations resolved into the runtime's slot space. Computing
+  /// it performs every declaration check, so build() and comm_matrix()
+  /// accept and reject exactly the same programs.
+  struct Plan {
+    struct Channel {
+      TaskId producer;
+      const TaskSpec::FifoOutDecl* decl;
+      std::size_t first_slot;        ///< ring slots [first, first + depth)
+      std::vector<TaskId> consumers;  ///< fifo_in tasks, task order
+    };
+    std::size_t locations_per_task = 1;
+    std::vector<Channel> channels;  ///< declaration order
+  };
+  Plan make_plan() const;
+
   Options opts_;
   std::vector<TaskSpec> specs_;
   std::vector<std::pair<LocRef, std::string>> exports_;

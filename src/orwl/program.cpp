@@ -199,10 +199,8 @@ double Program::reduce_iteration(double value, ReduceOp op) {
   return r.published;
 }
 
-void Program::for_each_impl(TaskId task, rt::TaskContext& ctx,
-                            std::span<const std::uint64_t> seeds,
+void Program::for_each_impl(TaskId task, std::span<const std::uint64_t> seeds,
                             const ForEachBody& body) {
-  if (ctx.dry_run()) return;
   StealState& st = *steal_;
   const std::size_t n = num_tasks();
   // Adapt the typed body once per call. Workers run their own copy;
@@ -308,14 +306,13 @@ void Program::run() {
       throw std::logic_error("Program::run: task " + std::to_string(t) +
                              " has no body");
     }
-    // A declarative task may run body-less only when its declared
-    // requests are never granted to anyone (dry-run) or it declared
-    // none (barrier-only): otherwise its enqueued tickets — including
+    // A declarative task may run body-less only when it declared no
+    // requests (barrier-only): otherwise its enqueued tickets — including
     // the ones backing its FIFO-channel endpoints — would sit
     // unacquired forever, stalling every later request on those
     // locations until the deadlock guard fires. Fail fast like v1 did.
     if (declarative_ && !bodies_[t] &&
-        (!links_[t].empty() || fifo_participant(t)) && !rt_->dry_run()) {
+        (!links_[t].empty() || fifo_participant(t))) {
       throw std::logic_error(
           "Program::run: declarative task " + std::to_string(t) +
           " declared location accesses but has no body — its requests "
@@ -326,15 +323,11 @@ void Program::run() {
     if (declarative_) {
       // Declared links already carry the whole init phase: run the
       // optional init hook, pass the barrier, then hand the task its
-      // post-schedule body. Dry-run programs skip both — the builder
-      // only scale_hint'ed their locations, so an init hook would find
-      // no buffers to prime (and graph extraction no longer needs to
-      // run at all).
+      // post-schedule body.
       rt_->set_task_body(t, [this, user, prologue](rt::TaskContext& ctx) {
         Task task(*this, ctx);
-        if (prologue && !ctx.dry_run()) prologue(task);
+        if (prologue) prologue(task);
         ctx.schedule();
-        if (ctx.dry_run()) return;
         if (user) user(task);
       });
     } else {

@@ -10,9 +10,10 @@
 //    become live inserts like v1 Handle inserts.
 //  - declarative (produced by ProgramBuilder): the task-location graph
 //    was declared before run(), the runtime already knows every access
-//    (dependency_get()/affinity_compute() work pre-run, no dry-run
-//    pass), and bodies start after the schedule barrier with their links
-//    ready for lookup (read_link()/write_link()).
+//    (dependency_get()/affinity_compute() work pre-run, and
+//    ProgramBuilder::comm_matrix() needs no program at all), and bodies
+//    start after the schedule barrier with their links ready for lookup
+//    (read_link()/write_link()).
 #pragma once
 
 #include <condition_variable>
@@ -75,7 +76,7 @@ class StealContext {
 using ForEachBody = std::function<void(std::uint64_t, StealContext&)>;
 
 /// Program construction options (the v1 options re-exported: affinity
-/// mode, data transfer, control threads/shards, topology, dry_run, ...).
+/// mode, data transfer, control threads/shards, topology, ...).
 using Options = rt::ProgramOptions;
 
 class Program {
@@ -265,8 +266,7 @@ class Program {
   /// seeds its own deque before any worker starts), the steal loop, and
   /// an exit rendezvous (nobody seeds the next collective while a
   /// worker of this one could still sweep).
-  void for_each_impl(TaskId task, rt::TaskContext& ctx,
-                     std::span<const std::uint64_t> seeds,
+  void for_each_impl(TaskId task, std::span<const std::uint64_t> seeds,
                      const ForEachBody& body);
 
   /// Client sessions behind remote() (one per endpoint), heap-held so
@@ -401,23 +401,17 @@ class Task {
   /// the barrier, so calling this from one is an error).
   void schedule();
 
-  /// True when the program only extracts the graph; imperative bodies
-  /// should return right after schedule() in that case.
-  bool dry_run() const noexcept { return ctx_->dry_run(); }
-
   /// Iteration count declared via TaskSpec::iterates (0 undeclared).
   std::size_t iterations() const { return prog_->iterations_of(id()); }
 
   /// The iteration driver: run `body(iter)` k times — the Handle2
   /// re-insert cycle keeps all links synchronized between iterations, so
-  /// this replaces the hand-rolled per-iteration loops. No-op in
-  /// dry-run programs. Each iteration boundary ticks the measurement-
-  /// driven re-placement engine (a relaxed counter when ORWL_REPLACE is
-  /// off).
+  /// this replaces the hand-rolled per-iteration loops. Each iteration
+  /// boundary ticks the measurement-driven re-placement engine (a
+  /// relaxed counter when ORWL_REPLACE is off).
   template <typename F>
     requires std::is_invocable_v<F&, std::size_t>
   void run_iterations(std::size_t k, F&& body) {
-    if (dry_run()) return;
     for (std::size_t i = 0; i < k; ++i) {
       body(i);
       ctx_->program().replace_tick();
@@ -440,14 +434,12 @@ class Task {
   /// termination is uniform — no task can leave the loop while another
   /// re-inserts its locks. Every task of the program must drive its
   /// loop through this overload with the same `op` (the reduction
-  /// blocks for all of them). Returns the number of iterations executed
-  /// (0 in dry-run programs).
+  /// blocks for all of them). Returns the number of iterations executed.
   template <typename Pred, typename F>
     requires(std::is_invocable_r_v<bool, Pred&, double> &&
              std::is_invocable_r_v<double, F&, std::size_t>)
   std::size_t run_iterations(Pred&& pred, F&& body,
                              ReduceOp op = ReduceOp::Sum) {
-    if (dry_run()) return 0;
     for (std::size_t i = 0;; ++i) {
       const double local = body(i);
       const double global = prog_->reduce_iteration(local, op);
@@ -466,11 +458,10 @@ class Task {
   /// ALL items are done (hierarchical termination detection, no
   /// ping-pong barrier). Bodies of one collective must be functionally
   /// identical across tasks and must not acquire ORWL locks (a blocked
-  /// acquire inside an item would stall the worker's deque). No-op
-  /// under dry-run.
+  /// acquire inside an item would stall the worker's deque).
   void for_each(std::span<const std::uint64_t> seeds,
                 const ForEachBody& body) {
-    prog_->for_each_impl(id(), *ctx_, seeds, body);
+    prog_->for_each_impl(id(), seeds, body);
   }
 
   /// The wrapped v1 context — escape hatch for rt:: interop (FIFO

@@ -64,8 +64,7 @@ std::span<T> checked_span(std::byte* data, std::size_t bytes,
   if (bytes == 0 && min_count == 0) return {};
   if (data == nullptr) {
     throw std::logic_error(std::string(what) +
-                           ": location has no buffer (scale() it first; "
-                           "scale_hint/dry-run buffers are not mapped)");
+                           ": location has no buffer (scale() it first)");
   }
   if (bytes < min_count * sizeof(T) || bytes % sizeof(T) != 0) {
     throw std::length_error(
@@ -122,9 +121,6 @@ class Local {
   /// orwl_scale with the size taken from the type: exactly one T.
   void scale() { loc_->scale(sizeof(T)); }
 
-  /// Size-only scale for graph extraction (no allocation).
-  void scale_hint() { loc_->scale_hint(sizeof(T)); }
-
   /// Host-side reference to the element (init phase / inspection only).
   T& value() {
     return detail::checked_span<T>(loc_->data(), loc_->size(), "Local")[0];
@@ -152,10 +148,7 @@ class Local<T[]> {
   /// host provides it (see support::knob::kHugePages).
   void scale(std::size_t count) { loc_->scale(count * sizeof(T)); }
 
-  /// Size-only scale for graph extraction (no allocation).
-  void scale_hint(std::size_t count) { loc_->scale_hint(count * sizeof(T)); }
-
-  /// Elements recorded by the last scale()/scale_hint().
+  /// Elements of the last scale().
   std::size_t count() const noexcept { return loc_->size() / sizeof(T); }
 
   /// Host-side view of the elements (init phase / inspection only;

@@ -28,13 +28,6 @@ std::size_t ControlPlane::effective_shards(const ControlPlaneOptions& opts) {
   return std::clamp<std::size_t>(opts.num_shards, 1, opts.num_threads);
 }
 
-ControlPlane::ControlPlane(std::size_t nthreads)
-    : ControlPlane([nthreads] {
-        ControlPlaneOptions opts;
-        opts.num_threads = nthreads;
-        return opts;
-      }()) {}
-
 ControlPlane::ControlPlane(const ControlPlaneOptions& opts)
     : num_threads_(opts.num_threads),
       num_shards_(effective_shards(opts)),

@@ -63,9 +63,6 @@ struct ControlPlaneOptions {
 
 class ControlPlane {
  public:
-  /// Single-shard plane with `nthreads` control threads (the pre-sharding
-  /// interface, kept for tests and benches).
-  explicit ControlPlane(std::size_t nthreads);
   explicit ControlPlane(const ControlPlaneOptions& opts);
   ~ControlPlane();
 

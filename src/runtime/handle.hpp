@@ -155,11 +155,4 @@ class Section {
   Handle* h_;
 };
 
-/// Functional form: run `fn` inside a critical section on `h`.
-template <typename F>
-decltype(auto) with_section(Handle& h, F&& fn) {
-  Section sec(h);
-  return std::forward<F>(fn)(sec);
-}
-
 }  // namespace orwl::rt

@@ -19,7 +19,6 @@ void Location::scale(std::size_t bytes) {
   buf_.set_huge_pages(huge > 0 && bytes >= huge &&
                       support::resolve<bool>(support::knob::kHugePages));
   buf_.resize(bytes);
-  size_ = bytes;
 }
 
 void Location::bind_home(int node) {
@@ -91,7 +90,7 @@ void Location::before_grant() noexcept {
     }
   }
   if (target < 0 || buf_.node() == target) return;
-  if (buf_.size() == 0) return;  // hint-only/dry-run: no pages to move
+  if (buf_.size() == 0) return;  // never scaled: no pages to move
   if (buf_.bind_to(target)) {
     transfers_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -92,19 +92,9 @@ class Location : private GrantHook {
   /// \param bytes New size of the buffer.
   void scale(std::size_t bytes);
 
-  /// Record the size without allocating the buffer. Used by dry-run graph
-  /// extraction (the communication matrix needs only the size, and paper-
-  /// scale problems would otherwise allocate gigabytes). Accessing data()
-  /// after a hint-only scale yields nullptr.
-  /// \param bytes Size to record for the communication matrix.
-  void scale_hint(std::size_t bytes) {
-    buf_.reset();
-    size_ = bytes;
-  }
-
-  /// Size recorded by the last scale()/scale_hint().
-  std::size_t size() const noexcept { return size_; }
-  /// Buffer start; nullptr after scale_hint() or before any scale().
+  /// Size of the buffer set by the last scale() (0 before any).
+  std::size_t size() const noexcept { return buf_.size(); }
+  /// Buffer start; nullptr before any scale() and for zero-sized ones.
   std::byte* data() noexcept { return buf_.data(); }
   const std::byte* data() const noexcept { return buf_.data(); }
 
@@ -205,7 +195,6 @@ class Location : private GrantHook {
   LocationId id_;
   TaskId owner_;
   std::size_t slot_;
-  std::size_t size_ = 0;
   topo::NumaBuffer buf_;
   RequestQueue queue_;
 

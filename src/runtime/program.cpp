@@ -298,7 +298,7 @@ void Program::dependency_get() {
       // Pre-run extraction for declaratively wired programs: the graph
       // itself stays frozen-at-schedule, but the matrix can already be
       // computed from the declared accesses and the current location
-      // sizes — this is what removes the dry-run double execution.
+      // sizes.
       TaskGraph declared = graph_;
       for (std::size_t i = 0; i < locations_.size(); ++i) {
         declared.locations[i].bytes = locations_[i]->size();
@@ -403,8 +403,8 @@ void Program::bind_location_memory_locked() {
     const int node = task_node_[loc->owner()].load(std::memory_order_relaxed);
     if (node < 0) continue;
     if (loc->data() == nullptr) {
-      // Hint-only (scale_hint) or never-scaled buffer: bind_home/migrate
-      // would silently no-op — skip and count instead of reporting a
+      // Never-scaled (or zero-sized) buffer: bind_home/migrate would
+      // silently no-op — skip and count instead of reporting a
       // successful binding that never happened.
       ++skipped;
       continue;

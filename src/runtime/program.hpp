@@ -100,10 +100,6 @@ struct ProgramOptions {
   /// Deadlock guard for lock acquisition; 0 disables.
   std::uint64_t acquire_timeout_ms = 120000;
 
-  /// When true, tasks should return right after schedule(); used to
-  /// extract the communication graph without running the compute phase.
-  bool dry_run = false;
-
   /// Grant streak length after which the adaptive data-transfer policy
   /// migrates a buffer toward a remote writer node (K consecutive
   /// granted writers on the same non-buffer node; 0 acts as 1).
@@ -266,7 +262,6 @@ class Program {
     return t < num_tasks_ ? task_node_[t].load(std::memory_order_acquire)
                           : -1;
   }
-  bool dry_run() const noexcept { return opts_.dry_run; }
   bool scheduled() const noexcept { return scheduled_; }
 
   // ---- online re-placement (the measured-matrix feedback loop) ------------
@@ -333,9 +328,9 @@ class Program {
 
   /// Link `handle` to `loc` for `task` *before* run(): the access enters
   /// the task-location graph immediately, so dependency_get() /
-  /// affinity_compute() work without executing any task body (no dry-run
-  /// pass). The handle receives its ticket at the schedule barrier like
-  /// a body-inserted one; it must outlive the program's run().
+  /// affinity_compute() work without executing any task body. The
+  /// handle receives its ticket at the schedule barrier like a
+  /// body-inserted one; it must outlive the program's run().
   /// Used by orwl::ProgramBuilder; task bodies keep using Handle inserts.
   /// \throws std::logic_error when the handle is linked or the program
   ///         already scheduled; std::out_of_range for a bad task id.
@@ -355,7 +350,7 @@ class Program {
   /// orwl_dependency_get: (re)compute the communication matrix from the
   /// current task-location graph. Before schedule() the matrix is built
   /// from the declared (pending) accesses, so a declaratively wired
-  /// program can extract its graph without a dry-run execution.
+  /// program has its matrix before any task body runs.
   void dependency_get();
 
   /// orwl_affinity_compute: (re)run Algorithm 1 on the current matrix.
@@ -558,17 +553,8 @@ class TaskContext {
     my_location(slot).scale(bytes);
   }
 
-  /// Size-only scale for dry-run graph extraction (no allocation).
-  void scale_hint(std::size_t bytes, std::size_t slot = 0) {
-    my_location(slot).scale_hint(bytes);
-  }
-
   /// orwl_schedule: synchronize and coordinate the requests of all tasks.
   void schedule() { prog_->schedule_barrier(id_); }
-
-  /// True when the program only extracts the graph; bodies should return
-  /// right after schedule() in that case.
-  bool dry_run() const noexcept { return prog_->dry_run(); }
 
  private:
   friend class Program;

@@ -7,7 +7,7 @@
 // scheduler family of the installed kernel). Parameter values are derived
 // from Table I and from public microarchitecture data for the two Xeons;
 // the paper-facing claims we reproduce are *shapes*, not absolute
-// numbers (see EXPERIMENTS.md).
+// numbers.
 #pragma once
 
 #include <string>

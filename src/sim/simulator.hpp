@@ -7,7 +7,7 @@
 // Tables II-IV: L3 misses, stalled cycles, context switches and CPU
 // migrations.
 //
-// Modeling principles (see DESIGN.md §6):
+// Modeling principles:
 //  * L3 misses come from capacity (working set vs. the shared L3 of each
 //    domain) plus coherence/transfer traffic whose service level depends
 //    on where the communicating threads sit (same core / same L3 /

@@ -19,8 +19,7 @@
 //
 // We do not have this hardware; these builders produce topology trees with
 // exactly the documented structure so that Algorithm 1 and the performance
-// model operate on the machines the paper evaluated (see DESIGN.md,
-// "Substitutions").
+// model operate on the machines the paper evaluated.
 #pragma once
 
 #include <cstddef>

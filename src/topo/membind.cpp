@@ -507,13 +507,6 @@ bool NumaBuffer::huge_pages() const {
   return mem_.huge_pages();
 }
 
-void NumaBuffer::reset() noexcept {
-  std::lock_guard lock(mu_);
-  mem_.reset();
-  data_.store(nullptr, std::memory_order_release);
-  size_.store(0, std::memory_order_release);
-}
-
 bool NumaBuffer::bind_to(int node) {
   std::lock_guard lock(mu_);
   if (node_.load(std::memory_order_relaxed) == node) return false;

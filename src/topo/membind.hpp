@@ -176,7 +176,7 @@ int numa_node_of_pu(const Topology& t, int pu_os_index) noexcept;
 /// the runtime's grant path needs (node(), data(), size()) are safe to
 /// call concurrently with a migration — a control thread may rebind the
 /// pages while task threads hold the area mapped. Structural mutation
-/// (resize/reset) must still be externally serialized against itself and
+/// (resize) must still be externally serialized against itself and
 /// against readers of data(), exactly like std::vector.
 class NumaBuffer {
  public:
@@ -186,12 +186,9 @@ class NumaBuffer {
 
   /// (Re)allocate to `bytes` zero-initialized bytes on the bound node.
   /// Storage is reused (and re-zeroed) when the page-rounded size fits.
-  /// \param bytes New size; 0 is equivalent to reset().
+  /// \param bytes New size; 0 drops the storage (size() becomes 0,
+  ///        data() nullptr) but keeps the node binding.
   void resize(std::size_t bytes);
-
-  /// Drop the storage (size() becomes 0, data() nullptr) but keep the
-  /// node binding for a later resize. Used by size-only dry-run scaling.
-  void reset() noexcept;
 
   /// Request (or stop requesting) huge-page backing for subsequent
   /// (re)allocations; live storage is not re-backed until the next
@@ -202,7 +199,7 @@ class NumaBuffer {
   /// True when the *current* storage is hugetlb-backed (request honored).
   bool huge_pages() const;
 
-  /// Start of the buffer; nullptr when empty (e.g. after reset()).
+  /// Start of the buffer; nullptr when empty (e.g. after resize(0)).
   std::byte* data() const noexcept {
     return data_.load(std::memory_order_acquire);
   }
@@ -212,7 +209,7 @@ class NumaBuffer {
 
   /// Bind (and migrate, when storage exists) the buffer to `node`.
   /// Subsequent resize() calls allocate on that node. Thread-safe against
-  /// concurrent bind_to/resize/reset and against readers.
+  /// concurrent bind_to/resize and against readers.
   /// \param node Target node; MemBind::kAnyNode clears the binding.
   /// \return true when the binding actually changed; false when it was
   ///         already in place or a physical migration failed (the binding

@@ -46,8 +46,10 @@ TEST(ControlPlaneShards, ShardCountClampedToThreads) {
   EXPECT_EQ(cp2.num_shards(), 4u);
   ControlPlane cp3(sharded(0, 7));
   EXPECT_EQ(cp3.num_shards(), 1u);
-  ControlPlane legacy(3);
-  EXPECT_EQ(legacy.num_shards(), 1u);
+  ControlPlaneOptions three;
+  three.num_threads = 3;
+  ControlPlane single(three);
+  EXPECT_EQ(single.num_shards(), 1u) << "one shard unless asked for more";
 }
 
 TEST(ControlPlaneShards, ThreadsServeShardsRoundRobin) {

@@ -2,7 +2,7 @@
 // data transfer. Covers policy resolution (ORWL_DATA_TRANSFER), owner
 // binding at placement / re-placement / live insert, the adaptive
 // follow-the-writer migration performed by control threads, and the
-// scale_hint() dry-run regression.
+// huge-page backing of large scales.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -68,43 +68,9 @@ TEST(DataTransferMode, ResolvedFromOptionsAndEnv) {
   }
 }
 
-// ----------------------------------------------- scale_hint regression ----
+// ------------------------------------------------------------ huge pages ----
 
-TEST(ScaleHint, DataStaysNullUntilARealScale) {
-  rt::Location loc(0, 0, 0);
-  loc.scale_hint(1 << 20);
-  EXPECT_EQ(loc.size(), 1u << 20) << "the comm matrix needs the size";
-  EXPECT_EQ(loc.data(), nullptr) << "but nothing may be allocated";
-  EXPECT_EQ(loc.as<double>(), nullptr);
-  loc.scale(64);
-  ASSERT_NE(loc.data(), nullptr);
-  EXPECT_EQ(loc.size(), 64u);
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(loc.data()[i], std::byte{0});
-  loc.scale_hint(128);  // back to hint-only: buffer must be dropped again
-  EXPECT_EQ(loc.data(), nullptr);
-  EXPECT_EQ(loc.size(), 128u);
-}
-
-TEST(ScaleHint, DryRunProgramExtractsSizesWithoutAllocating) {
-  const topo::Topology machine = topo::make_numa(2, 2, 1);
-  rt::ProgramOptions o = fixture_opts(machine);
-  o.dry_run = true;
-  rt::Program prog(4, o);
-  prog.set_task_body([](rt::TaskContext& ctx) {
-    ctx.scale_hint(8u << 20);  // paper-scale location, never allocated
-    rt::Handle2 w;
-    w.write_insert(ctx, ctx.my_location(), 0);
-    ctx.schedule();
-    ASSERT_TRUE(ctx.dry_run());
-  });
-  prog.run();
-  for (rt::TaskId t = 0; t < 4; ++t) {
-    EXPECT_EQ(prog.graph().locations[t].bytes, 8u << 20);
-    EXPECT_EQ(prog.location(t).data(), nullptr);
-  }
-}
-
-TEST(ScaleHint, HugePagesEnvRequestsHugeBacking) {
+TEST(LocationScale, HugePagesEnvRequestsHugeBacking) {
   // ORWL_HUGEPAGES=1 routes large scales through the MAP_HUGETLB lane
   // (with transparent fallback — CI hosts have no hugetlb pool, so the
   // observable contract here is "usable zeroed buffer either way").
@@ -244,7 +210,12 @@ TEST(DataTransfer, LiveInsertRoutesAndBindsTheLocation) {
 /// Harness around a bare Location + ControlPlane: drives one hand-off
 /// through the control thread so the grant hook runs exactly once.
 struct GrantHarness {
-  explicit GrantHarness(rt::DataTransferMode policy) : cp(1) {
+  explicit GrantHarness(rt::DataTransferMode policy)
+      : cp([] {
+          rt::ControlPlaneOptions o;
+          o.num_threads = 1;
+          return o;
+        }()) {
     loc.set_data_transfer(policy);
     loc.queue().set_grant_hook(loc.grant_hook());
     loc.queue().set_control_plane(&cp);

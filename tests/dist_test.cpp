@@ -768,7 +768,9 @@ TEST(DistBackPressure, StalledShmClientDoesNotHoldUpTheControlThread) {
   // that client: a local location served by the same control thread
   // keeps changing hands.
   constexpr std::size_t kBytes = 64 * 1024;
-  rt::ControlPlane cp(1);
+  rt::ControlPlaneOptions one_thread;
+  one_thread.num_threads = 1;
+  rt::ControlPlane cp(one_thread);
   cp.start();
   rt::Location big{0, 0, 0};
   rt::Location local{1, 0, 0};

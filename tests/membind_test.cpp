@@ -184,11 +184,11 @@ TEST(NumaBuffer, RebindMigratesLiveStorage) {
   EXPECT_EQ(buf.resident_node(), 1);
 }
 
-TEST(NumaBuffer, ResetKeepsTheBinding) {
+TEST(NumaBuffer, ResizeToZeroKeepsTheBinding) {
   NumaBuffer buf;
   buf.bind_to(2);
   buf.resize(4096);
-  buf.reset();
+  buf.resize(0);
   EXPECT_EQ(buf.data(), nullptr);
   EXPECT_EQ(buf.size(), 0u);
   EXPECT_EQ(buf.node(), 2) << "a later resize must land on the node again";

@@ -1,14 +1,17 @@
 // The v2 facade (orwl/orwl.hpp): typed locations, phase-safe guards and
 // the declarative ProgramBuilder. Covers the acceptance contract of the
 // API redesign: a builder-declared graph produces the same communication
-// matrix and placement as the imperatively wired equivalent — without a
-// dry-run pass — and writing through a read link is a compile-time
-// error (checked with static_asserts below, the negative-compile tests).
+// matrix and placement as the imperatively wired equivalent — read off
+// the declarations alone, with nothing built — and writing through a read
+// link is a compile-time error (checked with static_asserts below, the
+// negative-compile tests).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <typeinfo>
 #include <vector>
 
 #include "orwl/orwl.hpp"
@@ -66,14 +69,12 @@ ProgramBuilder chain_builder(std::size_t tasks, rt::ProgramOptions opts) {
 
 // ------------------------------------------ builder vs imperative -------
 
-TEST(Builder, DeclaredGraphMatchesImperativeDryRun) {
+TEST(Builder, DeclaredGraphMatchesImperativeWiring) {
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   static constexpr std::size_t kTasks = 4;
 
-  // Imperative v1-style wiring, extracted through a dry-run execution.
-  rt::ProgramOptions dry = fixture_opts(machine);
-  dry.dry_run = true;
-  rt::Program imperative(kTasks, dry);
+  // Imperative v1-style wiring, extracted by running its init phase.
+  rt::Program imperative(kTasks, fixture_opts(machine));
   imperative.set_task_body([](rt::TaskContext& ctx) {
     ctx.scale(sizeof(double));
     rt::Handle own;
@@ -108,17 +109,130 @@ TEST(Builder, DeclaredGraphMatchesImperativeDryRun) {
 }
 
 TEST(Builder, MatrixAvailableWithoutRunningAnything) {
-  rt::ProgramOptions opts = quiet();
-  opts.dry_run = true;  // sizes recorded, nothing allocated
-  Program p = chain_builder(3, opts).build();
+  ProgramBuilder b = chain_builder(3, quiet());
+  const tm::CommMatrix m = b.comm_matrix();
+  EXPECT_EQ(m.order(), 3u);
+  EXPECT_DOUBLE_EQ(m.at(0, 1), sizeof(double));
+  EXPECT_DOUBLE_EQ(m.at(1, 2), sizeof(double));
+  EXPECT_DOUBLE_EQ(m.at(0, 2), 0.0);
+  // Reading the matrix built nothing: the builder can still build().
+  EXPECT_NO_THROW((void)b.build());
+}
+
+TEST(Builder, CommMatrixEqualsTheBuiltProgramsCellForCell) {
+  // Every declaration kind at once: owned slots, reads and writes, a
+  // channel with two consumers, an access to a slot nobody sizes, and an
+  // export that widens the slot space.
+  ProgramBuilder b(5, quiet());
+  b.task(0)
+      .owns<double[]>(64, 0)
+      .owns<double>(1)
+      .writes<double[]>(loc(0, 0), 0)
+      .writes<double>(loc(0, 1), 0)
+      .reads<double[]>(loc(1, 0), 1);
+  b.task(1)
+      .owns<double[]>(32)
+      .writes<double[]>(loc(1), 0)
+      .reads<double[]>(loc(0, 0), 1)
+      .reads<double>(loc(0, 1), 1);
+  b.task(2).fifo_out<int[]>("c", 16, 3).reads(loc(3, 2));  // never sized
+  b.task(3).fifo_in<int[]>("c").owns<double>().writes<double>(loc(3), 0);
+  b.task(4).fifo_in<int[]>("c").reads<double[]>(loc(1, 0), 1);
+  b.export_location(loc(4, 3), "wide");
+
+  const tm::CommMatrix declared = b.comm_matrix();
+  Program p = b.build();
   p.dependency_get();
-  EXPECT_EQ(p.comm_matrix().order(), 3u);
-  EXPECT_DOUBLE_EQ(p.comm_matrix().at(0, 1), sizeof(double));
-  EXPECT_DOUBLE_EQ(p.comm_matrix().at(1, 2), sizeof(double));
-  EXPECT_DOUBLE_EQ(p.comm_matrix().at(0, 2), 0.0);
-  // Dry-declared locations were never allocated, and no body ran.
-  EXPECT_EQ(p.location(loc(0)).data(), nullptr);
-  EXPECT_FALSE(p.runtime().scheduled());
+  const tm::CommMatrix& built = p.comm_matrix();
+  ASSERT_EQ(declared.order(), built.order());
+  for (std::size_t i = 0; i < built.order(); ++i) {
+    for (std::size_t j = 0; j < built.order(); ++j) {
+      EXPECT_EQ(declared.at(i, j), built.at(i, j)) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(declared.at(2, 3), 3.0 * 16 * sizeof(int))
+      << "the producer's ring reaches every consumer";
+  EXPECT_EQ(declared.at(2, 4), 3.0 * 16 * sizeof(int));
+  EXPECT_EQ(declared.at(3, 4), 0.0) << "consumers share no writer";
+  EXPECT_EQ(declared.at(0, 1), (64 + 1 + 32) * sizeof(double))
+      << "both of task 0's slots and task 1's block";
+}
+
+TEST(Builder, PaperScaleMatrixAllocatesNothing) {
+  // 8 TiB of owned doubles: build() would have to allocate them; the
+  // matrix needs only the number.
+  constexpr std::size_t kCount = std::size_t{1} << 40;
+  ProgramBuilder b(2, quiet());
+  b.task(0).owns<double[]>(kCount).writes<double[]>(loc(0), 0);
+  b.task(1).reads<double[]>(loc(0), 1);
+  const tm::CommMatrix m = b.comm_matrix();
+  EXPECT_EQ(m.at(0, 1), static_cast<double>(kCount * sizeof(double)));
+  EXPECT_EQ(m.at(1, 0), m.at(0, 1));
+}
+
+// The dynamic type of what `fn` throws; typeid(void) when it returns.
+template <typename F>
+const std::type_info& thrown_by(F&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return typeid(e);
+  }
+  return typeid(void);
+}
+
+TEST(Builder, CommMatrixRejectsWhatBuildRejects) {
+  using Declare = std::function<void(ProgramBuilder&)>;
+  const std::vector<Declare> malformed = {
+      // Access target names a task that does not exist.
+      [](ProgramBuilder& b) { b.task(0).reads<double>(loc(7), 1); },
+      // Two same-mode links of one task on one location.
+      [](ProgramBuilder& b) {
+        b.task(0).owns<double>().writes<double>(loc(0), 0).writes<double>(
+            loc(0), 5);
+      },
+      // A one-slot ring cannot alternate.
+      [](ProgramBuilder& b) {
+        b.task(0).fifo_out<int>("a", /*depth=*/1);
+        b.task(1).fifo_in<int>("a");
+      },
+      // Zero-byte items.
+      [](ProgramBuilder& b) { b.task(0).fifo_out_bytes("a", 0); },
+      // One channel name, two producers.
+      [](ProgramBuilder& b) {
+        b.task(0).fifo_out<int>("a");
+        b.task(1).fifo_out<int>("a");
+      },
+      // Consumer of a channel nobody produces.
+      [](ProgramBuilder& b) {
+        b.task(0).fifo_out<int>("a");
+        b.task(1).fifo_in<int>("b");
+      },
+      // Producer consuming its own channel.
+      [](ProgramBuilder& b) { b.task(0).fifo_out<int>("a").fifo_in<int>("a"); },
+      // Item type mismatch between the two ends.
+      [](ProgramBuilder& b) {
+        b.task(0).fifo_out<int>("a");
+        b.task(1).fifo_in<float>("a");
+      },
+      // One consumer declaring the same channel twice.
+      [](ProgramBuilder& b) {
+        b.task(0).fifo_out<int>("a");
+        b.task(1).fifo_in<int>("a").fifo_in<int>("a");
+      },
+  };
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    ProgramBuilder to_build(2, quiet());
+    ProgramBuilder to_read(2, quiet());
+    malformed[i](to_build);
+    malformed[i](to_read);
+    const std::type_info& from_build =
+        thrown_by([&] { (void)to_build.build(); });
+    const std::type_info& from_read =
+        thrown_by([&] { (void)to_read.comm_matrix(); });
+    EXPECT_TRUE(from_build != typeid(void)) << "case " << i;
+    EXPECT_STREQ(from_read.name(), from_build.name()) << "case " << i;
+  }
 }
 
 TEST(Builder, DeclarativeRunComputesAndInitHookPrimes) {
@@ -160,31 +274,6 @@ TEST(Builder, DeclarativeRunComputesAndInitHookPrimes) {
   EXPECT_EQ(reads.load(), 3);
   EXPECT_DOUBLE_EQ(first_read.load(), 42.0)
       << "init() must run before the schedule barrier";
-}
-
-TEST(Builder, DryRunSkipsInitHooksAndBodies) {
-  // Dry-run builds scale_hint their locations (no allocation), so the
-  // run must skip init hooks along with the bodies — an init hook that
-  // touches its unallocated buffers would otherwise throw.
-  rt::ProgramOptions opts = quiet();
-  opts.dry_run = true;
-  ProgramBuilder b(2, opts);
-  std::atomic<int> ran{0};
-  for (TaskId t = 0; t < 2; ++t) {
-    b.task(t)
-        .owns<double[]>(1 << 20)
-        .writes<double[]>(loc(t))
-        .init([&](Task& task) {
-          ran.fetch_add(1);
-          task.my<double[]>().span();  // no buffer in dry-run: would throw
-        })
-        .body([&](Task&) { ran.fetch_add(1); });
-  }
-  Program p = b.build();
-  EXPECT_NO_THROW(p.run());
-  EXPECT_EQ(ran.load(), 0) << "dry-run declarative programs only extract";
-  p.dependency_get();
-  EXPECT_EQ(p.comm_matrix().order(), 2u);
 }
 
 TEST(Builder, ScheduleFromDeclarativeBodyThrows) {
@@ -294,9 +383,7 @@ TEST(TypedLocal, ScaleComesFromTheType) {
 TEST(TypedLocal, CheckedAccessRejectsBadShapes) {
   rt::Location raw(0, 0, 0);
   Local<double> lens(raw);
-  // No buffer yet (and none after a hint-only scale).
-  EXPECT_THROW(lens.value(), std::logic_error);
-  raw.scale_hint(sizeof(double));
+  // No buffer yet.
   EXPECT_THROW(lens.value(), std::logic_error);
   // Wrong size for the element type.
   raw.scale(3);

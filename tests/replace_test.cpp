@@ -518,15 +518,14 @@ TEST(VersionStamp, GraphVersionBumpsOnDeclaredInserts) {
 
 // ------------------------------------------------- unsized-buffer skip ----
 
-TEST(BindLocationMemory, HintOnlyBuffersAreSkippedAndCounted) {
+TEST(BindLocationMemory, UnscaledBuffersAreSkippedAndCounted) {
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   rt::ProgramOptions o = fixture_opts(machine);
   o.locations_per_task = 2;
   rt::Program p(2, o);
 
-  p.location(0, 0).scale(256);
-  p.location(0, 1).scale_hint(1 << 20);  // size known, no buffer
+  p.location(0, 0).scale(256);  // slot 1 is never scaled: no buffer
   rt::Handle2 h1, h2, h3;
   p.declare_insert(0, p.location(0, 0), rt::AccessMode::Write, 0, h1);
   p.declare_insert(1, p.location(0, 0), rt::AccessMode::Read, 1, h2);
@@ -537,7 +536,7 @@ TEST(BindLocationMemory, HintOnlyBuffersAreSkippedAndCounted) {
 
   EXPECT_GE(p.stats().locations_bound, 1u);
   EXPECT_GE(p.stats().locations_skipped_unsized, 1u)
-      << "the hint-only location must be skipped, not counted as bound";
+      << "the unscaled location must be skipped, not counted as bound";
   EXPECT_EQ(p.location(0, 1).memory_node(), -1)
       << "nothing was allocated, nothing may claim residency";
 }

@@ -18,6 +18,13 @@ namespace {
 
 using namespace orwl::rt;
 
+/// Single-shard control plane with `n` control threads.
+ControlPlaneOptions threads(std::size_t n) {
+  ControlPlaneOptions o;
+  o.num_threads = n;
+  return o;
+}
+
 TEST(RequestQueue, FirstWriterGrantedImmediately) {
   RequestQueue q;
   const Ticket w = q.enqueue(AccessMode::Write);
@@ -748,7 +755,7 @@ TEST(RequestQueueRemote, SinkCanDetachItselfFromInsideACall) {
 // ------------------------------------------------------ control plane ----
 
 TEST(ControlPlane, HandsOffGrantsThroughControlThreads) {
-  ControlPlane cp(2);
+  ControlPlane cp(threads(2));
   cp.start();
   RequestQueue q;
   q.set_control_plane(&cp);
@@ -762,7 +769,7 @@ TEST(ControlPlane, HandsOffGrantsThroughControlThreads) {
 }
 
 TEST(ControlPlane, ControlThreadShipsRemoteGrants) {
-  ControlPlane cp(1);
+  ControlPlane cp(threads(1));
   cp.start();
   RequestQueue q;
   q.set_control_plane(&cp);
@@ -782,7 +789,7 @@ TEST(ControlPlane, ControlThreadShipsRemoteGrants) {
 }
 
 TEST(ControlPlane, ZeroThreadsMeansInlineGrants) {
-  ControlPlane cp(0);
+  ControlPlane cp(threads(0));
   cp.start();
   EXPECT_FALSE(cp.running());
   RequestQueue q;
@@ -795,7 +802,7 @@ TEST(ControlPlane, ZeroThreadsMeansInlineGrants) {
 }
 
 TEST(ControlPlane, StopDrainsPendingEvents) {
-  ControlPlane cp(1);
+  ControlPlane cp(threads(1));
   cp.start();
   RequestQueue q;
   q.set_control_plane(&cp);
@@ -810,7 +817,7 @@ TEST(ControlPlane, StopDrainsPendingEvents) {
 }
 
 TEST(ControlPlane, StressManyQueuesManyThreads) {
-  ControlPlane cp(4);
+  ControlPlane cp(threads(4));
   cp.start();
   constexpr int kQueues = 16;
   constexpr int kIters = 100;
