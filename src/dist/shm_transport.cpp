@@ -1,8 +1,8 @@
 #include "dist/shm_transport.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <stdexcept>
 
@@ -141,30 +141,32 @@ std::size_t ShmRing::push_some(const std::byte* p, std::size_t n) noexcept {
 
 bool ShmRing::push(const std::byte* p, std::size_t n,
                    const std::function<bool()>& abort) {
-  while (n > 0) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t space = 0;
-    for (;;) {
-      const std::uint64_t head = head_.load(std::memory_order_acquire);
-      space = static_cast<std::size_t>(capacity_ - (tail - head));
-      if (space > 0) break;
-      if (abort && abort()) return false;
-      // Announce, then re-check (both seq_cst), against pop()'s head
-      // store then announcement load: either pop sees us and wakes, or
-      // we see its new head and do not park.
-      const std::uint32_t bell = space_bell_.load(std::memory_order_acquire);
-      producers_parked_.fetch_add(1, std::memory_order_seq_cst);
-      if (head_.load(std::memory_order_seq_cst) == head) {
-        shm_wait(space_bell_, bell, 10);
-      }
-      producers_parked_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    const std::size_t chunk = n < space ? n : space;
-    write(p, chunk, tail);
-    p += chunk;
-    n -= chunk;
+  for (;;) {
+    const std::size_t done = push_some(p, n);
+    p += done;
+    n -= done;
+    if (n == 0) return true;
+    if (closed() || (abort && abort())) return false;
+    wait_space(10);
   }
-  return true;
+}
+
+void ShmRing::wait_space(std::uint32_t timeout_ms) {
+  const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+  const std::uint64_t head = head_.load(std::memory_order_acquire);
+  if (tail - head < capacity_) return;
+  // The bell is read before closed(): close() sets the flag, then bumps
+  // the bell, so a close we miss here still ends the wait.
+  const std::uint32_t bell = space_bell_.load(std::memory_order_acquire);
+  if (closed()) return;
+  // Announce, then re-check (both seq_cst), against pop()'s head store
+  // then announcement load: either pop sees us and wakes, or we see its
+  // new head and do not park.
+  producers_parked_.fetch_add(1, std::memory_order_seq_cst);
+  if (head_.load(std::memory_order_seq_cst) == head) {
+    shm_wait(space_bell_, bell, timeout_ms);
+  }
+  producers_parked_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::size_t ShmRing::pop(std::byte* out, std::size_t max,
@@ -217,39 +219,65 @@ void ShmRing::close() noexcept {
   closed_.store(1, std::memory_order_release);
   doorbell_.fetch_add(1, std::memory_order_release);
   shm_wake_all(doorbell_);
+  space_bell_.fetch_add(1, std::memory_order_release);
+  shm_wake_all(space_bell_);
 }
 
-// ---- frame stream decoding shared by both sides ---------------------------
+// ---- ShmServerTransport ---------------------------------------------------
 
-namespace {
+/// One served connection: its segment, rings and threads. Destroyed by
+/// drop() on the listener or in stop(), never on its own threads.
+struct ShmServerTransport::ShmConn final : ServerTransport::Conn {
+  ShmServerTransport* home = nullptr;
+  void* map = nullptr;
+  std::size_t map_bytes = 0;
+  std::string seg_name;
+  ShmRing* c2s = nullptr;  ///< client -> server (we consume)
+  ShmRing* s2c = nullptr;  ///< server -> client (we produce)
+  std::mutex wake_mu;  ///< guards the two flags below
+  std::condition_variable wake_cv;
+  bool kicked = false;   ///< the outbox filled again
+  bool closing = false;  ///< shutdown() ran: the writer exits
+  std::thread reader;
+  std::thread writer;  ///< started the first time bytes have to wait
 
-/// Accumulates ring bytes and peels off whole frames. Returns false on a
-/// malformed stream (caller drops the connection).
-class FrameStream {
- public:
-  template <typename Sink>
-  bool feed(const std::byte* p, std::size_t n, Sink&& sink) {
-    buf_.insert(buf_.end(), p, p + n);
-    std::size_t off = 0;
-    for (;;) {
-      wire::Frame f;
-      const auto r = wire::decode(buf_.data() + off, buf_.size() - off, f);
-      if (r.status == wire::DecodeStatus::Bad) return false;
-      if (r.status == wire::DecodeStatus::NeedMore) break;
-      off += r.consumed;
-      sink(std::move(f));
-    }
-    if (off > 0) buf_.erase(buf_.begin(), buf_.begin() + off);
-    return true;
+  ~ShmConn() override {
+    if (reader.joinable()) reader.join();
+    if (writer.joinable()) writer.join();
+#if defined(__linux__)
+    ::munmap(map, map_bytes);
+    ::shm_unlink(seg_name.c_str());  // the client may have unlinked it
+#endif
   }
 
- private:
-  std::vector<std::byte> buf_;
+  std::ptrdiff_t write_some(const std::byte* p, std::size_t n) override {
+    if (s2c->closed()) return -1;
+    return static_cast<std::ptrdiff_t>(s2c->push_some(p, n));
+  }
+
+  void on_backlog(bool waiting) override {
+    if (!waiting) return;
+    if (!writer.joinable()) {
+      writer = std::thread([this] { home->write_loop(this); });
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(wake_mu);
+      kicked = true;
+    }
+    wake_cv.notify_one();
+  }
+
+  void shutdown() override {
+    {
+      std::lock_guard<std::mutex> lock(wake_mu);
+      closing = true;
+    }
+    wake_cv.notify_one();
+    c2s->close();  // ends our reader once drained
+    s2c->close();  // ends the client's reader, fails its pending sends
+  }
 };
-
-}  // namespace
-
-// ---- ShmServerTransport ---------------------------------------------------
 
 ShmServerTransport::ShmServerTransport(std::string base,
                                        std::size_t ring_slots)
@@ -265,39 +293,44 @@ ShmServerTransport::ShmServerTransport(std::string base,
 #endif
 }
 
-ShmServerTransport::~ShmServerTransport() { stop(); }
+ShmServerTransport::~ShmServerTransport() {
+  stop();
+#if defined(__linux__)
+  ::munmap(listen_map_, listen_bytes_);
+  ::shm_unlink(shm_path(base_).c_str());  // stop() may have unlinked it
+#endif
+}
 
-void ShmServerTransport::start(Handlers handlers) {
-  handlers_ = std::move(handlers);
-  running_.store(true, std::memory_order_release);
+void ShmServerTransport::start_io() {
   listener_ = std::thread([this] { listen_loop(); });
 }
 
-void ShmServerTransport::listen_loop() {
-#if defined(__linux__)
+void ShmServerTransport::wake_listener() noexcept {
   auto* h = static_cast<ListenHeader*>(listen_map_);
-  std::uint32_t accepted = 0;
-  while (running_.load(std::memory_order_acquire)) {
+  h->announce.fetch_add(1, std::memory_order_acq_rel);
+  shm_wake_all(h->announce);
+}
+
+void ShmServerTransport::listen_loop() {
+  auto* h = static_cast<ListenHeader*>(listen_map_);
+  while (running()) {
     const std::uint32_t announced =
         h->announce.load(std::memory_order_acquire);
-    if (accepted >= announced) {
-      shm_wait(h->announce, announced, 100);
-      continue;
+    std::vector<PeerId> ended;
+    {
+      std::lock_guard<std::mutex> lock(ended_mu_);
+      ended.swap(ended_);
     }
+    for (const PeerId peer : ended) drop(peer);
     // Announce order need not match id order (clients race between id
     // allocation and segment creation), so sweep the id space.
     const std::uint32_t ids = h->next_id.load(std::memory_order_acquire);
-    std::uint32_t now_accepted = accepted;
+    if (accepted_.size() < ids) accepted_.resize(ids, false);
     for (std::uint32_t id = 0; id < ids; ++id) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (conns_.count(id) != 0) continue;
-      }
-      if (try_accept(id)) ++now_accepted;
+      if (!accepted_[id] && try_accept(id)) accepted_[id] = true;
     }
-    accepted = now_accepted;
+    shm_wait(h->announce, announced, 100);
   }
-#endif
 }
 
 bool ShmServerTransport::try_accept(std::uint32_t id) {
@@ -315,19 +348,19 @@ bool ShmServerTransport::try_accept(std::uint32_t id) {
       return false;
     }
   }
-  auto conn = std::make_unique<Conn>();
+  auto conn = std::make_unique<ShmConn>();
+  conn->home = this;
   conn->map = mem;
   conn->map_bytes = bytes;
   conn->seg_name = name;
   auto* block = static_cast<std::byte*>(mem) + 64;
   conn->c2s = ShmRing::at(block);
   conn->s2c = ShmRing::at(block + ring_block_bytes(cap));
-  Conn* raw = conn.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns_[id] = std::move(conn);
-  }
-  raw->reader = std::thread([this, id, raw] { conn_loop(id, raw); });
+  ShmConn* raw = conn.get();
+  // Only this thread drops connections while the listener runs, so raw
+  // stays valid until the reader is started.
+  add(std::move(conn));
+  raw->reader = std::thread([this, raw] { read_loop(raw); });
   return true;
 #else
   (void)id;
@@ -335,154 +368,44 @@ bool ShmServerTransport::try_accept(std::uint32_t id) {
 #endif
 }
 
-void ShmServerTransport::conn_loop(PeerId id, Conn* c) {
-  FrameStream stream;
+void ShmServerTransport::read_loop(ShmConn* c) {
   std::byte chunk[4096];
-  const auto deliver = [&](std::size_t n) {
-    return stream.feed(chunk, n, [&](wire::Frame&& f) {
-      if (handlers_.on_frame) handlers_.on_frame(id, std::move(f));
-    });
-  };
-  bool ok = true;  // false on a malformed stream: drop the peer
-  while (ok && running_.load(std::memory_order_acquire)) {
+  for (;;) {
     const std::size_t n =
         c->c2s->pop(chunk, sizeof chunk, 100, kHomeReaderSpin);
     if (n == 0) {
+      // Closed by the client, or by drop(): what was sent before the
+      // close has been delivered.
       if (c->c2s->closed() && c->c2s->readable() == 0) break;
       continue;
     }
-    ok = deliver(n);
-  }
-  // Woken by stop(): deliver what the client sent before it (typically a
-  // last DATA + RELEASE + BYE), but nothing it sends later.
-  if (!running_.load(std::memory_order_acquire)) {
-    for (std::size_t left = c->c2s->readable(); ok && left > 0;) {
-      const std::size_t n =
-          c->c2s->pop(chunk, std::min(sizeof chunk, left), 0);
-      if (n == 0) break;
-      left -= n;
-      ok = deliver(n);
-    }
+    if (!deliver(*c, chunk, n)) break;  // malformed stream
   }
   {
-    std::lock_guard<std::mutex> lock(c->send_mu);
-    c->gone.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(ended_mu_);
+    ended_.push_back(c->id);
   }
-  c->writer_cv.notify_all();
-  if (running_.load(std::memory_order_acquire) && handlers_.on_disconnect) {
-    handlers_.on_disconnect(id);
-  }
+  wake_listener();
 }
 
-bool ShmServerTransport::send(PeerId peer, const wire::Frame& f) {
-  Conn* c = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = conns_.find(peer);
-    if (it == conns_.end()) return false;
-    c = it->second.get();
-    // Registered while the map entry still exists, so stop() sees this
-    // sender and drains the counter before destroying the Conn.
-    c->active_sends.fetch_add(1, std::memory_order_acq_rel);
-  }
-  bool ok = false;
-  if (!c->gone.load(std::memory_order_acquire)) {
-    std::vector<std::byte> bytes;
-    wire::encode(f, bytes);
-    std::lock_guard<std::mutex> lock(c->send_mu);
-    ok = !c->gone.load(std::memory_order_acquire);
-    // Written inline as far as the ring has room, unless bytes are
-    // waiting ahead of it. The rest joins the backlog: the sender may be
-    // this connection's own reader, or a control thread, and must not
-    // wait for the client to read.
-    std::size_t done = 0;
-    if (ok && !c->flushing && c->backlog.empty()) {
-      done = c->s2c->push_some(bytes.data(), bytes.size());
-    }
-    if (ok && done < bytes.size()) {
-      c->backlog.insert(c->backlog.end(), bytes.begin() + done, bytes.end());
-      if (!c->writer.joinable()) {
-        c->writer = std::thread([this, c] { write_loop(c); });
-      }
-      c->writer_cv.notify_one();
-    }
-  }
-  c->active_sends.fetch_sub(1, std::memory_order_acq_rel);
-  return ok;
-}
-
-void ShmServerTransport::write_loop(Conn* c) {
-  const auto abort = [this, c] {
-    return !running_.load(std::memory_order_acquire) ||
-           c->gone.load(std::memory_order_acquire);
-  };
-  std::vector<std::byte> out;
-  std::unique_lock<std::mutex> lock(c->send_mu);
+void ShmServerTransport::write_loop(ShmConn* c) {
   for (;;) {
-    c->writer_cv.wait(lock, [&] { return !c->backlog.empty() || abort(); });
-    if (abort()) return;
-    out.clear();
-    out.swap(c->backlog);
-    // While flushing, senders append behind these bytes instead of
-    // writing to the ring, so the stream keeps send order and the ring
-    // keeps a single producer.
-    c->flushing = true;
-    lock.unlock();
-    const bool ok = c->s2c->push(out.data(), out.size(), abort);
-    lock.lock();
-    c->flushing = false;
-    if (!ok) return;
+    // Stream the outbox out as the client frees ring space. flush() is
+    // -1 once the ring is closed.
+    while (flush(*c) > 0) c->s2c->wait_space(10);
+    std::unique_lock<std::mutex> lock(c->wake_mu);
+    c->wake_cv.wait(lock, [c] { return c->kicked || c->closing; });
+    if (c->closing) return;
+    c->kicked = false;
   }
 }
 
-void ShmServerTransport::stop() {
+void ShmServerTransport::stop_io() {
 #if defined(__linux__)
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (listen_map_ != nullptr) {
-      ::munmap(listen_map_, listen_bytes_);
-      ::shm_unlink(shm_path(base_).c_str());
-      listen_map_ = nullptr;
-    }
-    return;
-  }
-  // The listener and the connection readers park with a timeout; bump
-  // and wake their words so stop() returns now, not when they time out.
-  auto* h = static_cast<ListenHeader*>(listen_map_);
-  h->announce.fetch_add(1, std::memory_order_release);
-  shm_wake_all(h->announce);
+  // The listener parks with a timeout; wake it so stop() returns now.
+  wake_listener();
   if (listener_.joinable()) listener_.join();
-  std::map<PeerId, std::unique_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns.swap(conns_);
-  }
-  for (auto& [id, c] : conns) {
-    {
-      std::lock_guard<std::mutex> lock(c->send_mu);
-      c->gone.store(true, std::memory_order_release);
-    }
-    c->writer_cv.notify_all();
-    c->c2s->close();
-  }
-  for (auto& [id, c] : conns) {
-    // A thread shipping a grant may still be inside send() holding a raw
-    // Conn*; send() never waits on the ring, so the counter drains fast.
-    // gone and !running_ abort the writer's push within one 10 ms park.
-    // Only then is it safe to unmap the rings and destroy the conn.
-    while (c->active_sends.load(std::memory_order_acquire) != 0) {
-      std::this_thread::yield();
-    }
-    if (c->writer.joinable()) c->writer.join();
-    c->s2c->close();
-    if (c->reader.joinable()) c->reader.join();
-    ::munmap(c->map, c->map_bytes);
-    ::shm_unlink(c->seg_name.c_str());  // client may have unlinked already
-  }
-  if (listen_map_ != nullptr) {
-    ::munmap(listen_map_, listen_bytes_);
-    ::shm_unlink(shm_path(base_).c_str());
-    listen_map_ = nullptr;
-  }
+  ::shm_unlink(shm_path(base_).c_str());  // no new client finds us
 #endif
 }
 
@@ -525,59 +448,29 @@ ShmClientTransport::ShmClientTransport(const std::string& base) {
 #endif
 }
 
-ShmClientTransport::~ShmClientTransport() { stop(); }
-
-void ShmClientTransport::start(std::function<void(wire::Frame&&)> on_frame,
-                               std::function<void()> on_disconnect) {
-  on_frame_ = std::move(on_frame);
-  on_disconnect_ = std::move(on_disconnect);
-  running_.store(true, std::memory_order_release);
-  reader_ = std::thread([this] { recv_loop(); });
-}
-
-void ShmClientTransport::recv_loop() {
-  FrameStream stream;
-  std::byte chunk[4096];
-  while (running_.load(std::memory_order_acquire)) {
-    const std::size_t n = s2c_->pop(chunk, sizeof chunk, 100);
-    if (n == 0) {
-      if (s2c_->closed() && s2c_->readable() == 0) break;
-      continue;
-    }
-    const bool ok = stream.feed(chunk, n, [&](wire::Frame&& f) {
-      if (on_frame_) on_frame_(std::move(f));
-    });
-    if (!ok) break;
-  }
-  if (running_.load(std::memory_order_acquire) && on_disconnect_) {
-    on_disconnect_();
-  }
-}
-
-bool ShmClientTransport::send(const wire::Frame& f) {
-  if (map_ == nullptr) return false;
-  std::vector<std::byte> bytes;
-  wire::encode(f, bytes);
-  std::lock_guard<std::mutex> lock(send_mu_);
-  return c2s_->push(bytes.data(), bytes.size(), [this] {
-    return !running_.load(std::memory_order_acquire) && reader_.joinable();
-  });
-}
-
-void ShmClientTransport::stop() {
+ShmClientTransport::~ShmClientTransport() {
+  stop();
 #if defined(__linux__)
-  const bool was_running = running_.exchange(false, std::memory_order_acq_rel);
-  if (map_ != nullptr && c2s_ != nullptr) {
-    c2s_->close();
-    s2c_->close();  // wakes our parked reader instead of its 100 ms timeout
-  }
-  if (was_running && reader_.joinable()) reader_.join();
-  if (map_ != nullptr) {
-    ::munmap(map_, map_bytes_);
-    ::shm_unlink(seg_name_.c_str());
-    map_ = nullptr;
-  }
+  ::munmap(map_, map_bytes_);
+  ::shm_unlink(seg_name_.c_str());  // the home may have unlinked it
 #endif
+}
+
+std::size_t ShmClientTransport::read_some(std::byte* p, std::size_t n) {
+  for (;;) {
+    const std::size_t got = s2c_->pop(p, n, 100);
+    if (got > 0) return got;
+    if (s2c_->closed() && s2c_->readable() == 0) return 0;
+  }
+}
+
+bool ShmClientTransport::write_all(const std::byte* p, std::size_t n) {
+  return c2s_->push(p, n, [this] { return stopped(); });
+}
+
+void ShmClientTransport::shutdown() {
+  c2s_->close();  // the home's reader drops us once drained
+  s2c_->close();  // wakes our parked reader instead of its 100 ms timeout
 }
 
 }  // namespace orwl::dist

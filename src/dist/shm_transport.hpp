@@ -18,17 +18,19 @@
 // larger than the ring stream through it in chunks, so the fixed
 // capacity (ORWL_DIST_SHM_SLOTS x 64 B) bounds memory, not message
 // size. The part of a home-side send that does not fit in the free ring
-// space is queued for the connection's writer thread (started the first
-// time bytes have to wait), so the sender never waits for the client.
+// space waits in the connection's outbox (transport.hpp), and the
+// connection's writer thread (started the first time bytes have to
+// wait) streams it out as the client frees space, so the sender never
+// waits for the client. A reader whose stream ends hands its peer to
+// the listener, which drops it: both rings close (the client's reader
+// sees end-of-stream), the threads are joined and the segment is
+// unmapped and unlinked.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -58,13 +60,18 @@ class ShmRing {
 
   /// Append n bytes, blocking while the ring is full. Chunks internally,
   /// so n may exceed the capacity. Returns false (possibly after a
-  /// partial write) when `abort` returns true while waiting for space.
+  /// partial write) when the ring is closed or `abort` returns true
+  /// while waiting for space.
   bool push(const std::byte* p, std::size_t n,
             const std::function<bool()>& abort);
 
   /// Append as many of the n bytes as the ring has room for now and
   /// return that count (possibly 0). Never blocks.
   std::size_t push_some(const std::byte* p, std::size_t n) noexcept;
+
+  /// Producer side: return once the ring has free space, is closed, or
+  /// timeout_ms has passed.
+  void wait_space(std::uint32_t timeout_ms);
 
   /// Pop up to `max` bytes into `out`. When the ring is empty, polls it
   /// for up to `spin`, then blocks up to timeout_ms. Returns 0 on timeout
@@ -74,9 +81,10 @@ class ShmRing {
                   std::chrono::nanoseconds spin = {});
 
   /// Orderly close: a drained consumer sees closed() and treats it as
-  /// end-of-stream; a consumer parked on the ring is woken. The producer
-  /// closes at the end of its stream; the home side also closes the
-  /// rings it consumes when it stops.
+  /// end-of-stream; a consumer parked on the ring is woken, and so is a
+  /// producer waiting for space (its push fails). The producer closes at
+  /// the end of its stream; the home side closes both rings of a
+  /// connection it drops.
   void close() noexcept;
   bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire) != 0;
@@ -118,46 +126,33 @@ class ShmServerTransport final : public ServerTransport {
   explicit ShmServerTransport(std::string base, std::size_t ring_slots = 1024);
   ~ShmServerTransport() override;
 
-  void start(Handlers handlers) override;
-  void stop() override;
-  bool send(PeerId peer, const wire::Frame& f) override;
   std::string address() const override { return base_; }
 
  private:
-  struct Conn {
-    void* map = nullptr;
-    std::size_t map_bytes = 0;
-    ShmRing* c2s = nullptr;  ///< client -> server (we consume)
-    ShmRing* s2c = nullptr;  ///< server -> client (we produce)
-    std::thread reader;
-    std::mutex send_mu;  ///< guards the three members below
-    /// Bytes that did not fit in s2c when sent, in send order; the
-    /// writer thread streams them out as the client reads.
-    std::vector<std::byte> backlog;
-    bool flushing = false;  ///< the writer is pushing bytes it took
-    std::condition_variable writer_cv;
-    std::thread writer;  ///< started on the first frame that waits
-    std::string seg_name;
-    std::atomic<bool> gone{false};
-    /// Senders inside send() past the conns_ lookup (they hold this
-    /// Conn raw); stop() drains it to zero before deleting.
-    std::atomic<int> active_sends{0};
-  };
+  struct ShmConn;
 
+  void start_io() override;
+  void stop_io() override;
   void listen_loop();
-  void conn_loop(PeerId id, Conn* c);
-  void write_loop(Conn* c);
+  void read_loop(ShmConn* c);
+  void write_loop(ShmConn* c);
   bool try_accept(std::uint32_t id);
+  /// Bump the listen doorbell so the listener runs a pass now.
+  void wake_listener() noexcept;
 
   std::string base_;
   std::size_t ring_slots_;
-  Handlers handlers_;
   void* listen_map_ = nullptr;
   std::size_t listen_bytes_ = 0;
+  /// Segment ids the listener has taken, live or dropped: a dropped
+  /// client's segment may outlive its connection, and is never taken
+  /// twice. Listener thread only.
+  std::vector<bool> accepted_;
+  std::mutex ended_mu_;  ///< guards ended_
+  /// Peers whose reader saw the stream end; the listener drops them (a
+  /// reader cannot join itself).
+  std::vector<PeerId> ended_;
   std::thread listener_;
-  std::atomic<bool> running_{false};
-  std::mutex mu_;  ///< guards conns_
-  std::map<PeerId, std::unique_ptr<Conn>> conns_;
 };
 
 /// Client side: creates its connection segment under the server's base
@@ -169,24 +164,16 @@ class ShmClientTransport final : public ClientTransport {
   explicit ShmClientTransport(const std::string& base);
   ~ShmClientTransport() override;
 
-  void start(std::function<void(wire::Frame&&)> on_frame,
-             std::function<void()> on_disconnect) override;
-  void stop() override;
-  bool send(const wire::Frame& f) override;
-
  private:
-  void recv_loop();
+  std::size_t read_some(std::byte* p, std::size_t n) override;
+  bool write_all(const std::byte* p, std::size_t n) override;
+  void shutdown() override;
 
   std::string seg_name_;
   void* map_ = nullptr;
   std::size_t map_bytes_ = 0;
   ShmRing* c2s_ = nullptr;  ///< we produce
   ShmRing* s2c_ = nullptr;  ///< we consume
-  std::function<void(wire::Frame&&)> on_frame_;
-  std::function<void()> on_disconnect_;
-  std::thread reader_;
-  std::mutex send_mu_;
-  std::atomic<bool> running_{false};
 };
 
 }  // namespace orwl::dist

@@ -11,15 +11,31 @@
 //   TcpTransport — length-prefixed frames over a socket; an epoll-driven
 //   proxy thread serves every client connection on the home side.
 //
-// The interface is deliberately small (start/stop/send + frame callback)
-// so an RDMA transport can slot in later: nothing above this layer knows
-// about sockets, segments or completion queues.
+// Everything but byte I/O is implemented here once: on the home side
+// the peer table, send() with its in-order outbox, frame decoding
+// (wire::FrameStream), the wait for senders in flight and drop(), the one
+// way a peer leaves; on the client side the reader loop and the stop/send
+// ordering. A new transport (RDMA, say) implements only:
+//
+//   home   — a ServerTransport::Conn per connection: a non-blocking
+//            write_some(), on_backlog() (bytes wait: call flush() when
+//            the connection takes more) and shutdown() (close both
+//            directions); plus start_io()/stop_io() for its accept and
+//            read loops, which add() connections, deliver() the bytes
+//            they read and drop() a peer whose stream ended or went bad.
+//   client — read_some(), a blocking write_all() and shutdown().
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "dist/wire.hpp"
 
@@ -39,41 +55,143 @@ class ServerTransport {
     std::function<void(PeerId)> on_disconnect;
   };
 
+  ServerTransport() = default;
+  /// Derived destructors call stop() first: it runs their hooks.
   virtual ~ServerTransport() = default;
+  ServerTransport(const ServerTransport&) = delete;
+  ServerTransport& operator=(const ServerTransport&) = delete;
 
   /// Begin accepting connections and delivering frames.
-  virtual void start(Handlers handlers) = 0;
+  void start(Handlers handlers);
 
   /// Stop threads and drop every connection. Idempotent; after stop() no
   /// further callbacks fire.
-  virtual void stop() = 0;
+  void stop();
 
   /// Send one frame to a peer. Thread-safe, and never waits for the
   /// peer to read: what the connection cannot take right now is queued,
   /// in order, and written as the peer drains. (The sender may be the
   /// thread that reads this peer's frames.) False when the peer is gone.
-  virtual bool send(PeerId peer, const wire::Frame& f) = 0;
+  bool send(PeerId peer, const wire::Frame& f);
 
   /// Connectable address of this transport ("host:port" for tcp, the
   /// segment base name for shm).
   virtual std::string address() const = 0;
+
+ protected:
+  /// One connection. A transport derives its own with its byte I/O
+  /// state, freed by its destructor; the core owns everything else.
+  class Conn {
+   public:
+    Conn() = default;
+    virtual ~Conn() = default;
+    Conn(const Conn&) = delete;
+    Conn& operator=(const Conn&) = delete;
+
+    PeerId id = 0;  ///< assigned by add()
+
+   private:
+    friend class ServerTransport;
+
+    /// Write what the connection takes now without blocking: the bytes
+    /// written (possibly 0), or -1 when the connection is broken.
+    virtual std::ptrdiff_t write_some(const std::byte* p, std::size_t n) = 0;
+    /// The outbox filled (`waiting`) or drained; called under the send
+    /// lock. While bytes wait, the transport calls flush() whenever the
+    /// connection can take more.
+    virtual void on_backlog(bool waiting) = 0;
+    /// Close both directions and wake the connection's threads. drop()
+    /// calls it once, after the last send has been refused.
+    virtual void shutdown() = 0;
+
+    std::mutex send_mu;  ///< orders writers; guards the three below
+    std::vector<std::byte> outbox;  ///< unwritten bytes from outbox_head
+    std::size_t outbox_head = 0;
+    bool gone = false;  ///< drop() began: refuse every send
+    /// Senders past the table lookup (they hold this Conn raw); drop()
+    /// waits for zero before the Conn is destroyed.
+    std::atomic<int> active_sends{0};
+    wire::FrameStream in;  ///< fed by the connection's one reader
+  };
+
+  /// Start / stop the accept and read loops. After stop_io() nothing is
+  /// accepted; a connection's reader may run until drop() closes it.
+  virtual void start_io() = 0;
+  virtual void stop_io() = 0;
+
+  bool running() const noexcept {
+    return running_.load(std::memory_order_acquire);
+  }
+
+  /// Enter an accepted connection in the peer table; returns its id.
+  void add(std::unique_ptr<Conn> c);
+
+  /// Hand bytes read from c to its decoder; every whole frame goes to
+  /// on_frame. False when the stream is malformed: drop the peer.
+  bool deliver(Conn& c, const std::byte* p, std::size_t n);
+
+  /// Write queued bytes as far as c takes them. Returns the bytes still
+  /// queued, or -1 when the connection is broken.
+  std::ptrdiff_t flush(Conn& c);
+
+  /// The one way a peer leaves: out of the table, later sends refused,
+  /// shutdown(), senders in flight waited out, on_disconnect fired once
+  /// (not while stopping), the Conn destroyed. No-op when already gone.
+  void drop(PeerId peer);
+
+ private:
+  Handlers handlers_;
+  std::atomic<bool> running_{false};
+  std::mutex mu_;  ///< guards conns_ and next_peer_
+  std::map<PeerId, std::unique_ptr<Conn>> conns_;
+  PeerId next_peer_ = 1;
 };
 
 /// Client-side transport: one connection to a home process.
 class ClientTransport {
  public:
+  ClientTransport() = default;
+  /// Derived destructors call stop() first, then free the connection.
   virtual ~ClientTransport() = default;
+  ClientTransport(const ClientTransport&) = delete;
+  ClientTransport& operator=(const ClientTransport&) = delete;
 
   /// Begin delivering incoming frames (in arrival order, from an internal
   /// receiver thread).
-  virtual void start(std::function<void(wire::Frame&&)> on_frame,
-                     std::function<void()> on_disconnect) = 0;
+  void start(std::function<void(wire::Frame&&)> on_frame,
+             std::function<void()> on_disconnect);
 
-  /// Close the connection. Idempotent; no callbacks after stop().
-  virtual void stop() = 0;
+  /// Close the connection. Idempotent; no callbacks after stop(), and
+  /// every send after it returns false.
+  void stop();
 
-  /// Send one frame home. Thread-safe. False once disconnected.
-  virtual bool send(const wire::Frame& f) = 0;
+  /// Send one frame home. Thread-safe; valid before start(). False once
+  /// disconnected.
+  bool send(const wire::Frame& f);
+
+ protected:
+  bool stopped() const noexcept {
+    return stopped_.load(std::memory_order_acquire);
+  }
+
+ private:
+  /// Block until bytes arrive and return up to n of them; 0 once the
+  /// stream has ended (the home closed it, or shutdown()).
+  virtual std::size_t read_some(std::byte* p, std::size_t n) = 0;
+  /// Write all n bytes, blocking while the connection is full. False
+  /// when the connection broke or shutdown() ran.
+  virtual bool write_all(const std::byte* p, std::size_t n) = 0;
+  /// Close both directions: wakes read_some and write_all. Idempotent.
+  virtual void shutdown() = 0;
+
+  void read_loop();
+
+  std::function<void(wire::Frame&&)> on_frame_;
+  std::function<void()> on_disconnect_;
+  std::mutex send_mu_;
+  std::atomic<bool> running_{false};  ///< start() ran and stop() did not
+  std::atomic<bool> stopped_{false};  ///< stop() began
+  std::thread reader_;
 };
 
 /// Transport selector (ORWL_DIST, read with support::resolve): off

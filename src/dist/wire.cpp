@@ -105,4 +105,23 @@ DecodeResult decode(const std::byte* data, std::size_t len, Frame& out) {
   return {DecodeStatus::Ok, kHeaderBytes + plen};
 }
 
+bool FrameStream::feed(const std::byte* p, std::size_t n, const Sink& sink) {
+  if (bad_) return false;
+  buf_.insert(buf_.end(), p, p + n);
+  std::size_t off = 0;
+  for (;;) {
+    Frame f;
+    const DecodeResult r = decode(buf_.data() + off, buf_.size() - off, f);
+    if (r.status == DecodeStatus::Bad) {
+      bad_ = true;
+      return false;
+    }
+    if (r.status == DecodeStatus::NeedMore) break;
+    off += r.consumed;
+    sink(std::move(f));
+  }
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(off));
+  return true;
+}
+
 }  // namespace orwl::dist::wire

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace orwl::dist::wire {
@@ -92,5 +93,23 @@ struct DecodeResult {
 /// is NeedMore (never Bad): stream decoders call this repeatedly as bytes
 /// arrive. On Ok, `out` holds the frame and `consumed` the bytes eaten.
 DecodeResult decode(const std::byte* data, std::size_t len, Frame& out);
+
+/// Reassembles frames from a byte stream that arrives in pieces of any
+/// size: the one frame decoder every transport reader uses. One reader
+/// thread per stream.
+class FrameStream {
+ public:
+  using Sink = std::function<void(Frame&&)>;
+
+  /// Take n more bytes and hand every frame they complete to `sink`, in
+  /// stream order. Returns false once the stream is Bad (the caller drops
+  /// the peer); frames that precede the bad header are still delivered,
+  /// and every later feed returns false too.
+  bool feed(const std::byte* p, std::size_t n, const Sink& sink);
+
+ private:
+  std::vector<std::byte> buf_;  ///< the prefix of a frame still incomplete
+  bool bad_ = false;
+};
 
 }  // namespace orwl::dist::wire
