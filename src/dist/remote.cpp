@@ -120,16 +120,8 @@ void RemoteLocation::release_request(rt::Ticket t) {
   if (it == reqs_.end()) {
     throw std::logic_error("remote release: unknown ticket");
   }
-  const rt::AccessMode mode = it->second.mode;
   if (!dead_) {
-    if (mode == rt::AccessMode::Write && data() != nullptr) {
-      wire::Frame d;
-      d.type = wire::Type::Data;
-      d.location = eid_;
-      d.ticket = t;
-      d.payload.assign(data(), data() + size());
-      client_->send(d);
-    }
+    send_write_back(t, it->second.mode);
     wire::Frame r;
     r.type = wire::Type::Release;
     r.location = eid_;
@@ -152,14 +144,7 @@ rt::Ticket RemoteLocation::reinsert_release_request(rt::Ticket t,
   }
   const std::uint64_t next = next_reqid_++;
   reqs_[next] = {mode, false};
-  if (mode == rt::AccessMode::Write && data() != nullptr) {
-    wire::Frame d;
-    d.type = wire::Type::Data;
-    d.location = eid_;
-    d.ticket = t;
-    d.payload.assign(data(), data() + size());
-    client_->send(d);
-  }
+  send_write_back(t, mode);
   wire::Frame r;
   r.type = wire::Type::Release;
   r.flags = wire::kFlagReinsert;
@@ -175,6 +160,16 @@ rt::Ticket RemoteLocation::reinsert_release_request(rt::Ticket t,
   reqs_.erase(t);
   if (active_ > 0) --active_;
   return next;
+}
+
+void RemoteLocation::send_write_back(rt::Ticket t, rt::AccessMode mode) {
+  if (mode != rt::AccessMode::Write || data() == nullptr) return;
+  wire::Frame d;
+  d.type = wire::Type::Data;
+  d.location = eid_;
+  d.ticket = t;
+  d.payload.assign(data(), data() + size());
+  client_->send(d);
 }
 
 void RemoteLocation::on_grant(wire::Frame&& f) {
@@ -330,8 +325,7 @@ void Client::on_frame(wire::Frame&& f) {
   }
 }
 
-void Client::on_disconnect() {
-  if (!alive_.exchange(false, std::memory_order_acq_rel)) return;
+void Client::fail_locations() {
   std::vector<RemoteLocation*> locs;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -341,31 +335,24 @@ void Client::on_disconnect() {
   for (RemoteLocation* loc : locs) loc->fail_all();
 }
 
+void Client::on_disconnect() {
+  if (!alive_.exchange(false, std::memory_order_acq_rel)) return;
+  fail_locations();
+}
+
 void Client::close() {
   if (alive_.exchange(false, std::memory_order_acq_rel)) {
     wire::Frame bye;
     bye.type = wire::Type::Bye;
     transport_->send(bye);
-    std::vector<RemoteLocation*> locs;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& [eid, loc] : locs_) locs.push_back(loc.get());
-      cv_.notify_all();
-    }
-    for (RemoteLocation* loc : locs) loc->fail_all();
+    fail_locations();
   }
   transport_->stop();
 }
 
 void Client::kill() {
   alive_.store(false, std::memory_order_release);
-  std::vector<RemoteLocation*> locs;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [eid, loc] : locs_) locs.push_back(loc.get());
-    cv_.notify_all();
-  }
-  for (RemoteLocation* loc : locs) loc->fail_all();
+  fail_locations();
   transport_->stop();  // hard drop: no BYE — the home sees a disconnect
 }
 

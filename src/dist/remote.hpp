@@ -64,6 +64,10 @@ class RemoteLocation final : public rt::Location {
   void on_grant(wire::Frame&& f);
   void on_refused(wire::Frame&& f);  // the home took back the export
   void fail_all();  // connection lost: wake every waiter with an error
+  /// Caller holds mu_: ship the mirror home as the DATA frame that must
+  /// precede the release of write ticket `t` (no-op for reads and
+  /// unsized locations).
+  void send_write_back(rt::Ticket t, rt::AccessMode mode);
 
   struct Req {
     rt::AccessMode mode = rt::AccessMode::Read;
@@ -120,6 +124,8 @@ class Client {
 
   void on_frame(wire::Frame&& f);
   void on_disconnect();
+  /// Wake pending attaches and fail every attached location's waiters.
+  void fail_locations();
   bool send(const wire::Frame& f) { return transport_->send(f); }
 
   struct PendingAttach {

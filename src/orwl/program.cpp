@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -157,52 +158,91 @@ bool Program::fifo_participant(TaskId t) const noexcept {
 }
 
 double Program::reduce_iteration(double value, ReduceOp op) {
-  Reducer& r = *red_;
-  std::unique_lock lk(r.mu);
-  const std::uint64_t generation = r.generation;
-  if (r.arrived == 0) {
-    // First arriver seeds the accumulator and fixes the generation's
-    // combiner — no identity element needed, so Min/Max work over any
-    // value range.
-    r.acc = value;
-    r.op = op;
-  } else {
-    if (op != r.op) {
-      throw std::logic_error(
-          "reduce_iteration: tasks disagree on the combiner within one "
-          "generation");
-    }
-    switch (op) {
-      case ReduceOp::Sum:
-        r.acc += value;
-        break;
-      case ReduceOp::Min:
-        r.acc = std::min(r.acc, value);
-        break;
-      case ReduceOp::Max:
-        r.acc = std::max(r.acc, value);
-        break;
-    }
-  }
-  if (++r.arrived == num_tasks()) {
-    // Last one in closes the generation. The published value cannot be
-    // overwritten under a waiter: the next generation needs all tasks to
-    // arrive again, which requires every waiter here to have returned.
-    r.published = r.acc;
-    r.acc = 0.0;
-    r.arrived = 0;
-    ++r.generation;
-    r.cv.notify_all();
-    return r.published;
-  }
-  r.cv.wait(lk, [&] { return r.generation != generation; });
+  Reducer& r = red_;
+  rt_->rendezvous(
+      "reduce_iteration",
+      [&](std::size_t arrived_before) {
+        if (arrived_before == 0) {
+          // First arriver seeds the accumulator and fixes the
+          // generation's combiner — no identity element needed, so
+          // Min/Max work over any value range.
+          r.acc = value;
+          r.op = op;
+          return;
+        }
+        if (op != r.op) {
+          throw std::logic_error(
+              "reduce_iteration: tasks disagree on the combiner within one "
+              "generation");
+        }
+        switch (op) {
+          case ReduceOp::Sum:
+            r.acc += value;
+            break;
+          case ReduceOp::Min:
+            r.acc = std::min(r.acc, value);
+            break;
+          case ReduceOp::Max:
+            r.acc = std::max(r.acc, value);
+            break;
+        }
+      },
+      // The published value cannot be overwritten under a reader: the
+      // next generation needs this task to arrive again.
+      [&] { r.published = r.acc; });
   return r.published;
+}
+
+void Program::make_steal_executor() {
+  const std::size_t n = num_tasks();
+  const topo::Topology& topo = rt_->topology();
+  const std::size_t npus = topo.num_pus();
+  std::vector<rt::StealExecutor::WorkerSpec> specs(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    int os = -1;
+    if (rt_->have_placement() && t < rt_->placement().compute_pu.size()) {
+      os = rt_->placement().compute_pu[t];
+    }
+    int logical = -1;
+    if (os >= 0) {
+      if (const topo::Object* pu = topo.pu_by_os_index(os)) {
+        logical = static_cast<int>(pu->logical_index);
+      }
+    }
+    if (logical < 0) {
+      logical = npus != 0 ? static_cast<int>(t % npus) : 0;
+    }
+    specs[t].pu = logical;
+    specs[t].arena = &rt::Arena::runtime_default();
+    if (os >= 0) {
+      const int shard = rt_->shard_map().shard_of(os);
+      if (shard >= 0) {
+        specs[t].arena = &rt_->shard_arena(static_cast<std::size_t>(shard));
+      }
+    }
+  }
+  rt::StealExecutor::Config cfg;
+  cfg.mode = rt_->steal_mode();
+  cfg.spin = rt_->steal_spin();
+  steal_.exec =
+      std::make_unique<rt::StealExecutor>(topo, std::move(specs), cfg);
+  // Steal traffic feeds the same measured matrix as lock hand-offs:
+  // items flowing across nodes skew it and can trip ORWL_REPLACE (no-op
+  // when the replace policy keeps no meter).
+  steal_.exec->set_meter(rt_->comm_meter(), n);
+  rt::StealExecutor* ex = steal_.exec.get();
+  rt_->set_steal_stats_source([ex](rt::ProgramStats& ps) {
+    const rt::StealExecutor::Stats s = ex->stats();
+    ps.steal_executed = s.executed;
+    ps.steal_local = s.local_steals;
+    ps.steal_remote = s.remote_steals;
+    ps.steal_lent = s.lend_executed;
+    ps.steal_parks = s.parks;
+  });
 }
 
 void Program::for_each_impl(TaskId task, std::span<const std::uint64_t> seeds,
                             const ForEachBody& body) {
-  StealState& st = *steal_;
-  const std::size_t n = num_tasks();
   // Adapt the typed body once per call. Workers run their own copy;
   // lenders run the copy the last arriver parks in StealState (bodies
   // of one collective are functionally identical by contract).
@@ -212,91 +252,34 @@ void Program::for_each_impl(TaskId task, std::span<const std::uint64_t> seeds,
         body(item, sc);
       };
 
-  std::unique_lock lk(st.mu);
-  if (!st.exec) {
-    // First for_each of the program builds the executor: one worker per
-    // task, placed on the task's computed PU (affinity_compute) with
-    // its deque slots in the task's control shard arena — or round-robin
-    // PUs and the default arena while the program is unplaced.
-    const topo::Topology& topo = rt_->topology();
-    const std::size_t npus = topo.num_pus();
-    std::vector<rt::StealExecutor::WorkerSpec> specs(n);
-    for (std::size_t t = 0; t < n; ++t) {
-      int os = -1;
-      if (rt_->have_placement() &&
-          t < rt_->placement().compute_pu.size()) {
-        os = rt_->placement().compute_pu[t];
-      }
-      int logical = -1;
-      if (os >= 0) {
-        if (const topo::Object* pu = topo.pu_by_os_index(os)) {
-          logical = static_cast<int>(pu->logical_index);
-        }
-      }
-      if (logical < 0) {
-        logical = npus != 0 ? static_cast<int>(t % npus) : 0;
-      }
-      specs[t].pu = logical;
-      specs[t].arena = &rt::Arena::runtime_default();
-      if (os >= 0) {
-        const int shard = rt_->shard_map().shard_of(os);
-        if (shard >= 0) {
-          specs[t].arena = &rt_->shard_arena(static_cast<std::size_t>(shard));
-        }
-      }
-    }
-    rt::StealExecutor::Config cfg;
-    cfg.mode = rt_->steal_mode();
-    cfg.spin = rt_->steal_spin();
-    st.exec = std::make_unique<rt::StealExecutor>(topo, std::move(specs), cfg);
-    // Steal traffic feeds the same measured matrix as lock hand-offs:
-    // items flowing across nodes skew it and can trip ORWL_REPLACE
-    // (no-op when the replace policy keeps no meter).
-    st.exec->set_meter(rt_->comm_meter(), n);
-    rt::StealExecutor* ex = st.exec.get();
-    rt_->set_steal_stats_source([ex](rt::ProgramStats& ps) {
-      const rt::StealExecutor::Stats s = ex->stats();
-      ps.steal_executed = s.executed;
-      ps.steal_local = s.local_steals;
-      ps.steal_remote = s.remote_steals;
-      ps.steal_lent = s.lend_executed;
-      ps.steal_parks = s.parks;
-    });
-  }
-
   // Entry rendezvous: every task seeds its OWN worker deque before any
   // worker starts — with all seeds pre-placed, root==0 during the run
   // can only mean "everything executed", which is what lets run_worker
   // exit without a global barrier.
-  const std::uint64_t generation = st.generation;
-  for (const std::uint64_t s : seeds) st.exec->seed(task, s);
-  if (++st.arrived == n) {
-    st.arrived = 0;
-    st.session_fn = fn;
-    st.exec->begin_session(st.session_fn);
-    ++st.generation;
-    st.cv.notify_all();
-  } else {
-    st.cv.wait(lk, [&] { return st.generation != generation; });
-  }
-  lk.unlock();
+  rt_->rendezvous(
+      "for_each",
+      [&](std::size_t) {
+        if (!steal_.exec) make_steal_executor();
+        for (const std::uint64_t s : seeds) steal_.exec->seed(task, s);
+      },
+      [&] {
+        steal_.session_fn = fn;
+        steal_.exec->begin_session(steal_.session_fn);
+      });
 
-  st.exec->run_worker(task, fn);
+  steal_.exec->run_worker(task, fn);
 
   // Exit rendezvous: a finished worker may not seed the NEXT collective
   // while a sibling of this one could still sweep (it would execute the
   // new item under the old body). The last one out ends the session so
-  // lock-blocked lenders stop referencing session_fn.
-  lk.lock();
-  const std::uint64_t egen = st.exit_generation;
-  if (++st.exited == n) {
-    st.exited = 0;
-    st.exec->end_session();
-    ++st.exit_generation;
-    st.cv.notify_all();
-  } else {
-    st.cv.wait(lk, [&] { return st.exit_generation != egen; });
-  }
+  // lock-blocked lenders stop referencing session_fn, and rethrows the
+  // first item failure to every task.
+  rt_->rendezvous("for_each", nullptr, [&] {
+    steal_.exec->end_session();
+    if (const std::exception_ptr e = steal_.exec->take_error()) {
+      std::rethrow_exception(e);
+    }
+  });
 }
 
 void Program::run() {

@@ -16,11 +16,9 @@
 //    (read_link()/write_link()).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -181,7 +179,8 @@ class Program {
   /// to all of them. Every task must call it the same number of times
   /// with the same combiner (Task::run_iterations(pred, body, op)
   /// guarantees that); a combiner mismatch within one generation throws
-  /// std::logic_error.
+  /// std::logic_error. Once a task's body has returned or thrown, this
+  /// throws std::runtime_error naming it instead of waiting for it.
   double reduce_iteration(double value, ReduceOp op);
   double reduce_iteration(double value) {
     return reduce_iteration(value, ReduceOp::Sum);
@@ -236,36 +235,31 @@ class Program {
   /// hold queue tickets).
   bool fifo_participant(TaskId t) const noexcept;
 
-  /// State of reduce_iteration (heap-allocated: Program stays movable).
+  /// State of reduce_iteration, written under the rendezvous lock.
   struct Reducer {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t arrived = 0;
-    std::uint64_t generation = 0;
-    double acc = 0.0;           ///< running combination, seeded by the
-                                ///< first arriver of each generation
+    double acc = 0.0;             ///< running combination, seeded by the
+                                  ///< first arriver of each generation
     ReduceOp op = ReduceOp::Sum;  ///< combiner of the open generation
     double published = 0.0;
   };
 
-  /// State of the for_each collective (heap-allocated: Program stays
-  /// movable). The executor is built lazily by the first task that
-  /// reaches a for_each and is reused by every later collective.
+  /// State of the for_each collective. The executor is built by the
+  /// first task that reaches a for_each and is reused by every later
+  /// collective.
   struct StealState {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t arrived = 0;
-    std::size_t exited = 0;
-    std::uint64_t generation = 0;       ///< entry barrier epoch
-    std::uint64_t exit_generation = 0;  ///< exit barrier epoch
     std::unique_ptr<rt::StealExecutor> exec;
     rt::StealExecutor::ItemFn session_fn;  ///< lender body (outlives session)
   };
 
+  /// Build the for_each executor: one worker per task, on the task's
+  /// placed PU and shard arena (round-robin PUs while unplaced).
+  void make_steal_executor();
+
   /// The collective behind Task::for_each: entry rendezvous (everyone
   /// seeds its own deque before any worker starts), the steal loop, and
   /// an exit rendezvous (nobody seeds the next collective while a
-  /// worker of this one could still sweep).
+  /// worker of this one could still sweep; the first exception an item
+  /// threw is rethrown there on every task).
   void for_each_impl(TaskId task, std::span<const std::uint64_t> seeds,
                      const ForEachBody& body);
 
@@ -282,8 +276,8 @@ class Program {
   std::vector<TaskBody> init_;                    // declarative init phase
   std::vector<TaskBody> bodies_;
   std::vector<std::unique_ptr<FifoChannel>> fifos_;  // declaration order
-  std::unique_ptr<Reducer> red_ = std::make_unique<Reducer>();
-  std::unique_ptr<StealState> steal_ = std::make_unique<StealState>();
+  Reducer red_;
+  StealState steal_;
 };
 
 /// Per-task view of a v2 program — the argument of every task body.
@@ -434,7 +428,8 @@ class Task {
   /// termination is uniform — no task can leave the loop while another
   /// re-inserts its locks. Every task of the program must drive its
   /// loop through this overload with the same `op` (the reduction
-  /// blocks for all of them). Returns the number of iterations executed.
+  /// blocks for all of them, and throws once one has left its body).
+  /// Returns the number of iterations executed.
   template <typename Pred, typename F>
     requires(std::is_invocable_r_v<bool, Pred&, double> &&
              std::is_invocable_r_v<double, F&, std::size_t>)
@@ -459,6 +454,9 @@ class Task {
   /// ping-pong barrier). Bodies of one collective must be functionally
   /// identical across tasks and must not acquire ORWL locks (a blocked
   /// acquire inside an item would stall the worker's deque).
+  /// A throwing item counts as executed; the first item exception is
+  /// rethrown on every task once all items are done. A task leaving its
+  /// body first makes for_each throw std::runtime_error naming it.
   void for_each(std::span<const std::uint64_t> seeds,
                 const ForEachBody& body) {
     prog_->for_each_impl(id(), seeds, body);

@@ -26,30 +26,6 @@ void check_adoptable(const std::vector<Handle2*>& handles, bool linked,
 
 }  // namespace
 
-void FifoProducer::link(TaskContext& ctx, TaskId owner,
-                        std::size_t first_slot, std::size_t depth,
-                        std::size_t bytes) {
-  if (depth < 2) {
-    throw std::invalid_argument("FifoProducer: depth must be >= 2");
-  }
-  if (!handles_.empty()) {
-    throw std::logic_error("FifoProducer: already linked");
-  }
-  // The channel's metadata follows its first backing location's queue
-  // arena (node-local to the grant engine serving the ring).
-  Arena* arena = ctx.location(owner, first_slot).queue().arena();
-  handles_ = decltype(handles_)(ArenaAllocator<Handle2*>(arena));
-  owned_ = decltype(owned_)(ArenaAllocator<ArenaPtr<Handle2>>(arena));
-  for (std::size_t s = 0; s < depth; ++s) {
-    Location& loc = ctx.location(owner, first_slot + s);
-    if (ctx.id() == owner) loc.scale(bytes);
-    ArenaPtr<Handle2> h(arena_new<Handle2>(*arena));
-    h->write_insert(ctx, loc, /*priority=*/0);
-    handles_.push_back(h.get());
-    owned_.push_back(std::move(h));
-  }
-}
-
 void FifoProducer::adopt(std::vector<Handle2*> handles) {
   check_adoptable(handles, !handles_.empty(), "FifoProducer");
   Arena* arena = handles[0]->location()->queue().arena();
@@ -71,26 +47,6 @@ void FifoProducer::end_push() {
   open_ = false;
   next_ = (next_ + 1) % handles_.size();
   ++pushed_;
-}
-
-void FifoConsumer::link(TaskContext& ctx, TaskId owner,
-                        std::size_t first_slot, std::size_t depth) {
-  if (depth < 2) {
-    throw std::invalid_argument("FifoConsumer: depth must be >= 2");
-  }
-  if (!handles_.empty()) {
-    throw std::logic_error("FifoConsumer: already linked");
-  }
-  Arena* arena = ctx.location(owner, first_slot).queue().arena();
-  handles_ = decltype(handles_)(ArenaAllocator<Handle2*>(arena));
-  owned_ = decltype(owned_)(ArenaAllocator<ArenaPtr<Handle2>>(arena));
-  for (std::size_t s = 0; s < depth; ++s) {
-    Location& loc = ctx.location(owner, first_slot + s);
-    ArenaPtr<Handle2> h(arena_new<Handle2>(*arena));
-    h->read_insert(ctx, loc, /*priority=*/1);
-    handles_.push_back(h.get());
-    owned_.push_back(std::move(h));
-  }
 }
 
 void FifoConsumer::adopt(std::vector<Handle2*> handles) {

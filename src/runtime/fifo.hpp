@@ -9,10 +9,12 @@
 // as a ring of versioned buffers. The producer holds a write Handle2 on
 // every slot (priority 0), the consumer a read Handle2 (priority 1); the
 // per-slot FIFO alternation then allows the producer to run up to
-// `depth - 1` items ahead of the consumer without blocking.
-// Memory: the ring bookkeeping (handle pointers and link()-created
-// handles) draws from the channel owner's queue arena, so a channel's
-// metadata lives on the same NUMA node as its grant engine.
+// `depth - 1` items ahead of the consumer without blocking. The handles
+// are declared on the builder (orwl::TaskSpec::fifo_out / fifo_in) and
+// owned by the program; the endpoints here adopt() and drive them.
+// Memory: the ring of handle pointers draws from the channel owner's
+// queue arena, so a channel's metadata lives on the same NUMA node as
+// its grant engine.
 #pragma once
 
 #include <memory>
@@ -25,21 +27,11 @@ namespace orwl::rt {
 
 class FifoProducer {
  public:
-  /// Link (and scale, when the calling task owns the slots) the channel's
-  /// backing locations. Call during the init phase.
-  /// \param ctx        The linking task's context.
-  /// \param owner      Task whose locations back the channel.
-  /// \param first_slot First of the owner's location slots used.
-  /// \param depth      Ring depth: slots [first_slot, first_slot+depth);
-  ///                   the producer may run depth-1 items ahead.
-  /// \param bytes      Size of each slot's buffer.
-  void link(TaskContext& ctx, TaskId owner, std::size_t first_slot,
-            std::size_t depth, std::size_t bytes);
-
-  /// Drive pre-declared handles instead of creating them: `handles` are
-  /// the channel's write handles in ring order, already inserted (e.g.
-  /// via Program::declare_insert by the v2 builder) and owned elsewhere
-  /// for at least this object's lifetime.
+  /// Drive pre-declared handles: `handles` are the channel's write
+  /// handles in ring order, already inserted (via
+  /// Program::declare_insert by the v2 builder) and owned elsewhere for
+  /// at least this object's lifetime. The producer may run depth-1
+  /// items ahead.
   /// \throws std::invalid_argument for < 2 or unlinked handles;
   ///         std::logic_error when already linked.
   void adopt(std::vector<Handle2*> handles);
@@ -56,8 +48,6 @@ class FifoProducer {
 
  private:
   std::vector<Handle2*, ArenaAllocator<Handle2*>> handles_;  // ring order
-  std::vector<ArenaPtr<Handle2>, ArenaAllocator<ArenaPtr<Handle2>>>
-      owned_;  // link() storage
   std::size_t next_ = 0;
   bool open_ = false;
   std::uint64_t pushed_ = 0;
@@ -65,11 +55,6 @@ class FifoProducer {
 
 class FifoConsumer {
  public:
-  /// Link read handles on the channel's backing locations (must mirror
-  /// the producer's owner/first_slot/depth).
-  void link(TaskContext& ctx, TaskId owner, std::size_t first_slot,
-            std::size_t depth);
-
   /// Drive pre-declared read handles in ring order (see
   /// FifoProducer::adopt).
   void adopt(std::vector<Handle2*> handles);
@@ -86,8 +71,6 @@ class FifoConsumer {
 
  private:
   std::vector<Handle2*, ArenaAllocator<Handle2*>> handles_;  // ring order
-  std::vector<ArenaPtr<Handle2>, ArenaAllocator<ArenaPtr<Handle2>>>
-      owned_;  // link() storage
   std::size_t next_ = 0;
   bool open_ = false;
   std::uint64_t popped_ = 0;

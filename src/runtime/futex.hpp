@@ -1,9 +1,11 @@
 // Futex parking — the one way the runtime puts a thread to sleep.
 //
 // The grant engine (blocked acquirers, one word per request slot), the
-// control-plane shard workers, the steal executor's idle workers and the
-// shm transport's ring doorbells all park directly on a 32-bit sequence
-// word via SYS_futex on Linux; no mutex/condvar pair sits on any of
+// control-plane shard workers, the steal executor's idle workers, the
+// tasks waiting at the all-task rendezvous (rt::Program::rendezvous:
+// the schedule barrier, reduce_iteration, for_each) and the shm
+// transport's ring doorbells all park directly on a 32-bit sequence
+// word via SYS_futex on Linux; no condition variable sits on any of
 // those paths.
 //
 // Protocol (same everywhere): the waiter reads the sequence word,

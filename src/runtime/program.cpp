@@ -1,9 +1,12 @@
 #include "runtime/program.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/comm_meter.hpp"
+#include "runtime/futex.hpp"
 #include "runtime/handle.hpp"
 #include "support/env.hpp"
 #include "treematch/strategies.hpp"
@@ -223,33 +226,56 @@ void Program::register_insert(TaskId task, Location& loc, AccessMode mode,
 }
 
 void Program::schedule_barrier(TaskId tid) {
-  std::unique_lock lock(barrier_mu_);
-  const std::size_t my_generation = barrier_generation_;
-  if (++barrier_arrived_ == num_tasks_) {
-    try {
-      freeze_and_place();
-    } catch (...) {
-      barrier_error_ = std::current_exception();
-    }
-    barrier_arrived_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-  } else {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(opts_.acquire_timeout_ms == 0
-                                      ? 3600000
-                                      : opts_.acquire_timeout_ms);
-    if (!barrier_cv_.wait_until(lock, deadline, [&] {
-          return barrier_generation_ != my_generation;
-        })) {
-      throw std::runtime_error(
-          "orwl_schedule: barrier timed out (a task did not arrive)");
-    }
-  }
-  if (barrier_error_) std::rethrow_exception(barrier_error_);
-  lock.unlock();
+  rendezvous("orwl_schedule", nullptr, [this] { freeze_and_place(); });
   bind_self(tid);
+}
+
+void Program::rendezvous(const char* what,
+                         const std::function<void(std::size_t)>& each,
+                         const std::function<void()>& last) {
+  using Clock = std::chrono::steady_clock;
+  const auto departed = [&] {
+    return std::runtime_error(std::string(what) + ": task " +
+                              std::to_string(rv_departed_) +
+                              " left its body before every task arrived");
+  };
+  std::unique_lock lock(rv_mu_);
+  if (rv_departed_ != kNoTask) throw departed();
+  if (each) each(rv_arrived_);
+  const std::uint64_t generation = rv_generation_;
+  if (++rv_arrived_ == num_tasks_) {
+    rv_error_ = nullptr;
+    try {
+      if (last) last();
+    } catch (...) {
+      rv_error_ = std::current_exception();
+    }
+    rv_arrived_ = 0;
+    ++rv_generation_;
+    rv_seq_.fetch_add(1, std::memory_order_release);
+    futex_wake(rv_seq_, /*all=*/true);
+  }
+  const std::uint64_t timeout_ms = opts_.acquire_timeout_ms;
+  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (rv_generation_ == generation) {
+    if (rv_departed_ != kNoTask) throw departed();
+    std::int64_t wait_ms = 0;  // no deadline
+    if (timeout_ms != 0) {
+      wait_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - Clock::now())
+                    .count();
+      if (wait_ms <= 0) {
+        throw std::runtime_error(std::string(what) + ": timed out after " +
+                                 std::to_string(timeout_ms) +
+                                 " ms (a task did not arrive)");
+      }
+    }
+    const std::uint32_t seq = rv_seq_.load(std::memory_order_acquire);
+    lock.unlock();
+    futex_wait(rv_seq_, seq, wait_ms);
+    lock.lock();
+  }
+  if (rv_error_) std::rethrow_exception(rv_error_);
 }
 
 void Program::freeze_and_place() {
@@ -613,6 +639,8 @@ void Program::run() {
     }
   }
   control_->start();
+  rv_arrived_ = 0;
+  rv_departed_ = kNoTask;
 
   std::mutex err_mu;
   std::exception_ptr first_error;
@@ -629,6 +657,14 @@ void Program::run() {
         std::unique_lock lock(err_mu);
         if (!first_error) first_error = std::current_exception();
       }
+      // Depart only after the error is recorded: a collective this
+      // departure fails must not beat the root cause into first_error.
+      {
+        std::lock_guard lock(rv_mu_);
+        if (rv_departed_ == kNoTask) rv_departed_ = t;
+        rv_seq_.fetch_add(1, std::memory_order_release);
+      }
+      futex_wake(rv_seq_, /*all=*/true);
     });
   }
   for (auto& th : threads_) th.join();

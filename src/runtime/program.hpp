@@ -10,6 +10,8 @@
 //      freezes the task-location graph — and, when ORWL_AFFINITY=1, runs
 //      the affinity module and binds every compute and control thread.
 //   4. Tasks enter their compute phase using Sections on the handles.
+//   5. A task whose body returns or throws has departed: every all-task
+//      collective (rendezvous()) still open or opened later then fails.
 //
 // The advanced API of Sec. IV-B is exposed as the three parameter-less
 // methods dependency_get() / affinity_compute() / affinity_set(), which
@@ -17,7 +19,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -97,7 +98,8 @@ struct ProgramOptions {
   /// (used when placing for a synthetic machine larger than the host).
   bool bind_threads = true;
 
-  /// Deadlock guard for lock acquisition; 0 disables.
+  /// Deadlock guard, 0 disables: bounds every lock acquire and every
+  /// wait at an all-task collective (Program::rendezvous).
   std::uint64_t acquire_timeout_ms = 120000;
 
   /// Grant streak length after which the adaptive data-transfer policy
@@ -225,7 +227,8 @@ class Program {
   void set_task_body(TaskId id, TaskFn fn);
 
   /// Spawn one thread per task, run all bodies to completion, join.
-  /// Rethrows the first task exception, if any.
+  /// Rethrows the first task exception, if any (a root cause comes
+  /// before the collective failures its departure causes).
   void run();
 
   // ---- introspection -----------------------------------------------------
@@ -324,6 +327,21 @@ class Program {
   /// Frozen at schedule(); live inserts afterwards keep appending to it.
   const TaskGraph& graph() const;
 
+  // ---- all-task collectives -----------------------------------------------
+
+  /// The one all-task rendezvous behind every collective (the schedule
+  /// barrier, orwl::Program::reduce_iteration, for_each's entry and
+  /// exit). Under its lock, `each(k)` (k = earlier arrivals) runs for
+  /// every arriving task and `last` for the one closing the generation;
+  /// either may be empty. A throwing `each` is no arrival and reaches
+  /// only its caller; a throwing `last` reaches every participant.
+  /// \throws std::runtime_error naming `what` when a task departed (its
+  ///         body returned or threw) before the generation closed, or
+  ///         when the wait outlasts ProgramOptions::acquire_timeout_ms.
+  void rendezvous(const char* what,
+                  const std::function<void(std::size_t)>& each,
+                  const std::function<void()>& last);
+
   // ---- declarative pre-registration (the v2 facade hook) ------------------
 
   /// Link `handle` to `loc` for `task` *before* run(): the access enters
@@ -393,7 +411,8 @@ class Program {
   /// hand-off `from` -> `to` on `loc` to the measured matrix.
   void record_handoff(TaskId from, TaskId to, const Location& loc) noexcept;
 
-  /// The orwl_schedule barrier.
+  /// The orwl_schedule barrier: a rendezvous whose last arriver runs
+  /// freeze_and_place.
   void schedule_barrier(TaskId tid);
 
   /// Leader-only work at the barrier: sort + enqueue pending requests,
@@ -482,12 +501,15 @@ class Program {
   TaskGraph graph_;
   bool scheduled_ = false;
 
-  // Barrier state.
-  std::mutex barrier_mu_;
-  std::condition_variable barrier_cv_;
-  std::size_t barrier_arrived_ = 0;
-  std::size_t barrier_generation_ = 0;
-  std::exception_ptr barrier_error_;
+  // Rendezvous state, guarded by rv_mu_; waiters park on rv_seq_, bumped
+  // whenever a generation closes or a task departs.
+  static constexpr TaskId kNoTask = ~TaskId{0};
+  std::mutex rv_mu_;
+  std::atomic<std::uint32_t> rv_seq_{0};
+  std::size_t rv_arrived_ = 0;
+  std::uint64_t rv_generation_ = 0;
+  std::exception_ptr rv_error_;   ///< what the last `last` threw
+  TaskId rv_departed_ = kNoTask;  ///< first task that left its body
 
   // Placement state (guarded by place_mu_ for the dynamic API).
   mutable std::mutex place_mu_;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "runtime/comm_meter.hpp"
 #include "runtime/futex.hpp"
@@ -211,7 +212,20 @@ void StealExecutor::meter_steal(std::size_t thief, std::uint32_t victim,
 
 void StealExecutor::execute(const ItemFn& fn, std::uint64_t item,
                             WorkerContext& ctx) {
-  fn(item, ctx);
+  // An item that throws still counts as executed: letting the exception
+  // out would leave this worker counted active (no one could see
+  // quiescence again) and tl_worker_ctx pointing at a dead frame.
+  try {
+    fn(item, ctx);
+  } catch (...) {
+    std::lock_guard lock(error_mu_);
+    if (!error_) error_ = std::current_exception();
+  }
+}
+
+std::exception_ptr StealExecutor::take_error() {
+  std::lock_guard lock(error_mu_);
+  return std::exchange(error_, nullptr);
 }
 
 void StealExecutor::run_worker(std::size_t w, const ItemFn& fn) {

@@ -37,8 +37,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "runtime/arena.hpp"
@@ -175,6 +177,11 @@ class StealExecutor {
   /// is read with acquire on each steal.
   void set_meter(CommMeter* meter, std::size_t num_tasks) noexcept;
 
+  /// The first exception an item body threw since the last call, or
+  /// null; clears it. A throwing item counts as executed and does not
+  /// stop its worker or lender, so the session still terminates.
+  std::exception_ptr take_error();
+
   Stats stats() const noexcept;
 
  private:
@@ -231,6 +238,9 @@ class StealExecutor {
   std::atomic<const ItemFn*> session_fn_{nullptr};
 
   std::atomic<std::uint64_t> lend_executed_{0};
+
+  std::mutex error_mu_;
+  std::exception_ptr error_;  ///< first item failure (see take_error)
 
   /// Steal-traffic sink (see set_meter); tasks_ bounds which worker
   /// indices carry task identity.

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "orwl/orwl.hpp"
 #include "support/env.hpp"
@@ -267,6 +271,73 @@ TEST(Program, TaskExceptionPropagates) {
   EXPECT_THROW(prog.run(), std::runtime_error);
 }
 
+// --------------------------------------------------------- rendezvous ----
+
+TEST(Rendezvous, ThrowingLastReachesEveryParticipant) {
+  Program prog(3, quiet_options());
+  std::atomic<int> caught{0};
+  prog.set_task_body([&](TaskContext& ctx) {
+    try {
+      ctx.program().rendezvous("probe", nullptr, [] {
+        throw std::domain_error("last failed");
+      });
+    } catch (const std::domain_error&) {
+      caught.fetch_add(1);
+    }
+  });
+  prog.run();
+  EXPECT_EQ(caught.load(), 3);
+}
+
+TEST(Rendezvous, DepartureNamesTheCollectiveAndTheTask) {
+  // Task 0 returns without arriving: the open generation and every later
+  // one fail on the other tasks, naming the collective and task 0.
+  ProgramOptions o = quiet_options();
+  o.acquire_timeout_ms = 60000;
+  Program prog(3, o);
+  std::atomic<int> named{0};
+  prog.set_task_body([&](TaskContext& ctx) {
+    if (ctx.id() == 0) return;
+    for (int round = 0; round < 2; ++round) {
+      try {
+        ctx.program().rendezvous("probe", nullptr, nullptr);
+        ADD_FAILURE() << "rendezvous completed without task 0";
+      } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        if (msg.find("probe") != std::string::npos &&
+            msg.find("task 0") != std::string::npos) {
+          named.fetch_add(1);
+        }
+      }
+    }
+  });
+  prog.run();
+  EXPECT_EQ(named.load(), 4);
+}
+
+TEST(Rendezvous, WaitIsBoundedByTheAcquireTimeout) {
+  // Task 0 is late but has not left: the waiting task gives up after
+  // acquire_timeout_ms.
+  ProgramOptions o = quiet_options();
+  o.acquire_timeout_ms = 100;
+  Program prog(2, o);
+  std::string message;
+  prog.set_task_body([&](TaskContext& ctx) {
+    if (ctx.id() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+      return;
+    }
+    try {
+      ctx.program().rendezvous("probe", nullptr, nullptr);
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+  });
+  prog.run();
+  EXPECT_NE(message.find("probe: timed out after 100 ms"), std::string::npos)
+      << message;
+}
+
 TEST(Program, DoubleAcquireThrows) {
   Program prog(1, quiet_options());
   prog.set_task_body([&](TaskContext& ctx) {
@@ -426,31 +497,17 @@ TEST(Fifo, ProducerConsumerTransfersInOrder) {
   constexpr int kItems = 40;
   std::vector<int> received;
 
-  ProgramOptions o = quiet_options();
-  o.locations_per_task = 2;  // fifo depth 2
-  Program prog(2, o);
-  prog.set_task_body(0, [&](TaskContext& ctx) {
-    FifoProducer out;
-    out.link(ctx, 0, 0, 2, sizeof(int));
-    ctx.schedule();
-    for (int i = 0; i < kItems; ++i) {
-      auto buf = out.begin_push();
-      *reinterpret_cast<int*>(buf.data()) = i * i;
-      out.end_push();
-    }
+  orwl::ProgramBuilder b(2, quiet_options());
+  b.task(0).fifo_out<int>("squares", /*depth=*/2).body([&](orwl::Task& t) {
+    orwl::FifoOut<int> out = t.fifo_out<int>("squares");
+    for (int i = 0; i < kItems; ++i) out.push(i * i);
     EXPECT_EQ(out.pushed(), static_cast<std::uint64_t>(kItems));
   });
-  prog.set_task_body(1, [&](TaskContext& ctx) {
-    FifoConsumer in;
-    in.link(ctx, 0, 0, 2);
-    ctx.schedule();
-    for (int i = 0; i < kItems; ++i) {
-      auto buf = in.begin_pop();
-      received.push_back(*reinterpret_cast<const int*>(buf.data()));
-      in.end_pop();
-    }
+  b.task(1).fifo_in<int>("squares").body([&](orwl::Task& t) {
+    orwl::FifoIn<int> in = t.fifo_in<int>("squares");
+    for (int i = 0; i < kItems; ++i) received.push_back(in.pop());
   });
-  prog.run();
+  b.build().run();
 
   ASSERT_EQ(received.size(), static_cast<std::size_t>(kItems));
   for (int i = 0; i < kItems; ++i) EXPECT_EQ(received[i], i * i);

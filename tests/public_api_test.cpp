@@ -11,15 +11,19 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <typeinfo>
 #include <vector>
 
 #include "orwl/orwl.hpp"
+#include "run_watchdog.hpp"
 #include "topo/machines.hpp"
 
 namespace {
 
 using namespace orwl;
+using orwl::test::expect_root_cause_fast;
+using orwl::test::run_or_abort;
 
 // ------------------------------------------------- negative compiles ----
 // Phase safety lives in the type system: a WriteGuard is constructible
@@ -701,6 +705,35 @@ TEST(Converged, MixedWorkloadsStaySynchronized) {
   EXPECT_EQ(exact_sums.load(), 20 * static_cast<int>(kTasks))
       << "every task must observe the complete sum of every round";
   for (TaskId t = 0; t < kTasks; ++t) EXPECT_EQ(rounds[t].load(), 21u);
+}
+
+// ------------------------------------------ a task leaves the reduction ----
+
+rt::ProgramOptions departure_options() {
+  rt::ProgramOptions o = quiet();
+  o.acquire_timeout_ms = 60000;
+  return o;
+}
+
+TEST(Converged, TaskLeavingBeforeReduceIterationFailsFast) {
+  ProgramBuilder b(2, departure_options());
+  b.task(0).body([](Task&) { throw std::domain_error("task 0 left"); });
+  b.task(1).body([](Task& task) { task.program().reduce_iteration(1.0); });
+  Program p = b.build();
+  expect_root_cause_fast(run_or_abort(p, "reduce_iteration departure"),
+                         "task 0 left");
+}
+
+TEST(Converged, TaskLeavingBeforePredicateLoopFailsFast) {
+  ProgramBuilder b(2, departure_options());
+  b.task(0).body([](Task&) { throw std::domain_error("task 0 left"); });
+  b.task(1).body([](Task& task) {
+    task.run_iterations([](double global) { return global < 0.0; },
+                        [](std::size_t) { return 1.0; });
+  });
+  Program p = b.build();
+  expect_root_cause_fast(run_or_abort(p, "run_iterations departure"),
+                         "task 0 left");
 }
 
 }  // namespace

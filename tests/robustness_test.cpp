@@ -4,6 +4,7 @@
 // a reference model.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <deque>
 #include <map>
 
@@ -44,21 +45,29 @@ TEST(Robustness, TaskCrashAfterScheduleDoesNotHangTheProgram) {
   EXPECT_THROW(prog.run(), std::runtime_error);
 }
 
-TEST(Robustness, CrashBeforeScheduleTimesOutTheBarrier) {
+TEST(Robustness, CrashBeforeScheduleFailsTheBarrierFast) {
+  // Task 0 leaves before the schedule barrier. Its departure fails the
+  // barrier for the waiting task at once: the early failure surfaces
+  // well before the 60 s deadlock guard would, and it is what run()
+  // rethrows (not the barrier's own error).
   rt::ProgramOptions o = quiet();
-  o.acquire_timeout_ms = 500;
+  o.acquire_timeout_ms = 60000;
   rt::Program prog(2, o);
   prog.set_task_body([&](rt::TaskContext& ctx) {
     if (ctx.id() == 0) throw std::logic_error("early failure");
     ctx.schedule();
   });
+  const auto start = std::chrono::steady_clock::now();
   try {
     prog.run();
     FAIL() << "expected an exception";
-  } catch (const std::exception& e) {
-    // Either the injected failure or the barrier timeout surfaces.
-    SUCCEED() << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "early failure");
   }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            2.0);
 }
 
 TEST(Robustness, AsymmetricTopologyFallsBackToCompactCores) {

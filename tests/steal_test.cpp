@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -9,6 +10,7 @@
 
 #include "apps/graph.hpp"
 #include "orwl/orwl.hpp"
+#include "run_watchdog.hpp"
 #include "runtime/steal_deque.hpp"
 #include "runtime/steal_executor.hpp"
 #include "support/env.hpp"
@@ -22,6 +24,9 @@ using orwl::rt::StealDeque;
 using orwl::rt::StealExecutor;
 using orwl::rt::StealMode;
 using orwl::support::ScopedEnv;
+using orwl::test::expect_root_cause_fast;
+using orwl::test::run_or_abort;
+using orwl::test::RunOutcome;
 using orwl::topo::make_victim_table;
 using orwl::topo::Topology;
 using orwl::topo::VictimTable;
@@ -402,6 +407,71 @@ TEST(ForEach, StatsLandInProgramStats) {
   });
   p.run();
   EXPECT_EQ(p.stats().steal_executed, 100u);
+}
+
+// ---- failures inside and around the collective --------------------------
+
+orwl::Options departure_options() {
+  orwl::Options o;
+  o.affinity = orwl::rt::AffinityMode::Off;
+  o.acquire_timeout_ms = 60000;
+  return o;
+}
+
+TEST(ForEach, TaskLeavingBeforeTheCollectiveFailsFast) {
+  orwl::Program p(2, departure_options());
+  p.set_task_body([](orwl::Task& t) {
+    t.schedule();
+    if (t.id() == 0) throw std::domain_error("task 0 left");
+    const std::uint64_t seeds[] = {1, 2, 3};
+    t.for_each(seeds, [](std::uint64_t, orwl::StealContext&) {});
+  });
+  expect_root_cause_fast(run_or_abort(p, "for_each departure"),
+                         "task 0 left");
+}
+
+TEST(ForEach, ThrowingItemFailsEveryTaskAndLeavesTheExecutorUsable) {
+  // Item 37 throws. The session still runs every item, every task gets
+  // the item's exception at the exit rendezvous, and a second for_each
+  // on the same executor runs normally.
+  orwl::Program p(2, departure_options());
+  std::atomic<int> caught{0};
+  std::atomic<int> second_round{0};
+  p.set_task_body([&](orwl::Task& t) {
+    t.schedule();
+    std::vector<std::uint64_t> seeds;
+    for (std::uint64_t i = t.id(); i < 100; i += t.num_tasks()) {
+      seeds.push_back(i);
+    }
+    try {
+      t.for_each(seeds, [](std::uint64_t item, orwl::StealContext&) {
+        if (item == 37) throw std::domain_error("item 37 failed");
+      });
+    } catch (const std::domain_error&) {
+      caught.fetch_add(1, std::memory_order_relaxed);
+    }
+    t.for_each(seeds, [&](std::uint64_t, orwl::StealContext&) {
+      second_round.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  const RunOutcome out = run_or_abort(p, "for_each item failure");
+  EXPECT_FALSE(out.error) << "the item's exception was caught in the body";
+  EXPECT_EQ(caught.load(), 2);
+  EXPECT_EQ(second_round.load(), 100);
+  EXPECT_EQ(p.stats().steal_executed, 200u);
+}
+
+TEST(ForEach, ThrowingItemReachesRunFast) {
+  orwl::Program p(2, departure_options());
+  p.set_task_body([](orwl::Task& t) {
+    t.schedule();
+    const std::uint64_t seeds[] = {t.id() * 10, t.id() * 10 + 1};
+    t.for_each(seeds, [](std::uint64_t item, orwl::StealContext&) {
+      if (item == 0) throw std::domain_error("item 0 failed");
+    });
+  });
+  expect_root_cause_fast(run_or_abort(p, "for_each item failure"),
+                         "item 0 failed");
 }
 
 // ---- the graph workloads ------------------------------------------------
