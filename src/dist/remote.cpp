@@ -95,21 +95,30 @@ rt::Ticket RemoteLocation::enqueue_request(rt::AccessMode mode) {
 }
 
 void RemoteLocation::acquire_request(rt::Ticket t) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto it = reqs_.find(t);
-  if (it == reqs_.end()) {
-    throw std::logic_error("remote acquire: unknown ticket");
+  Req* req = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = reqs_.find(t);
+    if (it == reqs_.end()) {
+      throw std::logic_error("remote acquire: unknown ticket");
+    }
+    req = &it->second;
   }
-  if (!cv_.wait_for(lock, kAcquireTimeout, [&] {
-        return it->second.granted || it->second.refused || dead_;
-      })) {
-    throw std::runtime_error("remote acquire: timeout waiting for GRANT");
-  }
-  if (it->second.refused) {
+  // Not under mu_: this thread may run on_grant while it waits.
+  client_->transport_->wait(
+      [&] {
+        std::lock_guard<std::mutex> lock(mu_);
+        return req->granted || req->refused || dead_;
+      },
+      ClientTransport::Clock::now() + kAcquireTimeout);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (req->refused) {
     throw std::runtime_error("remote acquire: " + refusal_);
   }
-  if (!it->second.granted && dead_) {
-    throw std::runtime_error("remote acquire: connection lost");
+  if (!req->granted) {
+    throw std::runtime_error(
+        dead_ ? "remote acquire: connection lost"
+              : "remote acquire: timeout waiting for GRANT");
   }
   ++active_;
 }
@@ -186,7 +195,6 @@ void RemoteLocation::on_grant(wire::Frame&& f) {
     std::memcpy(data(), f.payload.data(), n);
   }
   it->second.granted = true;
-  cv_.notify_all();
 }
 
 void RemoteLocation::on_refused(wire::Frame&& f) {
@@ -196,13 +204,11 @@ void RemoteLocation::on_refused(wire::Frame&& f) {
   refusal_.assign(reinterpret_cast<const char*>(f.payload.data()),
                   f.payload.size());
   it->second.refused = true;
-  cv_.notify_all();
 }
 
 void RemoteLocation::fail_all() {
   std::lock_guard<std::mutex> lock(mu_);
   dead_ = true;
-  cv_.notify_all();
 }
 
 // ---- Client ---------------------------------------------------------------
@@ -248,13 +254,22 @@ RemoteLocation& Client::attach(const std::string& name) {
   hello.location = cookie;
   hello.payload.resize(name.size());
   std::memcpy(hello.payload.data(), name.data(), name.size());
+  const PendingAttach& p = pending_[cookie];  // map nodes are stable
   lock.unlock();
-  if (!send(hello)) throw std::runtime_error("attach: connection lost");
-  lock.lock();
-  PendingAttach& p = pending_[cookie];
-  if (!cv_.wait_for(lock, kAttachTimeout, [&] {
+  if (!send(hello)) {
+    lock.lock();
+    pending_.erase(cookie);
+    throw std::runtime_error("attach: connection lost");
+  }
+  // Not under mu_: this thread may run the HELLO_ACK handler.
+  transport_->wait(
+      [&] {
+        std::lock_guard<std::mutex> held(mu_);
         return p.done || !alive_.load(std::memory_order_acquire);
-      })) {
+      },
+      ClientTransport::Clock::now() + kAttachTimeout);
+  lock.lock();
+  if (!p.done && alive_.load(std::memory_order_acquire)) {
     pending_.erase(cookie);
     throw std::runtime_error("attach(\"" + name + "\"): timeout");
   }
@@ -286,7 +301,6 @@ void Client::on_frame(wire::Frame&& f) {
       it->second.ok = true;
       it->second.eid = f.ticket;
       it->second.bytes = f.aux;
-      cv_.notify_all();
       return;
     }
     case wire::Type::Error: {
@@ -307,7 +321,6 @@ void Client::on_frame(wire::Frame&& f) {
       it->second.ok = false;
       it->second.error.assign(
           reinterpret_cast<const char*>(f.payload.data()), f.payload.size());
-      cv_.notify_all();
       return;
     }
     case wire::Type::Grant: {
@@ -330,7 +343,6 @@ void Client::fail_locations() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [eid, loc] : locs_) locs.push_back(loc.get());
-    cv_.notify_all();  // fail pending attaches
   }
   for (RemoteLocation* loc : locs) loc->fail_all();
 }

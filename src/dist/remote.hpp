@@ -12,10 +12,15 @@
 // under one mutex, so the home sees this client's requests in program
 // order; the home queue then globally orders them against every other
 // requester.
+//
+// A Client starts no thread. A thread blocked in acquire (or attach)
+// waits through ClientTransport::wait: while no other thread reads the
+// connection it reads it itself and runs the frame handlers, so the
+// GRANT it waits for wakes it directly; otherwise it parks until the
+// reading thread has delivered a chunk or given up the read role.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -78,8 +83,9 @@ class RemoteLocation final : public rt::Location {
   Client* client_;
   std::uint64_t eid_;
   std::mutex mu_;
-  std::condition_variable cv_;
   std::uint64_t next_reqid_ = 1;
+  /// A waiter holds its Req by reference across the wait: nodes are
+  /// stable while other requests come and go.
   std::unordered_map<std::uint64_t, Req> reqs_;
   std::size_t active_ = 0;  ///< requests currently acquired by this client
   bool dead_ = false;
@@ -115,7 +121,10 @@ class Client {
   /// crash (the home must reclaim our tickets via disconnect).
   void kill();
 
-  bool alive() const noexcept {
+  /// False once the connection is closed or lost. Delivers what has
+  /// already arrived first, so a drop is noticed with no thread waiting.
+  bool alive() {
+    transport_->poll();
     return alive_.load(std::memory_order_acquire);
   }
 
@@ -124,7 +133,9 @@ class Client {
 
   void on_frame(wire::Frame&& f);
   void on_disconnect();
-  /// Wake pending attaches and fail every attached location's waiters.
+  /// Fail every attached location's waiters. The caller then wakes
+  /// them: the role holder by giving up the read role, close() and
+  /// kill() by stopping the transport.
   void fail_locations();
   bool send(const wire::Frame& f) { return transport_->send(f); }
 
@@ -139,7 +150,6 @@ class Client {
   std::unique_ptr<ClientTransport> transport_;
   std::atomic<bool> alive_{true};
   std::mutex mu_;  ///< guards attach state and the location maps
-  std::condition_variable cv_;
   std::uint64_t next_cookie_ = 1;
   std::map<std::uint64_t, PendingAttach> pending_;
   std::map<std::uint64_t, std::unique_ptr<RemoteLocation>> locs_;

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <stdexcept>
 
@@ -55,7 +54,9 @@ std::string shm_path(const std::string& base) { return "/" + base; }
 
 #if defined(__linux__)
 /// mmap a shm object; creates (O_EXCL) when `create`, sizing to `bytes`.
-/// Returns nullptr on ENOENT when attaching to a missing segment.
+/// Returns nullptr when attaching to a segment that is missing or not
+/// sized yet: its creator makes it, then sizes it, and a mapping past
+/// the end of the object faults (SIGBUS) on first touch.
 void* map_segment(const std::string& name, std::size_t bytes, bool create) {
   const int flags = create ? O_RDWR | O_CREAT | O_EXCL : O_RDWR;
   const int fd = ::shm_open(name.c_str(), flags, 0600);
@@ -63,6 +64,12 @@ void* map_segment(const std::string& name, std::size_t bytes, bool create) {
     if (!create && errno == ENOENT) return nullptr;
     throw std::runtime_error("shm_open(" + name + "): " +
                              std::strerror(errno));
+  }
+  struct stat st{};
+  if (!create && (::fstat(fd, &st) != 0 ||
+                  static_cast<std::size_t>(st.st_size) < bytes)) {
+    ::close(fd);
+    return nullptr;
   }
   if (create && ::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
     ::close(fd);
@@ -95,12 +102,13 @@ void shm_wake_all(std::atomic<std::uint32_t>& w) {
   rt::futex_wake(w, /*all=*/true, rt::FutexScope::Shared);
 }
 
-/// How long a home connection reader polls its empty ring before it
-/// parks. Longer than one remote write cycle (about 10-25 us on one
-/// host), so a client in a closed loop finds the reader awake and skips
-/// the futex wake. The client reader does not poll: the thread it hands
-/// frames to is the one that would run next on its PU.
-constexpr std::chrono::microseconds kHomeReaderSpin{50};
+/// How long a ring reader, on either side, polls its empty ring before
+/// it parks. Longer than one remote write cycle (a few microseconds on
+/// one host), so the other side of a closed loop finds the reader awake
+/// and skips the futex wake: the home's connection reader catches the
+/// next REQ or RELEASE, and the client thread waiting in an acquire
+/// catches its GRANT.
+constexpr std::chrono::microseconds kReaderSpin{50};
 
 }  // namespace
 
@@ -234,10 +242,10 @@ struct ShmServerTransport::ShmConn final : ServerTransport::Conn {
   std::string seg_name;
   ShmRing* c2s = nullptr;  ///< client -> server (we consume)
   ShmRing* s2c = nullptr;  ///< server -> client (we produce)
-  std::mutex wake_mu;  ///< guards the two flags below
-  std::condition_variable wake_cv;
-  bool kicked = false;   ///< the outbox filled again
-  bool closing = false;  ///< shutdown() ran: the writer exits
+  /// The writer parks on this sequence word; bumped when the outbox
+  /// fills again and by shutdown().
+  std::atomic<std::uint32_t> kick{0};
+  std::atomic<bool> closing{false};  ///< shutdown() ran: the writer exits
   std::thread reader;
   std::thread writer;  ///< started the first time bytes have to wait
 
@@ -248,6 +256,11 @@ struct ShmServerTransport::ShmConn final : ServerTransport::Conn {
     ::munmap(map, map_bytes);
     ::shm_unlink(seg_name.c_str());  // the client may have unlinked it
 #endif
+  }
+
+  void wake_writer() noexcept {
+    kick.fetch_add(1, std::memory_order_release);
+    rt::futex_wake(kick, /*all=*/false);
   }
 
   std::ptrdiff_t write_some(const std::byte* p, std::size_t n) override {
@@ -261,21 +274,14 @@ struct ShmServerTransport::ShmConn final : ServerTransport::Conn {
       writer = std::thread([this] { home->write_loop(this); });
       return;
     }
-    {
-      std::lock_guard<std::mutex> lock(wake_mu);
-      kicked = true;
-    }
-    wake_cv.notify_one();
+    wake_writer();
   }
 
   void shutdown() override {
-    {
-      std::lock_guard<std::mutex> lock(wake_mu);
-      closing = true;
-    }
-    wake_cv.notify_one();
+    closing.store(true, std::memory_order_release);
+    wake_writer();
     c2s->close();  // ends our reader once drained
-    s2c->close();  // ends the client's reader, fails its pending sends
+    s2c->close();  // ends the client's reads, fails its pending sends
   }
 };
 
@@ -339,7 +345,7 @@ bool ShmServerTransport::try_accept(std::uint32_t id) {
   const std::size_t cap = round_up_pow2(ring_slots_ * kShmSlotBytes);
   const std::size_t bytes = conn_segment_bytes(cap);
   void* mem = map_segment(name, bytes, /*create=*/false);
-  if (mem == nullptr) return false;  // not created yet; next sweep retries
+  if (mem == nullptr) return false;  // not created or sized yet; retried
   auto* ch = static_cast<ConnHeader*>(mem);
   if (ch->ready.load(std::memory_order_acquire) == 0) {
     shm_wait(ch->ready, 0, 50);
@@ -372,7 +378,7 @@ void ShmServerTransport::read_loop(ShmConn* c) {
   std::byte chunk[4096];
   for (;;) {
     const std::size_t n =
-        c->c2s->pop(chunk, sizeof chunk, 100, kHomeReaderSpin);
+        c->c2s->pop(chunk, sizeof chunk, 100, kReaderSpin);
     if (n == 0) {
       // Closed by the client, or by drop(): what was sent before the
       // close has been delivered.
@@ -390,13 +396,14 @@ void ShmServerTransport::read_loop(ShmConn* c) {
 
 void ShmServerTransport::write_loop(ShmConn* c) {
   for (;;) {
+    // Read the sequence first: bytes queued, or a shutdown, after the
+    // flush below bump it, and the park returns at once.
+    const std::uint32_t seq = c->kick.load(std::memory_order_acquire);
     // Stream the outbox out as the client frees ring space. flush() is
     // -1 once the ring is closed.
     while (flush(*c) > 0) c->s2c->wait_space(10);
-    std::unique_lock<std::mutex> lock(c->wake_mu);
-    c->wake_cv.wait(lock, [c] { return c->kicked || c->closing; });
-    if (c->closing) return;
-    c->kicked = false;
+    if (c->closing.load(std::memory_order_acquire)) return;
+    rt::futex_wait(c->kick, seq, /*timeout_ms=*/0);  // 0: no timeout
   }
 }
 
@@ -456,12 +463,13 @@ ShmClientTransport::~ShmClientTransport() {
 #endif
 }
 
-std::size_t ShmClientTransport::read_some(std::byte* p, std::size_t n) {
-  for (;;) {
-    const std::size_t got = s2c_->pop(p, n, 100);
-    if (got > 0) return got;
-    if (s2c_->closed() && s2c_->readable() == 0) return 0;
-  }
+std::ptrdiff_t ShmClientTransport::read_some(std::byte* p, std::size_t n,
+                                             std::uint32_t timeout_ms) {
+  const std::size_t got = s2c_->pop(
+      p, n, timeout_ms,
+      timeout_ms > 0 ? kReaderSpin : std::chrono::microseconds{0});
+  if (got > 0) return static_cast<std::ptrdiff_t>(got);
+  return s2c_->closed() && s2c_->readable() == 0 ? -1 : 0;
 }
 
 bool ShmClientTransport::write_all(const std::byte* p, std::size_t n) {
@@ -470,7 +478,7 @@ bool ShmClientTransport::write_all(const std::byte* p, std::size_t n) {
 
 void ShmClientTransport::shutdown() {
   c2s_->close();  // the home's reader drops us once drained
-  s2c_->close();  // wakes our parked reader instead of its 100 ms timeout
+  s2c_->close();  // ends the read of a waiting thread at once
 }
 
 }  // namespace orwl::dist

@@ -11,9 +11,11 @@
 // a space bell when it frees room. A side about to park announces itself
 // in the ring header first, and the other side makes the futex_wake
 // syscall only when someone is announced, so a ring whose consumer is
-// awake costs no syscall per frame. The home side's connection readers
-// poll their ring for a short fixed time before parking: a client's
-// next frame (the RELEASE after a GRANT, the next REQ) usually lands
+// awake costs no syscall per frame. Both ring readers poll their ring
+// for the same short fixed time before parking: the home's connection
+// reader, for a client's next frame (the RELEASE after a GRANT, the
+// next REQ), and the client thread that waits in an acquire and holds
+// the read role (transport.hpp), for its GRANT. Those usually land
 // within that time, and neither side then pays for a wakeup. Frames
 // larger than the ring stream through it in chunks, so the fixed
 // capacity (ORWL_DIST_SHM_SLOTS x 64 B) bounds memory, not message
@@ -22,9 +24,9 @@
 // connection's writer thread (started the first time bytes have to
 // wait) streams it out as the client frees space, so the sender never
 // waits for the client. A reader whose stream ends hands its peer to
-// the listener, which drops it: both rings close (the client's reader
-// sees end-of-stream), the threads are joined and the segment is
-// unmapped and unlinked.
+// the listener, which drops it: both rings close (the client sees
+// end-of-stream), the threads are joined and the segment is unmapped
+// and unlinked.
 #pragma once
 
 #include <atomic>
@@ -165,7 +167,8 @@ class ShmClientTransport final : public ClientTransport {
   ~ShmClientTransport() override;
 
  private:
-  std::size_t read_some(std::byte* p, std::size_t n) override;
+  std::ptrdiff_t read_some(std::byte* p, std::size_t n,
+                           std::uint32_t timeout_ms) override;
   bool write_all(const std::byte* p, std::size_t n) override;
   void shutdown() override;
 

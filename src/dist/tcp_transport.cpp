@@ -9,7 +9,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -59,9 +61,9 @@ ssize_t send_some(int fd, const std::byte* p, std::size_t n) {
 // ---- TcpServerTransport ---------------------------------------------------
 
 /// One accepted socket; its epoll data is the TcpConn itself (nullptr
-/// marks the listening socket). Dropped, and so destroyed, only by the
-/// epoll thread or by stop() once that thread has exited, so an event's
-/// pointer is valid while the event is handled.
+/// marks the listening socket, &wake_fd_ the stop eventfd). Dropped, and
+/// so destroyed, only by the epoll thread or by stop() once that thread
+/// has exited, so an event's pointer is valid while the event is handled.
 struct TcpServerTransport::TcpConn final : ServerTransport::Conn {
   int fd = -1;
   int epoll_fd = -1;
@@ -112,15 +114,24 @@ TcpServerTransport::TcpServerTransport(std::uint16_t port) {
     ::close(listen_fd_);
     throw_errno("epoll_create1");
   }
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    ::close(epoll_fd_);
+    ::close(listen_fd_);
+    throw_errno("eventfd");
+  }
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.ptr = nullptr;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  ev.data.ptr = &wake_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 }
 
 TcpServerTransport::~TcpServerTransport() {
   stop();
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  ::close(wake_fd_);
   ::close(epoll_fd_);
 }
 
@@ -133,6 +144,10 @@ void TcpServerTransport::start_io() {
 }
 
 void TcpServerTransport::stop_io() {
+  // The loop parks in epoll_wait with a timeout; wake it so stop()
+  // returns now. It sees running() false and exits.
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof one);
   if (loop_.joinable()) loop_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
@@ -161,6 +176,7 @@ void TcpServerTransport::epoll_loop() {
   while (running()) {
     const int n = ::epoll_wait(epoll_fd_, events, 32, 100);
     for (int i = 0; i < n; ++i) {
+      if (events[i].data.ptr == &wake_fd_) continue;  // stop_io()
       auto* c = static_cast<TcpConn*>(events[i].data.ptr);
       if (c == nullptr) {
         accept_all();
@@ -213,13 +229,17 @@ TcpClientTransport::~TcpClientTransport() {
   ::close(fd_);
 }
 
-std::size_t TcpClientTransport::read_some(std::byte* p, std::size_t n) {
-  for (;;) {
-    const ssize_t got = ::recv(fd_, p, n, 0);
-    if (got > 0) return static_cast<std::size_t>(got);
-    if (got < 0 && errno == EINTR) continue;
-    return 0;  // orderly close, hard error, or shutdown()
+std::ptrdiff_t TcpClientTransport::read_some(std::byte* p, std::size_t n,
+                                             std::uint32_t timeout_ms) {
+  pollfd pfd{fd_, POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
+  if (ready == 0 || (ready < 0 && errno == EINTR)) return 0;
+  const ssize_t got = ::recv(fd_, p, n, MSG_DONTWAIT);
+  if (got > 0) return got;
+  if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    return 0;
   }
+  return -1;  // orderly close, hard error, or shutdown()
 }
 
 bool TcpClientTransport::write_all(const std::byte* p, std::size_t n) {
@@ -254,8 +274,9 @@ TcpClientTransport::TcpClientTransport(const std::string&, std::uint16_t) {
   throw std::runtime_error("TcpClientTransport requires Linux");
 }
 TcpClientTransport::~TcpClientTransport() = default;
-std::size_t TcpClientTransport::read_some(std::byte*, std::size_t) {
-  return 0;
+std::ptrdiff_t TcpClientTransport::read_some(std::byte*, std::size_t,
+                                             std::uint32_t) {
+  return -1;
 }
 bool TcpClientTransport::write_all(const std::byte*, std::size_t) {
   return false;

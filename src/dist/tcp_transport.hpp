@@ -9,6 +9,9 @@
 // releaser, the epoll thread itself) writes its GRANT at once; bytes the
 // socket does not take wait in the connection's outbox, and the epoll
 // thread writes them out when the socket becomes writable (EPOLLOUT).
+// stop() wakes the epoll thread through an eventfd in its epoll set.
+// The client side is one socket and no thread: the thread holding the
+// read role (transport.hpp) polls the socket and reads what is there.
 // Loopback-testable; the interface above this file is transport agnostic
 // (see transport.hpp) so RDMA can replace it wholesale.
 #pragma once
@@ -43,11 +46,12 @@ class TcpServerTransport final : public ServerTransport {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd in the epoll set; stop_io() signals it
   std::uint16_t port_ = 0;
   std::thread loop_;
 };
 
-/// Client side: one blocking socket plus a receiver thread.
+/// Client side: one socket, read by the thread holding the read role.
 class TcpClientTransport final : public ClientTransport {
  public:
   /// Connect to host:port. Throws std::runtime_error on failure.
@@ -55,7 +59,8 @@ class TcpClientTransport final : public ClientTransport {
   ~TcpClientTransport() override;
 
  private:
-  std::size_t read_some(std::byte* p, std::size_t n) override;
+  std::ptrdiff_t read_some(std::byte* p, std::size_t n,
+                           std::uint32_t timeout_ms) override;
   bool write_all(const std::byte* p, std::size_t n) override;
   void shutdown() override;
 

@@ -1,5 +1,9 @@
 #include "dist/transport.hpp"
 
+#include <algorithm>
+#include <thread>
+
+#include "runtime/futex.hpp"
 #include "support/env.hpp"
 
 namespace orwl::dist {
@@ -115,29 +119,83 @@ void ServerTransport::drop(PeerId peer) {
   if (running() && handlers_.on_disconnect) handlers_.on_disconnect(peer);
 }
 
-// ---- ClientTransport ------------------------------------------------------
+// ---- ClientTransport: the read role ---------------------------------------
+
+namespace {
+
+/// Longest single park of a waiter: it re-checks its deadline, and
+/// whether the connection was stopped, at least this often.
+constexpr auto kWaitSlice = std::chrono::milliseconds(100);
+
+}  // namespace
 
 void ClientTransport::start(std::function<void(wire::Frame&&)> on_frame,
                             std::function<void()> on_disconnect) {
   on_frame_ = std::move(on_frame);
   on_disconnect_ = std::move(on_disconnect);
-  running_.store(true, std::memory_order_release);
-  reader_ = std::thread([this] { read_loop(); });
 }
 
-void ClientTransport::read_loop() {
-  wire::FrameStream stream;
-  const wire::FrameStream::Sink sink = [this](wire::Frame&& f) {
-    if (on_frame_) on_frame_(std::move(f));
-  };
-  std::byte chunk[4096];
-  while (running_.load(std::memory_order_acquire)) {
-    // End of stream (the home closed, or stop()) or a malformed one.
-    const std::size_t n = read_some(chunk, sizeof chunk);
-    if (n == 0 || !stream.feed(chunk, n, sink)) break;
+bool ClientTransport::read_chunk(std::uint32_t timeout_ms) {
+  if (stopped() || ended_.load(std::memory_order_acquire)) return false;
+  const std::ptrdiff_t n = read_some(chunk_, sizeof chunk_, timeout_ms);
+  if (n == 0) return false;
+  if (n > 0 && in_.feed(chunk_, static_cast<std::size_t>(n),
+                        [this](wire::Frame&& f) {
+                          if (on_frame_) on_frame_(std::move(f));
+                        })) {
+    return true;
   }
-  if (running_.load(std::memory_order_acquire) && on_disconnect_) {
-    on_disconnect_();
+  // End of stream (the home closed, or stop()) or a malformed one. The
+  // handler runs before ended_ is set, so a waiter that sees ended_ sees
+  // what the handler did.
+  if (!stopped() && on_disconnect_) on_disconnect_();
+  ended_.store(true, std::memory_order_release);
+  return false;
+}
+
+void ClientTransport::release_role() {
+  read_mu_.unlock();
+  // Bump, then look for parked waiters (both seq_cst), against wait()'s
+  // announce then re-read of seq_: either we see the waiter and wake it,
+  // or it sees the new sequence and does not park. A lone waiter makes
+  // no wake syscall.
+  seq_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) != 0) {
+    rt::futex_wake(seq_, /*all=*/true);
+  }
+}
+
+void ClientTransport::wait(const std::function<bool()>& done,
+                           Clock::time_point deadline) {
+  for (;;) {
+    // Read the sequence before the predicate: a handler that changes the
+    // predicate's state after this check bumps the sequence after it.
+    const std::uint32_t seq = seq_.load(std::memory_order_seq_cst);
+    if (done() || stopped() || ended_.load(std::memory_order_acquire)) {
+      return;
+    }
+    const auto now = Clock::now();
+    if (now >= deadline) return;
+    const auto slice = std::min<Clock::duration>(kWaitSlice, deadline - now);
+    const auto slice_ms = static_cast<std::uint32_t>(
+        std::chrono::ceil<std::chrono::milliseconds>(slice).count());
+    if (read_mu_.try_lock()) {
+      const RoleGuard role{this};
+      read_chunk(slice_ms);
+      continue;
+    }
+    parked_.fetch_add(1, std::memory_order_seq_cst);
+    if (seq_.load(std::memory_order_seq_cst) == seq) {
+      rt::futex_wait(seq_, seq, slice_ms);
+    }
+    parked_.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
+
+void ClientTransport::poll() {
+  if (!read_mu_.try_lock()) return;
+  const RoleGuard role{this};
+  while (read_chunk(0)) {
   }
 }
 
@@ -150,9 +208,11 @@ bool ClientTransport::send(const wire::Frame& f) {
 
 void ClientTransport::stop() {
   stopped_.store(true, std::memory_order_release);
-  const bool was_running = running_.exchange(false, std::memory_order_acq_rel);
-  shutdown();  // wakes the reader, and a sender blocked in write_all
-  if (was_running && reader_.joinable()) reader_.join();
+  shutdown();  // ends a read in progress, fails a send blocked in write_all
+  // Wait out the role holder; a thread that takes the role later sees
+  // stopped() and reads nothing. Then wake the parked waiters.
+  read_mu_.lock();
+  release_role();
   // A send in flight holds the lock until write_all returns; once stop()
   // has held it, no send touches the connection again, and the derived
   // destructor may free it.

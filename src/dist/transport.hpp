@@ -14,7 +14,7 @@
 // Everything but byte I/O is implemented here once: on the home side
 // the peer table, send() with its in-order outbox, frame decoding
 // (wire::FrameStream), the wait for senders in flight and drop(), the one
-// way a peer leaves; on the client side the reader loop and the stop/send
+// way a peer leaves; on the client side the read role and the stop/send
 // ordering. A new transport (RDMA, say) implements only:
 //
 //   home   — a ServerTransport::Conn per connection: a non-blocking
@@ -23,10 +23,22 @@
 //            directions); plus start_io()/stop_io() for its accept and
 //            read loops, which add() connections, deliver() the bytes
 //            they read and drop() a peer whose stream ended or went bad.
-//   client — read_some(), a blocking write_all() and shutdown().
+//   client — read_some() with a timeout, a blocking write_all() and
+//            shutdown().
+//
+// The client starts no thread. A thread that waits for a frame reads the
+// connection itself (leader/followers): the one that takes the read role
+// reads a chunk and runs the frame handlers, then hands the role on and
+// bumps a futex sequence word; the other waiters park on that word. With
+// one thread waiting per client (a closed loop) a GRANT wakes nothing:
+// its waiter read it. With N waiters every chunk wakes all of the parked
+// ones, up to N - 1 wakes; ARCHITECTURE.md section 10 has the figures
+// for that case, where waking only the thread whose state changed was
+// measured slower.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -34,7 +46,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dist/wire.hpp"
@@ -147,22 +158,36 @@ class ServerTransport {
   PeerId next_peer_ = 1;
 };
 
-/// Client-side transport: one connection to a home process.
+/// Client-side transport: one connection to a home process. It has no
+/// thread: frames are read by the threads that wait for them (wait()),
+/// and by poll().
 class ClientTransport {
  public:
+  using Clock = std::chrono::steady_clock;
+
   ClientTransport() = default;
   /// Derived destructors call stop() first, then free the connection.
   virtual ~ClientTransport() = default;
   ClientTransport(const ClientTransport&) = delete;
   ClientTransport& operator=(const ClientTransport&) = delete;
 
-  /// Begin delivering incoming frames (in arrival order, from an internal
-  /// receiver thread).
+  /// Set the frame handlers. They run, in arrival order, on whichever
+  /// thread holds the read role (inside wait() or poll()), one at a time.
   void start(std::function<void(wire::Frame&&)> on_frame,
              std::function<void()> on_disconnect);
 
-  /// Close the connection. Idempotent; no callbacks after stop(), and
-  /// every send after it returns false.
+  /// Block until `done` holds, the deadline passes, or the connection
+  /// ends or is stopped, reading the connection while no other thread
+  /// does; the caller then re-checks its own state. `done` may take
+  /// locks the frame handlers take, so the caller must hold none.
+  void wait(const std::function<bool()>& done, Clock::time_point deadline);
+
+  /// Deliver every frame that has already arrived, without blocking.
+  /// No-op while another thread holds the read role (it delivers them).
+  void poll();
+
+  /// Close the connection. Idempotent; no callbacks after stop(), every
+  /// send after it returns false, and every wait() returns.
   void stop();
 
   /// Send one frame home. Thread-safe; valid before start(). False once
@@ -175,23 +200,42 @@ class ClientTransport {
   }
 
  private:
-  /// Block until bytes arrive and return up to n of them; 0 once the
-  /// stream has ended (the home closed it, or shutdown()).
-  virtual std::size_t read_some(std::byte* p, std::size_t n) = 0;
+  /// Read up to n bytes, waiting at most timeout_ms for the first (0:
+  /// do not wait). Returns the bytes read (> 0), 0 on timeout, or -1
+  /// once the stream has ended (the home closed it, or shutdown()).
+  virtual std::ptrdiff_t read_some(std::byte* p, std::size_t n,
+                                   std::uint32_t timeout_ms) = 0;
   /// Write all n bytes, blocking while the connection is full. False
   /// when the connection broke or shutdown() ran.
   virtual bool write_all(const std::byte* p, std::size_t n) = 0;
-  /// Close both directions: wakes read_some and write_all. Idempotent.
+  /// Close both directions: ends a read_some and fails a write_all in
+  /// progress. Idempotent.
   virtual void shutdown() = 0;
 
-  void read_loop();
+  /// Caller holds the read role: read one chunk, waiting up to
+  /// timeout_ms, and run the handlers on its frames. True when bytes
+  /// were delivered.
+  bool read_chunk(std::uint32_t timeout_ms);
+  /// Give up the read role and wake every thread parked on seq_.
+  void release_role();
+  /// Holds the read role taken just before it; releases it on exit.
+  struct RoleGuard {
+    ClientTransport* t;
+    ~RoleGuard() { t->release_role(); }
+  };
 
   std::function<void(wire::Frame&&)> on_frame_;
   std::function<void()> on_disconnect_;
   std::mutex send_mu_;
-  std::atomic<bool> running_{false};  ///< start() ran and stop() did not
+  std::mutex read_mu_;  ///< the read role; guards in_ and chunk_
+  wire::FrameStream in_;
+  std::byte chunk_[4096];
+  /// Bumped each time the read role is given up: the handlers have run
+  /// (a waiter's state may have changed) and the role is free.
+  std::atomic<std::uint32_t> seq_{0};
+  std::atomic<std::uint32_t> parked_{0};  ///< waiters announced on seq_
   std::atomic<bool> stopped_{false};  ///< stop() began
-  std::thread reader_;
+  std::atomic<bool> ended_{false};    ///< the stream ended or went bad
 };
 
 /// Transport selector (ORWL_DIST, read with support::resolve): off

@@ -3,10 +3,11 @@
 // The grant engine (blocked acquirers, one word per request slot), the
 // control-plane shard workers, the steal executor's idle workers, the
 // tasks waiting at the all-task rendezvous (rt::Program::rendezvous:
-// the schedule barrier, reduce_iteration, for_each) and the shm
-// transport's ring doorbells all park directly on a 32-bit sequence
-// word via SYS_futex on Linux; no condition variable sits on any of
-// those paths.
+// the schedule barrier, reduce_iteration, for_each), the shm
+// transport's ring doorbells and writer threads, and the dist client's
+// threads waiting for the read role all park directly on a 32-bit
+// sequence word via SYS_futex on Linux; no condition variable sits on
+// any of those paths.
 //
 // Protocol (same everywhere): the waiter reads the sequence word,
 // re-checks its predicate, then futex-waits for the sequence to change;

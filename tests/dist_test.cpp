@@ -2,10 +2,12 @@
 // FrameStream reassembler, shm ring wrap/doorbell behavior, registry +
 // client end-to-end over both transports (in-process and across fork()),
 // exact FIFO order across the wire, orphaned-client ticket reclamation,
-// grants shipped by the granting thread, prompt shm shutdown, slow or
-// stalled clients that must not hold up the home and peers that
-// disconnect or send garbage (both run on each transport), unexport,
-// and the env/URL knobs.
+// grants shipped by the granting thread, slow or stalled clients that
+// must not hold up the home, peers that disconnect or send garbage and
+// prompt shutdown (all three run on each transport), an shm listener
+// that meets a segment not sized yet, the client's read role (no thread
+// of its own, the role handed between waiters, close() failing parked
+// waiters), unexport, and the env/URL knobs.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -714,22 +716,6 @@ TEST(DistGrantPath, ExportsSpawnNoThreads) {
   reg.stop();
 }
 
-TEST(DistShutdown, ShmStopWithAnOpenClientIsPrompt) {
-  // The listener and the connection reader park with 100 ms timeouts;
-  // stop() must wake them instead of waiting those out.
-  const std::string base = unique_base("stop");
-  Home home(std::make_unique<dist::ShmServerTransport>(base, 64));
-  auto client = dist::Client::connect(home.reg.url("counter"));
-  client->attach("counter");
-  // Let the home's reader finish polling and park.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const auto t0 = std::chrono::steady_clock::now();
-  home.reg.stop();
-  const auto took = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(took, std::chrono::milliseconds(50));
-  client->close();
-}
-
 // ---------------------------------------------------- back-pressure ----
 
 /// Run `body` on `n` threads; abort the whole test binary when they have
@@ -1083,6 +1069,208 @@ TEST_P(DistDrop, MalformedStreamIsDroppedAndTheClientIsTold) {
 
 INSTANTIATE_TEST_SUITE_P(Both, DistDrop, testing::Values(kShmCase, kTcpCase),
                          case_name);
+
+// -------------------------------------------------------- shutdown ----
+
+class DistShutdown : public testing::TestWithParam<TransportCase> {};
+
+TEST_P(DistShutdown, StopWithAnOpenClientIsPrompt) {
+  // The shm listener and connection reader, and the tcp epoll loop, park
+  // with 100 ms timeouts; stop() must wake them instead of waiting those
+  // out.
+  Home home(GetParam().make_home());
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  client->attach("counter");
+  // Let the home's reader finish polling and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  home.reg.stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+  client->close();
+}
+
+INSTANTIATE_TEST_SUITE_P(Both, DistShutdown,
+                         testing::Values(kShmCase, kTcpCase), case_name);
+
+TEST(DistShmListen, SegmentNotYetSizedIsLeftForALaterSweep) {
+  // A client allocates its connection id, creates its segment, then
+  // sizes it. A listener sweep that lands in between must leave the
+  // segment for a later sweep: mapping the empty object and reading its
+  // header faults (SIGBUS) and takes the home process down.
+  const std::string base = unique_base("unsized");
+  Home home(std::make_unique<dist::ShmServerTransport>(base, 64));
+  // Allocate id 0 as a client does: the listen segment starts with the
+  // words magic, announce and next_id.
+  const int lfd = ::shm_open(("/" + base).c_str(), O_RDWR, 0600);
+  ASSERT_GE(lfd, 0);
+  void* lmem = ::mmap(nullptr, 16, PROT_READ | PROT_WRITE, MAP_SHARED, lfd, 0);
+  ::close(lfd);
+  ASSERT_NE(lmem, MAP_FAILED);
+  auto* words = static_cast<std::atomic<std::uint32_t>*>(lmem);
+  ASSERT_EQ(words[2].fetch_add(1), 0u);
+  const std::string seg = "/" + base + ".c0";
+  const int fd = ::shm_open(seg.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  // Let the listener sweep id 0 a few times: it parks for at most
+  // 100 ms between sweeps.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  ::shm_unlink(seg.c_str());
+  ::munmap(lmem, 16);
+  // The home is up and serves the next client (id 1).
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  {
+    rt::Handle h;
+    h.insert_standalone(client->attach("counter"), AccessMode::Write);
+    rt::Section sec(h);
+    ++*sec.as<std::uint64_t>();
+  }
+  client->close();
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().releases >= 1; }));
+  EXPECT_EQ(home.value(), 1u);
+  home.reg.stop();
+}
+
+// ----------------------------------------------- client read role ----
+
+using Clock = std::chrono::steady_clock;
+
+/// Well inside one 100 ms park slice of a waiting client thread: a wake
+/// that went missing would show as a wait of up to a whole slice.
+constexpr auto kPrompt = std::chrono::milliseconds(50);
+
+TEST(DistClient, ConnectStartsNoThread) {
+  // The client reads its connection on the threads that wait for frames,
+  // so a session adds no thread to its process. Over tcp the home serves
+  // every connection from its one epoll thread, already running, so the
+  // home side in this process adds none either (the shm home starts a
+  // reader per connection).
+  Home home(std::make_unique<dist::TcpServerTransport>(0));
+  const std::size_t before = thread_count();
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  {
+    rt::Handle h;
+    h.insert_standalone(client->attach("counter"), AccessMode::Write);
+    rt::Section sec(h);
+    ++*sec.as<std::uint64_t>();
+  }
+  EXPECT_EQ(thread_count(), before);
+  client->close();
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().releases >= 1; }));
+  EXPECT_EQ(home.value(), 1u);
+  home.reg.stop();
+}
+
+TEST(DistClient, ReadRolePassesBetweenWaiters) {
+  // Two threads wait on one client, each for a location a local writer
+  // holds. Whichever thread reads the connection when a GRANT lands
+  // delivers it and wakes its owner; a thread whose grant came gives the
+  // read role up, and the other takes it over. Releasing in both orders
+  // leaves each thread in turn as the one still waiting. Each acquire
+  // must follow its release well inside one park slice.
+  for (const TransportCase& tc : {kShmCase, kTcpCase}) {
+    SCOPED_TRACE(tc.name);
+    rt::Location homes[2] = {{0, 0, 0}, {1, 0, 0}};
+    dist::Registry reg;
+    for (int i = 0; i < 2; ++i) {
+      homes[i].scale(sizeof(std::uint64_t));
+      *reinterpret_cast<std::uint64_t*>(homes[i].data()) = 0;
+      reg.export_location("loc" + std::to_string(i), &homes[i]);
+    }
+    reg.serve(tc.make_home());
+    auto client = dist::Client::connect(reg.url("loc0"));
+    dist::RemoteLocation* remote[2] = {&client->attach("loc0"),
+                                       &client->attach("loc1")};
+    for (int round = 0; round < 2; ++round) {
+      rt::Handle held[2];
+      for (int i = 0; i < 2; ++i) {
+        held[i].insert_standalone(homes[i], AccessMode::Write);
+        held[i].acquire();
+      }
+      const std::uint64_t proxied = reg.stats().proxy_requests;
+      std::atomic<Clock::rep> released_at[2] = {{0}, {0}};
+      std::atomic<Clock::rep> acquired_at[2] = {{0}, {0}};
+      run_or_abort(3, 30, "ReadRolePassesBetweenWaiters", [&](int t) {
+        if (t < 2) {
+          rt::Handle h;
+          h.insert_standalone(*remote[t], AccessMode::Write);
+          rt::Section sec(h);
+          acquired_at[t].store(Clock::now().time_since_epoch().count());
+          ++*sec.as<std::uint64_t>();
+          return;
+        }
+        // Both requests queued at the home, both waiters reading or
+        // parked: release the local holds one at a time.
+        ASSERT_TRUE(eventually(
+            [&] { return reg.stats().proxy_requests >= proxied + 2; }));
+        for (const int i : {round, 1 - round}) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          ++*reinterpret_cast<std::uint64_t*>(homes[i].data());
+          released_at[i].store(Clock::now().time_since_epoch().count());
+          held[i].release();
+          ASSERT_TRUE(eventually([&] { return acquired_at[i].load() != 0; }));
+        }
+      });
+      for (int i = 0; i < 2; ++i) {
+        EXPECT_LT(Clock::duration(acquired_at[i] - released_at[i]), kPrompt)
+            << "round " << round << ", location " << i;
+      }
+    }
+    client->close();
+    ASSERT_TRUE(eventually([&] { return reg.stats().releases >= 4; }));
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(*reinterpret_cast<std::uint64_t*>(homes[i].data()), 4u);
+    }
+    reg.stop();
+  }
+}
+
+TEST(DistClient, CloseFailsAParkedWaiter) {
+  // Two threads wait for a location a local writer holds: one reads the
+  // connection, the other is parked on the read role. close() from a
+  // third thread must fail both acquires with "connection lost" at once,
+  // not after their park slice or the acquire timeout.
+  for (const TransportCase& tc : {kShmCase, kTcpCase}) {
+    SCOPED_TRACE(tc.name);
+    Home home(tc.make_home());
+    auto client = dist::Client::connect(home.reg.url("counter"));
+    dist::RemoteLocation& remote = client->attach("counter");
+    rt::Handle local;
+    local.insert_standalone(home.loc, AccessMode::Write);
+    local.acquire();
+    std::atomic<Clock::rep> closed_at{0};
+    std::string what[2];
+    Clock::time_point failed_at[2];
+    run_or_abort(3, 30, "CloseFailsAParkedWaiter", [&](int t) {
+      if (t < 2) {
+        rt::Handle h;
+        h.insert_standalone(remote, AccessMode::Write);
+        try {
+          h.acquire();
+        } catch (const std::runtime_error& e) {
+          failed_at[t] = Clock::now();
+          what[t] = e.what();
+        }
+        return;
+      }
+      ASSERT_TRUE(
+          eventually([&] { return home.reg.stats().proxy_requests >= 2; }));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      closed_at.store(Clock::now().time_since_epoch().count());
+      client->close();
+    });
+    for (int t = 0; t < 2; ++t) {
+      EXPECT_NE(what[t].find("connection lost"), std::string::npos)
+          << "waiter " << t << ": \"" << what[t] << "\"";
+      EXPECT_LT(failed_at[t] - Clock::time_point(Clock::duration(closed_at)),
+                kPrompt)
+          << "waiter " << t;
+    }
+    local.release();
+    home.reg.stop();
+  }
+}
 
 // ----------------------------------------------------------- unexport ----
 
