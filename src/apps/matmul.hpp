@@ -27,7 +27,8 @@ struct MatmulProblem {
   static MatmulProblem generate(std::size_t n, std::uint64_t seed = 11);
 };
 
-/// Sequential reference: C = A * B via the blocked dgemm kernel.
+/// Sequential reference: C = A * B in one call of the packed dgemm
+/// kernel (apps/dgemm.hpp), the same kernel every ORWL task runs.
 void matmul_sequential(MatmulProblem& p);
 
 /// ORWL block-cyclic multiply with `tasks` tasks. Each task owns a block

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "apps/dgemm.hpp"
 #include "apps/matmul.hpp"
 
 namespace {
@@ -49,6 +50,19 @@ INSTANTIATE_TEST_SUITE_P(
                       MatmulCase{16, 4}, MatmulCase{24, 3},
                       MatmulCase{32, 8}, MatmulCase{48, 6},
                       MatmulCase{64, 16}));
+
+// The cases above compare against matmul_sequential, which runs the same
+// dgemm kernel, and are all smaller than one of its k-panels (128). This
+// one spans three k-panels and a row block (nb = 75, k = 300) and checks
+// against the triple-loop product.
+TEST(MatmulOrwl, MatchesNaiveAtFullTiles) {
+  const std::size_t n = 300, tasks = 4;
+  auto par = MatmulProblem::generate(n);
+  matmul_orwl(par, tasks, quiet());
+  std::vector<double> ref(n * n, 0.0);
+  dgemm_naive(n, n, n, par.a.data(), n, par.b.data(), n, ref.data(), n);
+  expect_close(ref, par.c);
+}
 
 TEST(Matmul, OrwlRejectsBadTaskCount) {
   auto p = MatmulProblem::generate(8);
