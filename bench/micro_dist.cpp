@@ -13,7 +13,7 @@
 //                        (length-prefixed frames through epoll)
 //
 // N is the location payload in bytes: the remote cycle ships the whole
-// payload twice (GRANT carries the bytes out, DATA writes them back),
+// payload twice (GRANT carries the bytes out, RELEASE writes them back),
 // so the large arg exposes the copy/serialisation cost while the small
 // one is pure protocol round-trip.
 //
@@ -65,9 +65,9 @@ void BM_HandoffIntra(benchmark::State& state) {
 }
 
 /// Home + client in one process, but every cycle still crosses the full
-/// transport: REQ_WRITE and DATA+RELEASE on the wire, the home's
-/// transport thread proxying into the real queue and shipping the GRANT
-/// that carries the payload back from the grant itself.
+/// transport: REQ_WRITE and RELEASE (with the write-back) on the wire,
+/// the home's transport thread proxying into the real queue and shipping
+/// the GRANT that carries the payload back from the grant itself.
 struct DistFixture {
   rt::Location loc{0, 0, 0};
   dist::Registry reg;

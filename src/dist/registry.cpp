@@ -1,5 +1,6 @@
 #include "dist/registry.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -129,7 +130,6 @@ void Registry::on_frame(PeerId peer, wire::Frame&& f) {
     case wire::Type::ReqWrite:
       handle_request(peer, f, rt::AccessMode::Write);
       break;
-    case wire::Type::Data: handle_data(peer, f); break;
     case wire::Type::Release: handle_release(peer, f); break;
     case wire::Type::Bye: on_disconnect(peer); break;
     default: break;  // client-bound types from a client: ignore
@@ -220,20 +220,6 @@ void Registry::add_proxy(Export* ex, PeerId peer, std::uint64_t reqid,
   if (!ex->loc->queue().park_remote(t)) ship(ex, t);
 }
 
-void Registry::handle_data(PeerId peer, const wire::Frame& f) {
-  Export* ex = find_export(f.location);
-  if (ex == nullptr) return;
-  std::lock_guard<std::mutex> elock(ex->mu);
-  const auto it = ex->granted.find({peer, f.ticket});
-  if (it == ex->granted.end()) return;  // reclaimed meanwhile
-  if (it->second.mode != rt::AccessMode::Write) return;
-  rt::Location* loc = ex->loc;
-  if (loc->data() == nullptr) return;
-  const std::size_t n =
-      f.payload.size() < loc->size() ? f.payload.size() : loc->size();
-  std::memcpy(loc->data(), f.payload.data(), n);
-}
-
 void Registry::handle_release(PeerId peer, const wire::Frame& f) {
   Export* ex = find_export(f.location);
   if (ex == nullptr) return;
@@ -247,6 +233,14 @@ void Registry::handle_release(PeerId peer, const wire::Frame& f) {
     if (it == ex->granted.end()) return;  // reclaimed meanwhile
     held = it->second;
     ex->granted.erase(it);
+    // A writer's write-back lands while its proxy still holds the lock.
+    // A payload on a read grant is ignored: readers change nothing.
+    rt::Location* loc = ex->loc;
+    if (held.mode == rt::AccessMode::Write && loc->data() != nullptr &&
+        !f.payload.empty()) {
+      std::memcpy(loc->data(), f.payload.data(),
+                  std::min(f.payload.size(), loc->size()));
+    }
     // An unexported location takes no new request, re-inserted or not.
     reinsert = wants_reinsert && ex->active;
     if (reinsert) {

@@ -17,8 +17,9 @@
 // frame its ring or socket cannot take at once is queued on the
 // connection (ServerTransport::send), so a slow or stalled client holds
 // up neither the granting thread nor the reader of its own requests.
-// RELEASE/DATA frames from the client complete the
-// cycle, with the reinsert flag running the iterative handle2 re-insert
+// One RELEASE frame from the client completes the cycle: a writer's
+// carries the write-back, copied into the location before the ticket is
+// released, and the reinsert flag runs the iterative handle2 re-insert
 // atomically in the home queue.
 //
 // Orphan reclamation: when a client disconnects, its granted proxies are
@@ -129,7 +130,6 @@ class Registry {
   void on_disconnect(PeerId peer);
   void handle_hello(PeerId peer, const wire::Frame& f);
   void handle_request(PeerId peer, const wire::Frame& f, rt::AccessMode mode);
-  void handle_data(PeerId peer, const wire::Frame& f);
   void handle_release(PeerId peer, const wire::Frame& f);
   /// Enqueue a proxy for (peer, reqid) at home ticket `t` and park it
   /// remotely; ships its GRANT inline when `t` is already granted.

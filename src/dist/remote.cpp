@@ -129,14 +129,7 @@ void RemoteLocation::release_request(rt::Ticket t) {
   if (it == reqs_.end()) {
     throw std::logic_error("remote release: unknown ticket");
   }
-  if (!dead_) {
-    send_write_back(t, it->second.mode);
-    wire::Frame r;
-    r.type = wire::Type::Release;
-    r.location = eid_;
-    r.ticket = t;
-    client_->send(r);
-  }
+  if (!dead_) client_->send(release_frame(t, it->second.mode));
   reqs_.erase(it);
   if (active_ > 0) --active_;
 }
@@ -153,12 +146,8 @@ rt::Ticket RemoteLocation::reinsert_release_request(rt::Ticket t,
   }
   const std::uint64_t next = next_reqid_++;
   reqs_[next] = {mode, false};
-  send_write_back(t, mode);
-  wire::Frame r;
-  r.type = wire::Type::Release;
+  wire::Frame r = release_frame(t, mode);
   r.flags = wire::kFlagReinsert;
-  r.location = eid_;
-  r.ticket = t;
   r.aux = next;  // the home re-inserts atomically under this reqid
   if (!client_->send(r)) {
     reqs_.erase(next);
@@ -171,14 +160,16 @@ rt::Ticket RemoteLocation::reinsert_release_request(rt::Ticket t,
   return next;
 }
 
-void RemoteLocation::send_write_back(rt::Ticket t, rt::AccessMode mode) {
-  if (mode != rt::AccessMode::Write || data() == nullptr) return;
-  wire::Frame d;
-  d.type = wire::Type::Data;
-  d.location = eid_;
-  d.ticket = t;
-  d.payload.assign(data(), data() + size());
-  client_->send(d);
+wire::Frame RemoteLocation::release_frame(rt::Ticket t,
+                                          rt::AccessMode mode) {
+  wire::Frame r;
+  r.type = wire::Type::Release;
+  r.location = eid_;
+  r.ticket = t;
+  if (mode == rt::AccessMode::Write && data() != nullptr) {
+    r.payload.assign(data(), data() + size());
+  }
+  return r;
 }
 
 void RemoteLocation::on_grant(wire::Frame&& f) {

@@ -5,8 +5,9 @@
 // WriteGuard work unchanged against a location whose home (and FIFO) is
 // another process: enqueue sends REQ_READ/REQ_WRITE, acquire blocks until
 // the matching GRANT lands (copying the shipped buffer bytes into the
-// local mirror), release ships DATA (writer write-back) + RELEASE, and
-// the iterative handle2 cycle maps onto RELEASE|reinsert.
+// local mirror), release sends one RELEASE frame (a writer's carries the
+// mirror home as its payload), and the iterative handle2 cycle maps onto
+// RELEASE|reinsert.
 //
 // FIFO across the wire: request ids are assigned and their frames sent
 // under one mutex, so the home sees this client's requests in program
@@ -69,10 +70,10 @@ class RemoteLocation final : public rt::Location {
   void on_grant(wire::Frame&& f);
   void on_refused(wire::Frame&& f);  // the home took back the export
   void fail_all();  // connection lost: wake every waiter with an error
-  /// Caller holds mu_: ship the mirror home as the DATA frame that must
-  /// precede the release of write ticket `t` (no-op for reads and
-  /// unsized locations).
-  void send_write_back(rt::Ticket t, rt::AccessMode mode);
+  /// Caller holds mu_: the RELEASE frame of ticket `t`. A write grant's
+  /// carries the mirror as its payload, the write-back; a read grant's
+  /// and an unsized location's carry none.
+  wire::Frame release_frame(rt::Ticket t, rt::AccessMode mode);
 
   struct Req {
     rt::AccessMode mode = rt::AccessMode::Read;

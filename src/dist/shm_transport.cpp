@@ -102,14 +102,6 @@ void shm_wake_all(std::atomic<std::uint32_t>& w) {
   rt::futex_wake(w, /*all=*/true, rt::FutexScope::Shared);
 }
 
-/// How long a ring reader, on either side, polls its empty ring before
-/// it parks. Longer than one remote write cycle (a few microseconds on
-/// one host), so the other side of a closed loop finds the reader awake
-/// and skips the futex wake: the home's connection reader catches the
-/// next REQ or RELEASE, and the client thread waiting in an acquire
-/// catches its GRANT.
-constexpr std::chrono::microseconds kReaderSpin{50};
-
 }  // namespace
 
 // ---- ShmRing --------------------------------------------------------------

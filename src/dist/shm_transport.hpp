@@ -12,11 +12,12 @@
 // in the ring header first, and the other side makes the futex_wake
 // syscall only when someone is announced, so a ring whose consumer is
 // awake costs no syscall per frame. Both ring readers poll their ring
-// for the same short fixed time before parking: the home's connection
-// reader, for a client's next frame (the RELEASE after a GRANT, the
-// next REQ), and the client thread that waits in an acquire and holds
-// the read role (transport.hpp), for its GRANT. Those usually land
-// within that time, and neither side then pays for a wakeup. Frames
+// for kReaderSpin, the poll budget the tcp readers share
+// (transport.hpp), before parking: the home's connection reader, for a
+// client's next frame (the RELEASE after a GRANT, the next REQ), and
+// the client thread that waits in an acquire and holds the read role,
+// for its GRANT. Those usually land within the budget, and neither side
+// then pays for a wakeup. Frames
 // larger than the ring stream through it in chunks, so the fixed
 // capacity (ORWL_DIST_SHM_SLOTS x 64 B) bounds memory, not message
 // size. The part of a home-side send that does not fit in the free ring

@@ -1,8 +1,10 @@
 #include "dist/tcp_transport.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #if defined(__linux__)
 #include <arpa/inet.h>
@@ -171,10 +173,21 @@ void TcpServerTransport::accept_all() {
 }
 
 void TcpServerTransport::epoll_loop() {
+  using Clock = std::chrono::steady_clock;
   epoll_event events[32];
   std::byte chunk[4096];
+  auto last_event = Clock::now();
   while (running()) {
-    const int n = ::epoll_wait(epoll_fd_, events, 32, 100);
+    // Poll for kReaderSpin after the last event, yielding between polls,
+    // then park: the next frame of a closed loop (the RELEASE after a
+    // GRANT, the next REQ) usually lands within the window, and this
+    // thread then pays no wakeup for it.
+    const bool polling = Clock::now() - last_event < kReaderSpin;
+    const int n = ::epoll_wait(epoll_fd_, events, 32, polling ? 0 : 100);
+    if (n <= 0) {
+      if (polling) std::this_thread::yield();
+      continue;
+    }
     for (int i = 0; i < n; ++i) {
       if (events[i].data.ptr == &wake_fd_) continue;  // stop_io()
       auto* c = static_cast<TcpConn*>(events[i].data.ptr);
@@ -196,11 +209,12 @@ void TcpServerTransport::epoll_loop() {
         ok = false;  // orderly close or hard error
         break;
       }
-      // Frames that raced the FIN into this event (typically DATA +
+      // Frames that raced the FIN into this event (typically the
       // RELEASE + BYE of an orderly close) were delivered above, before
       // the disconnect bookkeeping.
       if (!ok) drop(c->id);
     }
+    last_event = Clock::now();
   }
 }
 
@@ -231,6 +245,22 @@ TcpClientTransport::~TcpClientTransport() {
 
 std::ptrdiff_t TcpClientTransport::read_some(std::byte* p, std::size_t n,
                                              std::uint32_t timeout_ms) {
+  // Poll the socket for kReaderSpin, yielding between tries, before
+  // parking in poll(): the GRANT of a closed loop usually lands within
+  // the window, and this thread then pays no wakeup for it. A call that
+  // must not wait tries once.
+  const auto spin_until = std::chrono::steady_clock::now() + kReaderSpin;
+  for (;;) {
+    const ssize_t got = ::recv(fd_, p, n, MSG_DONTWAIT);
+    if (got > 0) return got;
+    if (got == 0 ||
+        (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+      return -1;  // orderly close, hard error, or shutdown()
+    }
+    if (timeout_ms == 0) return 0;
+    if (std::chrono::steady_clock::now() >= spin_until) break;
+    std::this_thread::yield();
+  }
   pollfd pfd{fd_, POLLIN, 0};
   const int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
   if (ready == 0 || (ready < 0 && errno == EINTR)) return 0;

@@ -12,6 +12,13 @@
 // stop() wakes the epoll thread through an eventfd in its epoll set.
 // The client side is one socket and no thread: the thread holding the
 // read role (transport.hpp) polls the socket and reads what is there.
+// Both readers, like the shm ones, poll for kReaderSpin (transport.hpp)
+// before they park: the epoll thread keeps calling epoll_wait with a
+// zero timeout for that long after its last event, and the client
+// retries a non-blocking recv before it calls poll(). Each try yields,
+// so a home and a client that share one PU still take turns. A closed
+// loop's next frame usually lands within the budget, so neither side
+// pays a wakeup per frame.
 // Loopback-testable; the interface above this file is transport agnostic
 // (see transport.hpp) so RDMA can replace it wholesale.
 #pragma once

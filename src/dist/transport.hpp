@@ -56,6 +56,16 @@ namespace orwl::dist {
 /// of the connection; never reused while the transport is running.
 using PeerId = std::uint64_t;
 
+/// How long a reader, on either side and over either transport, polls
+/// its connection before it parks. Longer than one remote write cycle
+/// on one host (a few microseconds over shm, some tens over tcp
+/// loopback), so the other side of a closed loop finds the reader awake
+/// and skips a wakeup: the home's reader catches the next REQ or
+/// RELEASE, and the client thread waiting in an acquire catches its
+/// GRANT. Every poll iteration yields, so two sides that share one PU
+/// still hand the CPU to each other at once.
+inline constexpr std::chrono::microseconds kReaderSpin{50};
+
 /// Home-side transport: accepts client connections and shuttles frames.
 /// Callbacks fire on the transport's internal threads — handlers must be
 /// thread-safe; frames from one peer are delivered in arrival order.

@@ -4,8 +4,9 @@
 // the iterative re-insert of orwl_handle2) is serialized into fixed-header
 // frames so a location's FIFO can be driven from another process (shm) or
 // another host (tcp). One frame = a 36-byte little-endian header plus an
-// optional payload (the location buffer travels home->client in GRANT and
-// client->home in DATA for the write-back).
+// optional payload. The location buffer travels home->client in GRANT and,
+// for a writer, client->home in the RELEASE that ends its grant, so each
+// step of the cycle is exactly one frame.
 //
 // The header is explicit little-endian regardless of host byte order, so
 // a frame encoded on one host decodes bit-identically on any other — the
@@ -27,9 +28,12 @@ enum class Type : std::uint8_t {
   ReqRead,    ///< client->home: enqueue a read; ticket = client reqid
   ReqWrite,   ///< client->home: enqueue a write; ticket = client reqid
   Grant,      ///< home->client: reqid granted; payload = buffer bytes
-  Release,    ///< client->home: release reqid; kFlagReinsert + aux = new
-              ///< reqid runs the iterative (handle2) cycle atomically
-  Data,       ///< client->home: write-back payload for a granted writer
+  Release,    ///< client->home: release reqid; payload = the writer's
+              ///< write-back (ignored for a read grant); kFlagReinsert +
+              ///< aux = new reqid runs the iterative (handle2) cycle
+              ///< atomically
+  Data,       ///< retired (version 1's separate write-back frame); still
+              ///< encodes, but no peer sends it and the home ignores it
   Error,      ///< home->client: request failed; payload = message
   Bye,        ///< either side: orderly disconnect
 };
@@ -49,9 +53,11 @@ inline constexpr std::uint16_t kFlagRequest = 1u << 1;
 /// location(8) ticket(8) aux(8) payload_len(4).
 inline constexpr std::size_t kHeaderBytes = 36;
 
-/// Wire magic ("ORWL") and protocol version.
+/// Wire magic ("ORWL") and protocol version. Version 2 moved the
+/// write-back from DATA into RELEASE; a version 1 peer decodes as Bad, so
+/// its write-backs fail loudly instead of being dropped.
 inline constexpr std::uint8_t kMagic[4] = {'O', 'R', 'W', 'L'};
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 
 /// Upper bound on payload_len a decoder accepts (1 GiB): anything larger
 /// is a corrupt or hostile header, not a location buffer.

@@ -1,18 +1,22 @@
-// Distributed ORWL: wire protocol round-trips, fuzzed decoding and the
-// FrameStream reassembler, shm ring wrap/doorbell behavior, registry +
-// client end-to-end over both transports (in-process and across fork()),
-// exact FIFO order across the wire, orphaned-client ticket reclamation,
-// grants shipped by the granting thread, slow or stalled clients that
-// must not hold up the home, peers that disconnect or send garbage and
-// prompt shutdown (all three run on each transport), an shm listener
-// that meets a segment not sized yet, the client's read role (no thread
-// of its own, the role handed between waiters, close() failing parked
-// waiters), unexport, and the env/URL knobs.
+// Distributed ORWL: wire protocol round-trips, fuzzed decoding, version
+// 1 peers refused, and the FrameStream reassembler, shm ring
+// wrap/doorbell behavior, registry + client end-to-end over both
+// transports (in-process and across fork()), exact FIFO order across the
+// wire, orphaned-client ticket reclamation, grants shipped by the
+// granting thread, slow or stalled clients that must not hold up the
+// home, peers that disconnect or send garbage, prompt shutdown, the
+// write-back a RELEASE carries, a closed loop with every thread on one
+// PU, and an idle home that parks (each of these runs on both
+// transports), an shm listener that meets a segment not sized yet, the
+// client's read role (no thread of its own, the role handed between
+// waiters, close() failing parked waiters), unexport, and the env/URL
+// knobs.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <fcntl.h>
+#include <sched.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -26,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -215,6 +220,24 @@ TEST(Wire, CorruptHeadersAreBad) {
   const std::uint32_t huge = wire::kMaxPayload + 1;
   std::memcpy(bad_len.data() + wire::kHeaderBytes - 4, &huge, 4);
   expect_bad(bad_len, "oversized payload");
+}
+
+TEST(Wire, VersionOneHeadersAreBad) {
+  // Version 1 sent a writer's write-back as a DATA frame ahead of its
+  // RELEASE. A version 2 home ignores DATA, so a version 1 peer must be
+  // refused outright rather than have its write-backs dropped.
+  for (const wire::Type t : {wire::Type::Release, wire::Type::Data}) {
+    std::vector<std::byte> buf;
+    wire::encode(sample_frame(t, 8), buf);
+    ASSERT_EQ(std::to_integer<int>(buf[4]), wire::kVersion);
+    buf[4] = std::byte{1};
+    wire::Frame out;
+    EXPECT_EQ(wire::decode(buf.data(), buf.size(), out).status,
+              wire::DecodeStatus::Bad)
+        << wire::to_string(t);
+    wire::FrameStream stream;
+    EXPECT_FALSE(stream.feed(buf.data(), buf.size(), [](wire::Frame&&) {}));
+  }
 }
 
 TEST(Wire, FuzzedGarbageNeverCrashesTheDecoder) {
@@ -1091,6 +1114,179 @@ TEST_P(DistShutdown, StopWithAnOpenClientIsPrompt) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Both, DistShutdown,
+                         testing::Values(kShmCase, kTcpCase), case_name);
+
+// --------------------------------------------------------- release ----
+
+class DistRelease : public testing::TestWithParam<TransportCase> {};
+
+TEST_P(DistRelease, HandleTwoWriteBackLandsHome) {
+  // Every handle2 cycle ends in one RELEASE|reinsert frame that carries
+  // the mirror home. Distinct values, not increments, so a write-back
+  // that landed late, twice or not at all shows as a wrong value.
+  Home home(GetParam().make_home());
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  rt::Handle2 h2;
+  h2.insert_standalone(client->attach("counter"), AccessMode::Write);
+  constexpr int kCycles = 40;
+  std::uint64_t last = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    rt::Section sec(h2);
+    std::uint64_t* v = sec.as<std::uint64_t>();
+    EXPECT_EQ(*v, last) << "cycle " << i;
+    last = 1000003u * static_cast<std::uint64_t>(i + 1);
+    *v = last;
+  }
+  ASSERT_TRUE(
+      eventually([&] { return home.reg.stats().releases >= kCycles; }));
+  EXPECT_EQ(home.value(), last);
+  client->close();
+  home.reg.stop();
+}
+
+wire::Frame read_request(std::uint64_t export_id, std::uint64_t reqid) {
+  wire::Frame f = write_request(export_id, reqid);
+  f.type = wire::Type::ReqRead;
+  return f;
+}
+
+wire::Frame release_with(std::uint64_t reqid, std::size_t bytes,
+                         std::uint8_t fill) {
+  wire::Frame f;
+  f.type = wire::Type::Release;
+  f.location = 0;  // the Home fixture's export id
+  f.ticket = reqid;
+  f.payload.assign(bytes, static_cast<std::byte>(fill));
+  return f;
+}
+
+TEST_P(DistRelease, OnlyAWriteGrantsPayloadLandsHome) {
+  // Hand-made RELEASE frames from a client transport: a payload on a
+  // read grant's RELEASE is ignored, and a write grant's lands clamped
+  // to the location's size.
+  Home home(GetParam().make_home());
+  // The test thread touches the home buffer only under the location's
+  // lock. In one process the shm home and client map each ring at two
+  // addresses, so TSan cannot see the rings order these accesses.
+  const auto home_value = [&] {
+    rt::Handle h;
+    h.insert_standalone(home.loc, AccessMode::Read);
+    rt::Section sec(h);
+    return *sec.as_const<std::uint64_t>();
+  };
+  {
+    rt::Handle h;
+    h.insert_standalone(home.loc, AccessMode::Write);
+    rt::Section sec(h);
+    *sec.as<std::uint64_t>() = 42;
+  }
+  const auto raw = connect_transport(home.reg.url("counter"));
+  ASSERT_TRUE(raw->send(hello_frame("counter")));
+  ASSERT_TRUE(raw->send(read_request(/*export_id=*/0, /*reqid=*/1)));
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().grants_sent >= 1; }));
+  ASSERT_TRUE(raw->send(release_with(/*reqid=*/1, 8, 0xff)));
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().releases >= 1; }));
+  EXPECT_EQ(home_value(), 42u);
+
+  ASSERT_TRUE(raw->send(write_request(/*export_id=*/0, /*reqid=*/2)));
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().grants_sent >= 2; }));
+  ASSERT_TRUE(raw->send(release_with(/*reqid=*/2, 16, 0x5a)));
+  ASSERT_TRUE(eventually([&] { return home.reg.stats().releases >= 2; }));
+  EXPECT_EQ(home_value(), 0x5a5a5a5a5a5a5a5aull);
+  raw->stop();
+  home.reg.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Both, DistRelease,
+                         testing::Values(kShmCase, kTcpCase), case_name);
+
+// --------------------------------------------------------- polling ----
+
+/// Pins the calling thread to the first CPU it may run on, so every
+/// thread it starts shares that one PU; restores the mask on exit.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    pinned_ = ::sched_getaffinity(0, sizeof saved_, &saved_) == 0;
+    if (!pinned_) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = ::sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (pinned_) ::sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  PinToOneCpu(const PinToOneCpu&) = delete;
+  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+
+  bool pinned() const noexcept { return pinned_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
+class DistPolling : public testing::TestWithParam<TransportCase> {};
+
+TEST_P(DistPolling, ClosedLoopOnOnePuMakesProgress) {
+  // The client and every home thread share one PU, so each side's
+  // reader polls while the other side needs the CPU. Every poll
+  // iteration yields; a poll loop that waited on its peer without
+  // yielding would stall each frame for its whole budget or longer.
+  // 2000 cycles take well under 0.1 s in a Release build on a 4-vCPU
+  // x86-64 host; the bound leaves room for sanitizer builds.
+  constexpr int kCycles = 2000;
+  constexpr auto kBound = std::chrono::seconds(5);
+  const PinToOneCpu pin;
+  ASSERT_TRUE(pin.pinned());
+  Home home(GetParam().make_home());
+  auto client = dist::Client::connect(home.reg.url("counter"));
+  dist::RemoteLocation& remote = client->attach("counter");
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCycles; ++i) {
+    rt::Handle h;
+    h.insert_standalone(remote, AccessMode::Write);
+    rt::Section sec(h);
+    ++*sec.as<std::uint64_t>();
+  }
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, kBound);
+  ASSERT_TRUE(
+      eventually([&] { return home.reg.stats().releases >= kCycles; }));
+  EXPECT_EQ(home.value(), static_cast<std::uint64_t>(kCycles));
+  client->close();
+  home.reg.stop();
+}
+
+double process_cpu_ms() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST_P(DistPolling, IdleHomeParks) {
+  // A home with a connected client that sends nothing polls only for
+  // its short window after the last event, then parks: over a 200 ms
+  // idle stretch the whole process burns under a tenth of that.
+  Home home(GetParam().make_home());
+  const auto idle = connect_transport(home.reg.url("counter"));
+  // Let the home take the connection and its poll window run out.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const double before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(process_cpu_ms() - before, 20.0);
+  idle->stop();
+  home.reg.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Both, DistPolling,
                          testing::Values(kShmCase, kTcpCase), case_name);
 
 TEST(DistShmListen, SegmentNotYetSizedIsLeftForALaterSweep) {
