@@ -143,9 +143,7 @@ class Local<T[]> {
  public:
   explicit Local(rt::Location& l) noexcept : loc_(&l) {}
 
-  /// orwl_scale in elements, not bytes. Under ORWL_HUGEPAGES=1 a buffer
-  /// of at least one huge page is backed by MAP_HUGETLB storage when the
-  /// host provides it (see support::knob::kHugePages).
+  /// orwl_scale in elements, not bytes (see rt::Location::scale).
   void scale(std::size_t count) { loc_->scale(count * sizeof(T)); }
 
   /// Elements of the last scale().

@@ -12,13 +12,15 @@
 // naming the arena that produced it, so the static Arena::deallocate(p)
 // routes a free back to the owning arena even after the object's queue
 // has been re-routed to a different shard (ORWL_REPLACE moves queues
-// between shards; memory stays where it was allocated until rebind()
-// migrates the backing pages).
+// between shards; memory stays on the node it was allocated on).
 //
 // Thread safety: all public member functions are safe to call
-// concurrently; the arena serializes on one internal mutex. The lock is
-// cold by design — callers (RequestQueue, ControlPlane) allocate under
-// their own locks on slow paths only.
+// concurrently; the arena is one locked freelist per size class. Every
+// allocation happens at set-up or when a structure grows — request
+// queues recycle slots through their own free list and a control shard's
+// event deque keeps its node across swaps — so no hot path takes the
+// lock. Under AddressSanitizer a freed block stays poisoned (all but its
+// freelist link) until it is handed out again.
 #pragma once
 
 #include <atomic>
@@ -34,8 +36,6 @@
 #include "topo/membind.hpp"
 
 namespace orwl::rt {
-
-struct ThreadMagazines;  // per-thread block caches (arena.cpp)
 
 class Arena {
  public:
@@ -57,9 +57,6 @@ class Arena {
                                        ///< landed elsewhere (or tag-only)
     std::uint64_t allocs = 0;
     std::uint64_t frees = 0;
-    std::uint64_t rebinds = 0;         ///< rebind() calls that moved node
-    std::uint64_t magazine_hits = 0;   ///< allocs served mutex-free from a
-                                       ///< thread-local magazine
   };
 
   /// `node` is the NUMA node backing slabs are bound to (kAnyNode =
@@ -85,34 +82,20 @@ class Arena {
   /// nullptr is a no-op.
   static void deallocate(void* p) noexcept;
 
-  /// Move the arena to a new NUMA node: future slabs are bound there and
-  /// existing backing pages are migrated (topo::MemBind::migrate_to).
-  /// No-op when the node is unchanged.
-  void rebind(int node);
-
-  int node() const noexcept { return node_.load(std::memory_order_acquire); }
+  int node() const noexcept { return node_; }
   std::size_t slab_bytes() const noexcept { return slab_bytes_; }
 
   Stats stats() const noexcept;
   std::uint64_t live_allocs() const noexcept;
 
  private:
-  void* allocate_locked(std::size_t need, std::size_t bytes,
-                        std::size_t align);
   void release(Header* h) noexcept;
-  /// Return magazine-cached blocks of size class `cls` to the shared
-  /// freelist (flush path: rebind epoch bump, slot eviction, thread exit).
-  void take_back_blocks(std::uint32_t cls, void* const* blocks,
-                        std::size_t n) noexcept;
-  /// Park a freed small block in the calling thread's magazine.
-  /// False when the magazine class is full (caller takes the mutex path).
-  bool magazine_put(Header* h) noexcept;
-  void note_backing(const topo::MemBind& mb, std::size_t bytes, int node);
+  void note_backing(const topo::MemBind& mb, std::size_t bytes);
 
   static std::size_t class_index(std::size_t need) noexcept;
 
   const std::size_t slab_bytes_;
-  std::atomic<int> node_;
+  const int node_;
 
   mutable std::mutex mu_;
   std::vector<topo::MemBind> slabs_;              ///< small-object backing
@@ -125,19 +108,6 @@ class Arena {
   std::atomic<std::uint64_t> node_misses_{0};
   std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> frees_{0};
-  std::atomic<std::uint64_t> rebinds_{0};
-  std::atomic<std::uint64_t> magazine_hits_{0};
-
-  /// Identity of this arena object (never reused, unlike the address)
-  /// and the epoch its thread-local magazines were filled under. A
-  /// magazine entry is honoured only when both match: a stale id means
-  /// the arena died (the cached blocks went with its slabs — drop
-  /// them), a stale epoch means rebind() moved the arena (flush the
-  /// cache back to the shared freelists so placement follows).
-  const std::uint64_t id_;
-  std::atomic<std::uint64_t> mag_epoch_{0};
-
-  friend struct ThreadMagazines;
 };
 
 /// Placement-new a T from `arena`; pair with arena_delete / ArenaPtr.

@@ -10,17 +10,6 @@ const char* to_string(DataTransferMode p) noexcept {
   return support::choice_name(support::knob::kDataTransfer, p);
 }
 
-void Location::scale(std::size_t bytes) {
-  // ORWL_HUGEPAGES=1 requests MAP_HUGETLB storage for buffers that fill
-  // at least one huge page (the matmul/dgemm-class locations the TLB
-  // pressure comes from); MemBind falls back to normal pages when the
-  // host has no hugetlb pool.
-  const std::size_t huge = topo::MemBind::huge_page_size();
-  buf_.set_huge_pages(huge > 0 && bytes >= huge &&
-                      support::resolve<bool>(support::knob::kHugePages));
-  buf_.resize(bytes);
-}
-
 void Location::bind_home(int node) {
   const int old_home = home_node_.exchange(node, std::memory_order_acq_rel);
   if (policy_ == DataTransferMode::Off || node < 0) return;

@@ -86,11 +86,10 @@ class Location : private GrantHook {
 
   /// "Scale our own location(s) to the appropriate size" (Listing 1).
   /// (Re)allocates the backing buffer on the location's bound NUMA node;
-  /// contents are zero-initialized. With ORWL_HUGEPAGES=1 a buffer of at
-  /// least one huge page is backed by MAP_HUGETLB storage when the host
-  /// provides it (transparent fallback to normal pages otherwise).
+  /// contents are zero-initialized. Storage is one page-rounded mapping
+  /// (topo::NumaBuffer); a smaller scale reuses it in place.
   /// \param bytes New size of the buffer.
-  void scale(std::size_t bytes);
+  void scale(std::size_t bytes) { buf_.resize(bytes); }
 
   /// Size of the buffer set by the last scale() (0 before any).
   std::size_t size() const noexcept { return buf_.size(); }

@@ -77,18 +77,18 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
   // One node-bound arena per shard. A shard's node is the node of its
   // PUs (the shard map partitions PUs by NUMA node); -1 (any node) when
   // the topology has no NUMA level.
-  shard_nodes_.assign(eff_shards, Arena::kAnyNode);
+  std::vector<int> shard_nodes(eff_shards, Arena::kAnyNode);
   for (std::size_t pu = 0; pu < shard_map_.shard_of_pu_os.size(); ++pu) {
     const int s = shard_map_.shard_of_pu_os[pu];
     if (s >= 0 && static_cast<std::size_t>(s) < eff_shards &&
-        shard_nodes_[s] == Arena::kAnyNode) {
-      shard_nodes_[s] =
+        shard_nodes[s] == Arena::kAnyNode) {
+      shard_nodes[s] =
           topo::numa_node_of_pu(*topology_, static_cast<int>(pu));
     }
   }
   arenas_.reserve(eff_shards);
   for (std::size_t s = 0; s < eff_shards; ++s) {
-    arenas_.push_back(std::make_unique<Arena>(shard_nodes_[s]));
+    arenas_.push_back(std::make_unique<Arena>(shard_nodes[s]));
     cp_opts.shard_arenas.push_back(arenas_.back().get());
   }
 
@@ -471,15 +471,6 @@ void Program::compute_placement_locked(const tm::CommMatrix& m) {
   placement_recomputes_.fetch_add(1, std::memory_order_relaxed);
   have_placement_ = true;
   placement_matrix_ = m;
-  // Runtime-internal memory follows the placement too: every shard
-  // arena re-asserts its node binding (Arena::rebind migrates existing
-  // slabs on a node change and no-ops otherwise). The shard->node map
-  // is derived from the topology, so today this only moves pages when a
-  // re-placement crosses shard maps; the hook keeps arena placement and
-  // queue routing in one transaction either way.
-  for (std::size_t s = 0; s < arenas_.size(); ++s) {
-    arenas_[s]->rebind(shard_nodes_[s]);
-  }
   route_queues_locked();
   // The memory half of the placement: every location buffer moves to its
   // owner's NUMA node (re-run here on every dynamic re-placement too).
@@ -691,18 +682,15 @@ void Program::run() {
     stats_.measured_remote_handoffs = meter_->remote_handoffs();
   }
   std::uint64_t arena_bytes = 0, arena_refills = 0, arena_misses = 0;
-  std::uint64_t arena_magazine_hits = 0;
   for (const auto& a : arenas_) {
     const Arena::Stats as = a->stats();
     arena_bytes += as.bytes_reserved;
     arena_refills += as.refills;
     arena_misses += as.node_misses;
-    arena_magazine_hits += as.magazine_hits;
   }
   stats_.arena_bytes = arena_bytes;
   stats_.arena_refills = arena_refills;
   stats_.arena_node_misses = arena_misses;
-  stats_.arena_magazine_hits = arena_magazine_hits;
   stats_.shard_steals = control_->shard_steals();
   if (steal_stats_source_) steal_stats_source_(stats_);
   std::uint64_t futex_waits = control_->futex_waits();

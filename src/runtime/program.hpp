@@ -194,9 +194,6 @@ struct ProgramStats {
   std::uint64_t futex_waits = 0;
   /// Futex wake calls issued by granters and event posters.
   std::uint64_t futex_wakes = 0;
-  /// Arena allocations served from a thread-local magazine, no mutex
-  /// (0 when no thread registered a magazine).
-  std::uint64_t arena_magazine_hits = 0;
 
   // ---- work-stealing executor (ORWL_STEAL) -------------------------------
   /// Items executed by the for_each steal executor (workers + lenders).
@@ -486,7 +483,6 @@ class Program {
   /// queues, event deque and meter bank. Declared before locations_ and
   /// control_: the arenas must be destroyed last, after everything that
   /// frees into them.
-  std::vector<int> shard_nodes_;  ///< NUMA node of each shard's PUs
   std::vector<std::unique_ptr<Arena>> arenas_;
 
   std::vector<std::unique_ptr<Location>> locations_;

@@ -38,7 +38,6 @@ void accumulate(rt::ProgramStats& into, const rt::ProgramStats& run) {
   into.arena_node_misses += run.arena_node_misses;
   into.futex_waits += run.futex_waits;
   into.futex_wakes += run.futex_wakes;
-  into.arena_magazine_hits += run.arena_magazine_hits;
   into.steal_executed += run.steal_executed;
   into.steal_local += run.steal_local;
   into.steal_remote += run.steal_remote;

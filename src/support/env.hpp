@@ -79,7 +79,6 @@ inline constexpr Knob kTopology{"ORWL_TOPOLOGY", KnobKind::String, ""};
 /// Read on every MemBind call, so tests can flip it mid-process.
 inline constexpr Knob kMemBind{"ORWL_MEMBIND", KnobKind::Choice, "auto", 0,
                                0, {"auto", "emulate"}};
-inline constexpr Knob kHugePages{"ORWL_HUGEPAGES", KnobKind::Bool, "0"};
 
 // Multi-tenant server (server::ServerOptions).
 inline constexpr Knob kServerMaxTenants{"ORWL_SERVER_MAX_TENANTS",
@@ -106,7 +105,7 @@ inline constexpr const Knob* kKnobs[] = {
     &knob::kAffinity, &knob::kDataTransfer, &knob::kDataTransferHysteresis,
     &knob::kControlShards, &knob::kReplace, &knob::kReplaceThreshold,
     &knob::kReplaceDecay, &knob::kReplaceInterval, &knob::kSteal,
-    &knob::kStealSpin, &knob::kTopology, &knob::kMemBind, &knob::kHugePages,
+    &knob::kStealSpin, &knob::kTopology, &knob::kMemBind,
     &knob::kServerMaxTenants, &knob::kServerQueueCap, &knob::kServerGrowBacklog,
     &knob::kServerShrinkIdleMs, &knob::kDist, &knob::kDistPort,
     &knob::kDistShmSlots};

@@ -1,5 +1,7 @@
 #include "topo/membind.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -189,8 +191,7 @@ MemBind::MemBind(MemBind&& other) noexcept
       cap_(std::exchange(other.cap_, 0)),
       mapped_(std::exchange(other.mapped_, 0)),
       node_(std::exchange(other.node_, kAnyNode)),
-      real_bind_(std::exchange(other.real_bind_, false)),
-      huge_(std::exchange(other.huge_, false)) {}
+      real_bind_(std::exchange(other.real_bind_, false)) {}
 
 MemBind& MemBind::operator=(MemBind&& other) noexcept {
   if (this != &other) {
@@ -201,13 +202,15 @@ MemBind& MemBind::operator=(MemBind&& other) noexcept {
     mapped_ = std::exchange(other.mapped_, 0);
     node_ = std::exchange(other.node_, kAnyNode);
     real_bind_ = std::exchange(other.real_bind_, false);
-    huge_ = std::exchange(other.huge_, false);
   }
   return *this;
 }
 
 void MemBind::reset() noexcept {
   if (ptr_ != nullptr) {
+    // Clear every poisoned byte (the tail, freed arena blocks) first: a
+    // later mapping at the same address must start out addressable.
+    ASAN_UNPOISON_MEMORY_REGION(ptr_, cap_);
 #if defined(__linux__)
     if (mapped_ != 0) {
       munmap(ptr_, mapped_);
@@ -224,49 +227,23 @@ void MemBind::reset() noexcept {
   mapped_ = 0;
   node_ = kAnyNode;
   real_bind_ = false;
-  huge_ = false;
 }
 
 bool MemBind::try_resize(std::size_t bytes) noexcept {
   if (empty() || bytes == 0 || bytes > cap_) return false;
+  ASAN_UNPOISON_MEMORY_REGION(ptr_, bytes);
+  ASAN_POISON_MEMORY_REGION(ptr_ + bytes, cap_ - bytes);
   bytes_ = bytes;
   return true;
 }
 
-MemBind MemBind::allocate(std::size_t bytes, int node, bool huge) {
+MemBind MemBind::allocate(std::size_t bytes, int node) {
   MemBind m;
   m.node_ = node;
   if (bytes == 0) return m;
 
 #if defined(__linux__)
   if (!force_emulation_checked()) {
-#if defined(MAP_HUGETLB)
-    // Huge-page lane: reservation happens at mmap time for anonymous
-    // hugetlb mappings (no MAP_NORESERVE), so an exhausted pool fails
-    // here with ENOMEM instead of SIGBUS-ing at first touch — which is
-    // what makes the fallback below transparent.
-    const std::size_t hps = huge_page_size();
-    if (huge && hps > 0 && bytes >= hps) {
-      const std::size_t len = (bytes + hps - 1) / hps * hps;
-      void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-      if (p != MAP_FAILED) {
-        m.ptr_ = static_cast<std::byte*>(p);
-        m.bytes_ = bytes;
-        m.cap_ = len;
-        m.mapped_ = len;
-        m.huge_ = true;
-#if defined(ORWL_HAVE_NUMA_SYSCALLS)
-        if (node >= 0 && syscalls_usable() && host_has_node(node)) {
-          m.real_bind_ = bind_mapping(p, len, node);
-        }
-#endif
-        return m;
-      }
-    }
-#else
-    (void)huge;
-#endif  // MAP_HUGETLB
     const std::size_t len = round_to_pages(bytes);
     void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -280,11 +257,12 @@ MemBind MemBind::allocate(std::size_t bytes, int node, bool huge) {
         m.real_bind_ = bind_mapping(p, len, node);
       }
 #endif
+      // The page-rounded tail past `bytes` is not the caller's: an
+      // overrun into it is an ASan report, not a silent write.
+      ASAN_POISON_MEMORY_REGION(m.ptr_ + bytes, len - bytes);
       return m;
     }
   }
-#else
-  (void)huge;
 #endif  // __linux__
 
   // Portable heap fallback: zero-initialized, binding stays tag-only.
@@ -315,11 +293,7 @@ bool MemBind::migrate_to(int node) noexcept {
 #if defined(ORWL_HAVE_NUMA_SYSCALLS)
   if (mapped_ != 0 && !force_emulation() && syscalls_usable() &&
       host_has_node(node)) {
-    // hugetlb mappings migrate through mbind(MPOL_MF_MOVE): move_pages
-    // operates on base-page addresses and cannot split a huge page.
-    const bool moved = huge_ ? bind_mapping(ptr_, mapped_, node)
-                             : move_mapping(ptr_, mapped_, node);
-    if (!moved) {
+    if (!move_mapping(ptr_, mapped_, node)) {
       // Keep the previous binding state: callers observe the failure and
       // can retry on the next grant instead of believing a wrong tag.
       return false;
@@ -340,10 +314,8 @@ std::vector<int> MemBind::page_nodes() const {
 #if defined(ORWL_HAVE_NUMA_SYSCALLS)
   // A tag-only binding (fixture node, denied syscalls) answers with the
   // intent: that is the portability contract. Physical queries are for
-  // really-bound or unbound mappings — and for base pages only: a
-  // move_pages status query walks 4K strides, which hugetlb mappings
-  // reject, so bound huge mappings also answer with the intent.
-  const bool tag_only = node_ >= 0 && (!real_bind_ || huge_);
+  // really-bound or unbound mappings.
+  const bool tag_only = node_ >= 0 && !real_bind_;
   if (!tag_only && mapped_ != 0 && !force_emulation() && syscalls_usable()) {
     // Chunked like move_mapping: a paper-scale buffer has millions of
     // pages, and one giant query would build equally giant arrays and
@@ -443,25 +415,6 @@ std::size_t MemBind::page_size() noexcept {
   return page;
 }
 
-std::size_t MemBind::huge_page_size() noexcept {
-#if defined(__linux__)
-  static const std::size_t size = [] () -> std::size_t {
-    std::FILE* f = std::fopen("/proc/meminfo", "r");
-    if (f == nullptr) return 0;
-    char line[128];
-    std::size_t kb = 0;
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      if (std::sscanf(line, "Hugepagesize: %zu kB", &kb) == 1) break;
-    }
-    std::fclose(f);
-    return kb * 1024;
-  }();
-  return size;
-#else
-  return 0;
-#endif
-}
-
 int numa_node_of_pu(const Topology& t, int pu_os_index) noexcept {
   if (t.empty()) return -1;
   const Object* pu = t.pu_by_os_index(pu_os_index);
@@ -484,27 +437,15 @@ void NumaBuffer::resize(std::size_t bytes) {
   }
   const int node = node_.load(std::memory_order_relaxed);
   if (!mem_.empty() && mem_.bound_node() == node &&
-      alloc_huge_ == huge_req_ && mem_.try_resize(bytes)) {
-    // Reuse in place (fits the page-rounded capacity and the huge-page
-    // request has not changed): re-zero the used prefix, publish the new
-    // size.
+      mem_.try_resize(bytes)) {
+    // Reuse in place (fits the page-rounded capacity): re-zero the used
+    // prefix, publish the new size.
     std::memset(mem_.data(), 0, bytes);
   } else {
-    mem_ = MemBind::allocate(bytes, node, huge_req_);
-    alloc_huge_ = huge_req_;
+    mem_ = MemBind::allocate(bytes, node);
   }
   data_.store(mem_.data(), std::memory_order_release);
   size_.store(bytes, std::memory_order_release);
-}
-
-void NumaBuffer::set_huge_pages(bool on) {
-  std::lock_guard lock(mu_);
-  huge_req_ = on;
-}
-
-bool NumaBuffer::huge_pages() const {
-  std::lock_guard lock(mu_);
-  return mem_.huge_pages();
 }
 
 bool NumaBuffer::bind_to(int node) {

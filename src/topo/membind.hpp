@@ -54,20 +54,13 @@ class MemBind {
   /// \param node   Target NUMA node, or kAnyNode for no binding. Nodes
   ///               that do not exist on the host (fixture topologies) are
   ///               recorded but not physically bound.
-  /// \param huge   Request MAP_HUGETLB backing (rounded up to whole huge
-  ///               pages). Ignored — with a transparent fallback to the
-  ///               normal path — when the host has no hugetlb pool, the
-  ///               size is below one huge page, or emulation is forced.
   /// \return The new area. Never throws for allocation-policy reasons:
   ///         when mmap or mbind is unavailable the portable heap fallback
   ///         is used. Throws std::bad_alloc only when memory itself is
-  ///         exhausted.
-  static MemBind allocate(std::size_t bytes, int node = kAnyNode,
-                          bool huge = false);
-
-  /// True when the area is backed by hugetlb pages (the request was
-  /// honored, not just made).
-  bool huge_pages() const noexcept { return huge_; }
+  ///         exhausted. Under AddressSanitizer the page-rounded tail
+  ///         past `bytes` is poisoned, so an overrun inside the last
+  ///         page is reported.
+  static MemBind allocate(std::size_t bytes, int node = kAnyNode);
 
   /// Start of the area; nullptr when empty.
   std::byte* data() const noexcept { return ptr_; }
@@ -144,10 +137,6 @@ class MemBind {
   /// Page size used for rounding and residency queries.
   static std::size_t page_size() noexcept;
 
-  /// Default huge page size of the host (/proc/meminfo Hugepagesize),
-  /// or 0 when the host has none / is not Linux.
-  static std::size_t huge_page_size() noexcept;
-
  private:
   std::byte* ptr_ = nullptr;
   std::size_t bytes_ = 0;
@@ -155,7 +144,6 @@ class MemBind {
   std::size_t mapped_ = 0;  ///< page-rounded mmap length; 0 => heap block
   int node_ = kAnyNode;     ///< intended node
   bool real_bind_ = false;  ///< pages were physically bound/migrated
-  bool huge_ = false;       ///< hugetlb-backed mapping
 };
 
 /// NUMA node of a processing unit *inside a given topology* — the fixture
@@ -189,15 +177,6 @@ class NumaBuffer {
   /// \param bytes New size; 0 drops the storage (size() becomes 0,
   ///        data() nullptr) but keeps the node binding.
   void resize(std::size_t bytes);
-
-  /// Request (or stop requesting) huge-page backing for subsequent
-  /// (re)allocations; live storage is not re-backed until the next
-  /// resize that cannot reuse it. The request is remembered even when
-  /// the host cannot honor it, so flipping the flag is always cheap.
-  void set_huge_pages(bool on);
-
-  /// True when the *current* storage is hugetlb-backed (request honored).
-  bool huge_pages() const;
 
   /// Start of the buffer; nullptr when empty (e.g. after resize(0)).
   std::byte* data() const noexcept {
@@ -237,8 +216,6 @@ class NumaBuffer {
  private:
   mutable std::mutex mu_;  ///< serializes structural ops and migration
   MemBind mem_;
-  bool huge_req_ = false;    ///< huge pages requested for new storage
-  bool alloc_huge_ = false;  ///< request in effect for current storage
   std::atomic<std::byte*> data_{nullptr};
   std::atomic<std::size_t> size_{0};
   std::atomic<int> node_{MemBind::kAnyNode};

@@ -123,24 +123,42 @@ TEST(ArenaSlab, BindToHostNodeIsMissFree) {
   EXPECT_EQ(arena.node(), node);
 }
 
-TEST(ArenaSlab, RebindMovesNodeAndCounts) {
-  Arena arena(Arena::kAnyNode);
-  void* p = arena.allocate(256);  // force a slab so rebind has pages
-  const std::uint64_t before = arena.stats().rebinds;
-  arena.rebind(arena.node());  // same node: no-op
-  EXPECT_EQ(arena.stats().rebinds, before);
-
-  const std::vector<int> nodes = orwl::topo::MemBind::host_node_ids();
-  const int target = nodes.empty() ? 0 : nodes.front();
-  arena.rebind(target);
-  EXPECT_EQ(arena.node(), target);
-  EXPECT_EQ(arena.stats().rebinds, before + 1);
-  // The block allocated before the rebind still frees cleanly.
-  Arena::deallocate(p);
+TEST(ArenaSlab, FreedBlockIsReusableFromAnotherLiveThread) {
+  // A block freed on one thread is reusable by another while the freeing
+  // thread still runs: no per-thread cache may strand it.
+  Arena arena;
+  void* p = arena.allocate(256);
+  std::atomic<int> phase{0};
+  std::thread freer([&] {
+    Arena::deallocate(p);
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+  });
+  while (phase.load() != 1) std::this_thread::yield();
   void* q = arena.allocate(256);
-  std::memset(q, 0x33, 256);
+  phase.store(2);
+  freer.join();
+  EXPECT_EQ(q, p);
   Arena::deallocate(q);
-  EXPECT_EQ(arena.live_allocs(), 0u);
+}
+
+TEST(ArenaSlab, ReadingAFreedBlockIsAnAsanReport) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  Arena arena;
+  void* block = arena.allocate(64);
+  auto* p = static_cast<volatile unsigned char*>(block);
+  p[16] = 1;
+  Arena::deallocate(block);
+  EXPECT_DEATH((void)p[16], "use-after-poison");
+  // Reuse hands the same block out whole again.
+  void* again = arena.allocate(64);
+  ASSERT_EQ(again, block);
+  p[16] = 2;
+  EXPECT_EQ(p[16], 2);
+  Arena::deallocate(again);
+#endif
 }
 
 TEST(ArenaSlab, CrossArenaFreeRoutesToOwner) {

@@ -68,25 +68,6 @@ TEST(DataTransferMode, ResolvedFromOptionsAndEnv) {
   }
 }
 
-// ------------------------------------------------------------ huge pages ----
-
-TEST(LocationScale, HugePagesEnvRequestsHugeBacking) {
-  // ORWL_HUGEPAGES=1 routes large scales through the MAP_HUGETLB lane
-  // (with transparent fallback — CI hosts have no hugetlb pool, so the
-  // observable contract here is "usable zeroed buffer either way").
-  support::ScopedEnv huge(support::knob::kHugePages.name, "1");
-  rt::Location loc(0, 0, 0);
-  const std::size_t hps = topo::MemBind::huge_page_size();
-  const std::size_t bytes = hps > 0 ? hps : 1 << 20;
-  loc.scale(bytes);
-  ASSERT_NE(loc.data(), nullptr);
-  EXPECT_EQ(loc.size(), bytes);
-  EXPECT_EQ(loc.data()[0], std::byte{0});
-  // Small locations never use huge pages, env or not.
-  loc.scale(64);
-  EXPECT_FALSE(loc.buffer().huge_pages());
-}
-
 // ------------------------------------------------------ owner binding ----
 
 TEST(DataTransfer, OwnerBindingFollowsThePlacement) {
