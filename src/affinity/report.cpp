@@ -22,6 +22,10 @@ std::string render_mapping(const Topology& topology,
     const int pu = placement.compute_pu[i];
     std::string label = std::to_string(i) + ":";
     label += i < task_names.size() ? task_names[i] : "task";
+    // A thread bound to a group is listed under its representative PU
+    // with the group it may run on.
+    const topo::CpuSet cpus = placement.cpus_of(i);
+    if (cpus.count() > 1) label += " [PUs " + cpus.to_list_string() + "]";
     by_pu[pu].push_back(std::move(label));
   }
   std::map<int, int> control_by_pu;

@@ -19,6 +19,8 @@ std::string render_comm_matrix(const tm::CommMatrix& m);
 /// topology has no package level), listing each core with the threads
 /// bound to it. `task_names[i]` labels compute thread i (falls back to
 /// "task <i>"); control threads are reported per core as "+N control".
+/// A thread bound to a group of PUs (an oversubscribed placement) is
+/// listed under its representative PU as "3:dilate [PUs 0-3]".
 std::string render_mapping(const topo::Topology& topology,
                            const tm::Placement& placement,
                            const std::vector<std::string>& task_names = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -121,28 +122,47 @@ void BackgroundModel::process_rows(const Pixel* frame, Pixel* mask,
 
 namespace {
 
+// A pixel's 3x3 AND (erosion) is "the minimum of its clamped
+// neighbourhood is non-zero"; its OR (dilation) is "the maximum is
+// non-zero". So each output row is a byte min/max over three clamped input
+// rows and three columns, which the compiler vectorises; only the first
+// and last column need their clamped neighbours handled apart.
+template <bool Erode>
+inline Pixel pick(Pixel a, Pixel b) {
+  return Erode ? std::min(a, b) : std::max(a, b);
+}
+
+inline Pixel binarize(Pixel v) {
+  return v != kBackground ? kForeground : kBackground;
+}
+
+template <bool Erode>
+void morph_row(const Pixel* __restrict above, const Pixel* __restrict row,
+               const Pixel* __restrict below, Pixel* __restrict out,
+               std::size_t w) {
+  auto col = [&](std::size_t x) {
+    return pick<Erode>(pick<Erode>(above[x], row[x]), below[x]);
+  };
+  if (w == 1) {
+    out[0] = binarize(col(0));
+    return;
+  }
+  out[0] = binarize(pick<Erode>(col(0), col(1)));
+  for (std::size_t x = 1; x + 1 < w; ++x) {
+    out[x] = binarize(pick<Erode>(pick<Erode>(col(x - 1), col(x)),
+                                  col(x + 1)));
+  }
+  out[w - 1] = binarize(pick<Erode>(col(w - 2), col(w - 1)));
+}
+
 template <bool Erode>
 void morph_rows(const Pixel* in, Pixel* out, std::size_t w, std::size_t h,
                 std::size_t r0, std::size_t r1) {
+  if (w == 0) return;
   for (std::size_t y = r0; y < r1; ++y) {
     const std::size_t ylo = y == 0 ? 0 : y - 1;
     const std::size_t yhi = y + 1 >= h ? h - 1 : y + 1;
-    for (std::size_t x = 0; x < w; ++x) {
-      const std::size_t xlo = x == 0 ? 0 : x - 1;
-      const std::size_t xhi = x + 1 >= w ? w - 1 : x + 1;
-      bool acc = Erode;  // erosion: AND starts true; dilation: OR false
-      for (std::size_t yy = ylo; yy <= yhi; ++yy) {
-        for (std::size_t xx = xlo; xx <= xhi; ++xx) {
-          const bool fg = in[yy * w + xx] != kBackground;
-          if constexpr (Erode) {
-            acc = acc && fg;
-          } else {
-            acc = acc || fg;
-          }
-        }
-      }
-      out[y * w + x] = acc ? kForeground : kBackground;
-    }
+    morph_row<Erode>(in + ylo * w, in + y * w, in + yhi * w, out + y * w, w);
   }
 }
 
@@ -173,6 +193,8 @@ class UnionFind {
   explicit UnionFind(std::size_t n) : parent_(n) {
     std::iota(parent_.begin(), parent_.end(), 0);
   }
+  /// Append one singleton entry (id = previous size).
+  void add() { parent_.push_back(static_cast<std::int32_t>(parent_.size())); }
   std::int32_t find(std::int32_t a) {
     while (parent_[static_cast<std::size_t>(a)] != a) {
       parent_[static_cast<std::size_t>(a)] =
@@ -204,60 +226,105 @@ void sort_components(std::vector<Component>& comps) {
 
 }  // namespace
 
+namespace {
+
+/// One horizontal run of foreground pixels: row y (band-relative),
+/// columns [x0, x1).
+struct Run {
+  std::int32_t y, x0, x1;
+};
+
+/// First index >= x in [x, width) whose byte is foreground (width when
+/// none). Skips eight background bytes at a time.
+inline std::size_t next_foreground(const Pixel* row, std::size_t x,
+                                   std::size_t width) {
+  while (x + 8 <= width) {
+    std::uint64_t word;
+    std::memcpy(&word, row + x, sizeof word);
+    if (word != 0) break;
+    x += 8;
+  }
+  while (x < width && row[x] == kBackground) ++x;
+  return x;
+}
+
+}  // namespace
+
 BandLabeling label_band(const Pixel* mask, std::size_t width,
                         std::size_t r0, std::size_t r1) {
   if (r1 <= r0) throw std::invalid_argument("label_band: empty band");
   const std::size_t rows = r1 - r0;
-  const std::size_t n = rows * width;
-  // First pass: provisional labels with union-find (4-connectivity).
-  std::vector<std::int32_t> label(n, -1);
-  UnionFind uf(n);
+  // First pass: label horizontal runs. A run joins every run of the
+  // previous row it overlaps in at least one column, which is exactly
+  // 4-connectivity; one union-find entry per run, not per pixel.
+  std::vector<Run> runs;
+  std::size_t prev_begin = 0;
+  std::size_t prev_end = 0;
+  UnionFind uf(0);
   for (std::size_t y = 0; y < rows; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      const std::size_t i = y * width + x;
-      if (mask[(r0 + y) * width + x] == kBackground) continue;
-      label[i] = static_cast<std::int32_t>(i);
-      if (x > 0 && label[i - 1] >= 0) uf.unite(label[i], label[i - 1]);
-      if (y > 0 && label[i - width] >= 0) {
-        uf.unite(label[i], label[i - width]);
+    const Pixel* row = mask + (r0 + y) * width;
+    const std::size_t row_begin = runs.size();
+    std::size_t above = prev_begin;  // first previous run that may overlap
+    for (std::size_t x = next_foreground(row, 0, width); x < width;
+         x = next_foreground(row, x, width)) {
+      const std::size_t x0 = x;
+      while (x < width && row[x] != kBackground) ++x;
+      const auto id = static_cast<std::int32_t>(runs.size());
+      runs.push_back({static_cast<std::int32_t>(y),
+                      static_cast<std::int32_t>(x0),
+                      static_cast<std::int32_t>(x)});
+      uf.add();
+      while (above < prev_end &&
+             runs[above].x1 <= static_cast<std::int32_t>(x0)) {
+        ++above;
+      }
+      for (std::size_t k = above;
+           k < prev_end && runs[k].x0 < static_cast<std::int32_t>(x); ++k) {
+        uf.unite(id, static_cast<std::int32_t>(k));
       }
     }
+    prev_begin = row_begin;
+    prev_end = runs.size();
   }
-  // Second pass: compact roots to component table and accumulate stats.
+  // Second pass: number the components in raster order of their first
+  // run (= of their first pixel) and accumulate per-run stats. The sums
+  // are exact integers in a double, so their order does not matter.
   BandLabeling out;
   out.row_begin = r0;
   out.row_end = r1;
-  std::vector<std::int32_t> root_to_comp(n, -1);
-  for (std::size_t y = 0; y < rows; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      const std::size_t i = y * width + x;
-      if (label[i] < 0) continue;
-      const std::int32_t root = uf.find(label[i]);
-      std::int32_t comp = root_to_comp[static_cast<std::size_t>(root)];
-      if (comp < 0) {
-        comp = static_cast<std::int32_t>(out.comps.size());
-        root_to_comp[static_cast<std::size_t>(root)] = comp;
-        Component c;
-        c.min_x = c.max_x = static_cast<std::int32_t>(x);
-        c.min_y = c.max_y = static_cast<std::int32_t>(r0 + y);
-        out.comps.push_back(c);
-      }
-      Component& c = out.comps[static_cast<std::size_t>(comp)];
-      c.area += 1;
-      c.sum_x += static_cast<double>(x);
-      c.sum_y += static_cast<double>(r0 + y);
-      c.min_x = std::min(c.min_x, static_cast<std::int32_t>(x));
-      c.max_x = std::max(c.max_x, static_cast<std::int32_t>(x));
-      c.min_y = std::min(c.min_y, static_cast<std::int32_t>(r0 + y));
-      c.max_y = std::max(c.max_y, static_cast<std::int32_t>(r0 + y));
-      label[i] = comp;  // reuse as component index for the boundary rows
-    }
-  }
   out.top_ids.assign(width, -1);
   out.bottom_ids.assign(width, -1);
-  for (std::size_t x = 0; x < width; ++x) {
-    out.top_ids[x] = label[x];
-    out.bottom_ids[x] = label[(rows - 1) * width + x];
+  std::vector<std::int32_t> root_to_comp(runs.size(), -1);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& r = runs[i];
+    const std::int32_t root = uf.find(static_cast<std::int32_t>(i));
+    std::int32_t comp = root_to_comp[static_cast<std::size_t>(root)];
+    const auto y = static_cast<std::int32_t>(r0) + r.y;
+    if (comp < 0) {
+      comp = static_cast<std::int32_t>(out.comps.size());
+      root_to_comp[static_cast<std::size_t>(root)] = comp;
+      Component c;
+      c.min_x = r.x0;
+      c.max_x = r.x1 - 1;
+      c.min_y = c.max_y = y;
+      out.comps.push_back(c);
+    }
+    Component& c = out.comps[static_cast<std::size_t>(comp)];
+    const std::int64_t len = r.x1 - r.x0;
+    c.area += len;
+    c.sum_x += static_cast<double>(
+        (static_cast<std::int64_t>(r.x0) + r.x1 - 1) * len / 2);
+    c.sum_y += static_cast<double>(static_cast<std::int64_t>(y) * len);
+    c.min_x = std::min(c.min_x, r.x0);
+    c.max_x = std::max(c.max_x, r.x1 - 1);
+    c.max_y = y;  // runs arrive in row order
+    if (r.y == 0) {
+      std::fill(out.top_ids.begin() + r.x0, out.top_ids.begin() + r.x1, comp);
+    }
+    if (static_cast<std::size_t>(r.y) + 1 == rows) {
+      std::fill(out.bottom_ids.begin() + r.x0, out.bottom_ids.begin() + r.x1,
+                comp);
+    }
   }
   return out;
 }

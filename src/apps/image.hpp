@@ -6,6 +6,14 @@
 // labeling (CCL, with banded processing for the orwl_split decomposition)
 // and the centroid tracker.
 //
+// The morphology and the CCL are written for the pipeline to measure the
+// runtime rather than its kernels: a 3x3 erosion (dilation) is a byte
+// min (max) over three clamped rows, which the compiler vectorises, and
+// the CCL labels horizontal runs rather than pixels, with one union-find
+// entry per run. Both are bit-identical to the per-pixel definitions
+// (tests/image_test.cpp keeps those as references); bench/micro_image
+// times every stage per frame.
+//
 // The paper processes camera footage; we substitute a deterministic
 // synthetic scene (moving bright squares over a textured noisy
 // background) that exercises the identical per-pixel code paths.
@@ -80,7 +88,9 @@ class BackgroundModel {
 // -------------------------------------------------------- morphology ----
 
 /// 3x3 binary erosion: out pixel is foreground iff the full 3x3
-/// neighborhood (clamped at borders) is foreground.
+/// neighborhood (clamped at borders) is foreground. Any non-zero input
+/// byte counts as foreground; the output is exactly 0 or 255. Allocates
+/// nothing.
 void erode3x3(const Pixel* in, Pixel* out, std::size_t width,
               std::size_t height);
 
@@ -127,6 +137,9 @@ struct BandLabeling {
 };
 
 /// Label rows [r0, r1) of the mask (4-connectivity inside the band).
+/// Components are numbered in raster order of their first pixel; the
+/// labeling works on horizontal runs, so it allocates per run, not per
+/// pixel.
 BandLabeling label_band(const Pixel* mask, std::size_t width,
                         std::size_t r0, std::size_t r1);
 

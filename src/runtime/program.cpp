@@ -510,15 +510,15 @@ void Program::affinity_set() {
 
 void Program::bind_threads_locked() {
   if (!opts_.bind_threads) return;
-  // Bind all registered task threads.
+  // Bind all registered task threads (an oversubscribed task to its
+  // group's PUs, not to one PU).
   for (TaskId t = 0; t < num_tasks_; ++t) {
-    const int pu = t < placement_.compute_pu.size()
-                       ? placement_.compute_pu[t]
-                       : -1;
-    if (pu < 0 || task_handles_[t] == std::thread::native_handle_type{}) {
+    const topo::CpuSet cpus = placement_.cpus_of(t);
+    if (cpus.empty() ||
+        task_handles_[t] == std::thread::native_handle_type{}) {
       continue;
     }
-    if (topo::bind_thread(task_handles_[t], topo::CpuSet::single(pu))) {
+    if (topo::bind_thread(task_handles_[t], cpus)) {
       ++stats_.compute_threads_bound;
     } else {
       ++stats_.bind_failures;
@@ -532,13 +532,12 @@ void Program::bind_self(TaskId tid) {
   if (!opts_.bind_threads) return;
   std::unique_lock lock(place_mu_);
   if (!have_placement_) return;
-  const int pu =
-      tid < placement_.compute_pu.size() ? placement_.compute_pu[tid] : -1;
+  const topo::CpuSet cpus = placement_.cpus_of(tid);
   lock.unlock();
-  if (pu < 0) return;
+  if (cpus.empty()) return;
   // Re-assert the binding from the thread itself (affinity_set already
   // bound us by handle; this also covers threads registered late).
-  topo::bind_current_thread(topo::CpuSet::single(pu));
+  topo::bind_current_thread(cpus);
 }
 
 void Program::record_handoff(TaskId from, TaskId to,

@@ -23,66 +23,80 @@ void canonicalize(std::vector<std::vector<int>>& groups) {
 /// Canonical enumeration: the lowest unassigned entity always opens the
 /// next group, and its a-1 partners are chosen among the remaining
 /// entities in increasing order. This enumerates every unordered partition
-/// exactly once.
+/// exactly once. The search allocates nothing: the partition being built
+/// is the flat prefix order_[0, placed), group k at [k*a, k*a + a), and
+/// the best one found so far is a flat copy of it.
 class ExactEngine {
  public:
   ExactEngine(const CommMatrix& m, std::size_t a)
-      : m_(m), a_(a), p_(m.order()), assigned_(p_, false) {}
+      : a_(a), p_(m.order()), to_(p_ * p_), assigned_(p_, 0), order_(p_),
+        best_(p_) {
+    // Dense transpose: to_[e * p + g] = m(g, e), so the gain of adding e
+    // to a group reads one contiguous row.
+    for (std::size_t g = 0; g < p_; ++g) {
+      for (std::size_t e = 0; e < p_; ++e) to_[e * p_ + g] = m.at(g, e);
+    }
+  }
 
   std::vector<std::vector<int>> run() {
     best_value_ = -1.0;
-    current_.clear();
-    recurse(0.0);
-    return best_;
+    open_group(0, 0.0);
+    std::vector<std::vector<int>> groups(p_ / a_);
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      groups[k].assign(best_.begin() + static_cast<std::ptrdiff_t>(k * a_),
+                       best_.begin() +
+                           static_cast<std::ptrdiff_t>((k + 1) * a_));
+    }
+    return groups;
   }
 
  private:
-  void recurse(double value) {
+  void open_group(std::size_t placed, double value) {
     // Find lowest unassigned entity.
     std::size_t seed = 0;
     while (seed < p_ && assigned_[seed]) ++seed;
     if (seed == p_) {
       if (value > best_value_) {
         best_value_ = value;
-        best_ = current_;
+        best_ = order_;
       }
       return;
     }
-    assigned_[seed] = true;
-    std::vector<int> group{static_cast<int>(seed)};
-    choose_partners(seed + 1, group, value);
-    assigned_[seed] = false;
+    assigned_[seed] = 1;
+    order_[placed] = static_cast<int>(seed);
+    choose_partners(seed + 1, placed, placed + 1, value);
+    assigned_[seed] = 0;
   }
 
-  void choose_partners(std::size_t from, std::vector<int>& group,
-                       double value) {
-    if (group.size() == a_) {
-      current_.push_back(group);
-      recurse(value);
-      current_.pop_back();
+  /// The open group is order_[begin, placed); its next member comes from
+  /// the unassigned entities >= from.
+  void choose_partners(std::size_t from, std::size_t begin,
+                       std::size_t placed, double value) {
+    if (placed - begin == a_) {
+      open_group(placed, value);
       return;
     }
     for (std::size_t e = from; e < p_; ++e) {
       if (assigned_[e]) continue;
       // Volume gained by adding e to the open group.
+      const double* row = &to_[e * p_];
       double gain = 0.0;
-      for (int g : group) {
-        gain += m_.at(static_cast<std::size_t>(g), e);
+      for (std::size_t k = begin; k < placed; ++k) {
+        gain += row[static_cast<std::size_t>(order_[k])];
       }
-      assigned_[e] = true;
-      group.push_back(static_cast<int>(e));
-      choose_partners(e + 1, group, value + gain);
-      group.pop_back();
-      assigned_[e] = false;
+      assigned_[e] = 1;
+      order_[placed] = static_cast<int>(e);
+      choose_partners(e + 1, begin, placed + 1, value + gain);
+      assigned_[e] = 0;
     }
   }
 
-  const CommMatrix& m_;
   std::size_t a_;
   std::size_t p_;
-  std::vector<bool> assigned_;
-  std::vector<std::vector<int>> current_;
-  std::vector<std::vector<int>> best_;
+  std::vector<double> to_;
+  std::vector<char> assigned_;
+  std::vector<int> order_;
+  std::vector<int> best_;
   double best_value_ = -1.0;
 };
 

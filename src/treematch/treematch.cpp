@@ -36,6 +36,30 @@ const Object* sibling_pu(const Object* core_like) {
   return nullptr;
 }
 
+/// The PUs an oversubscribed task on `slot` is bound to: the compute PU
+/// of every core under the slot's nearest ancestor that covers more than
+/// one core, never going above the slot's NUMA node ("going up one level
+/// in the tree"). Hyperthread siblings stay out: they belong to control
+/// threads. A slot alone in its NUMA node keeps its single PU.
+topo::CpuSet group_set(const Topology& topo, const Object* slot) {
+  auto compute_pus_under = [&](const Object* o) {
+    topo::CpuSet set;
+    for (const Object* core : topo.cores()) {
+      if (core->first_pu >= o->first_pu && core->first_pu <= o->last_pu) {
+        set.set(slot_pu(core)->os_index);
+      }
+    }
+    return set;
+  };
+  const Object* numa = slot->ancestor_of_type(ObjType::NumaNode);
+  for (const Object* o = slot->parent; o != nullptr; o = o->parent) {
+    topo::CpuSet set = compute_pus_under(o);
+    if (set.count() > 1) return set;
+    if (o == numa) break;
+  }
+  return topo::CpuSet::single(slot_pu(slot)->os_index);
+}
+
 struct LevelGrouping {
   std::vector<std::vector<int>> groups;
   std::size_t real_entities = 0;  ///< entities before zero-padding
@@ -52,7 +76,25 @@ const char* to_string(ControlPolicy p) noexcept {
   return "?";
 }
 
+topo::CpuSet Placement::cpus_of(std::size_t t) const {
+  if (t < compute_set.size()) return compute_set[t];
+  if (t < compute_pu.size() && compute_pu[t] >= 0) {
+    return topo::CpuSet::single(compute_pu[t]);
+  }
+  return {};
+}
+
 bool Placement::valid_for(const topo::Topology& t) const {
+  if (!compute_set.empty()) {
+    if (compute_set.size() != compute_pu.size()) return false;
+    for (std::size_t i = 0; i < compute_set.size(); ++i) {
+      const topo::CpuSet& set = compute_set[i];
+      if (set.empty() || !set.test(compute_pu[i])) return false;
+      for (int pu : set.to_vector()) {
+        if (t.pu_by_os_index(pu) == nullptr) return false;
+      }
+    }
+  }
   std::vector<int> seen;
   for (int pu : compute_pu) {
     if (t.pu_by_os_index(pu) == nullptr) return false;
@@ -77,6 +119,26 @@ std::string Placement::describe(const topo::Topology& t) const {
       << (oversubscribed ? ", oversubscribed" : "") << ")\n";
   for (std::size_t i = 0; i < compute_pu.size(); ++i) {
     const Object* pu = t.pu_by_os_index(compute_pu[i]);
+    const topo::CpuSet set = cpus_of(i);
+    if (set.count() > 1) {
+      // Bound to a group: name the outermost object that holds exactly
+      // the group's PUs (a NUMA node rather than its only L3).
+      const Object* group = pu;
+      for (int os : set.to_vector()) {
+        const Object* member = t.pu_by_os_index(os);
+        if (group != nullptr && member != nullptr) {
+          group = t.common_ancestor(*group, *member);
+        }
+      }
+      while (group != nullptr && group->parent != nullptr &&
+             group->parent->pu_count() == group->pu_count()) {
+        group = group->parent;
+      }
+      out << "  thread " << i << " -> PUs " << set.to_list_string();
+      if (group != nullptr) out << " (" << group->label() << ")";
+      out << '\n';
+      continue;
+    }
     out << "  thread " << i << " -> PU " << compute_pu[i];
     if (pu != nullptr) {
       if (const Object* numa = pu->ancestor_of_type(ObjType::NumaNode)) {
@@ -244,12 +306,16 @@ Placement tree_match(const Topology& topo, const CommMatrix& m,
     return static_cast<std::size_t>(leaf) / virtual_arity;
   };
 
+  result.compute_set.resize(p);
   for (std::size_t t = 0; t < p; ++t) {
     if (leaf_of_thread[t] < 0) {
       throw std::logic_error("tree_match: thread left unmapped");
     }
     const std::size_t slot = leaf_to_slot(leaf_of_thread[t]);
     result.compute_pu[t] = slot_pu(slots[slot])->os_index;
+    result.compute_set[t] =
+        oversubscribed ? group_set(topo, slots[slot])
+                       : topo::CpuSet::single(result.compute_pu[t]);
   }
 
   result.control_pu.assign(nc, -1);

@@ -16,12 +16,23 @@
 // extend the communication matrix such that control threads will be
 // mapped onto spare cores. If none of this suffices, control threads will
 // not be mapped explicitly and we let the system schedule them."
+//
+// Over-subscription: "If oversubscribing is required, ORWL tasks are
+// mapped to the physical cores by going up one level in the tree." The
+// virtual leaf level still picks one representative PU per task (used for
+// shard routing, the NUMA node and the modeled cost), but an
+// oversubscribed task is bound to a group of PUs: the compute PUs of every
+// core under its slot's nearest ancestor that covers more than one core,
+// never above the slot's NUMA node. The OS then balances the tasks of one
+// group over its cores, instead of stacking tasks that run at the same
+// time (data-parallel splits reading one frame) on a single PU.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "topo/cpuset.hpp"
 #include "topo/shard.hpp"
 #include "topo/topology.hpp"
 #include "treematch/comm_matrix.hpp"
@@ -54,9 +65,17 @@ struct Options {
 };
 
 /// The result of the mapping: one PU os-index per compute thread (and per
-/// control thread when managed).
+/// control thread when managed), and the PUs each compute thread is bound
+/// to.
 struct Placement {
   std::vector<int> compute_pu;  ///< os index of the PU for each thread.
+
+  /// PUs (os indices) compute thread t is bound to. {compute_pu[t]}
+  /// unless `oversubscribed`, when it is the compute PUs of the group of
+  /// cores around compute_pu[t] (see the header comment). May be left
+  /// empty by hand-built placements: cpus_of() then falls back to
+  /// compute_pu.
+  std::vector<topo::CpuSet> compute_set;
   std::vector<int> control_pu;  ///< os index per control thread; -1 = OS.
 
   /// Resolved associate of each control thread: the compute thread whose
@@ -68,11 +87,18 @@ struct Placement {
   ControlPolicy control_policy = ControlPolicy::Unmanaged;
   bool oversubscribed = false;
 
-  /// True when every compute thread has a PU that exists in `t`, and PUs
-  /// are pairwise distinct unless oversubscribed.
+  /// The PUs compute thread t is bound to: compute_set[t] when present,
+  /// else {compute_pu[t]}; empty for an unplaced thread (PU -1).
+  topo::CpuSet cpus_of(std::size_t t) const;
+
+  /// True when every compute thread has a PU that exists in `t`, PUs are
+  /// pairwise distinct unless oversubscribed, and (when compute_set is
+  /// present) every thread's set is non-empty, lies inside `t` and
+  /// contains its compute PU.
   bool valid_for(const topo::Topology& t) const;
 
-  /// Multi-line description: "thread 3 -> PU 12 (NUMANode 1, Core 6)".
+  /// Multi-line description: "thread 3 -> PU 12 (NUMANode 1, Core 6)",
+  /// or "thread 3 -> PUs 0-3 (Package 0)" for a thread bound to a group.
   std::string describe(const topo::Topology& t) const;
 };
 

@@ -169,6 +169,45 @@ TEST(Report, MappingWithoutNamesUsesTaskPlaceholder) {
   EXPECT_NE(s.find("0:task"), std::string::npos);
 }
 
+TEST(Report, OversubscribedMappingShowsEachThreadsGroup) {
+  // 12 chained tasks on 2 nodes x 2 cores: every task is bound to the two
+  // cores of its node, and both renderings say so.
+  const auto t = topo::make_numa(2, 2, 1);
+  const tm::Placement p =
+      aff::compute_placement(aff::comm_matrix_from_graph(chain_graph(12, 64)),
+                             t);
+  ASSERT_TRUE(p.oversubscribed);
+  ASSERT_TRUE(p.valid_for(t));
+  const std::string map = aff::render_mapping(t, p);
+  const std::string desc = p.describe(t);
+  for (std::size_t i = 0; i < 12; ++i) {
+    const std::string set = p.cpus_of(i).to_list_string();
+    EXPECT_TRUE(set == "0-1" || set == "2-3") << "thread " << i << ": " << set;
+    EXPECT_NE(map.find(std::to_string(i) + ":task [PUs " + set + "]"),
+              std::string::npos)
+        << map;
+    const std::string node = set == "0-1" ? "NUMANode 0" : "NUMANode 1";
+    EXPECT_NE(desc.find("thread " + std::to_string(i) + " -> PUs " + set +
+                        " (" + node + ")"),
+              std::string::npos)
+        << desc;
+  }
+}
+
+TEST(Report, PlacementWithoutSetsFallsBackToItsPus) {
+  // A hand-built placement carries no sets: each thread is bound to its
+  // PU, an unplaced one to nothing, and a set that drops its PU is invalid.
+  const auto t = topo::make_numa(2, 2, 1);
+  tm::Placement p;
+  p.compute_pu = {0, 1, 2, 3};
+  EXPECT_TRUE(p.valid_for(t));
+  EXPECT_EQ(p.cpus_of(2), topo::CpuSet::single(2));
+  EXPECT_TRUE(p.cpus_of(4).empty());
+  EXPECT_EQ(aff::render_mapping(t, p).find(":task [PUs"), std::string::npos);
+  p.compute_set.assign(4, topo::CpuSet::range(0, 1));
+  EXPECT_FALSE(p.valid_for(t)) << "threads 2 and 3 lie outside their set";
+}
+
 TEST(Report, CommMatrixDelegatesToHeatmap) {
   tm::CommMatrix m(3);
   m.set(0, 1, 100.0);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/rng.hpp"
@@ -118,6 +119,93 @@ TEST(GroupingExact, GroupsOfFour) {
   const auto g = group_processes(m, 4, GroupingEngine::Exact);
   EXPECT_EQ(g[0], (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(g[1], (std::vector<int>{4, 5, 6, 7}));
+}
+
+// The exact engine as it was before it became allocation-free: a vector
+// per open group and a copy of the partial partition per completed group.
+// Kept as the reference the flat engine must match group for group,
+// including which of several tied optima it returns (the first one met,
+// because only a strictly larger volume replaces the best).
+class ReferenceExactEngine {
+ public:
+  ReferenceExactEngine(const CommMatrix& m, std::size_t a)
+      : m_(m), a_(a), p_(m.order()), assigned_(p_, false) {}
+
+  std::vector<std::vector<int>> run() {
+    recurse(0.0);
+    for (auto& g : best_) std::sort(g.begin(), g.end());
+    std::sort(best_.begin(), best_.end(), [](const auto& x, const auto& y) {
+      return x.front() < y.front();
+    });
+    return best_;
+  }
+
+ private:
+  void recurse(double value) {
+    std::size_t seed = 0;
+    while (seed < p_ && assigned_[seed]) ++seed;
+    if (seed == p_) {
+      if (value > best_value_) {
+        best_value_ = value;
+        best_ = current_;
+      }
+      return;
+    }
+    assigned_[seed] = true;
+    std::vector<int> group{static_cast<int>(seed)};
+    choose_partners(seed + 1, group, value);
+    assigned_[seed] = false;
+  }
+
+  void choose_partners(std::size_t from, std::vector<int>& group,
+                       double value) {
+    if (group.size() == a_) {
+      current_.push_back(group);
+      recurse(value);
+      current_.pop_back();
+      return;
+    }
+    for (std::size_t e = from; e < p_; ++e) {
+      if (assigned_[e]) continue;
+      double gain = 0.0;
+      for (int g : group) gain += m_.at(static_cast<std::size_t>(g), e);
+      assigned_[e] = true;
+      group.push_back(static_cast<int>(e));
+      choose_partners(e + 1, group, value + gain);
+      group.pop_back();
+      assigned_[e] = false;
+    }
+  }
+
+  const CommMatrix& m_;
+  std::size_t a_;
+  std::size_t p_;
+  std::vector<bool> assigned_;
+  std::vector<std::vector<int>> current_;
+  std::vector<std::vector<int>> best_;
+  double best_value_ = -1.0;
+};
+
+TEST(GroupingExact, MatchesReferenceEngineWithTies) {
+  // Small integer volumes make many partitions tie on the optimum, so
+  // this also pins which optimum the enumeration order returns.
+  SplitMix64 rng(2025);
+  for (const std::size_t a : {2u, 3u, 4u, 6u}) {
+    for (std::size_t p = 2 * a; p <= 12; p += a) {
+      for (int round = 0; round < 12; ++round) {
+        CommMatrix m(p);
+        const std::uint64_t levels = 1 + rng.below(4);
+        for (std::size_t i = 0; i < p; ++i) {
+          for (std::size_t j = i + 1; j < p; ++j) {
+            m.set(i, j, static_cast<double>(rng.below(levels)));
+          }
+        }
+        EXPECT_EQ(group_processes(m, a, GroupingEngine::Exact),
+                  ReferenceExactEngine(m, a).run())
+            << "p=" << p << " a=" << a << " round " << round;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- greedy ------

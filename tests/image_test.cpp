@@ -1,10 +1,128 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+
 #include "apps/image.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
 using namespace orwl::apps;
+
+// ------------------------------------------------- reference kernels ----
+// The straightforward per-pixel kernels the vectorised morphology and the
+// run-based CCL replace. They stay here as the definition the fast
+// kernels must match bit for bit (as dgemm_naive serves dgemm).
+
+template <bool Erode>
+void naive_morph_rows(const Pixel* in, Pixel* out, std::size_t w,
+                      std::size_t h, std::size_t r0, std::size_t r1) {
+  for (std::size_t y = r0; y < r1; ++y) {
+    const std::size_t ylo = y == 0 ? 0 : y - 1;
+    const std::size_t yhi = y + 1 >= h ? h - 1 : y + 1;
+    for (std::size_t x = 0; x < w; ++x) {
+      const std::size_t xlo = x == 0 ? 0 : x - 1;
+      const std::size_t xhi = x + 1 >= w ? w - 1 : x + 1;
+      bool acc = Erode;  // erosion: AND starts true; dilation: OR false
+      for (std::size_t yy = ylo; yy <= yhi; ++yy) {
+        for (std::size_t xx = xlo; xx <= xhi; ++xx) {
+          const bool fg = in[yy * w + xx] != kBackground;
+          acc = Erode ? (acc && fg) : (acc || fg);
+        }
+      }
+      out[y * w + x] = acc ? kForeground : kBackground;
+    }
+  }
+}
+
+/// Pixel union-find labeling of rows [r0, r1): one entry per pixel,
+/// components numbered in raster order of their first pixel.
+BandLabeling naive_label_band(const Pixel* mask, std::size_t width,
+                              std::size_t r0, std::size_t r1) {
+  const std::size_t rows = r1 - r0;
+  const std::size_t n = rows * width;
+  std::vector<std::int32_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](std::int32_t a) {
+    while (parent[static_cast<std::size_t>(a)] != a) {
+      a = parent[static_cast<std::size_t>(a)];
+    }
+    return a;
+  };
+  auto unite = [&](std::int32_t a, std::int32_t b) {
+    a = find(a);
+    b = find(b);
+    if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] =
+        std::min(a, b);
+  };
+  std::vector<std::int32_t> label(n, -1);
+  for (std::size_t y = 0; y < rows; ++y) {
+    for (std::size_t x = 0; x < width; ++x) {
+      const std::size_t i = y * width + x;
+      if (mask[(r0 + y) * width + x] == kBackground) continue;
+      label[i] = static_cast<std::int32_t>(i);
+      if (x > 0 && label[i - 1] >= 0) unite(label[i], label[i - 1]);
+      if (y > 0 && label[i - width] >= 0) unite(label[i], label[i - width]);
+    }
+  }
+  BandLabeling out;
+  out.row_begin = r0;
+  out.row_end = r1;
+  std::vector<std::int32_t> root_to_comp(n, -1);
+  for (std::size_t y = 0; y < rows; ++y) {
+    for (std::size_t x = 0; x < width; ++x) {
+      const std::size_t i = y * width + x;
+      if (label[i] < 0) continue;
+      const std::int32_t root = find(label[i]);
+      std::int32_t comp = root_to_comp[static_cast<std::size_t>(root)];
+      const auto xi = static_cast<std::int32_t>(x);
+      const auto yi = static_cast<std::int32_t>(r0 + y);
+      if (comp < 0) {
+        comp = static_cast<std::int32_t>(out.comps.size());
+        root_to_comp[static_cast<std::size_t>(root)] = comp;
+        Component c;
+        c.min_x = c.max_x = xi;
+        c.min_y = c.max_y = yi;
+        out.comps.push_back(c);
+      }
+      Component& c = out.comps[static_cast<std::size_t>(comp)];
+      c.area += 1;
+      c.sum_x += static_cast<double>(x);
+      c.sum_y += static_cast<double>(r0 + y);
+      c.min_x = std::min(c.min_x, xi);
+      c.max_x = std::max(c.max_x, xi);
+      c.min_y = std::min(c.min_y, yi);
+      c.max_y = std::max(c.max_y, yi);
+      label[i] = comp;
+    }
+  }
+  out.top_ids.assign(label.begin(), label.begin() + width);
+  out.bottom_ids.assign(label.end() - width, label.end());
+  return out;
+}
+
+void expect_same_labeling(const BandLabeling& got, const BandLabeling& want,
+                          const std::string& what) {
+  EXPECT_EQ(got.row_begin, want.row_begin) << what;
+  EXPECT_EQ(got.row_end, want.row_end) << what;
+  ASSERT_EQ(got.comps.size(), want.comps.size()) << what;
+  for (std::size_t i = 0; i < got.comps.size(); ++i) {
+    const Component& g = got.comps[i];
+    const Component& w = want.comps[i];
+    EXPECT_EQ(g.area, w.area) << what << " comp " << i;
+    // Exact: the sums are integers, so any summation order is bit-equal.
+    EXPECT_EQ(g.sum_x, w.sum_x) << what << " comp " << i;
+    EXPECT_EQ(g.sum_y, w.sum_y) << what << " comp " << i;
+    EXPECT_EQ(g.min_x, w.min_x) << what << " comp " << i;
+    EXPECT_EQ(g.max_x, w.max_x) << what << " comp " << i;
+    EXPECT_EQ(g.min_y, w.min_y) << what << " comp " << i;
+    EXPECT_EQ(g.max_y, w.max_y) << what << " comp " << i;
+  }
+  EXPECT_EQ(got.top_ids, want.top_ids) << what;
+  EXPECT_EQ(got.bottom_ids, want.bottom_ids) << what;
+}
 
 // ------------------------------------------------------------ scene -----
 
@@ -148,7 +266,104 @@ TEST(Morphology, RowVariantMatchesWholeFrame) {
   EXPECT_EQ(w1, w2);
 }
 
+TEST(Morphology, MatchesNaiveOnRandomMasks) {
+  // Every small width and height (the clamped borders are the special
+  // cases), a full 640x360 frame, random row ranges, and input bytes
+  // other than 0/255: only "non-zero" may count as foreground.
+  orwl::support::SplitMix64 rng(25);
+  std::vector<std::pair<std::size_t, std::size_t>> sizes;
+  for (std::size_t w : {1u, 2u, 3u, 17u}) {
+    for (std::size_t h : {1u, 2u, 3u, 17u}) sizes.emplace_back(w, h);
+  }
+  sizes.emplace_back(640, 360);
+  for (const auto& [w, h] : sizes) {
+    for (int round = 0; round < 6; ++round) {
+      // Densities from sparse to dense so both kernels see both answers.
+      const std::uint64_t zero_in_8 = 1 + static_cast<std::uint64_t>(round);
+      std::vector<Pixel> in(w * h);
+      for (auto& p : in) {
+        p = rng.below(8) < zero_in_8
+                ? kBackground
+                : static_cast<Pixel>(1 + rng.below(255));
+      }
+      const std::size_t r0 = rng.below(h);
+      const std::size_t r1 = r0 + 1 + rng.below(h - r0);
+      for (const bool erode : {true, false}) {
+        std::vector<Pixel> got(w * h, 7), want(w * h, 7);
+        if (erode) {
+          erode3x3_rows(in.data(), got.data(), w, h, r0, r1);
+          naive_morph_rows<true>(in.data(), want.data(), w, h, r0, r1);
+        } else {
+          dilate3x3_rows(in.data(), got.data(), w, h, r0, r1);
+          naive_morph_rows<false>(in.data(), want.data(), w, h, r0, r1);
+        }
+        ASSERT_EQ(got, want) << (erode ? "erode " : "dilate ") << w << "x"
+                             << h << " rows [" << r0 << ", " << r1 << ")";
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- CCL ----
+
+TEST(Ccl, LabelBandMatchesPixelReference) {
+  auto check = [](const std::vector<Pixel>& mask, std::size_t w,
+                  std::size_t h, const std::string& what) {
+    // The whole mask, and every band that starts or ends on a border row.
+    for (std::size_t r0 = 0; r0 < h; ++r0) {
+      for (const std::size_t r1 : {r0 + 1, h}) {
+        expect_same_labeling(
+            label_band(mask.data(), w, r0, r1),
+            naive_label_band(mask.data(), w, r0, r1),
+            what + " rows [" + std::to_string(r0) + ", " +
+                std::to_string(r1) + ")");
+      }
+    }
+  };
+  auto filled = [](std::size_t w, std::size_t h, auto fg) {
+    std::vector<Pixel> m(w * h, kBackground);
+    for (std::size_t y = 0; y < h; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        if (fg(x, y)) m[y * w + x] = kForeground;
+      }
+    }
+    return m;
+  };
+  // The most runs: every pixel its own component.
+  check(filled(17, 9, [](auto x, auto y) { return (x + y) % 2 == 0; }), 17,
+        9, "checkerboard");
+  check(filled(13, 7, [](auto, auto) { return true; }), 13, 7, "full");
+  check(filled(40, 1, [](auto x, auto) { return x % 5 != 2; }), 40, 1,
+        "one row");
+  check(filled(1, 23, [](auto, auto y) { return y % 4 != 3; }), 1, 23,
+        "one column");
+  // Runs that touch only at corners stay apart (4-connectivity).
+  check(filled(12, 12,
+               [](auto x, auto y) { return (x / 2) % 2 == y % 2; }),
+        12, 12, "diagonal contacts");
+  // Runs on the first and last rows, a U that joins late and a
+  // staircase whose runs each overlap two runs of the row above.
+  check(filled(24, 10,
+               [](auto x, auto y) {
+                 return y == 0 || y == 9 || x == 3 || x == 20 ||
+                        (x >= 8 && x < 14 && (x + y) % 3 != 0);
+               }),
+        24, 10, "borders and joins");
+  // Random masks: order of components, stats and boundary ids.
+  orwl::support::SplitMix64 rng(11);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t w = 1 + rng.below(70);
+    const std::size_t h = 1 + rng.below(20);
+    const std::uint64_t density = 1 + rng.below(7);
+    std::vector<Pixel> mask(w * h);
+    for (auto& p : mask) {
+      p = rng.below(8) < density ? static_cast<Pixel>(1 + rng.below(255))
+                                 : kBackground;
+    }
+    check(mask, w, h, "random " + std::to_string(round));
+  }
+}
+
 
 TEST(Ccl, SingleComponentStats) {
   std::vector<Pixel> mask(100, kBackground);

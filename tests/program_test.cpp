@@ -8,10 +8,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "orwl/orwl.hpp"
 #include "support/env.hpp"
 #include "topo/binding.hpp"
+#include "topo/detect.hpp"
 #include "topo/machines.hpp"
 
 namespace {
@@ -415,6 +417,45 @@ TEST(ProgramAffinity, AutomaticModeComputesPlacementAndBinds) {
     }
   }
   EXPECT_GT(prog.stats().compute_threads_bound, 0u);
+}
+
+TEST(ProgramAffinity, OversubscribedTasksAreBoundToTheirGroup) {
+  // Twice as many tasks as host cores: the placement is oversubscribed,
+  // and each task thread's OS mask must be exactly its placement set
+  // (a group of PUs, not the single representative PU).
+  ProgramOptions o;
+  o.affinity = AffinityMode::On;
+  o.acquire_timeout_ms = 20000;
+  o.control_threads = 1;
+  const std::size_t cores =
+      orwl::topo::detect_host().num_cores();
+  if (cores < 2) GTEST_SKIP() << "needs at least 2 cores";
+  const std::size_t n = 2 * cores;
+  Program prog(n, o);
+
+  std::vector<orwl::topo::CpuSet> bound(n);
+  prog.set_task_body([&](TaskContext& ctx) {
+    ctx.scale(64);
+    Handle2 own;
+    Handle2 next;
+    own.write_insert(ctx, ctx.my_location(), 0);
+    next.read_insert(ctx, ctx.location((ctx.id() + 1) % n), 1);
+    ctx.schedule();
+    bound[ctx.id()] = orwl::topo::current_thread_binding();
+    { Section s(own); }
+    { Section s(next); }
+  });
+  prog.run();
+
+  ASSERT_TRUE(prog.stats().affinity_applied);
+  const auto& pl = prog.placement();
+  ASSERT_TRUE(pl.valid_for(prog.topology()));
+  ASSERT_TRUE(pl.oversubscribed);
+  for (std::size_t t = 0; t < n; ++t) {
+    EXPECT_EQ(bound[t], pl.cpus_of(t))
+        << "task " << t << " bound to " << bound[t].to_list_string()
+        << ", placed on " << pl.cpus_of(t).to_list_string();
+  }
 }
 
 TEST(ProgramAffinity, OffModeComputesNothing) {

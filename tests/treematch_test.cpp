@@ -4,8 +4,10 @@
 #include <map>
 #include <set>
 
+#include "apps/video.hpp"
 #include "support/rng.hpp"
 #include "topo/machines.hpp"
+#include "topo/shard.hpp"
 #include "treematch/strategies.hpp"
 #include "treematch/treematch.hpp"
 
@@ -244,6 +246,120 @@ TEST(TreeMatch, ExtremeOversubscription) {
   for (const auto& [pu, n] : load) EXPECT_LE(n, 6) << "PU " << pu;
 }
 
+// ------------------------------------------------------ group binding --
+
+TEST(TreeMatch, OversubscribedVideoBindsEveryTaskToTheMachine) {
+  // The benchmark's 11-task video on 4 single-PU cores: each task may run
+  // on any of the 4 cores, so the OS can spread the data-parallel splits
+  // the virtual leaf level put on one PU.
+  orwl::apps::VideoParams params;
+  params.gmm_splits = 2;
+  params.dilates = 2;
+  params.ccl_splits = 1;
+  ASSERT_EQ(params.num_tasks(), 11u);
+  const Topology t = make_flat(4);
+  const Placement p =
+      tree_match(t, orwl::apps::video_comm_matrix(params));
+  EXPECT_TRUE(p.oversubscribed);
+  EXPECT_TRUE(p.valid_for(t));
+  ASSERT_EQ(p.compute_set.size(), 11u);
+  for (std::size_t i = 0; i < 11; ++i) {
+    EXPECT_EQ(p.compute_set[i], CpuSet::range(0, 3)) << "thread " << i;
+    EXPECT_TRUE(p.compute_set[i].test(p.compute_pu[i]));
+  }
+}
+
+TEST(TreeMatch, OversubscribedGroupStaysInsideTheNumaNode) {
+  const Topology t = make_numa(2, 4, 1);  // 8 cores
+  const Placement p = tree_match(t, pairs_matrix(16));
+  ASSERT_TRUE(p.oversubscribed);
+  EXPECT_TRUE(p.valid_for(t));
+  for (std::size_t i = 0; i < 16; ++i) {
+    const Object* numa = t.pu_by_os_index(p.compute_pu[i])
+                             ->ancestor_of_type(ObjType::NumaNode);
+    ASSERT_NE(numa, nullptr);
+    // All 4 cores of the representative PU's node, nothing else.
+    EXPECT_EQ(p.compute_set[i],
+              CpuSet::range(numa->first_pu, numa->last_pu))
+        << "thread " << i;
+  }
+}
+
+TEST(TreeMatch, OversubscribedGroupLeavesHyperthreadSiblingsOut) {
+  // 2 nodes x 2 cores x 2 PUs: 4 compute PUs, the siblings are reserved
+  // for control threads and must not appear in any task's set.
+  const Topology t = make_numa(2, 2, 2);
+  Options opts;
+  opts.num_control_threads = 2;
+  const Placement p = tree_match(t, random_matrix(9, 31), opts);
+  ASSERT_TRUE(p.oversubscribed);
+  EXPECT_EQ(p.control_policy, ControlPolicy::HyperthreadSiblings);
+  EXPECT_TRUE(p.valid_for(t));
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(p.compute_set[i].count(), 2u) << "thread " << i;
+    for (int os : p.compute_set[i].to_vector()) {
+      const Object* pu = t.pu_by_os_index(os);
+      EXPECT_EQ(pu->parent->children.front().get(), pu)
+          << "PU " << os << " of thread " << i << " is a sibling";
+    }
+    for (int ctrl : p.control_pu) EXPECT_FALSE(p.compute_set[i].test(ctrl));
+  }
+}
+
+TEST(TreeMatch, OversubscribedGroupStaysInsideASubtopology) {
+  // A server tenant places its program on its carve-out: the groups are
+  // made of the carve-out's cores only, under the host's os indices.
+  const Topology host = make_numa(2, 4, 1);
+  const Topology carve = subtopology(host, CpuSet::range(4, 7), "tenant");
+  const Placement p = tree_match(carve, random_matrix(10, 34));
+  ASSERT_TRUE(p.oversubscribed);
+  EXPECT_TRUE(p.valid_for(carve));
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(p.compute_set[i], CpuSet::range(4, 7)) << "thread " << i;
+  }
+}
+
+TEST(TreeMatch, GroupOfOneCorePerNodeStaysOnePu) {
+  const Topology t = make_numa(4, 1, 1);  // one core per node
+  const Placement p = tree_match(t, random_matrix(8, 32));
+  ASSERT_TRUE(p.oversubscribed);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(p.compute_set[i], CpuSet::single(p.compute_pu[i]));
+  }
+}
+
+TEST(TreeMatch, WithoutOversubscriptionEverySetIsItsPu) {
+  for (const char* spec : {"flat:4", "numa:2:4:1", "numa:2:2:2", "fig2",
+                           "smp12e5"}) {
+    const Topology t = *make_named(spec);
+    const std::size_t n = std::min<std::size_t>(t.num_cores(), 8);
+    const Placement p = tree_match(t, random_matrix(n, 33));
+    ASSERT_FALSE(p.oversubscribed) << spec;
+    ASSERT_EQ(p.compute_set.size(), n) << spec;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(p.compute_set[i], CpuSet::single(p.compute_pu[i])) << spec;
+    }
+  }
+}
+
+TEST(TreeMatch, ValidForChecksTheSets) {
+  const Topology t = make_numa(2, 4, 1);
+  Placement p = tree_match(t, pairs_matrix(16));
+  ASSERT_TRUE(p.valid_for(t));
+  Placement bad = p;
+  bad.compute_set[3] = CpuSet{};
+  EXPECT_FALSE(bad.valid_for(t)) << "empty set";
+  bad = p;
+  bad.compute_set[3].set(99);
+  EXPECT_FALSE(bad.valid_for(t)) << "PU outside the topology";
+  bad = p;
+  bad.compute_set[3].clear(p.compute_pu[3]);
+  EXPECT_FALSE(bad.valid_for(t)) << "set without its compute PU";
+  bad = p;
+  bad.compute_set.pop_back();
+  EXPECT_FALSE(bad.valid_for(t)) << "one set per compute thread";
+}
+
 // --------------------------------------------------------- describe -----
 
 TEST(TreeMatch, DescribeMentionsThreadsAndPolicy) {
@@ -256,6 +372,15 @@ TEST(TreeMatch, DescribeMentionsThreadsAndPolicy) {
   EXPECT_NE(d.find("thread 0"), std::string::npos);
   EXPECT_NE(d.find("hyperthread-siblings"), std::string::npos);
   EXPECT_NE(d.find("control 0"), std::string::npos);
+}
+
+TEST(TreeMatch, DescribeShowsAGroupBinding) {
+  const Topology t = make_flat(4);
+  const Placement p = tree_match(t, random_matrix(6, 15));
+  ASSERT_TRUE(p.oversubscribed);
+  const std::string d = p.describe(t);
+  EXPECT_NE(d.find("thread 5 -> PUs 0-3 (Machine"), std::string::npos) << d;
+  EXPECT_EQ(d.find("-> PU "), std::string::npos) << d;
 }
 
 // ------------------------------------------- parameterized validity -----
