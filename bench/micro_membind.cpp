@@ -9,8 +9,8 @@
 //   remote      - pages bound to another node (the "task placed on node 1,
 //                 buffer stuck on node 0" failure mode)
 //
-// plus the cost of an explicit migrate_to() round trip, i.e. what a
-// grant-time transfer costs the control thread.
+// plus the cost of an explicit migrate_to() round trip, i.e. what moving
+// one location buffer costs when a re-placement moves its owner.
 //
 // On a multi-node machine `local` beats `remote` by the interconnect
 // factor (Table I: NUMAlink5/6). On 1-node or sandboxed hosts the remote

@@ -14,9 +14,8 @@
 // pull-based fixed-order sums), so the steal schedule cannot change the
 // answer — compare:
 //
-//   ORWL_STEAL=off  ./graph_bfs     # static split: no stealing
-//   ORWL_STEAL=node ./graph_bfs    # same-NUMA-node victims only
-//   ./graph_bfs                     # full locality order (default all)
+//   ORWL_STEAL=off ./graph_bfs     # static split: no stealing
+//   ./graph_bfs                    # full locality order (default all)
 //
 // ORWL_STEAL_SPIN=N tunes how many fruitless victim sweeps a worker
 // spins before parking on a futex.

@@ -23,10 +23,10 @@
 // the target shard is saturated, the grant is performed inline by the
 // posting thread instead of being queued.
 //
-// The "data transfer" half of the quote is real too: the grant pass runs
-// the queue's GrantHook first, which is where a Location migrates its
-// buffer NUMA-locally before the grantee is woken (see
-// runtime/location.hpp and topo/membind.hpp).
+// The "data transfer" half of the quote is done by placement, not here:
+// the Program binds each location buffer to its owner's NUMA node when a
+// placement is computed (Location::bind_home), so a grant pass moves no
+// pages.
 #pragma once
 
 #include <atomic>
@@ -89,8 +89,7 @@ class ControlPlane {
 
   /// Post a grant hand-off event for the given queue.
   /// \param q     Queue whose head group needs granting; the serving
-  ///              control thread calls its grant path (including the
-  ///              grant hook for data transfer).
+  ///              control thread calls its grant path.
   /// \param shard Target shard (taken mod num_shards) — normally the
   ///              shard of the queue owner's placed PU.
   ///

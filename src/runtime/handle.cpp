@@ -78,14 +78,6 @@ void Handle::acquire() {
 
 void Handle::release() {
   if (!acquired_) throw std::logic_error("Handle::release: not acquired");
-  // Adaptive data transfer watches where granted writers actually run:
-  // record our task's placed node before the hand-off fires, so the
-  // control thread's grant hook sees it when deciding whether to migrate
-  // the buffer (two lock-free stores; skipped under cheaper policies).
-  if (mode_ == AccessMode::Write && prog_ != nullptr &&
-      prog_->data_transfer() == DataTransferMode::Adaptive) {
-    loc_->note_writer_node(prog_->placed_node_of_task(task_));
-  }
   // Leave our task id on the location before the hand-off fires, so the
   // next grantee can attribute the transfer (see Handle::acquire).
   if (prog_ != nullptr && prog_->comm_meter() != nullptr) {

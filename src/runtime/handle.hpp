@@ -51,9 +51,7 @@ class Handle {
   void acquire();
 
   /// Release the grant. Iterative handles re-insert automatically; plain
-  /// handles become inert afterwards. Under the adaptive data-transfer
-  /// policy a write release also records the releasing task's NUMA node
-  /// for the grant-time migration heuristic.
+  /// handles become inert afterwards.
   /// \throws std::logic_error when nothing is acquired.
   void release();
 
@@ -99,7 +97,7 @@ class Handle {
               std::uint64_t priority);
 
   Location* loc_ = nullptr;
-  Program* prog_ = nullptr;  ///< set at insert; feeds data-transfer hints
+  Program* prog_ = nullptr;  ///< set at insert; meter and teardown stats
   TaskId task_ = 0;          ///< task that inserted this handle
   AccessMode mode_ = AccessMode::Read;
   Ticket ticket_ = 0;

@@ -8,11 +8,10 @@
 // A location owns a NUMA-aware byte buffer (sized by scale()) and the
 // FIFO request queue that serializes access to it. The buffer is a
 // topo::NumaBuffer: once the affinity module has placed the owner task,
-// the runtime binds the buffer to the owner's NUMA node, and — under the
-// ORWL_DATA_TRANSFER policy — the control thread serving the location's
-// shard migrates the pages at grant time when recent writers live
-// elsewhere ("control threads ... manage lock synchronization and data
-// transfer", Sec. IV-A).
+// the runtime binds the buffer to the owner's NUMA node (the "data
+// transfer" that control threads manage beside lock synchronization,
+// Sec. IV-A). The pages move only when the placement moves: at
+// placement, on re-placement and on live inserts, never at grant time.
 #pragma once
 
 #include <atomic>
@@ -25,19 +24,18 @@
 
 namespace orwl::rt {
 
-/// Grant-time data-transfer policy of the runtime
-/// (ORWL_DATA_TRANSFER / ProgramOptions::data_transfer). Enumerators
-/// follow support::knob::kDataTransfer's spellings.
+/// Location-memory policy of the runtime (ORWL_DATA_TRANSFER /
+/// ProgramOptions::data_transfer). Enumerators follow
+/// support::knob::kDataTransfer's spellings.
 enum class DataTransferMode : std::uint8_t {
   Off,    ///< first-touch only: never bind or migrate location buffers
   Owner,  ///< bind each buffer to its owner task's placed NUMA node
-  Adaptive,  ///< Owner, plus grant-time migration toward recent writers
 };
 
-/// Human-readable policy name ("off", "owner", "adaptive").
+/// Human-readable policy name ("off", "owner").
 const char* to_string(DataTransferMode p) noexcept;
 
-class Location : private GrantHook {
+class Location {
  public:
   /// \param id    Global location id (owner * locations_per_task + slot).
   /// \param owner Task owning (and scaling) this location.
@@ -47,6 +45,7 @@ class Location : private GrantHook {
   Location(LocationId id, TaskId owner, std::size_t slot,
            rt::Arena* arena = nullptr)
       : id_(id), owner_(owner), slot_(slot), queue_(arena) {}
+  virtual ~Location() = default;
   Location(const Location&) = delete;
   Location& operator=(const Location&) = delete;
 
@@ -118,24 +117,16 @@ class Location : private GrantHook {
   topo::NumaBuffer& buffer() noexcept { return buf_; }
   const topo::NumaBuffer& buffer() const noexcept { return buf_; }
 
-  /// Set the transfer policy. Not thread-safe; the Program configures it
-  /// before the location is used concurrently.
-  void set_data_transfer(DataTransferMode p) noexcept { policy_ = p; }
-  DataTransferMode data_transfer() const noexcept { return policy_; }
-
-  /// The hook the Program installs on this location's queue (grant-time
-  /// data transfer runs through it).
-  GrantHook* grant_hook() noexcept { return this; }
-
   /// Declare `node` the home of this location (its owner task's placed
   /// NUMA node) and migrate the buffer there. Called by the runtime at
-  /// placement time, on dynamic re-placement, and for live inserts.
-  /// Thread-safe. No-op under DataTransferMode::Off or for node < 0.
-  /// Under Adaptive, a re-bind to an *unchanged* home leaves a buffer
-  /// the writers already pulled elsewhere in place, and a re-bind to a
-  /// new home resets the (now stale) writer history.
-  /// \param node Topology NUMA-node index; -1 = unknown/unplaced.
-  void bind_home(int node);
+  /// placement time, on dynamic re-placement, and for live inserts; the
+  /// Program skips the call under DataTransferMode::Off. Thread-safe.
+  /// \param node Topology NUMA-node index; -1 = unknown/unplaced (only
+  ///        recorded).
+  /// \return true when live storage already bound to another node moved
+  ///         here (a data transfer); false for a first binding, an
+  ///         unchanged home or a failed migration.
+  bool bind_home(int node);
 
   /// Home node currently declared via bind_home(); -1 when unplaced.
   int home_node() const noexcept {
@@ -144,17 +135,6 @@ class Location : private GrantHook {
 
   /// Node the buffer is currently bound to; -1 when unbound.
   int memory_node() const noexcept { return buf_.node(); }
-
-  /// Record the NUMA node a granted writer ran on (called by Handle at
-  /// write release; writers are exclusive, so calls are serialized by the
-  /// lock protocol itself). Feeds the adaptive policy's decaying streak
-  /// counter: a writer on the streak node lengthens it (saturating at
-  /// twice the hysteresis threshold), a writer elsewhere halves it, and
-  /// the streak switches node only once the count has decayed to 1 — so
-  /// a ping-ponging writer set never builds up enough evidence to
-  /// migrate. Unplaced writers (node < 0) are ignored.
-  /// \param node Topology NUMA-node index of the releasing writer.
-  void note_writer_node(int node) noexcept;
 
   /// Record the task that just released this location's lock (any access
   /// mode). The next acquirer reads it to attribute the hand-off in the
@@ -171,53 +151,13 @@ class Location : private GrantHook {
     return last_releaser_.load(std::memory_order_acquire);
   }
 
-  /// Consecutive-writer threshold of the adaptive policy (K in the
-  /// ORWL_DATA_TRANSFER_HYSTERESIS contract). Not thread-safe; the
-  /// Program configures it before concurrent use. 0 is clamped to 1.
-  void set_transfer_hysteresis(std::uint32_t k) noexcept {
-    hysteresis_ = k == 0 ? 1 : k;
-  }
-  std::uint32_t transfer_hysteresis() const noexcept { return hysteresis_; }
-
-  /// Grant-time migrations performed for this location (owner fix-ups and
-  /// adaptive follow-the-writer moves; the initial bind_home is counted
-  /// separately by the buffer's own migration counter).
-  std::uint64_t data_transfers() const noexcept {
-    return transfers_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// GrantHook: runs on the control thread serving this location's shard
-  /// (or on the posting thread for inline grants) before the next grant.
-  void before_grant() noexcept override;
-
   LocationId id_;
   TaskId owner_;
   std::size_t slot_;
   topo::NumaBuffer buf_;
   RequestQueue queue_;
-
-  /// One atomic word for the adaptive writer streak, so the control
-  /// thread reads node and count coherently: node in the high 32 bits
-  /// (as int32), streak length in the low 32.
-  static constexpr std::uint64_t pack_streak(int node,
-                                             std::uint32_t count) noexcept {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
-            << 32) |
-           count;
-  }
-  static constexpr int streak_node(std::uint64_t s) noexcept {
-    return static_cast<int>(static_cast<std::uint32_t>(s >> 32));
-  }
-  static constexpr std::uint32_t streak_count(std::uint64_t s) noexcept {
-    return static_cast<std::uint32_t>(s);
-  }
-
-  DataTransferMode policy_ = DataTransferMode::Off;
-  std::uint32_t hysteresis_ = 2;
   std::atomic<int> home_node_{-1};
-  std::atomic<std::uint64_t> writer_streak_{pack_streak(-1, 0)};
-  std::atomic<std::uint64_t> transfers_{0};
   std::atomic<std::int64_t> last_releaser_{-1};
 };
 

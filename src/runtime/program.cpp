@@ -44,8 +44,6 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
   affinity_enabled_ =
       resolve(knob::kAffinity, opts_.affinity) == AffinityMode::On;
   data_policy_ = resolve(knob::kDataTransfer, opts_.data_transfer);
-  const std::size_t hysteresis = resolve(knob::kDataTransferHysteresis,
-                                         opts_.data_transfer_hysteresis);
   replace_policy_ = resolve(knob::kReplace, opts_.replace);
   replace_threshold_ =
       resolve(knob::kReplaceThreshold, opts_.replace_threshold);
@@ -127,15 +125,6 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
       // the topology-aware routing once a placement exists.
       locations_.back()->queue().set_control_shard(
           t % control_->num_shards());
-      locations_.back()->set_data_transfer(data_policy_);
-      locations_.back()->set_transfer_hysteresis(
-          static_cast<std::uint32_t>(hysteresis));
-      if (data_policy_ != DataTransferMode::Off) {
-        // Grant-time data transfer: the control thread serving this
-        // location's shard migrates the buffer before waking a grantee.
-        locations_.back()->queue().set_grant_hook(
-            locations_.back()->grant_hook());
-      }
     }
   }
 
@@ -407,8 +396,11 @@ void Program::route_queue(Location& loc) {
     loc.queue().set_arena(arenas_[shard].get());
   }
   // Memory follows the same rule as the events: the buffer lives on the
-  // owner's placed node (no-op while unplaced or with transfers off).
-  loc.bind_home(placed_node_of_task(loc.owner()));
+  // owner's placed node (no-op while unplaced).
+  if (data_policy_ == DataTransferMode::Off) return;
+  if (loc.bind_home(placed_node_of_task(loc.owner()))) {
+    ++stats_.data_transfers;
+  }
 }
 
 void Program::update_task_nodes_locked() {
@@ -435,7 +427,7 @@ void Program::bind_location_memory_locked() {
       ++skipped;
       continue;
     }
-    loc->bind_home(node);
+    if (loc->bind_home(node)) ++stats_.data_transfers;
     ++bound;
   }
   stats_.locations_bound = bound;
@@ -665,9 +657,6 @@ void Program::run() {
   control_->stop();
   stats_.control_events = control_->events_processed();
   stats_.control_inline_grants = control_->inline_grants();
-  std::uint64_t transfers = 0;
-  for (const auto& loc : locations_) transfers += loc->data_transfers();
-  stats_.data_transfers = transfers;
   stats_.guard_teardown_failures =
       teardown_failures_.load(std::memory_order_relaxed);
   stats_.placement_recomputes =

@@ -83,9 +83,9 @@ struct ProgramOptions {
   /// ORWL_AFFINITY (default off), the paper's one-variable switch.
   std::optional<AffinityMode> affinity;
 
-  /// Location-memory management: which NUMA node location buffers live on
-  /// and whether control threads migrate them at grant time (the "data
-  /// transfer" half of Sec. IV-A). ORWL_DATA_TRANSFER, default owner.
+  /// Location-memory management: whether location buffers are bound to
+  /// their owner task's placed NUMA node (the "data transfer" half of
+  /// Sec. IV-A). ORWL_DATA_TRANSFER, default owner.
   std::optional<DataTransferMode> data_transfer;
 
   /// Topology to place on. Null => detect the host machine. The pointed-to
@@ -101,12 +101,6 @@ struct ProgramOptions {
   /// Deadlock guard, 0 disables: bounds every lock acquire and every
   /// wait at an all-task collective (Program::rendezvous).
   std::uint64_t acquire_timeout_ms = 120000;
-
-  /// Grant streak length after which the adaptive data-transfer policy
-  /// migrates a buffer toward a remote writer node (K consecutive
-  /// granted writers on the same non-buffer node; 0 acts as 1).
-  /// ORWL_DATA_TRANSFER_HYSTERESIS, default 2.
-  std::optional<std::size_t> data_transfer_hysteresis;
 
   /// Online re-placement policy (measured-matrix feedback loop;
   /// ORWL_REPLACE, default off).
@@ -126,7 +120,7 @@ struct ProgramOptions {
   std::optional<std::size_t> replace_interval;
 
   /// Work-stealing policy of the dynamic-work executor behind
-  /// orwl::Task::for_each (ORWL_STEAL: off|node|all, default all).
+  /// orwl::Task::for_each (ORWL_STEAL: off|all, default all).
   std::optional<StealMode> steal;
 
   /// Fruitless victim sweeps before an executor worker parks.
@@ -144,8 +138,9 @@ struct ProgramStats {
   std::uint64_t control_events = 0;   ///< lock hand-offs done by controls
   std::uint64_t control_inline_grants = 0;  ///< hand-offs granted inline
   std::size_t control_shards = 0;     ///< event shards of the control plane
-  /// Grant-time page migrations performed for location buffers (owner
-  /// fix-ups + adaptive follow-the-writer moves), summed over locations.
+  /// Migrations of live location buffers whose home moved: a
+  /// re-placement or a live insert rebinding a buffer off the node it was
+  /// already bound to. A buffer's first binding is not counted.
   std::uint64_t data_transfers = 0;
   /// Location buffers bound to their owner's NUMA node at placement time.
   std::size_t locations_bound = 0;

@@ -404,10 +404,6 @@ bool RequestQueue::park_remote(Ticket t) {
 }
 
 void RequestQueue::grant_from_control() {
-  // Grant-time data transfer happens first, outside the queue mutex: the
-  // hook may migrate the location's pages, and the grantee must find them
-  // on the right node when it wakes.
-  if (hook_ != nullptr) hook_->before_grant();
   std::vector<Slot*> wake;
   {
     std::lock_guard lock(mu_);

@@ -51,26 +51,6 @@ namespace orwl::rt {
 
 class ControlPlane;
 
-/// Callback invoked on the grant hand-off path, right before the new head
-/// group of a queue is granted and its waiters are woken.
-///
-/// This is the runtime's hook for the second half of the paper's control
-/// threads — "manage lock synchronization *and data transfer*"
-/// (Sec. IV-A): a Location installs itself here so that the control
-/// thread serving the queue's shard can migrate the location's pages
-/// NUMA-locally before thawing the grantee. The hook runs outside the
-/// queue mutex, on whichever thread performs the hand-off (a control
-/// thread, or the posting thread for inline grants), and must be
-/// non-blocking-ish and noexcept: a slow hook delays exactly the waiters
-/// it is trying to get good memory for.
-class GrantHook {
- public:
-  virtual ~GrantHook() = default;
-
-  /// Called once per hand-off grant pass of the attached queue.
-  virtual void before_grant() noexcept = 0;
-};
-
 /// Receiver of the grants of remote-phase tickets (see
 /// RequestQueue::park_remote).
 ///
@@ -142,14 +122,6 @@ class RequestQueue {
   /// owning tenant's tag. Not thread-safe; set before concurrent use.
   void set_tag(std::string tag) { tag_ = std::move(tag); }
   const std::string& tag() const noexcept { return tag_; }
-
-  /// Install the hook run before each hand-off grant (grant-time data
-  /// transfer). May be null (no hook). Not thread-safe; set before
-  /// concurrent use. The hook fires on the control-plane hand-off path
-  /// only — enqueue-time grants (a request landing in an already-eligible
-  /// head group) are the requester's own first access and need no
-  /// transfer.
-  void set_grant_hook(GrantHook* hook) noexcept { hook_ = hook; }
 
   /// Install the sink that receives the grants of remote-phase tickets.
   /// Thread-safe. Detaching (null) waits until every sink call already
@@ -313,7 +285,6 @@ class RequestQueue {
   std::atomic<Arena*> arena_;  ///< allocation source (re-pointed on route)
   std::uint64_t timeout_ms_ = 120000;
   std::string tag_;
-  GrantHook* hook_ = nullptr;
   std::atomic<RemoteGrantSink*> sink_{nullptr};
   std::atomic<std::uint32_t> sink_calls_{0};  ///< sink calls in flight
   ControlPlane* control_ = nullptr;

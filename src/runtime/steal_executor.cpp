@@ -81,8 +81,7 @@ StealExecutor::StealExecutor(const topo::Topology& t,
   }
 
   // Victim order per worker: co-resident workers (same PU) first, then
-  // the PUs of the precomputed topology row, nearest first. The row's
-  // NUMA-local prefix (plus the co-residents) is the local prefix here.
+  // the PUs of the precomputed topology row, nearest first.
   const topo::VictimTable table =
       t.empty() ? topo::VictimTable{} : topo::make_victim_table(t);
   for (std::size_t w = 0; w < state_.size(); ++w) {
@@ -98,18 +97,11 @@ StealExecutor::StealExecutor(const topo::Topology& t,
       for (std::size_t v = 0; v < state_.size(); ++v) {
         if (v != w) ws.victims.push_back(static_cast<std::uint32_t>(v));
       }
-      ws.local_victims = ws.victims.size();
       continue;
     }
-    const auto row = table.row(static_cast<std::size_t>(ws.pu));
-    const std::size_t row_local =
-        table.local_count(static_cast<std::size_t>(ws.pu));
-    ws.local_victims = ws.victims.size();  // co-residents are local
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      for (std::uint32_t other :
-           workers_on_pu[static_cast<std::size_t>(row[i])]) {
+    for (int pu : table.row(static_cast<std::size_t>(ws.pu))) {
+      for (std::uint32_t other : workers_on_pu[static_cast<std::size_t>(pu)]) {
         ws.victims.push_back(other);
-        if (i < row_local) ++ws.local_victims;
       }
     }
   }
@@ -236,11 +228,8 @@ void StealExecutor::run_worker(std::size_t w, const ItemFn& fn) {
   WorkerContext* const prev_ctx = tl_worker_ctx;
   tl_worker_ctx = &ctx;
 
-  const std::size_t steal_limit = cfg_.mode == StealMode::All
-                                      ? ws.victims.size()
-                                      : cfg_.mode == StealMode::Node
-                                            ? ws.local_victims
-                                            : 0;
+  const std::size_t steal_limit =
+      cfg_.mode == StealMode::All ? ws.victims.size() : 0;
   bool active = false;
   std::size_t fruitless = 0;
   for (;;) {
@@ -310,8 +299,8 @@ std::uint64_t StealExecutor::lend(const std::function<bool()>& give_up) {
           ? tl_worker_ctx
           : nullptr;
   if (wctx == nullptr && cfg_.mode != StealMode::All) {
-    // Anonymous lenders have no topology position, so Node mode cannot
-    // scope their victims; only the full order is meaningful.
+    // Anonymous lenders own no deque: with stealing off there is nothing
+    // they could run.
     return 0;
   }
 
@@ -327,9 +316,7 @@ std::uint64_t StealExecutor::lend(const std::function<bool()>& give_up) {
   if (wctx != nullptr) {
     const WorkerState& ws = *state_[ctx.worker_];
     order = &ws.victims;
-    limit = cfg_.mode == StealMode::All
-                ? ws.victims.size()
-                : cfg_.mode == StealMode::Node ? ws.local_victims : 0;
+    limit = cfg_.mode == StealMode::All ? ws.victims.size() : 0;
   } else {
     const std::uint32_t rot =
         lender_rotation_.fetch_add(1, std::memory_order_relaxed);

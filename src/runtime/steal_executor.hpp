@@ -28,8 +28,8 @@
 // stack and stall the loan; the acquire path refuses nested lending).
 //
 // Knobs (resolved by the program layer; the executor takes a Config):
-//   ORWL_STEAL      = off|node|all  — no stealing / same-NUMA-node
-//                     victims only / full victim order (default all).
+//   ORWL_STEAL      = off|all       — no stealing / full victim order,
+//                     remote nodes last (default all).
 //   ORWL_STEAL_SPIN = N             — fruitless victim sweeps before a
 //                     worker parks (default 64).
 #pragma once
@@ -55,9 +55,8 @@ class CommMeter;
 /// Steal policy (ORWL_STEAL / ProgramOptions::steal). Enumerators follow
 /// support::knob::kSteal's spellings.
 enum class StealMode {
-  Off,   ///< no stealing: each worker drains only its own deque
-  Node,  ///< steal from same-NUMA-node victims only
-  All,   ///< full locality order, remote nodes last (default)
+  Off,  ///< no stealing: each worker drains only its own deque
+  All,  ///< full locality order, remote nodes last (default)
 };
 
 const char* to_string(StealMode m) noexcept;
@@ -190,7 +189,6 @@ class StealExecutor {
     int pu = 0;
     int node = 0;  ///< termination-tree node (0 on NUMA-less machines)
     std::vector<std::uint32_t> victims;     ///< worker indices, nearest first
-    std::size_t local_victims = 0;          ///< prefix on the same node
     std::vector<std::uint64_t> seed_spill;  ///< seeds past deque capacity
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> local_steals{0};

@@ -53,9 +53,7 @@ namespace knob {
 inline constexpr Knob kAffinity{"ORWL_AFFINITY", KnobKind::Bool, "0"};
 inline constexpr Knob kDataTransfer{"ORWL_DATA_TRANSFER", KnobKind::Choice,
                                     "owner", 0, 0,
-                                    {"off", "owner", "adaptive"}};
-inline constexpr Knob kDataTransferHysteresis{
-    "ORWL_DATA_TRANSFER_HYSTERESIS", KnobKind::Integer, "2", 1};
+                                    {"off", "owner"}};
 /// No fixed default: one shard per NUMA node of the program's topology.
 inline constexpr Knob kControlShards{"ORWL_CONTROL_SHARDS", KnobKind::Integer,
                                      "", 1};
@@ -69,7 +67,7 @@ inline constexpr Knob kReplaceDecay{"ORWL_REPLACE_DECAY", KnobKind::Real,
 inline constexpr Knob kReplaceInterval{"ORWL_REPLACE_INTERVAL",
                                        KnobKind::Integer, "16", 1};
 inline constexpr Knob kSteal{"ORWL_STEAL", KnobKind::Choice, "all", 0, 0,
-                             {"off", "node", "all"}};
+                             {"off", "all"}};
 inline constexpr Knob kStealSpin{"ORWL_STEAL_SPIN", KnobKind::Integer, "64",
                                  1};
 
@@ -102,11 +100,11 @@ inline constexpr Knob kDistShmSlots{"ORWL_DIST_SHM_SLOTS", KnobKind::Integer,
 
 /// The table: every knob the runtime reads.
 inline constexpr const Knob* kKnobs[] = {
-    &knob::kAffinity, &knob::kDataTransfer, &knob::kDataTransferHysteresis,
-    &knob::kControlShards, &knob::kReplace, &knob::kReplaceThreshold,
-    &knob::kReplaceDecay, &knob::kReplaceInterval, &knob::kSteal,
-    &knob::kStealSpin, &knob::kTopology, &knob::kMemBind,
-    &knob::kServerMaxTenants, &knob::kServerQueueCap, &knob::kServerGrowBacklog,
+    &knob::kAffinity, &knob::kDataTransfer, &knob::kControlShards,
+    &knob::kReplace, &knob::kReplaceThreshold, &knob::kReplaceDecay,
+    &knob::kReplaceInterval, &knob::kSteal, &knob::kStealSpin,
+    &knob::kTopology, &knob::kMemBind, &knob::kServerMaxTenants,
+    &knob::kServerQueueCap, &knob::kServerGrowBacklog,
     &knob::kServerShrinkIdleMs, &knob::kDist, &knob::kDistPort,
     &knob::kDistShmSlots};
 

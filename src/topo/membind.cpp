@@ -144,8 +144,9 @@ void unbind_mapping(void* ptr, std::size_t len) noexcept {
 /// move_pages() the whole mapping to one node, chunked. Success requires
 /// every resident page to land on the node: a 0 return from the syscall
 /// still reports per-page failures (-EBUSY pinned pages, -ENOMEM full
-/// target node) in `status`, and claiming success on those would make
-/// the adaptive policy stop retrying while the data is still remote.
+/// target node) in `status`, and claiming success on those would let the
+/// runtime count a move (and stop retrying it) while the data is still
+/// remote.
 /// Not-yet-faulted pages (-ENOENT) are fine — the trailing mbind makes
 /// them fault on the target node.
 bool move_mapping(void* ptr, std::size_t len, int node) noexcept {
@@ -295,7 +296,7 @@ bool MemBind::migrate_to(int node) noexcept {
       host_has_node(node)) {
     if (!move_mapping(ptr_, mapped_, node)) {
       // Keep the previous binding state: callers observe the failure and
-      // can retry on the next grant instead of believing a wrong tag.
+      // can retry on the next bind instead of believing a wrong tag.
       return false;
     }
     node_ = node;
@@ -453,7 +454,7 @@ bool NumaBuffer::bind_to(int node) {
   if (node_.load(std::memory_order_relaxed) == node) return false;
   if (!mem_.empty()) {
     // A failed physical migration leaves the binding unchanged, so the
-    // next grant-time attempt retries instead of trusting a wrong tag.
+    // next bind (a re-placement) retries instead of trusting a wrong tag.
     if (!mem_.migrate_to(node)) return false;
     migrations_.fetch_add(1, std::memory_order_relaxed);
   }

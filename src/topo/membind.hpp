@@ -161,9 +161,9 @@ int numa_node_of_pu(const Topology& t, int pu_os_index) noexcept;
 ///
 /// This is what Location buffers are made of: resize() keeps the buffer
 /// on its bound node, bind_to() migrates live pages, and the accessors
-/// the runtime's grant path needs (node(), data(), size()) are safe to
-/// call concurrently with a migration — a control thread may rebind the
-/// pages while task threads hold the area mapped. Structural mutation
+/// (node(), data(), size()) are safe to call concurrently with a
+/// migration — a re-placement may rebind the pages while task threads
+/// hold the area mapped. Structural mutation
 /// (resize) must still be externally serialized against itself and
 /// against readers of data(), exactly like std::vector.
 class NumaBuffer {
@@ -196,7 +196,7 @@ class NumaBuffer {
   bool bind_to(int node);
 
   /// The node the buffer is bound to (MemBind::kAnyNode = unbound).
-  /// Lock-free; safe from the grant path.
+  /// Lock-free; safe concurrently with bind_to().
   int node() const noexcept {
     return node_.load(std::memory_order_acquire);
   }

@@ -10,19 +10,13 @@ std::span<const int> VictimTable::row(std::size_t pu) const noexcept {
   return {victims.data() + pu * stride, stride};
 }
 
-std::size_t VictimTable::local_count(std::size_t pu) const noexcept {
-  return pu < local_end.size() ? local_end[pu] : 0;
-}
-
 VictimTable make_victim_table(const Topology& t) {
   VictimTable table;
   if (t.empty()) return table;
   const std::size_t npus = t.num_pus();
   table.num_pus = npus;
-  table.local_end.assign(npus, 0);
   if (npus < 2) return table;
 
-  const int numa_depth = t.depth_of_type(ObjType::NumaNode);
   const std::size_t stride = npus - 1;
   table.victims.resize(npus * stride);
 
@@ -45,19 +39,6 @@ VictimTable make_victim_table(const Topology& t) {
     });
     std::copy(order.begin(), order.end(),
               table.victims.begin() + p * stride);
-
-    // The row is sorted by descending sharing depth, so same-node
-    // victims (sharing depth >= the NUMA level) form its prefix.
-    if (numa_depth < 0) {
-      table.local_end[p] = stride;  // no NUMA level: everything is local
-    } else {
-      std::size_t local = 0;
-      for (int v : order) {
-        if (t.sharing_depth(static_cast<int>(p), v) < numa_depth) break;
-        ++local;
-      }
-      table.local_end[p] = local;
-    }
   }
   return table;
 }

@@ -6,9 +6,7 @@
 // remote nodes last. Computing ancestor chains inside the steal loop
 // would put tree walks on the hottest path of the runtime, so the order
 // is precomputed here from the live topo::Topology tree as one flat row
-// per PU, plus the boundary between same-NUMA-node victims and remote
-// ones (the `ORWL_STEAL=node` policy truncates each row at that
-// boundary, and the executor's statistics classify steals with it).
+// per PU.
 #pragma once
 
 #include <cstddef>
@@ -32,19 +30,10 @@ struct VictimTable {
   /// `num_pus` rows of `num_pus - 1` logical PU indices each, flattened.
   std::vector<int> victims;
 
-  /// Per PU, the number of leading row entries that share the PU's NUMA
-  /// node (the whole row when the machine has no NUMA level).
-  std::vector<std::size_t> local_end;
-
   /// Steal order for one PU.
   /// \param pu Logical PU index (left-to-right order).
   /// \return All other PUs, nearest first; empty for out-of-range `pu`.
   std::span<const int> row(std::size_t pu) const noexcept;
-
-  /// Number of leading `row(pu)` entries on the PU's own NUMA node.
-  /// \param pu Logical PU index.
-  /// \return The local victim count; 0 for out-of-range `pu`.
-  std::size_t local_count(std::size_t pu) const noexcept;
 };
 
 /// Precompute the steal order for every PU of `t`.
