@@ -4,6 +4,8 @@
 // `ms/frame`, the stage's cost per frame on one core. The inputs are the
 // pipeline's own: frames of VideoParams' default scene and the mask the
 // background model produces for them after it has learned the background.
+// The render rows' labels name the loop that ran ("avx2" or "portable",
+// see render_isa()).
 #include "bench_util.hpp"
 
 #include <vector>
@@ -46,18 +48,30 @@ std::vector<Pixel> video_mask() {
   return mask;
 }
 
-void BM_Render(benchmark::State& state) {
+template <auto Render>
+void render(benchmark::State& state, const char* label) {
   const auto s = scene();
   std::vector<Pixel> frame(kWidth * kHeight);
   std::size_t f = 0;
   for (auto _ : state) {
-    s.render(f++, frame.data());
+    (s.*Render)(f++, frame.data());
     benchmark::DoNotOptimize(frame.data());
     benchmark::ClobberMemory();
   }
   set_ms_per_frame(state);
+  state.SetLabel(label);
+}
+
+void BM_Render(benchmark::State& state) {
+  render<&orwl::apps::Scene::render>(state, orwl::apps::render_isa());
 }
 BENCHMARK(BM_Render)->Unit(benchmark::kMillisecond);
+
+// The same frames on the baseline-ISA loop, whatever this CPU picks.
+void BM_RenderPortable(benchmark::State& state) {
+  render<&orwl::apps::Scene::render_portable>(state, "portable");
+}
+BENCHMARK(BM_RenderPortable)->Unit(benchmark::kMillisecond);
 
 void BM_BackgroundModel(benchmark::State& state) {
   // Cycle through pre-rendered frames so the timed loop is the model only.

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <memory>
 
+#include "apps/isa.hpp"
+
 namespace orwl::apps {
 
 void dgemm_naive(std::size_t m, std::size_t n, std::size_t k,
@@ -176,25 +178,19 @@ __attribute__((target("avx2,fma"))) void blocked_avx2_fma(
     std::size_t ldc) {
   blocked<kAvx2Fma>(m, n, k, a, lda, b, ldb, c, ldc);
 }
-
-// libgcc tests the CPU once, in a constructor that runs before main;
-// these reads only look up the flags it stored.
-bool use_avx2_fma() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-#else
-bool use_avx2_fma() { return false; }
 #endif
 
 }  // namespace
 
-const char* dgemm_isa() { return use_avx2_fma() ? "avx2+fma" : "portable"; }
+const char* dgemm_isa() {
+  return cpu_has_avx2(/*fma=*/true) ? "avx2+fma" : "portable";
+}
 
 void dgemm(std::size_t m, std::size_t n, std::size_t k, const double* a,
            std::size_t lda, const double* b, std::size_t ldb, double* c,
            std::size_t ldc) {
 #if defined(__x86_64__) || defined(__i386__)
-  if (use_avx2_fma()) {
+  if (cpu_has_avx2(/*fma=*/true)) {
     blocked_avx2_fma(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }

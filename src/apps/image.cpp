@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "apps/isa.hpp"
 #include "support/rng.hpp"
 
 namespace orwl::apps {
@@ -37,21 +38,86 @@ Scene Scene::demo(std::size_t width, std::size_t height,
 
 namespace {
 
-/// Deterministic per-(frame,pixel) noise in [-3, 3].
-inline int pixel_noise(std::uint64_t seed, std::size_t f, std::size_t idx) {
-  std::uint64_t h = seed ^ (f * 0x9e3779b97f4a7c15ULL) ^
-                    (idx * 0xbf58476d1ce4e5b9ULL);
+// Every helper of the background texture is always inlined, so each of
+// the two entry points below compiles its own copy under its own target
+// ISA (as apps::dgemm does).
+#define ORWL_RENDER_INLINE [[gnu::always_inline]] inline
+
+/// Deterministic per-(frame,pixel) noise in [-3, 3]; `key` is the frame's
+/// share of the hash, seed ^ f * 0x9e3779b97f4a7c15.
+ORWL_RENDER_INLINE int pixel_noise(std::uint64_t key, std::uint64_t idx) {
+  std::uint64_t h = key ^ (idx * 0xbf58476d1ce4e5b9ULL);
   h ^= h >> 31;
   h *= 0x94d049bb133111ebULL;
   h ^= h >> 29;
-  return static_cast<int>(h % 7) - 3;
+  // h % 7 without a 64-bit division, which no vector unit has: 2^24 is
+  // 1 mod 7, so h and the sum of its three 24-bit digits leave the same
+  // remainder, and the sum (below 2^26) divides in a 32-bit lane.
+  const auto digits = static_cast<std::uint32_t>(
+      (h & 0xFFFFFF) + ((h >> 24) & 0xFFFFFF) + (h >> 48));
+  return static_cast<int>(digits % 7) - 3;
 }
 
-inline Pixel clamp_pixel(int v) {
+ORWL_RENDER_INLINE Pixel clamp_pixel(int v) {
   return static_cast<Pixel>(std::clamp(v, 0, 255));
 }
 
+/// The textured, noisy background of a whole frame: a mild diagonal
+/// gradient pattern plus the per-pixel noise.
+ORWL_RENDER_INLINE void render_background(Pixel* __restrict out,
+                                          std::size_t width,
+                                          std::size_t height,
+                                          std::uint64_t key) {
+  for (std::size_t y = 0; y < height; ++y) {
+    Pixel* __restrict row = out + y * width;
+    const std::size_t idx0 = y * width;
+    for (std::size_t x = 0; x < width; ++x) {
+      const int base = 70 + static_cast<int>((x / 16 + y / 16) % 4) * 8;
+      row[x] = clamp_pixel(base + pixel_noise(key, idx0 + x));
+    }
+  }
+}
+
+#undef ORWL_RENDER_INLINE
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx2"))) void background_avx2(Pixel* out,
+                                                     std::size_t width,
+                                                     std::size_t height,
+                                                     std::uint64_t key) {
+  render_background(out, width, height, key);
+}
+#endif
+
+void background_portable(Pixel* out, std::size_t width, std::size_t height,
+                         std::uint64_t key) {
+  render_background(out, width, height, key);
+}
+
+std::uint64_t frame_key(std::uint64_t seed, std::size_t f) {
+  return seed ^ (f * 0x9e3779b97f4a7c15ULL);
+}
+
+/// The moving objects of frame f, drawn over its background.
+void draw_objects(const Scene& s, std::size_t f, Pixel* out) {
+  const auto pos = s.positions(f);
+  for (std::size_t i = 0; i < s.objects.size(); ++i) {
+    const auto& o = s.objects[i];
+    const std::size_t x0 = static_cast<std::size_t>(pos[i][0]);
+    const std::size_t y0 = static_cast<std::size_t>(pos[i][1]);
+    for (std::size_t dy = 0; dy < o.size && y0 + dy < s.height; ++dy) {
+      for (std::size_t dx = 0; dx < o.size && x0 + dx < s.width; ++dx) {
+        out[(y0 + dy) * s.width + x0 + dx] = o.intensity;
+      }
+    }
+  }
+}
+
 }  // namespace
+
+const char* render_isa() {
+  return cpu_has_avx2(/*fma=*/false) ? "avx2" : "portable";
+}
 
 std::vector<std::array<double, 2>> Scene::positions(std::size_t f) const {
   std::vector<std::array<double, 2>> out;
@@ -70,26 +136,19 @@ std::vector<std::array<double, 2>> Scene::positions(std::size_t f) const {
 }
 
 void Scene::render(std::size_t f, Pixel* out) const {
-  // Textured background: a mild diagonal gradient pattern.
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      const std::size_t idx = y * width + x;
-      const int base = 70 + static_cast<int>((x / 16 + y / 16) % 4) * 8;
-      out[idx] = clamp_pixel(base + pixel_noise(noise_seed, f, idx));
-    }
+#if defined(__x86_64__) || defined(__i386__)
+  if (cpu_has_avx2(/*fma=*/false)) {
+    background_avx2(out, width, height, frame_key(noise_seed, f));
+    draw_objects(*this, f, out);
+    return;
   }
-  // Moving objects.
-  const auto pos = positions(f);
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    const auto& o = objects[i];
-    const std::size_t x0 = static_cast<std::size_t>(pos[i][0]);
-    const std::size_t y0 = static_cast<std::size_t>(pos[i][1]);
-    for (std::size_t dy = 0; dy < o.size && y0 + dy < height; ++dy) {
-      for (std::size_t dx = 0; dx < o.size && x0 + dx < width; ++dx) {
-        out[(y0 + dy) * width + x0 + dx] = o.intensity;
-      }
-    }
-  }
+#endif
+  render_portable(f, out);
+}
+
+void Scene::render_portable(std::size_t f, Pixel* out) const {
+  background_portable(out, width, height, frame_key(noise_seed, f));
+  draw_objects(*this, f, out);
 }
 
 // --------------------------------------------------- background model ----
@@ -104,17 +163,26 @@ void BackgroundModel::init(std::size_t width, std::size_t height) {
 void BackgroundModel::process_rows(const Pixel* frame, Pixel* mask,
                                    std::size_t r0, std::size_t r1) {
   if (r1 > height_) throw std::out_of_range("BackgroundModel: bad rows");
-  for (std::size_t idx = r0 * width_; idx < r1 * width_; ++idx) {
-    const float x = static_cast<float>(frame[idx]);
-    const float d = x - mean_[idx];
-    const float sigma = std::sqrt(var_[idx]);
-    const bool foreground = std::fabs(d) > threshold * sigma;
-    mask[idx] = foreground ? kForeground : kBackground;
-    if (!foreground) {
-      mean_[idx] += learning_rate * d;
-      var_[idx] += learning_rate * (d * d - var_[idx]);
-      var_[idx] = std::max(var_[idx], min_variance);
-    }
+  // Locals, not members: a Pixel store may alias any member, which would
+  // reload them after every pixel and keep the loop scalar. The update is
+  // a select rather than a conditional store, with the order of
+  // operations of `mean += lr * d; var += lr * (d * d - var);
+  // var = max(var, min_var)` on background pixels, so the vectorised
+  // loop computes the same floats.
+  const std::size_t end = r1 * width_;
+  float* const mean = mean_.data();
+  float* const var = var_.data();
+  const float lr = learning_rate;
+  const float thr = threshold;
+  const float min_var = min_variance;
+  for (std::size_t idx = r0 * width_; idx < end; ++idx) {
+    const float m = mean[idx];
+    const float v = var[idx];
+    const float d = static_cast<float>(frame[idx]) - m;
+    const bool fg = std::fabs(d) > thr * std::sqrt(v);
+    mask[idx] = fg ? kForeground : kBackground;
+    mean[idx] = fg ? m : m + lr * d;
+    var[idx] = fg ? v : std::max(v + lr * (d * d - v), min_var);
   }
 }
 

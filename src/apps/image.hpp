@@ -6,11 +6,20 @@
 // labeling (CCL, with banded processing for the orwl_split decomposition)
 // and the centroid tracker.
 //
-// The morphology and the CCL are written for the pipeline to measure the
-// runtime rather than its kernels: a 3x3 erosion (dilation) is a byte
-// min (max) over three clamped rows, which the compiler vectorises, and
-// the CCL labels horizontal runs rather than pixels, with one union-find
-// entry per run. Both are bit-identical to the per-pixel definitions
+// Every kernel is written for the pipeline to measure the runtime rather
+// than its kernels:
+//  * the scene render hashes each pixel's noise in vector lanes (the
+//    64-bit `h % 7` is taken on the sum of h's 24-bit digits, which fits
+//    a 32-bit lane), with its row loop compiled for AVX2 and for the
+//    baseline ISA and picked per call (render_isa());
+//  * the background model updates by selects rather than a conditional
+//    store, so the compiler vectorises it (image.cpp's per-file flags in
+//    src/CMakeLists.txt keep sqrt free of errno and FMA contraction off);
+//  * a 3x3 erosion (dilation) is a byte min (max) over three clamped
+//    rows, which the compiler vectorises;
+//  * the CCL labels horizontal runs rather than pixels, with one
+//    union-find entry per run.
+// All are bit-identical to the scalar or per-pixel definitions
 // (tests/image_test.cpp keeps those as references); bench/micro_image
 // times every stage per frame.
 //
@@ -21,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace orwl::apps {
@@ -50,12 +60,21 @@ struct Scene {
                     std::size_t num_objects, std::uint64_t seed);
 
   /// Render frame `f` into `out` (size width*height): textured background
-  /// + per-pixel deterministic noise + the moving objects.
+  /// + per-pixel deterministic noise + the moving objects. The background
+  /// loop is compiled for AVX2 and for the build's baseline ISA; this
+  /// runs the one the CPU supports (render_isa() names it).
   void render(std::size_t f, Pixel* out) const;
+
+  /// render() on the baseline-ISA loop, callable directly so that tests
+  /// and benches cover it on CPUs that pick AVX2. Same bytes.
+  void render_portable(std::size_t f, Pixel* out) const;
 
   /// Ground-truth top-left positions of the objects at frame f.
   std::vector<std::array<double, 2>> positions(std::size_t f) const;
 };
+
+/// The loop Scene::render() runs on this CPU: "avx2" or "portable".
+const char* render_isa();
 
 // --------------------------------------------------- background model ----
 
@@ -73,6 +92,10 @@ class BackgroundModel {
                     std::size_t r1);
 
   std::size_t width() const noexcept { return width_; }
+
+  /// The learned per-pixel mean and variance, row-major (read-only).
+  std::span<const float> mean() const noexcept { return mean_; }
+  std::span<const float> variance() const noexcept { return var_; }
 
   float learning_rate = 0.05f;
   float threshold = 3.0f;   ///< in standard deviations
