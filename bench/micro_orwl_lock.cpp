@@ -1,5 +1,5 @@
 // Microbenchmarks of the ORWL runtime primitives: FIFO lock cycling,
-// reader sharing and the control-plane hand-off cost.
+// contended hand-off rings and reader sharing.
 //
 // The contended benches use manual timing: contender threads are spawned
 // outside the measured window and wait on a start gate, so the clock only
@@ -59,26 +59,6 @@ void BM_WriteCycleUncontended(benchmark::State& state) {
                                          q.futex_wakes());
 }
 BENCHMARK(BM_WriteCycleUncontended);
-
-void BM_WriteCycleWithControlPlane(benchmark::State& state) {
-  ControlPlaneOptions opts;
-  opts.num_threads = 2;
-  ControlPlane cp(opts);
-  cp.start();
-  RequestQueue q;
-  q.set_control_plane(&cp);
-  Ticket t = q.enqueue(AccessMode::Write);
-  for (auto _ : state) {
-    q.acquire(t);
-    t = q.reinsert_and_release(t, AccessMode::Write);
-  }
-  cp.stop();
-  orwl::bench::annotate_arena_counters(state);
-  orwl::bench::annotate_parking_counters(
-      state, q.futex_waits() + cp.futex_waits(),
-      q.futex_wakes() + cp.futex_wakes());
-}
-BENCHMARK(BM_WriteCycleWithControlPlane);
 
 void BM_ContendedRing(benchmark::State& state) {
   // N writer threads iterate on one queue: the full exclusive lock

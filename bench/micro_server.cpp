@@ -63,8 +63,6 @@ void annotate_lane(benchmark::State& state, const std::string& prefix,
 void annotate_tenant_rollup(benchmark::State& state,
                             const TenantStats& st) {
   const std::string& p = st.name;
-  state.counters[p + "_control_events"] =
-      static_cast<double>(st.runtime.control_events);
   state.counters[p + "_data_transfers"] =
       static_cast<double>(st.runtime.data_transfers);
   state.counters[p + "_futex_waits"] =

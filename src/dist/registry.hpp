@@ -10,7 +10,7 @@
 // export is its queue's rt::RemoteGrantSink, and every proxy ticket is
 // parked remotely (RequestQueue::park_remote). The thread that grants a
 // proxy therefore ships its GRANT frame with the buffer bytes, right after
-// the grant: a control thread, a local releaser, or the transport thread
+// the grant: a local releaser, or the transport thread
 // handling the previous holder's RELEASE. A proxy already granted when it
 // is parked (an uncontended request) is shipped inline by the transport
 // thread that received the REQ. The send never waits for the client: a

@@ -5,8 +5,8 @@
 // proxy thread that owns the listening socket and every client
 // connection: reads are non-blocking and fan into the registry's frame
 // handler. Sends go through the connection core (transport.hpp), so
-// whichever thread grants a proxy ticket (a control thread, a local
-// releaser, the epoll thread itself) writes its GRANT at once; bytes the
+// whichever thread grants a proxy ticket (a local releaser, the epoll
+// thread itself) writes its GRANT at once; bytes the
 // socket does not take wait in the connection's outbox, and the epoll
 // thread writes them out when the socket becomes writable (EPOLLOUT).
 // stop() wakes the epoll thread through an eventfd in its epoll set.

@@ -65,7 +65,7 @@ bool ServerTransport::send(PeerId peer, const wire::Frame& f) {
     if (!c->gone) {
       // Bytes queued earlier go first. What the connection does not take
       // now is queued: the sender may be this peer's own reader, or a
-      // control thread, and must not wait for the client to read.
+      // local releaser, and must not wait for the client to read.
       const bool idle = c->outbox.empty();
       const std::ptrdiff_t done =
           idle ? c->write_some(bytes.data(), bytes.size()) : 0;

@@ -22,7 +22,6 @@
 #include "orwl/guards.hpp"
 #include "orwl/program.hpp"
 #include "orwl/typed.hpp"
-#include "runtime/control_plane.hpp"
 #include "runtime/fifo.hpp"
 #include "runtime/handle.hpp"
 #include "runtime/program.hpp"

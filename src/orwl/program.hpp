@@ -14,6 +14,11 @@
 //    ProgramBuilder::comm_matrix() needs no program at all), and bodies
 //    start after the schedule barrier with their links ready for lookup
 //    (read_link()/write_link()).
+//
+// Either way a run starts one thread per task and no other: a guard's
+// release grants the location to the next request on the releasing
+// thread (rt::RequestQueue::release), and Task::for_each runs its items
+// on the task threads.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +79,7 @@ class StealContext {
 using ForEachBody = std::function<void(std::uint64_t, StealContext&)>;
 
 /// Program construction options (the v1 options re-exported: affinity
-/// mode, data transfer, control threads/shards, topology, ...).
+/// mode, data transfer, topology, ...).
 using Options = rt::ProgramOptions;
 
 class Program {

@@ -1,11 +1,11 @@
 // rt::Arena — per-shard slab allocator with node-bound backing pages.
 //
-// The grant engine's hottest structures (slot windows, slot slabs, shard
-// event deques, FIFO rings, meter banks) used to come from the global
+// The grant engine's hottest structures (slot windows, slot slabs, FIFO
+// rings, meter banks) used to come from the global
 // heap wherever they were first touched — exactly the placement blindness
 // the paper argues against. An Arena carves small objects out of
-// topo::MemBind slabs bound to one NUMA node (the node of the control
-// shard it serves), with power-of-two size-class freelists in front so
+// topo::MemBind slabs bound to one NUMA node (the node of the shard it
+// serves), with power-of-two size-class freelists in front so
 // the steady state never re-enters mmap.
 //
 // Ownership and routing: every allocation is prefixed by a small header
@@ -17,10 +17,9 @@
 // Thread safety: all public member functions are safe to call
 // concurrently; the arena is one locked freelist per size class. Every
 // allocation happens at set-up or when a structure grows — request
-// queues recycle slots through their own free list and a control shard's
-// event deque keeps its node across swaps — so no hot path takes the
-// lock. Under AddressSanitizer a freed block stays poisoned (all but its
-// freelist link) until it is handed out again.
+// queues recycle slots through their own free list — so no hot path
+// takes the lock. Under AddressSanitizer a freed block stays poisoned
+// (all but its freelist link) until it is handed out again.
 #pragma once
 
 #include <atomic>
@@ -140,8 +139,8 @@ struct ArenaDelete {
 template <typename T>
 using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
 
-/// Standard-allocator adapter so std containers (the control plane's
-/// shard deques, the FIFO handle rings) draw from an arena. Copies and
+/// Standard-allocator adapter so std containers (the FIFO handle rings)
+/// draw from an arena. Copies and
 /// swaps propagate the arena with the container, and equality is arena
 /// identity — containers from different arenas exchange elements by
 /// reallocating, never by freeing into the wrong pool (the header would

@@ -7,11 +7,12 @@
 // into a measured tm::CommMatrix — the feedback signal of the online
 // re-placement loop (ROADMAP direction 3).
 //
-// Layout: one bank of num_tasks^2 plain 8-byte atomic cells per control-
-// plane shard, each bank cache-line aligned in its *own shard's* arena —
-// the recording thread is the shard's control thread (or a task near
-// it), so the hot cells are NUMA-local to the writers. record() is two
-// relaxed fetch_adds on the recording thread's own shard bank; harvest()
+// Layout: one bank of num_tasks^2 plain 8-byte atomic cells per locality
+// shard, each bank cache-line aligned in its *own shard's* arena — a
+// hand-off is recorded in the bank of the location's shard, the shard of
+// its owner's placed PU, so the hot cells sit on the node of the tasks
+// that use the location. record() is two relaxed fetch_adds on one
+// shard bank; harvest()
 // drains every cell with exchange(0) and folds the drained delta into an
 // exponentially decaying accumulator matrix, so recording never blocks
 // and harvesting never loses a byte.
@@ -31,7 +32,7 @@ namespace orwl::rt {
 
 class CommMeter {
  public:
-  /// \param num_shards Control-plane shard count (>= 1): one cell bank
+  /// \param num_shards Locality shard count (>= 1): one cell bank
   ///                   and one hand-off counter pair per shard.
   /// \param num_tasks  Tasks of the program; cells cover from x to pairs.
   /// \param arenas     Per-shard arenas backing each shard's cell bank

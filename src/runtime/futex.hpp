@@ -1,7 +1,7 @@
 // Futex parking — the one way the runtime puts a thread to sleep.
 //
 // The grant engine (blocked acquirers, one word per request slot), the
-// control-plane shard workers, the steal executor's idle workers, the
+// steal executor's idle workers, the
 // tasks waiting at the all-task rendezvous (rt::Program::rendezvous:
 // the schedule barrier, reduce_iteration, for_each), the shm
 // transport's ring doorbells and writer threads, and the dist client's

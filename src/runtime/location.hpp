@@ -9,8 +9,8 @@
 // FIFO request queue that serializes access to it. The buffer is a
 // topo::NumaBuffer: once the affinity module has placed the owner task,
 // the runtime binds the buffer to the owner's NUMA node (the "data
-// transfer" that control threads manage beside lock synchronization,
-// Sec. IV-A). The pages move only when the placement moves: at
+// transfer" that the paper's control threads manage beside lock
+// synchronization, Sec. IV-A). The pages move only when the placement moves: at
 // placement, on re-placement and on live inserts, never at grant time.
 #pragma once
 

@@ -53,49 +53,34 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
   steal_mode_ = resolve(knob::kSteal, opts_.steal);
   steal_spin_ = resolve(knob::kStealSpin, opts_.steal_spin);
 
-  std::size_t nc = opts_.control_threads;
-  if (nc == ProgramOptions::kAutoControlThreads) {
-    nc = std::max<std::size_t>(1, num_tasks_ / 4);
-  }
-  // One event shard per NUMA node (topology subtree on NUMA-less
-  // machines) unless the option or ORWL_CONTROL_SHARDS says otherwise,
-  // never more shards than control threads to serve them.
-  std::size_t nshards = resolve(knob::kControlShards, opts_.control_shards);
-  if (!opts_.control_shards && nshards == 0) {
-    nshards = topo::recommended_shard_count(*topology_);
-  }
-  ControlPlaneOptions cp_opts;
-  cp_opts.num_threads = nc;
-  cp_opts.num_shards = std::max<std::size_t>(1, nshards);
-  // The shard count is needed *before* the plane exists: the per-shard
-  // arenas feed the plane's own event deques.
-  const std::size_t eff_shards = ControlPlane::effective_shards(cp_opts);
-  shard_map_ = topo::make_shard_map(*topology_, eff_shards);
+  // One shard per NUMA node (topology subtree on NUMA-less machines).
+  // A queue's shard picks its arena and its CommMeter bank.
+  shard_map_ = topo::make_shard_map(*topology_,
+                                    topo::recommended_shard_count(*topology_));
+  const std::size_t nshards = shard_map_.num_shards;
 
   // One node-bound arena per shard. A shard's node is the node of its
   // PUs (the shard map partitions PUs by NUMA node); -1 (any node) when
   // the topology has no NUMA level.
-  std::vector<int> shard_nodes(eff_shards, Arena::kAnyNode);
+  std::vector<int> shard_nodes(nshards, Arena::kAnyNode);
   for (std::size_t pu = 0; pu < shard_map_.shard_of_pu_os.size(); ++pu) {
     const int s = shard_map_.shard_of_pu_os[pu];
-    if (s >= 0 && static_cast<std::size_t>(s) < eff_shards &&
+    if (s >= 0 && static_cast<std::size_t>(s) < nshards &&
         shard_nodes[s] == Arena::kAnyNode) {
       shard_nodes[s] =
           topo::numa_node_of_pu(*topology_, static_cast<int>(pu));
     }
   }
-  arenas_.reserve(eff_shards);
-  for (std::size_t s = 0; s < eff_shards; ++s) {
+  std::vector<Arena*> shard_arenas;
+  arenas_.reserve(nshards);
+  for (std::size_t s = 0; s < nshards; ++s) {
     arenas_.push_back(std::make_unique<Arena>(shard_nodes[s]));
-    cp_opts.shard_arenas.push_back(arenas_.back().get());
+    shard_arenas.push_back(arenas_.back().get());
   }
-
-  control_ = std::make_unique<ControlPlane>(cp_opts);
-  stats_.control_shards = control_->num_shards();
+  stats_.control_shards = nshards;
 
   if (replace_policy_ != ReplaceMode::Off) {
-    meter_ = std::make_unique<CommMeter>(control_->num_shards(), num_tasks_,
-                                         cp_opts.shard_arenas);
+    meter_ = std::make_unique<CommMeter>(nshards, num_tasks_, shard_arenas);
   }
   task_node_ = std::make_unique<std::atomic<int>[]>(num_tasks_);
   for (TaskId t = 0; t < num_tasks_; ++t) {
@@ -108,9 +93,8 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
       const LocationId id = t * opts_.locations_per_task + s;
       // The queue draws windows and slots from its (default) shard's
       // arena; re-pointed with the routing once a placement exists.
-      locations_.push_back(std::make_unique<Location>(
-          id, t, s, arenas_[t % control_->num_shards()].get()));
-      locations_.back()->queue().set_control_plane(control_.get());
+      locations_.push_back(
+          std::make_unique<Location>(id, t, s, arenas_[t % nshards].get()));
       locations_.back()->queue().set_acquire_timeout(
           opts_.acquire_timeout_ms);
       // Identity for lock-protocol diagnostics: the acquire-timeout
@@ -123,8 +107,7 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
           ")");
       // Placement-free default routing: owner round-robin. Replaced by
       // the topology-aware routing once a placement exists.
-      locations_.back()->queue().set_control_shard(
-          t % control_->num_shards());
+      locations_.back()->queue().set_shard(t % nshards);
     }
   }
 
@@ -141,9 +124,7 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
   }
 }
 
-Program::~Program() {
-  if (control_) control_->stop();
-}
+Program::~Program() = default;
 
 void Program::set_task_body(TaskFn fn) {
   for (auto& b : bodies_) b = fn;
@@ -207,7 +188,7 @@ void Program::register_insert(TaskId task, Location& loc, AccessMode mode,
       Access{task, mode, priority});
   graph_.locations[loc.id()].bytes = loc.size();
   lock.unlock();
-  // Route the queue to its owner's control shard now, under the placement
+  // Route the queue to its owner's shard now, under the placement
   // that exists at insert time, instead of leaving it on the constructor's
   // owner-round-robin shard until the next affinity_compute().
   route_queue(loc);
@@ -333,54 +314,19 @@ void Program::dependency_get() {
   matrix_version_ = version;
 }
 
-std::vector<int> Program::control_associates() const {
-  // Control thread j drains hand-off events of all locations; associate
-  // it round-robin with the tasks so the placement spreads control
-  // threads across the compute threads' cores.
-  std::vector<int> assoc(control_->num_threads());
-  for (std::size_t j = 0; j < assoc.size(); ++j) {
-    assoc[j] = static_cast<int>(j % num_tasks_);
-  }
-  return assoc;
-}
-
-std::vector<int> Program::shard_aligned_associates(
-    const tm::Placement& p) const {
-  const std::size_t nshards = control_->num_shards();
-  std::vector<std::vector<int>> tasks_of_shard(nshards);
-  for (TaskId t = 0; t < num_tasks_; ++t) {
-    int shard = t < p.compute_pu.size()
-                    ? shard_map_.shard_of(p.compute_pu[t])
-                    : -1;
-    if (shard < 0) shard = static_cast<int>(t % nshards);
-    tasks_of_shard[static_cast<std::size_t>(shard)].push_back(
-        static_cast<int>(t));
-  }
-  std::vector<int> assoc(control_->num_threads());
-  for (std::size_t j = 0; j < assoc.size(); ++j) {
-    const auto& tasks = tasks_of_shard[control_->shard_of_thread(j)];
-    assoc[j] = tasks.empty()
-                   ? static_cast<int>(j % num_tasks_)
-                   : tasks[(j / nshards) % tasks.size()];
-  }
-  return assoc;
-}
-
 std::size_t Program::shard_for_owner_locked(TaskId owner) const {
   int shard = have_placement_ && owner < placement_.compute_pu.size()
                   ? shard_map_.shard_of(placement_.compute_pu[owner])
                   : -1;
-  if (shard < 0) {
-    shard = static_cast<int>(owner % control_->num_shards());
-  }
+  if (shard < 0) shard = static_cast<int>(owner % arenas_.size());
   return static_cast<std::size_t>(shard);
 }
 
 void Program::route_queues_locked() {
-  if (control_->num_shards() <= 1) return;
+  if (arenas_.size() <= 1) return;
   for (auto& loc : locations_) {
     const std::size_t shard = shard_for_owner_locked(loc->owner());
-    loc->queue().set_control_shard(shard);
+    loc->queue().set_shard(shard);
     // Future windows/slots of this queue come from the new shard's
     // arena; already-allocated blocks stay with (and free back to) the
     // arena that made them.
@@ -390,12 +336,12 @@ void Program::route_queues_locked() {
 
 void Program::route_queue(Location& loc) {
   std::lock_guard lock(place_mu_);
-  if (control_->num_shards() > 1) {
+  if (arenas_.size() > 1) {
     const std::size_t shard = shard_for_owner_locked(loc.owner());
-    loc.queue().set_control_shard(shard);
+    loc.queue().set_shard(shard);
     loc.queue().set_arena(arenas_[shard].get());
   }
-  // Memory follows the same rule as the events: the buffer lives on the
+  // The buffer follows the same rule as the queue: it lives on the
   // owner's placed node (no-op while unplaced).
   if (data_policy_ == DataTransferMode::Off) return;
   if (loc.bind_home(placed_node_of_task(loc.owner()))) {
@@ -436,28 +382,15 @@ void Program::bind_location_memory_locked() {
 
 void Program::compute_placement_locked(const tm::CommMatrix& m) {
   aff::ComputeOptions copts;
-  copts.num_control_threads = control_->num_threads();
-  copts.control_associate = control_associates();
   copts.engine = opts_.engine;
   try {
     placement_ = aff::compute_placement(m, *topology_, copts);
-    // Shard alignment: control thread j serves shard j % num_shards. Once
-    // the first pass tells us which shard each task's PU belongs to,
-    // re-associate every control thread with a task of its own shard and
-    // recompute, so shard k's threads end up on the hyperthread siblings
-    // / spare cores of the compute threads whose queues shard k serves.
-    const std::vector<int> aligned = shard_aligned_associates(placement_);
-    if (aligned != copts.control_associate) {
-      copts.control_associate = aligned;
-      placement_ = aff::compute_placement(m, *topology_, copts);
-    }
   } catch (const std::invalid_argument&) {
     // Algorithm 1 requires a symmetric tree; real hosts occasionally are
     // not (disabled cores, heterogeneous packages). Degrade gracefully to
     // a topology-ordered placement rather than aborting the program.
     placement_ = tm::place_strategy(tm::Strategy::CompactCores, *topology_,
                                     num_tasks_);
-    placement_.control_pu.assign(control_->num_threads(), -1);
     stats_.affinity_fallback = true;
   }
   placement_recomputes_.fetch_add(1, std::memory_order_relaxed);
@@ -516,8 +449,6 @@ void Program::bind_threads_locked() {
       ++stats_.bind_failures;
     }
   }
-  stats_.control_threads_bound +=
-      control_->bind_threads(placement_.control_pu);
 }
 
 void Program::bind_self(TaskId tid) {
@@ -539,7 +470,7 @@ void Program::record_handoff(TaskId from, TaskId to,
   const int from_node = placed_node_of_task(from);
   const int to_node = placed_node_of_task(to);
   const bool remote = from_node >= 0 && to_node >= 0 && from_node != to_node;
-  meter->record(loc.queue().control_shard(), from, to,
+  meter->record(loc.queue().shard(), from, to,
                 static_cast<std::uint64_t>(loc.size()), remote);
 }
 
@@ -620,7 +551,6 @@ void Program::run() {
                              " has no body");
     }
   }
-  control_->start();
   rv_arrived_ = 0;
   rv_departed_ = kNoTask;
 
@@ -652,11 +582,6 @@ void Program::run() {
   for (auto& th : threads_) th.join();
   threads_.clear();
 
-  // Snapshot counters after stop(): trailing hand-offs drained during
-  // shutdown must land in exactly one of the two counts.
-  control_->stop();
-  stats_.control_events = control_->events_processed();
-  stats_.control_inline_grants = control_->inline_grants();
   stats_.guard_teardown_failures =
       teardown_failures_.load(std::memory_order_relaxed);
   stats_.placement_recomputes =
@@ -679,14 +604,14 @@ void Program::run() {
   stats_.arena_bytes = arena_bytes;
   stats_.arena_refills = arena_refills;
   stats_.arena_node_misses = arena_misses;
-  stats_.shard_steals = control_->shard_steals();
   if (steal_stats_source_) steal_stats_source_(stats_);
-  std::uint64_t futex_waits = control_->futex_waits();
-  std::uint64_t futex_wakes = control_->futex_wakes();
+  std::uint64_t grants = 0, futex_waits = 0, futex_wakes = 0;
   for (const auto& loc : locations_) {
+    grants += loc->queue().total_grants();
     futex_waits += loc->queue().futex_waits();
     futex_wakes += loc->queue().futex_wakes();
   }
+  stats_.control_inline_grants = grants;
   stats_.futex_waits = futex_waits;
   stats_.futex_wakes = futex_wakes;
 

@@ -8,7 +8,7 @@
 //   3. Each task calls TaskContext::schedule() (orwl_schedule): a barrier
 //      at which the runtime sorts and enqueues all initial requests,
 //      freezes the task-location graph — and, when ORWL_AFFINITY=1, runs
-//      the affinity module and binds every compute and control thread.
+//      the affinity module and binds every task thread.
 //   4. Tasks enter their compute phase using Sections on the handles.
 //   5. A task whose body returns or throws has departed: every all-task
 //      collective (rendezvous()) still open or opened later then fails.
@@ -16,6 +16,14 @@
 // The advanced API of Sec. IV-B is exposed as the three parameter-less
 // methods dependency_get() / affinity_compute() / affinity_set(), which
 // "only change the internal state of the ORWL runtime".
+//
+// A Program runs no thread besides its tasks. The paper's runtime adds
+// control threads that "freeze and thaw processing threads" (Sec. IV-A);
+// here every release grants the next head group on the releasing thread
+// (RequestQueue::release): one wake per hand-off instead of two, which
+// measured no slower on any benchmark workload. Control threads survive
+// only in Algorithm 1 (tm::Options::num_control_threads) and the
+// simulator.
 #pragma once
 
 #include <atomic>
@@ -29,7 +37,7 @@
 #include <vector>
 
 #include "affinity/affinity.hpp"
-#include "runtime/control_plane.hpp"
+#include "runtime/arena.hpp"
 #include "runtime/graph.hpp"
 #include "runtime/location.hpp"
 #include "runtime/steal_executor.hpp"
@@ -68,16 +76,6 @@ const char* to_string(ReplaceMode m) noexcept;
 /// support/env.hpp), set always beats it.
 struct ProgramOptions {
   std::size_t locations_per_task = 1;
-
-  /// Number of dedicated control threads; kAutoControlThreads picks
-  /// max(1, num_tasks / 4).
-  static constexpr std::size_t kAutoControlThreads = ~std::size_t{0};
-  std::size_t control_threads = kAutoControlThreads;
-
-  /// Control-plane event shards (ORWL_CONTROL_SHARDS; default one shard
-  /// per NUMA node of the topology, see topo::recommended_shard_count).
-  /// Always clamped to [1, control_threads].
-  std::optional<std::size_t> control_shards;
 
   /// Run the affinity module at orwl_schedule(). Unset follows
   /// ORWL_AFFINITY (default off), the paper's one-variable switch.
@@ -135,9 +133,13 @@ struct ProgramOptions {
 };
 
 struct ProgramStats {
-  std::uint64_t control_events = 0;   ///< lock hand-offs done by controls
-  std::uint64_t control_inline_grants = 0;  ///< hand-offs granted inline
-  std::size_t control_shards = 0;     ///< event shards of the control plane
+  /// Hand-offs granted by a control thread: always 0, since every grant
+  /// happens on the releasing or enqueuing thread.
+  std::uint64_t control_events = 0;
+  /// Grants performed by the queues (RequestQueue::total_grants summed),
+  /// all of them on the releasing or enqueuing thread.
+  std::uint64_t control_inline_grants = 0;
+  std::size_t control_shards = 0;     ///< locality shards (one per node)
   /// Migrations of live location buffers whose home moved: a
   /// re-placement or a live insert rebinding a buffer off the node it was
   /// already bound to. A buffer's first binding is not counted.
@@ -145,7 +147,6 @@ struct ProgramStats {
   /// Location buffers bound to their owner's NUMA node at placement time.
   std::size_t locations_bound = 0;
   std::size_t compute_threads_bound = 0;
-  std::size_t control_threads_bound = 0;
   std::size_t bind_failures = 0;
   /// Guard teardowns of this program's handles that had to swallow a
   /// throwing release (see rt::guard_teardown_failures; snapshot taken
@@ -185,9 +186,9 @@ struct ProgramStats {
   /// Refills whose node-bound pages the host could have placed on the
   /// requested node but did not (fixture-only nodes are not misses).
   std::uint64_t arena_node_misses = 0;
-  /// Futex sleeps entered by blocked acquirers and control workers.
+  /// Futex sleeps entered by blocked acquirers.
   std::uint64_t futex_waits = 0;
-  /// Futex wake calls issued by granters and event posters.
+  /// Futex wake calls issued by granters.
   std::uint64_t futex_wakes = 0;
 
   // ---- work-stealing executor (ORWL_STEAL) -------------------------------
@@ -201,9 +202,6 @@ struct ProgramStats {
   std::uint64_t steal_lent = 0;
   /// Executor worker sleeps after an exhausted spin budget.
   std::uint64_t steal_parks = 0;
-  /// Control-plane event batches an idle shard stole from a hot sibling
-  /// before falling back to sleeping.
-  std::uint64_t shard_steals = 0;
 };
 
 class Program {
@@ -228,18 +226,17 @@ class Program {
   std::size_t locations_per_task() const noexcept {
     return opts_.locations_per_task;
   }
-  std::size_t num_control_threads() const noexcept {
-    return control_->num_threads();
-  }
-  std::size_t num_control_shards() const noexcept {
-    return control_->num_shards();
-  }
-  /// The PU -> shard partition the control plane routes by.
+  /// Always 0: the program runs no control thread (kept for the
+  /// end-to-end benchmark's runtime.control_threads layer).
+  std::size_t num_control_threads() const noexcept { return 0; }
+  /// The number of locality shards, one per NUMA node of the topology.
+  std::size_t num_control_shards() const noexcept { return arenas_.size(); }
+  /// The PU -> shard partition queues and meter banks are routed by.
   const topo::ShardMap& shard_map() const noexcept { return shard_map_; }
 
-  /// The node-bound arena of control shard `s` (runtime-internal memory:
-  /// queue windows, event deques, meter banks). Throws std::out_of_range
-  /// on a bad shard index.
+  /// The node-bound arena of shard `s` (runtime-internal memory: queue
+  /// windows and slots, meter banks). Throws std::out_of_range on a bad
+  /// shard index.
   Arena& shard_arena(std::size_t s) { return *arenas_.at(s); }
   Location& location(TaskId task, std::size_t slot = 0);
   const topo::Topology& topology() const noexcept { return *topology_; }
@@ -366,8 +363,8 @@ class Program {
   /// orwl_affinity_compute: (re)run Algorithm 1 on the current matrix.
   void affinity_compute();
 
-  /// orwl_affinity_set: bind all live compute and control threads
-  /// according to the computed placement.
+  /// orwl_affinity_set: bind all live task threads according to the
+  /// computed placement.
   void affinity_set();
 
   const tm::CommMatrix& comm_matrix() const;
@@ -414,20 +411,14 @@ class Program {
   /// Bind the calling (task) thread according to the placement.
   void bind_self(TaskId tid);
 
-  std::vector<int> control_associates() const;
-
-  /// Associates realigned so that control thread j (serving shard
-  /// j % num_shards) manages a task whose queues route to that shard.
-  std::vector<int> shard_aligned_associates(const tm::Placement& p) const;
-
   /// Shard serving `owner`'s compute PU under the current placement
   /// (falling back to owner round-robin when unplaced). Caller holds
   /// place_mu_.
   std::size_t shard_for_owner_locked(TaskId owner) const;
 
-  /// Route every location's hand-off events to the shard of its owner's
-  /// compute PU (falling back to owner round-robin when unplaced).
-  /// Caller holds place_mu_.
+  /// Route every location's queue (its arena and meter bank) to the
+  /// shard of its owner's compute PU (falling back to owner round-robin
+  /// when unplaced). Caller holds place_mu_.
   void route_queues_locked();
 
   /// Route one location under the current placement and bind its buffer
@@ -453,8 +444,8 @@ class Program {
   /// path (affinity_compute) and the measured path (check_replacement).
   void compute_placement_locked(const tm::CommMatrix& m);
 
-  /// Re-bind live compute and control threads to the current placement
-  /// (the body of affinity_set; re-run after an online re-placement).
+  /// Re-bind live task threads to the current placement (the body of
+  /// affinity_set; re-run after an online re-placement).
   /// Caller holds place_mu_.
   void bind_threads_locked();
 
@@ -474,14 +465,12 @@ class Program {
   /// place_mu_, read lock-free by the write-release fast path.
   std::unique_ptr<std::atomic<int>[]> task_node_;
 
-  /// One node-bound arena per control shard, backing that shard's
-  /// queues, event deque and meter bank. Declared before locations_ and
-  /// control_: the arenas must be destroyed last, after everything that
-  /// frees into them.
+  /// One node-bound arena per shard, backing that shard's queues and
+  /// meter bank. Declared before locations_ and meter_: the arenas must
+  /// be destroyed last, after everything that frees into them.
   std::vector<std::unique_ptr<Arena>> arenas_;
 
   std::vector<std::unique_ptr<Location>> locations_;
-  std::unique_ptr<ControlPlane> control_;
   topo::ShardMap shard_map_;
   std::vector<TaskFn> bodies_;
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "runtime/control_plane.hpp"
 #include "runtime/futex.hpp"
 #include "runtime/steal_executor.hpp"
 
@@ -136,43 +135,25 @@ void RequestQueue::grant_one_locked(Ticket t, Slot* s,
   }
 }
 
-bool RequestQueue::grant_some_locked(std::vector<Slot*>& wake) {
-  if (head_ == tail_) return false;
+void RequestQueue::grant_some_locked(std::vector<Slot*>& wake) {
+  if (head_ == tail_) return;
   Slot* head_slot =
       cur_->slots[head_ & cur_->mask].load(std::memory_order_relaxed);
   if (head_slot->mode == AccessMode::Write) {
-    if (grant_cursor_ != head_) return false;  // writer already granted
+    if (grant_cursor_ != head_) return;  // writer already granted
     grant_one_locked(head_, head_slot, wake);
     ++grant_cursor_;
-    return true;
+    return;
   }
   // Reader sharing: the leading run [head_, grant_cursor_) is already
   // granted reads; extend the group over every contiguous read behind it.
-  bool any = false;
   while (grant_cursor_ < tail_) {
     Slot* s = cur_->slots[grant_cursor_ & cur_->mask].load(
         std::memory_order_relaxed);
     if (s->mode != AccessMode::Read) break;
     grant_one_locked(grant_cursor_, s, wake);
     ++grant_cursor_;
-    any = true;
   }
-  return any;
-}
-
-bool RequestQueue::hand_off_locked(std::vector<Slot*>& wake) {
-  if (control_ != nullptr) {
-    // Decentralized hand-off: a control thread of our shard performs the
-    // grant. Only post when the new head group actually has an ungranted
-    // request (head_ == grant_cursor_): a partially released reader group
-    // cannot admit the writer behind it yet, and an empty queue has no one
-    // to thaw. post() is safe in every plane state — it grants inline when
-    // the plane is stopped, stopping, or the shard is saturated — so a
-    // release racing ControlPlane::stop() can never strand a waiter.
-    return head_ == grant_cursor_ && head_ != tail_;
-  }
-  grant_some_locked(wake);
-  return false;
 }
 
 Ticket RequestQueue::enqueue(AccessMode mode) {
@@ -292,7 +273,6 @@ bool RequestQueue::granted(Ticket t) const {
 
 void RequestQueue::release(Ticket t) {
   std::vector<Slot*> wake;
-  bool post;
   {
     std::lock_guard lock(mu_);
     Slot* s = granted_slot_locked(t);
@@ -301,10 +281,7 @@ void RequestQueue::release(Ticket t) {
     }
     release_locked(t, s);
     pending_.fetch_sub(1, std::memory_order_relaxed);
-    post = hand_off_locked(wake);
-  }
-  if (post) {
-    control_->post(this, control_shard_.load(std::memory_order_relaxed));
+    grant_some_locked(wake);
   }
   wake_parked(wake);
 }
@@ -312,7 +289,6 @@ void RequestQueue::release(Ticket t) {
 Ticket RequestQueue::reinsert_and_release(Ticket t, AccessMode mode) {
   std::vector<Slot*> wake;
   Ticket fresh;
-  bool post;
   {
     std::lock_guard lock(mu_);
     Slot* s = granted_slot_locked(t);
@@ -323,10 +299,7 @@ Ticket RequestQueue::reinsert_and_release(Ticket t, AccessMode mode) {
     fresh = enqueue_locked(mode);
     release_locked(t, s);
     // pending_ is unchanged: the insert and the release cancel out.
-    post = hand_off_locked(wake);
-  }
-  if (post) {
-    control_->post(this, control_shard_.load(std::memory_order_relaxed));
+    grant_some_locked(wake);
   }
   wake_parked(wake);
   return fresh;
@@ -401,15 +374,6 @@ bool RequestQueue::park_remote(Ticket t) {
   if (s != nullptr && expected == pack(t, kGranted)) return false;
   throw std::logic_error("RequestQueue::park_remote: ticket " +
                          std::to_string(t) + " is not waiting");
-}
-
-void RequestQueue::grant_from_control() {
-  std::vector<Slot*> wake;
-  {
-    std::lock_guard lock(mu_);
-    grant_some_locked(wake);
-  }
-  wake_parked(wake);
 }
 
 }  // namespace orwl::rt

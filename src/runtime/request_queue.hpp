@@ -10,9 +10,10 @@
 // Grant rule: the request at the head of the FIFO is granted; when the
 // head is a read request, the maximal run of consecutive read requests at
 // the head is granted together (reader sharing). Requests are removed at
-// release time, after which the new head group is granted — either inline
-// or, when a ControlPlane is attached, by a dedicated control thread
-// (reproducing ORWL's decentralized event-based hand-off).
+// release time, after which the releasing thread grants the new head
+// group inside its own critical section and wakes it after unlocking.
+// The paper's runtime hands that grant to control threads (Sec. IV-A);
+// here no thread besides the tasks takes part in a hand-off.
 //
 // Implementation: an O(1) targeted-wakeup grant engine. Tickets are dense
 // uint64s starting at 1, so the live requests always occupy the window
@@ -33,8 +34,8 @@
 // them).
 //
 // Memory: windows and slot chunks come from the queue's rt::Arena (the
-// arena of the control shard serving this queue, node-bound) — nothing
-// on the grant path touches the global heap after warm-up.
+// node-bound arena of the owner's shard) — nothing on the grant path
+// touches the global heap after warm-up.
 #pragma once
 
 #include <atomic>
@@ -49,8 +50,6 @@
 
 namespace orwl::rt {
 
-class ControlPlane;
-
 /// Receiver of the grants of remote-phase tickets (see
 /// RequestQueue::park_remote).
 ///
@@ -59,8 +58,8 @@ class ControlPlane;
 /// to other processes (dist::Registry) the data transfer is the GRANT
 /// frame carrying the buffer bytes, so the registry installs itself here
 /// and ships that frame from whichever thread granted the proxy ticket: a
-/// control thread, a local releaser, an enqueuer, or the transport thread
-/// releasing the previous remote holder. The call runs outside the queue
+/// local releaser, an enqueuer, or the transport thread releasing the
+/// previous remote holder. The call runs outside the queue
 /// mutex and may re-enter the queue (release the ticket, enqueue, ...).
 class RemoteGrantSink {
  public:
@@ -96,20 +95,17 @@ class RequestQueue {
     return futex_wakes_.load(std::memory_order_relaxed);
   }
 
-  /// Attach the control plane that performs grant hand-off. May be null
-  /// (inline grants). Not thread-safe; call before concurrent use.
-  void set_control_plane(ControlPlane* cp) noexcept { control_ = cp; }
-
-  /// Route this queue's hand-off events to the given control-plane shard
-  /// (the shard nearest the PUs of the queue's waiters). Thread-safe: the
-  /// Program re-routes queues when a placement is computed, possibly while
-  /// releases are in flight.
-  void set_control_shard(std::size_t shard) noexcept {
-    control_shard_.store(static_cast<std::uint32_t>(shard),
-                         std::memory_order_relaxed);
+  /// The locality shard of this queue (the shard of its owner's placed
+  /// PU): it names the arena the Program points the queue at and the
+  /// CommMeter bank its hand-offs are counted in. Thread-safe: the
+  /// Program re-routes queues when a placement is computed, possibly
+  /// while releases are in flight.
+  void set_shard(std::size_t shard) noexcept {
+    shard_.store(static_cast<std::uint32_t>(shard),
+                 std::memory_order_relaxed);
   }
-  std::size_t control_shard() const noexcept {
-    return control_shard_.load(std::memory_order_relaxed);
+  std::size_t shard() const noexcept {
+    return shard_.load(std::memory_order_relaxed);
   }
 
   /// Milliseconds after which acquire() throws (deadlock guard).
@@ -155,8 +151,10 @@ class RequestQueue {
   /// is neither waiting nor granted (unknown, released, or parked).
   bool park_remote(Ticket t);
 
-  /// Remove a granted request and hand the resource to the next group.
-  /// Throws std::logic_error when the ticket is absent or not granted.
+  /// Remove a granted request and hand the resource to the next group:
+  /// the calling thread grants it and wakes its parked members (or hands
+  /// remote ones to the sink). Throws std::logic_error when the ticket is
+  /// absent or not granted.
   void release(Ticket t);
 
   /// Atomically enqueue a new request of the same mode and release the
@@ -177,8 +175,6 @@ class RequestQueue {
   }
 
  private:
-  friend class ControlPlane;
-
   // Phase of a slot's state word: word == (ticket << kPhaseBits) | phase.
   // A word of 0 marks a free slot (ticket 0 is never issued).
   static constexpr std::uint64_t kWaiting = 0;  ///< queued, owner not parked
@@ -243,14 +239,8 @@ class RequestQueue {
   void release_locked(Ticket t, Slot* s);
   /// Grant the eligible head group (Sec. III rule); parked slots needing
   /// a wakeup and (tagged) remote-phase slots are appended to `wake`.
-  /// Returns true when anything was granted.
-  bool grant_some_locked(std::vector<Slot*>& wake);
+  void grant_some_locked(std::vector<Slot*>& wake);
   void grant_one_locked(Ticket t, Slot* s, std::vector<Slot*>& wake);
-  /// After a release: true when a control-plane post must happen once the
-  /// queue mutex is dropped (the new head group is actually grantable);
-  /// grants inline when no control plane is attached.
-  bool hand_off_locked(std::vector<Slot*>& wake);
-
   // ---- lock-free paths ---------------------------------------------------
 
   void acquire_slow(Ticket t);
@@ -263,9 +253,6 @@ class RequestQueue {
   /// The deadlock-guard error, with enough context to find the stuck
   /// protocol: queue tag (location + tenant), ticket, configured timeout.
   [[noreturn]] void throw_acquire_timeout(Ticket t) const;
-
-  /// Entry point used by control threads to perform the hand-off.
-  void grant_from_control();
 
   std::mutex mu_;
   Ticket head_ = 1;          ///< oldest live ticket (== tail_ when empty)
@@ -287,8 +274,7 @@ class RequestQueue {
   std::string tag_;
   std::atomic<RemoteGrantSink*> sink_{nullptr};
   std::atomic<std::uint32_t> sink_calls_{0};  ///< sink calls in flight
-  ControlPlane* control_ = nullptr;
-  std::atomic<std::uint32_t> control_shard_{0};
+  std::atomic<std::uint32_t> shard_{0};
 };
 
 }  // namespace orwl::rt

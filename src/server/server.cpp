@@ -21,7 +21,6 @@ void accumulate(rt::ProgramStats& into, const rt::ProgramStats& run) {
   into.data_transfers += run.data_transfers;
   into.locations_bound += run.locations_bound;
   into.compute_threads_bound += run.compute_threads_bound;
-  into.control_threads_bound += run.control_threads_bound;
   into.bind_failures += run.bind_failures;
   into.guard_teardown_failures += run.guard_teardown_failures;
   into.affinity_applied = into.affinity_applied || run.affinity_applied;
@@ -43,7 +42,6 @@ void accumulate(rt::ProgramStats& into, const rt::ProgramStats& run) {
   into.steal_remote += run.steal_remote;
   into.steal_lent += run.steal_lent;
   into.steal_parks += run.steal_parks;
-  into.shard_steals += run.shard_steals;
 }
 
 /// One queued request.

@@ -4,10 +4,10 @@
 // it owns every PU). This layer extends the model to a long-running
 // harness that admits many programs (tenants) onto one host, carving the
 // topology between them with the same contiguous-subtree rule the
-// control-plane ShardMap uses: each tenant receives a run of whole free
+// runtime's ShardMap uses: each tenant receives a run of whole free
 // subtrees (topo::carve_subtrees) materialized as a private sub-topology
 // (topo::subtopology), so Algorithm 1 runs unchanged inside the carve and
-// no two tenants ever share a PU, a control shard, or an arena node.
+// no two tenants ever share a PU, a shard, or an arena node.
 //
 // Admission is all-or-nothing: when no contiguous run of whole free
 // subtrees covers the requested width, admit() rejects instead of

@@ -54,9 +54,6 @@ inline constexpr Knob kAffinity{"ORWL_AFFINITY", KnobKind::Bool, "0"};
 inline constexpr Knob kDataTransfer{"ORWL_DATA_TRANSFER", KnobKind::Choice,
                                     "owner", 0, 0,
                                     {"off", "owner"}};
-/// No fixed default: one shard per NUMA node of the program's topology.
-inline constexpr Knob kControlShards{"ORWL_CONTROL_SHARDS", KnobKind::Integer,
-                                     "", 1};
 inline constexpr Knob kReplace{"ORWL_REPLACE", KnobKind::Choice, "off", 0, 0,
                                {"off", "passive", "auto"}};
 /// The divergence is at most 1, so a threshold above 1 never triggers.
@@ -100,13 +97,12 @@ inline constexpr Knob kDistShmSlots{"ORWL_DIST_SHM_SLOTS", KnobKind::Integer,
 
 /// The table: every knob the runtime reads.
 inline constexpr const Knob* kKnobs[] = {
-    &knob::kAffinity, &knob::kDataTransfer, &knob::kControlShards,
-    &knob::kReplace, &knob::kReplaceThreshold, &knob::kReplaceDecay,
-    &knob::kReplaceInterval, &knob::kSteal, &knob::kStealSpin,
-    &knob::kTopology, &knob::kMemBind, &knob::kServerMaxTenants,
-    &knob::kServerQueueCap, &knob::kServerGrowBacklog,
-    &knob::kServerShrinkIdleMs, &knob::kDist, &knob::kDistPort,
-    &knob::kDistShmSlots};
+    &knob::kAffinity, &knob::kDataTransfer, &knob::kReplace,
+    &knob::kReplaceThreshold, &knob::kReplaceDecay, &knob::kReplaceInterval,
+    &knob::kSteal, &knob::kStealSpin, &knob::kTopology, &knob::kMemBind,
+    &knob::kServerMaxTenants, &knob::kServerQueueCap,
+    &knob::kServerGrowBacklog, &knob::kServerShrinkIdleMs, &knob::kDist,
+    &knob::kDistPort, &knob::kDistShmSlots};
 
 /// A knob read from the environment (or its default) and checked
 /// against its row.

@@ -1,4 +1,4 @@
-// NUMA-targeted memory: the data half of the paper's control plane.
+// NUMA-targeted memory: the data half of the paper's control threads.
 //
 // "the ORWL runtime additionally deploys control threads and a lock
 // mechanism that manage lock synchronization and data transfer."

@@ -1,12 +1,12 @@
-// Control-plane sharding: partition the machine's PUs into locality
-// shards.
+// Locality sharding: partition the machine's PUs into locality shards.
 //
-// The runtime's sharded control plane keeps one event queue (and its
-// control threads) per locality domain so that a lock hand-off is served
-// by a control thread sitting close to the waiter it wakes. This header
-// provides the topology side of that design: a partition of the PUs into
-// `num_shards` contiguous topology subtrees, NUMA-node-aligned whenever
-// the machine has NUMA nodes.
+// The runtime keeps one node-bound arena and one CommMeter bank per
+// locality domain, and routes each location's queue to the shard of its
+// owner's placed PU, so the queue's memory and its hand-off counters sit
+// on the node of the tasks that use it. This header provides the
+// topology side of that design: a partition of the PUs into `num_shards`
+// contiguous topology subtrees, NUMA-node-aligned whenever the machine
+// has NUMA nodes.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,7 @@
 
 namespace orwl::topo {
 
-/// A partition of a machine's PUs into control shards. PUs that share a
+/// A partition of a machine's PUs into locality shards. PUs that share a
 /// locality domain (NUMA node when available) share a shard, and shards
 /// cover contiguous ranges of the topology's left-to-right PU order.
 struct ShardMap {
@@ -41,7 +41,7 @@ struct ShardMap {
 /// Machines with no locality domain at all (flat fixtures, single-socket
 /// hosts) get 1 — sharding buys nothing without distinct domains.
 /// \param t The machine; an empty topology yields 1.
-/// \return The recommended control-plane shard count (>= 1).
+/// \return The recommended shard count (>= 1).
 std::size_t recommended_shard_count(const Topology& t) noexcept;
 
 /// Partition the PUs of `t` into `num_shards` shards. The partition is

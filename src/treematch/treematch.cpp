@@ -342,21 +342,6 @@ Placement tree_match(const Topology& topo, const CommMatrix& m,
   return result;
 }
 
-std::vector<int> control_shard_of(const Placement& placement,
-                                  const topo::ShardMap& shards) {
-  std::vector<int> out(placement.control_associate.size(), -1);
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    const int assoc = placement.control_associate[j];
-    if (assoc < 0 ||
-        static_cast<std::size_t>(assoc) >= placement.compute_pu.size()) {
-      continue;
-    }
-    out[j] =
-        shards.shard_of(placement.compute_pu[static_cast<std::size_t>(assoc)]);
-  }
-  return out;
-}
-
 double modeled_cost(const Topology& topo, const CommMatrix& m,
                     const Placement& placement) {
   if (placement.compute_pu.size() < m.order()) {

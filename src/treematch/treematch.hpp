@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "topo/cpuset.hpp"
-#include "topo/shard.hpp"
 #include "topo/topology.hpp"
 #include "treematch/comm_matrix.hpp"
 #include "treematch/grouping.hpp"
@@ -55,7 +54,8 @@ struct Options {
   /// Master switch for the control-thread adaptation.
   bool manage_control_threads = true;
 
-  /// Number of runtime control threads to place.
+  /// Number of runtime control threads to place (the paper's C runtime;
+  /// rt::Program runs none and places with 0).
   std::size_t num_control_threads = 0;
 
   /// control_associate[j] = compute thread whose locations control thread
@@ -80,8 +80,7 @@ struct Placement {
 
   /// Resolved associate of each control thread: the compute thread whose
   /// locations control thread j manages (Options::control_associate with
-  /// the round-robin default applied). Runtimes use this to map control
-  /// threads onto control-plane shards.
+  /// the round-robin default applied).
   std::vector<int> control_associate;
 
   ControlPolicy control_policy = ControlPolicy::Unmanaged;
@@ -112,14 +111,5 @@ Placement tree_match(const topo::Topology& topo, const CommMatrix& m,
 /// is the model objective used by tests and the ablation benches.
 double modeled_cost(const topo::Topology& topo, const CommMatrix& m,
                     const Placement& placement);
-
-/// Control-plane shard served by each control thread under `shards`: the
-/// shard of its associate's compute PU (-1 when the associate is absent
-/// or unplaced). Introspection helper for verifying that a placement's
-/// control threads are aligned with the runtime's fixed thread -> shard
-/// assignment (ControlPlane::shard_of_thread); the runtime itself routes
-/// each location by its owner's compute PU (Program::route_queues).
-std::vector<int> control_shard_of(const Placement& placement,
-                                  const topo::ShardMap& shards);
 
 }  // namespace orwl::tm

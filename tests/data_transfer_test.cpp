@@ -204,7 +204,6 @@ TEST(DataTransfer, OwnerEndToEndUnderContention) {
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
   o.data_transfer = rt::DataTransferMode::Owner;
-  o.control_threads = 2;
   constexpr int kIters = 50;
   rt::Program prog(4, o);
   prog.set_task_body([&](rt::TaskContext& ctx) {

@@ -107,7 +107,6 @@ TEST(Integration, LiveInsertChangesMatrixAndPlacement) {
   rt::ProgramOptions o = quiet();
   o.topology = &machine;
   o.bind_threads = false;
-  o.control_threads = 0;
   rt::Program prog(4, o);
 
   std::atomic<bool> rewired{false};

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "orwl/orwl.hpp"
+#include "runtime/comm_meter.hpp"
 #include "support/env.hpp"
 #include "topo/binding.hpp"
 #include "topo/detect.hpp"
@@ -39,11 +41,51 @@ TEST(Program, RejectsZeroLocations) {
   EXPECT_THROW(Program(2, o), std::invalid_argument);
 }
 
-TEST(Program, AutoControlThreadCount) {
+TEST(Program, RunsNoControlThreads) {
   Program p(16, quiet_options());
-  EXPECT_EQ(p.num_control_threads(), 4u);  // max(1, 16/4)
+  EXPECT_EQ(p.num_control_threads(), 0u);
   Program q(2, quiet_options());
-  EXPECT_EQ(q.num_control_threads(), 1u);
+  EXPECT_EQ(q.num_control_threads(), 0u);
+}
+
+/// Threads of this process right now (entries of /proc/self/task).
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+TEST(Program, RunsNoThreadBesidesItsTasks) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this host";
+  }
+  constexpr std::size_t kTasks = 16;
+  Program prog(kTasks, quiet_options());
+  std::size_t during = 0;
+  prog.set_task_body([&](TaskContext& ctx) {
+    ctx.scale(sizeof(long));
+    Handle2 own;
+    Handle2 next;
+    own.write_insert(ctx, ctx.my_location(), 0);
+    next.read_insert(ctx, ctx.location((ctx.id() + 1) % kTasks), 1);
+    ctx.schedule();
+    { Section s(own); }
+    { Section s(next); }
+    // Every task is alive until all of them arrive here, so task 0
+    // counts them all.
+    if (ctx.id() == 0) during = live_threads();
+    ctx.program().rendezvous("count", nullptr, nullptr);
+  });
+  // TSan starts a helper thread along with the process's first thread;
+  // start and join one first so that helper is already in `before`.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  prog.run();
+  EXPECT_EQ(during - before, kTasks);
 }
 
 TEST(Program, LocationCoordinates) {
@@ -386,7 +428,6 @@ TEST(ProgramAffinity, AutomaticModeComputesPlacementAndBinds) {
   ProgramOptions o;
   o.affinity = AffinityMode::On;
   o.acquire_timeout_ms = 20000;
-  o.control_threads = 2;
   Program prog(4, o);
 
   std::array<int, 4> cpu_after_schedule{};
@@ -426,7 +467,6 @@ TEST(ProgramAffinity, OversubscribedTasksAreBoundToTheirGroup) {
   ProgramOptions o;
   o.affinity = AffinityMode::On;
   o.acquire_timeout_ms = 20000;
-  o.control_threads = 1;
   const std::size_t cores =
       orwl::topo::detect_host().num_cores();
   if (cores < 2) GTEST_SKIP() << "needs at least 2 cores";
@@ -487,7 +527,6 @@ TEST(ProgramAffinity, AdvancedApiRecomputesDynamically) {
   // The Sec. IV-B advanced mode: call the three functions explicitly
   // after the connection between tasks changed.
   ProgramOptions o = quiet_options();
-  o.control_threads = 1;
   Program prog(4, o);
   prog.set_task_body([&](TaskContext& ctx) {
     ctx.scale(4096);
@@ -636,9 +675,8 @@ TEST(Split, ReaderSharingScatterGather) {
 
 // ------------------------------------------------------------- stats -----
 
-TEST(Program, ControlEventsAreCounted) {
+TEST(Program, HandOffsAreCountedAsInlineGrants) {
   ProgramOptions o = quiet_options();
-  o.control_threads = 2;
   Program prog(4, o);
   prog.set_task_body([&](TaskContext& ctx) {
     ctx.scale(64);
@@ -653,68 +691,99 @@ TEST(Program, ControlEventsAreCounted) {
     }
   });
   prog.run();
-  EXPECT_GT(prog.stats().control_events, 0u)
-      << "control threads performed no hand-offs";
+  // Every grant happened on a task thread; the count is the queues' own.
+  std::uint64_t grants = 0;
+  for (TaskId t = 0; t < 4; ++t) {
+    grants += prog.location(t).queue().total_grants();
+  }
+  EXPECT_EQ(prog.stats().control_events, 0u);
+  EXPECT_EQ(prog.stats().control_inline_grants, grants);
+  // 4 tasks x 20 iterations x (one write + one read section).
+  EXPECT_GE(grants, 4u * 20u * 2u);
 }
 
-// ----------------------------------------------------- control sharding ----
+// --------------------------------------------------- locality shards ----
 
-TEST(ProgramShards, ShardCountFollowsTopologyClampedToThreads) {
+TEST(ProgramShards, ShardCountFollowsNumaNodes) {
   const auto synthetic = orwl::topo::make_smp20e7();
   ProgramOptions o = quiet_options();
   o.topology = &synthetic;
   o.bind_threads = false;
-  o.control_threads = 8;
+  // One shard per NUMA node, however few tasks there are.
   Program p(4, o);
-  // 20 NUMA nodes recommended, but only 8 control threads to serve them.
-  EXPECT_EQ(p.num_control_shards(), 8u);
-  EXPECT_EQ(p.stats().control_shards, 8u);
+  EXPECT_EQ(p.num_control_shards(), 20u);
+  EXPECT_EQ(p.stats().control_shards, 20u);
+  EXPECT_EQ(p.shard_map().num_shards, 20u);
+  EXPECT_EQ(p.shard_map().shard_of(0), 0);
+  EXPECT_EQ(p.shard_map().shard_of(159), 19);
 
-  o.control_threads = 20;
-  Program q(4, o);
-  EXPECT_EQ(q.num_control_shards(), 20u);
-  EXPECT_EQ(q.shard_map().num_shards, 20u);
-  EXPECT_EQ(q.shard_map().shard_of(0), 0);
-  EXPECT_EQ(q.shard_map().shard_of(159), 19);
+  const auto two_nodes = orwl::topo::make_numa(2, 2, 1);
+  o.topology = &two_nodes;
+  Program q(16, o);
+  EXPECT_EQ(q.num_control_shards(), 2u);
+
+  const auto flat = orwl::topo::make_flat(8);
+  o.topology = &flat;
+  Program r(16, o);
+  EXPECT_EQ(r.num_control_shards(), 1u);
 }
 
-TEST(ProgramShards, EnvOverrideControlShards) {
-  const auto synthetic = orwl::topo::make_smp20e7();
-  ProgramOptions o = quiet_options();
-  o.topology = &synthetic;
+TEST(ProgramShards, RoutingFollowsTheTopologyShardMap) {
+  // Four nodes of two cores each and eight tasks: the placement fills
+  // every node, so the queues spread over all four shards. Each queue
+  // routes to the shard of its owner's placed PU: it allocates from that
+  // shard's arena, and its hand-offs are metered in that shard's bank.
+  const auto machine = orwl::topo::make_numa(4, 2, 1);
+  ProgramOptions o;
+  o.affinity = AffinityMode::On;
+  o.topology = &machine;
   o.bind_threads = false;
-  o.control_threads = 8;
-  orwl::support::ScopedEnv guard("ORWL_CONTROL_SHARDS", "2");
-  Program p(4, o);
-  EXPECT_EQ(p.num_control_shards(), 2u);
-  guard.set("64");  // clamped to the thread count
-  Program q(4, o);
-  EXPECT_EQ(q.num_control_shards(), 8u);
+  o.acquire_timeout_ms = 20000;
+  o.replace = ReplaceMode::Passive;
+  constexpr std::size_t kTasks = 8;
+  Program prog(kTasks, o);
+  ASSERT_EQ(prog.num_control_shards(), 4u);
+  for (int node = 0; node < 4; ++node) {
+    EXPECT_EQ(prog.shard_map().shard_of(node * 2), node);  // first PU
+  }
+  prog.set_task_body([&](TaskContext& ctx) {
+    ctx.scale(128);
+    Handle2 own;
+    Handle2 next;
+    own.write_insert(ctx, ctx.my_location(), 0);
+    next.read_insert(ctx, ctx.location((ctx.id() + 1) % kTasks), 1);
+    ctx.schedule();
+    for (int i = 0; i < 5; ++i) {
+      { Section s(own); }
+      { Section s(next); }
+    }
+  });
+  prog.run();
+  ASSERT_NE(prog.comm_meter(), nullptr);
+  EXPECT_EQ(prog.comm_meter()->num_shards(), 4u);
+  EXPECT_GT(prog.stats().measured_handoffs, 0u);
+  const auto& pl = prog.placement();
+  std::set<std::size_t> used;
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    const int want = prog.shard_map().shard_of(pl.compute_pu[t]);
+    ASSERT_GE(want, 0) << "task " << t;
+    const RequestQueue& q = prog.location(t).queue();
+    EXPECT_EQ(q.shard(), static_cast<std::size_t>(want)) << "task " << t;
+    EXPECT_EQ(q.arena(), &prog.shard_arena(q.shard())) << "task " << t;
+    used.insert(q.shard());
+  }
+  EXPECT_EQ(used.size(), 4u);
 }
 
-TEST(ProgramShards, ExplicitOptionBeatsEnvAndTopology) {
-  const auto synthetic = orwl::topo::make_smp20e7();
-  ProgramOptions o = quiet_options();
-  o.topology = &synthetic;
-  o.bind_threads = false;
-  o.control_threads = 8;
-  o.control_shards = 3;
-  orwl::support::ScopedEnv guard("ORWL_CONTROL_SHARDS", "5");
-  Program p(4, o);
-  EXPECT_EQ(p.num_control_shards(), 3u);
-}
-
-TEST(ProgramShards, ShardedRunCompletesAndCountsEvents) {
-  // End-to-end: ring of tasks on the smp20e7 fixture with a sharded
-  // plane; placement routes every queue to the shard of its owner's PU
-  // and the run must complete with hand-offs spread over the shards.
+TEST(ProgramShards, ShardedRunCompletesAndCountsGrants) {
+  // End-to-end: ring of tasks on the smp20e7 fixture; placement routes
+  // every queue to the shard of its owner's PU and the run completes.
   const auto synthetic = orwl::topo::make_smp20e7();
   ProgramOptions o;
   o.affinity = AffinityMode::On;
   o.topology = &synthetic;
   o.bind_threads = false;
   o.acquire_timeout_ms = 20000;
-  o.control_threads = 8;
   Program prog(8, o);
   prog.set_task_body([&](TaskContext& ctx) {
     ctx.scale(128);
@@ -729,9 +798,8 @@ TEST(ProgramShards, ShardedRunCompletesAndCountsEvents) {
     }
   });
   prog.run();
-  EXPECT_EQ(prog.num_control_shards(), 8u);
-  EXPECT_GT(prog.stats().control_events + prog.stats().control_inline_grants,
-            0u);
+  EXPECT_EQ(prog.num_control_shards(), 20u);
+  EXPECT_GT(prog.stats().control_inline_grants, 0u);
   // Queues were re-routed from the placement: every location's shard must
   // match its owner's compute PU under the program's shard map.
   const auto& pl = prog.placement();
@@ -740,7 +808,7 @@ TEST(ProgramShards, ShardedRunCompletesAndCountsEvents) {
     if (pu < 0) continue;
     const int want = prog.shard_map().shard_of(pu);
     if (want < 0) continue;
-    EXPECT_EQ(prog.location(t).queue().control_shard(),
+    EXPECT_EQ(prog.location(t).queue().shard(),
               static_cast<std::size_t>(want))
         << "task " << t;
   }
@@ -757,7 +825,6 @@ TEST(ProgramShards, LiveInsertRoutesToOwnersShardImmediately) {
   o.topology = &synthetic;
   o.bind_threads = false;
   o.acquire_timeout_ms = 20000;
-  o.control_threads = 8;
   o.locations_per_task = 2;  // slot 1 is only ever live-inserted
   constexpr std::size_t kTasks = 8;
   Program prog(kTasks, o);
@@ -788,7 +855,7 @@ TEST(ProgramShards, LiveInsertRoutesToOwnersShardImmediately) {
     if (pu >= 0 && prog.shard_map().shard_of(pu) >= 0) {
       want = static_cast<std::size_t>(prog.shard_map().shard_of(pu));
     }
-    EXPECT_EQ(prog.location(t, 1).queue().control_shard(), want)
+    EXPECT_EQ(prog.location(t, 1).queue().shard(), want)
         << "task " << t;
     if (want != t % nshards) any_differs_from_default = true;
   }
@@ -808,7 +875,6 @@ TEST(ProgramShards, LiveInsertOverwritesStaleRouting) {
   ProgramOptions o = quiet_options();
   o.topology = &synthetic;
   o.bind_threads = false;
-  o.control_threads = 8;
   o.locations_per_task = 2;
   Program prog(4, o);
   prog.set_task_body([&](TaskContext& ctx) {
@@ -817,12 +883,12 @@ TEST(ProgramShards, LiveInsertOverwritesStaleRouting) {
     h.write_insert(ctx, ctx.my_location(0), 0);
     ctx.schedule();
     RequestQueue& late_queue = ctx.my_location(1).queue();
-    late_queue.set_control_shard(ctx.id() + 5);  // stale / wrong shard
+    late_queue.set_shard(ctx.id() + 5);  // stale / wrong shard
     Handle late;
     late.write_insert(ctx, ctx.my_location(1), 0);
     // No placement exists (affinity off), so the insert routes back to
     // the owner round-robin shard.
-    EXPECT_EQ(late_queue.control_shard(),
+    EXPECT_EQ(late_queue.shard(),
               ctx.id() % ctx.program().num_control_shards());
     { Section s(late); }
     { Section s(h); }

@@ -44,7 +44,6 @@ static_assert(std::is_constructible_v<ReadGuard<double>, ReadLink<double>>);
 rt::ProgramOptions quiet() {
   rt::ProgramOptions o;
   o.affinity = rt::AffinityMode::Off;
-  o.control_threads = 0;
   o.acquire_timeout_ms = 30000;
   return o;
 }
@@ -54,7 +53,6 @@ rt::ProgramOptions fixture_opts(const topo::Topology& machine) {
   o.topology = &machine;
   o.affinity = rt::AffinityMode::Off;  // placement driven explicitly
   o.bind_threads = false;
-  o.control_threads = 2;
   o.acquire_timeout_ms = 30000;
   return o;
 }

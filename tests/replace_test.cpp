@@ -433,7 +433,7 @@ TEST(Replace, AutoReplacesAndStateFollows) {
     EXPECT_EQ(l.home_node(), p.placed_node_of_task(l.owner()));
     EXPECT_EQ(l.memory_node(), l.home_node())
         << "emulated buffer must follow the home node";
-    EXPECT_LT(l.queue().control_shard(), p.num_control_shards());
+    EXPECT_LT(l.queue().shard(), p.num_control_shards());
   }
 }
 

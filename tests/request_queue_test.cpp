@@ -18,13 +18,6 @@ namespace {
 
 using namespace orwl::rt;
 
-/// Single-shard control plane with `n` control threads.
-ControlPlaneOptions threads(std::size_t n) {
-  ControlPlaneOptions o;
-  o.num_threads = n;
-  return o;
-}
-
 TEST(RequestQueue, FirstWriterGrantedImmediately) {
   RequestQueue q;
   const Ticket w = q.enqueue(AccessMode::Write);
@@ -752,77 +745,13 @@ TEST(RequestQueueRemote, SinkCanDetachItselfFromInsideACall) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
-// ------------------------------------------------------ control plane ----
-
-TEST(ControlPlane, HandsOffGrantsThroughControlThreads) {
-  ControlPlane cp(threads(2));
-  cp.start();
-  RequestQueue q;
-  q.set_control_plane(&cp);
-  const Ticket w1 = q.enqueue(AccessMode::Write);
-  const Ticket w2 = q.enqueue(AccessMode::Write);
-  q.release(w1);
-  q.acquire(w2);  // must be granted via a control thread
-  q.release(w2);
-  cp.stop();
-  EXPECT_GE(cp.events_processed(), 1u);
-}
-
-TEST(ControlPlane, ControlThreadShipsRemoteGrants) {
-  ControlPlane cp(threads(1));
-  cp.start();
-  RequestQueue q;
-  q.set_control_plane(&cp);
-  RecordingSink sink;
-  q.set_remote_sink(&sink);
-  const Ticket w1 = q.enqueue(AccessMode::Write);
-  const Ticket w2 = q.enqueue(AccessMode::Write);
-  ASSERT_TRUE(q.park_remote(w2));
-  q.release(w1);  // posts the hand-off; a control thread grants w2
-  while (sink.count() == 0) std::this_thread::yield();
-  ASSERT_EQ(sink.count(), 1u);
-  EXPECT_EQ(sink.calls[0].first, w2);
-  EXPECT_NE(sink.calls[0].second, std::this_thread::get_id());
-  q.release(w2);
-  cp.stop();
-  q.set_remote_sink(nullptr);
-}
-
-TEST(ControlPlane, ZeroThreadsMeansInlineGrants) {
-  ControlPlane cp(threads(0));
-  cp.start();
-  EXPECT_FALSE(cp.running());
-  RequestQueue q;
-  q.set_control_plane(&cp);
-  const Ticket w1 = q.enqueue(AccessMode::Write);
-  const Ticket w2 = q.enqueue(AccessMode::Write);
-  q.release(w1);
-  EXPECT_TRUE(q.granted(w2));
-  q.release(w2);
-}
-
-TEST(ControlPlane, StopDrainsPendingEvents) {
-  ControlPlane cp(threads(1));
-  cp.start();
-  RequestQueue q;
-  q.set_control_plane(&cp);
-  const Ticket w1 = q.enqueue(AccessMode::Write);
-  const Ticket w2 = q.enqueue(AccessMode::Write);
-  q.release(w1);
-  cp.stop();
-  // Whether the control thread or the drain performed it, the grant must
-  // have happened.
-  q.acquire(w2);
-  q.release(w2);
-}
-
-TEST(ControlPlane, StressManyQueuesManyThreads) {
-  ControlPlane cp(threads(4));
-  cp.start();
+TEST(RequestQueue, StressManyQueuesManyThreads) {
+  // Every hand-off is granted by the thread that releases: sixteen
+  // threads cycling on sixteen queues at once exercise that path under
+  // TSan.
   constexpr int kQueues = 16;
   constexpr int kIters = 100;
   std::vector<RequestQueue> queues(kQueues);
-  for (auto& q : queues) q.set_control_plane(&cp);
   std::vector<std::thread> threads;
   std::atomic<int> done{0};
   for (int i = 0; i < kQueues; ++i) {
@@ -838,8 +767,9 @@ TEST(ControlPlane, StressManyQueuesManyThreads) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(done.load(), kQueues);
-  cp.stop();
-  EXPECT_GT(cp.events_processed(), 0u);
+  for (const auto& q : queues) {
+    EXPECT_EQ(q.total_grants(), static_cast<std::uint64_t>(kIters) + 1);
+  }
 }
 
 }  // namespace
