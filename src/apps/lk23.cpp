@@ -1,26 +1,158 @@
 #include "apps/lk23.hpp"
+#include "apps/lk23_kernel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "support/rng.hpp"
 
 namespace orwl::apps {
 
+struct Lk23Problem::Coefficients {
+  std::vector<double> zb, zr, zu, zv, zz;
+};
+
 namespace {
 
 using orwl::split_range;
 
+using lk23_detail::Block;
+using lk23_detail::BlockGeom;
+using lk23_detail::kRows;
+
 constexpr double kRelax = 0.175;
 
-/// One Gauss-Seidel cell update.
-inline void update_cell(double& za_jk, double north, double south,
-                        double east, double west, double zr, double zb,
-                        double zu, double zv, double zz) {
-  const double qa =
-      south * zr + north * zb + east * zu + west * zv + zz;
-  za_jk += kRelax * (qa - za_jk);
+const Lk23Problem::Coefficients& coefficients_of(const Lk23Problem& p) {
+  if (p.n < 3 || !p.coefficients || p.za.size() != p.n * p.n) {
+    throw std::invalid_argument("lk23: problem not made by generate()");
+  }
+  return *p.coefficients;
+}
+
+/// Throws unless `p` is a generated problem with room for by x bx blocks.
+void check_block_grid(const Lk23Problem& p, std::size_t by, std::size_t bx,
+                      const char* what) {
+  coefficients_of(p);
+  if (by == 0 || bx == 0 || by > p.n - 2 || bx > p.n - 2) {
+    throw std::invalid_argument(std::string(what) + ": bad block grid");
+  }
+}
+
+BlockGeom block_geom(std::size_t n, std::size_t by, std::size_t bx,
+                     std::size_t bi, std::size_t bj) {
+  // The interior [1, n-1) is tiled; boundary ring stays fixed.
+  const auto rows = split_range(n - 2, by, bi);
+  const auto cols = split_range(n - 2, bx, bj);
+  return BlockGeom{rows.begin + 1, rows.end + 1, cols.begin + 1,
+                   cols.end + 1};
+}
+
+/// Up to kRows consecutive rows of a block, swept together.
+struct RowGroup {
+  double* za;  ///< first cell of the first row; rows are n apart
+  const double *zr, *zb, *zu, *zv, *zz;  ///< the same cell's coefficients
+  std::size_t n;     ///< row stride
+  std::size_t w;     ///< columns
+  std::size_t rows;  ///< rows in flight, 1..kRows
+  const double* north;  ///< w values above the first row
+  const double* south;  ///< w values below the last row
+  double west[kRows];   ///< the value left of each row's first cell
+  double east[kRows];   ///< the value right of each row's last cell
+};
+
+/// Step s of a row group: row r updates its column s - r. Its north and
+/// west neighbours were updated at step s - 1 and are carried in
+/// `prev` (row r - 1's and row r's last results); its south and east
+/// neighbours are not updated yet and are read from the grid. These are
+/// the values the raster-order sweep reads, and the arithmetic is the
+/// same, so every cell rounds identically. `kSteady` steps run only where
+/// every row is active and no row touches its first or last column.
+template <bool kSteady>
+inline void skew_step(const RowGroup& q, std::size_t s,
+                      double (&prev)[kRows]) {
+  const std::size_t rows = kSteady ? kRows : q.rows;
+  const auto cell = [&](std::size_t r) {
+    if (!kSteady && (s < r || s - r >= q.w)) return;  // not in flight
+    const std::size_t k = s - r;
+    const std::size_t i = r * q.n + k;
+    const double north = r == 0 ? q.north[k] : prev[r - 1];
+    const double south = r + 1 == rows ? q.south[k] : q.za[i + q.n];
+    const double west = !kSteady && k == 0 ? q.west[r] : prev[r];
+    const double east = !kSteady && k + 1 == q.w ? q.east[r] : q.za[i + 1];
+    const double qa = south * q.zr[i] + north * q.zb[i] + east * q.zu[i] +
+                      west * q.zv[i] + q.zz[i];
+    const double za = q.za[i];
+    prev[r] = q.za[i] = za + kRelax * (qa - za);
+  };
+  // Last row first: row r reads prev[r - 1] before row r - 1 replaces it.
+  if constexpr (kSteady) {
+    [&]<std::size_t... R>(std::index_sequence<R...>) {
+      (cell(kRows - 1 - R), ...);
+    }(std::make_index_sequence<kRows>{});
+  } else {
+    for (std::size_t r = rows; r-- > 0;) cell(r);
+  }
+}
+
+void sweep_rows(const RowGroup& q) {
+  double prev[kRows] = {};
+  const std::size_t steps = q.w + q.rows - 1;
+  std::size_t s = 0;
+  if (q.rows == kRows) {
+    for (; s < kRows; ++s) skew_step<false>(q, s, prev);
+    for (; s + 1 < q.w; ++s) skew_step<true>(q, s, prev);
+  }
+  // Leftover rows, narrow blocks and the trailing steps of a group.
+  for (; s < steps; ++s) skew_step<false>(q, s, prev);
+}
+
+}  // namespace
+
+void lk23_detail::sweep_block(const Block& b) {
+  const BlockGeom& g = b.g;
+  const std::size_t n = b.n;
+  for (std::size_t j = g.r0; j < g.r1; j += kRows) {
+    RowGroup q{};
+    const std::size_t at = j * n + g.c0;
+    q.za = b.za + at;
+    q.zr = b.cf->zr.data() + at;
+    q.zb = b.cf->zb.data() + at;
+    q.zu = b.cf->zu.data() + at;
+    q.zv = b.cf->zv.data() + at;
+    q.zz = b.cf->zz.data() + at;
+    q.n = n;
+    q.w = g.w();
+    q.rows = std::min(kRows, g.r1 - j);
+    q.north = j == g.r0 ? b.north : q.za - n;
+    q.south = j + q.rows == g.r1 ? b.south : q.za + q.rows * n;
+    for (std::size_t r = 0; r < q.rows; ++r) {
+      q.west[r] = b.west[(j - g.r0 + r) * b.side_stride];
+      q.east[r] = b.east[(j - g.r0 + r) * b.side_stride];
+    }
+    sweep_rows(q);
+  }
+}
+
+namespace {
+
+/// The block whose halos are the grid cells around it: the whole
+/// interior, or a block whose neighbours are not being swept.
+Block grid_block(Lk23Problem& p, const BlockGeom& g) {
+  const std::size_t n = p.n;
+  double* za = p.za.data();
+  return Block{za,
+               &coefficients_of(p),
+               n,
+               g,
+               za + (g.r0 - 1) * n + g.c0,
+               za + g.r1 * n + g.c0,
+               za + g.r0 * n + g.c0 - 1,
+               za + g.r0 * n + g.c1,
+               n};
 }
 
 }  // namespace
@@ -36,82 +168,22 @@ Lk23Problem Lk23Problem::generate(std::size_t n, std::uint64_t seed) {
   };
   fill(p.za, 1.0);
   // Small coefficients keep the relaxation numerically tame.
-  fill(p.zb, 0.05);
-  fill(p.zr, 0.05);
-  fill(p.zu, 0.05);
-  fill(p.zv, 0.05);
-  fill(p.zz, 0.1);
+  auto cf = std::make_shared<Coefficients>();
+  fill(cf->zb, 0.05);
+  fill(cf->zr, 0.05);
+  fill(cf->zu, 0.05);
+  fill(cf->zv, 0.05);
+  fill(cf->zz, 0.1);
+  p.coefficients = std::move(cf);
   return p;
 }
 
 void lk23_sequential(Lk23Problem& p, std::size_t iters) {
-  const std::size_t n = p.n;
-  double* za = p.za.data();
-  const double* zb = p.zb.data();
-  const double* zr = p.zr.data();
-  const double* zu = p.zu.data();
-  const double* zv = p.zv.data();
-  const double* zz = p.zz.data();
-  for (std::size_t l = 0; l < iters; ++l) {
-    for (std::size_t j = 1; j + 1 < n; ++j) {
-      for (std::size_t k = 1; k + 1 < n; ++k) {
-        const std::size_t i = j * n + k;
-        update_cell(za[i], za[i - n], za[i + n], za[i + 1], za[i - 1],
-                    zr[i], zb[i], zu[i], zv[i], zz[i]);
-      }
-    }
-  }
+  const Block b = grid_block(p, BlockGeom{1, p.n - 1, 1, p.n - 1});
+  for (std::size_t l = 0; l < iters; ++l) sweep_block(b);
 }
 
 namespace {
-
-/// Shared block geometry for the parallel variants.
-struct BlockGeom {
-  std::size_t r0, r1;  ///< row range [r0, r1) within the grid
-  std::size_t c0, c1;  ///< col range
-  std::size_t h() const { return r1 - r0; }
-  std::size_t w() const { return c1 - c0; }
-};
-
-BlockGeom block_geom(std::size_t n, std::size_t by, std::size_t bx,
-                     std::size_t bi, std::size_t bj) {
-  // The interior [1, n-1) is tiled; boundary ring stays fixed.
-  const auto rows = split_range(n - 2, by, bi);
-  const auto cols = split_range(n - 2, bx, bj);
-  return BlockGeom{rows.begin + 1, rows.end + 1, cols.begin + 1,
-                   cols.end + 1};
-}
-
-/// Compute one block sweep. Neighbor values that live outside the block
-/// come from the halo arrays (which the caller filled from locations or
-/// from the fixed grid boundary).
-/// \return The block's residual: the sum of squared cell updates this
-///         sweep (the converged-predicate loop sums it across blocks;
-///         the counted variants ignore it).
-double sweep_block(Lk23Problem& p, const BlockGeom& g,
-                   const std::vector<double>& halo_n,
-                   const std::vector<double>& halo_s,
-                   const std::vector<double>& halo_w,
-                   const std::vector<double>& halo_e) {
-  const std::size_t n = p.n;
-  double* za = p.za.data();
-  double residual = 0.0;
-  for (std::size_t j = g.r0; j < g.r1; ++j) {
-    for (std::size_t k = g.c0; k < g.c1; ++k) {
-      const std::size_t i = j * n + k;
-      const double north = j == g.r0 ? halo_n[k - g.c0] : za[i - n];
-      const double south = j == g.r1 - 1 ? halo_s[k - g.c0] : za[i + n];
-      const double west = k == g.c0 ? halo_w[j - g.r0] : za[i - 1];
-      const double east = k == g.c1 - 1 ? halo_e[j - g.r0] : za[i + 1];
-      const double before = za[i];
-      update_cell(za[i], north, south, east, west, p.zr[i], p.zb[i],
-                  p.zu[i], p.zv[i], p.zz[i]);
-      const double d = za[i] - before;
-      residual += d * d;
-    }
-  }
-  return residual;
-}
 
 // Halo location slots per task (owner writes its borders after updating):
 //   0 = N-out: own top row    (read by the NORTH neighbor, one-iter lag)
@@ -126,18 +198,42 @@ constexpr std::size_t kLocW = 2;
 constexpr std::size_t kLocE = 3;
 
 /// One whole ORWL iteration of a block: gather halos, sweep, publish.
-/// Returns the block residual (see sweep_block).
+/// Returns the block residual, or 0 when the wiring was asked for none.
 using BlockSweep = std::function<double(std::size_t)>;
 
 /// The loop driver a variant plugs into the shared task body: counted
 /// (lk23_orwl) or converged-predicate (lk23_orwl_converged).
 using SweepDriver = std::function<void(Task&, const BlockSweep&)>;
 
+/// Copies the block's cells, row after row, into `out`.
+void save_block(const Lk23Problem& p, const BlockGeom& g,
+                std::vector<double>& out) {
+  for (std::size_t j = g.r0; j < g.r1; ++j) {
+    std::copy_n(p.za.begin() + j * p.n + g.c0, g.w(),
+                out.begin() + (j - g.r0) * g.w());
+  }
+}
+
+/// The sum of squared cell updates since save_block, in raster order.
+double block_residual(const Lk23Problem& p, const BlockGeom& g,
+                      const std::vector<double>& before) {
+  double residual = 0.0;
+  for (std::size_t j = g.r0; j < g.r1; ++j) {
+    for (std::size_t k = g.c0; k < g.c1; ++k) {
+      const double d =
+          p.za[j * p.n + k] - before[(j - g.r0) * g.w() + k - g.c0];
+      residual += d * d;
+    }
+  }
+  return residual;
+}
+
 /// Declare the by*bx halo-exchange tasks on `builder` — the one ORWL
-/// wiring both iteration variants share; only the loop driver differs.
+/// wiring both iteration variants share; only the loop driver differs,
+/// and only the converged one asks for residuals.
 void wire_lk23_tasks(ProgramBuilder& builder, Lk23Problem& p,
                      std::size_t iters, std::size_t by, std::size_t bx,
-                     const SweepDriver& drive) {
+                     bool with_residual, const SweepDriver& drive) {
   for (rt::TaskId id = 0; id < by * bx; ++id) {
     const std::size_t bi = id / bx;
     const std::size_t bj = id % bx;
@@ -187,7 +283,7 @@ void wire_lk23_tasks(ProgramBuilder& builder, Lk23Problem& p,
     // `drive` is copied into the body: the closure outlives this call
     // (it runs when the built program does).
     spec.body([&p, g, id, bx, has_north, has_south, has_west, has_east,
-               drive](Task& task) {
+               with_residual, drive](Task& task) {
       const std::size_t n = p.n;
       WriteLink<double[]> w_n = task.write_link<double[]>(loc(id, kLocN));
       WriteLink<double[]> w_s = task.write_link<double[]>(loc(id, kLocS));
@@ -199,47 +295,46 @@ void wire_lk23_tasks(ProgramBuilder& builder, Lk23Problem& p,
       if (has_west) r_w = task.read_link<double[]>(loc(id - 1, kLocE));
       if (has_east) r_e = task.read_link<double[]>(loc(id + 1, kLocW));
 
+      // A side with a neighbour gets its halo through a location every
+      // sweep; a side on the grid boundary never changes.
       std::vector<double> halo_n(g.w()), halo_s(g.w());
       std::vector<double> halo_w(g.h()), halo_e(g.h());
+      const Block grid = grid_block(p, g);
+      if (!has_north) std::copy_n(grid.north, g.w(), halo_n.begin());
+      if (!has_south) std::copy_n(grid.south, g.w(), halo_s.begin());
+      for (std::size_t j = 0; j < g.h(); ++j) {
+        if (!has_west) halo_w[j] = grid.west[j * n];
+        if (!has_east) halo_e[j] = grid.east[j * n];
+      }
+      const Block block{grid.za,       grid.cf,       n,
+                        g,             halo_n.data(), halo_s.data(),
+                        halo_w.data(), halo_e.data(), 1};
+      std::vector<double> before(with_residual ? g.h() * g.w() : 0);
 
       const BlockSweep sweep = [&](std::size_t) -> double {
         // -- gather phase ------------------------------------------------
         if (has_north) {
           ReadGuard<double[]> sec(r_n);
           std::copy(sec.begin(), sec.end(), halo_n.begin());
-        } else {
-          for (std::size_t k = 0; k < g.w(); ++k) {
-            halo_n[k] = p.za[(g.r0 - 1) * n + g.c0 + k];
-          }
         }
         if (has_west) {
           ReadGuard<double[]> sec(r_w);
           std::copy(sec.begin(), sec.end(), halo_w.begin());
-        } else {
-          for (std::size_t j = 0; j < g.h(); ++j) {
-            halo_w[j] = p.za[(g.r0 + j) * n + g.c0 - 1];
-          }
         }
         if (has_south) {
           ReadGuard<double[]> sec(r_s);
           std::copy(sec.begin(), sec.end(), halo_s.begin());
-        } else {
-          for (std::size_t k = 0; k < g.w(); ++k) {
-            halo_s[k] = p.za[g.r1 * n + g.c0 + k];
-          }
         }
         if (has_east) {
           ReadGuard<double[]> sec(r_e);
           std::copy(sec.begin(), sec.end(), halo_e.begin());
-        } else {
-          for (std::size_t j = 0; j < g.h(); ++j) {
-            halo_e[j] = p.za[(g.r0 + j) * n + g.c1];
-          }
         }
 
         // -- compute -----------------------------------------------------
+        if (with_residual) save_block(p, g, before);
+        sweep_block(block);
         const double residual =
-            sweep_block(p, g, halo_n, halo_s, halo_w, halo_e);
+            with_residual ? block_residual(p, g, before) : 0.0;
 
         // -- publish phase -----------------------------------------------
         {
@@ -278,11 +373,9 @@ void wire_lk23_tasks(ProgramBuilder& builder, Lk23Problem& p,
 void lk23_orwl(Lk23Problem& p, std::size_t iters, std::size_t by,
                std::size_t bx, rt::ProgramOptions prog_opts,
                rt::ProgramStats* stats_out) {
-  if (by == 0 || bx == 0 || by > p.n - 2 || bx > p.n - 2) {
-    throw std::invalid_argument("lk23_orwl: bad block grid");
-  }
+  check_block_grid(p, by, bx, "lk23_orwl");
   ProgramBuilder builder(by * bx, prog_opts);
-  wire_lk23_tasks(builder, p, iters, by, bx,
+  wire_lk23_tasks(builder, p, iters, by, bx, /*with_residual=*/false,
                   [](Task& task, const BlockSweep& sweep) {
                     task.run_iterations(
                         [&sweep](std::size_t i) { sweep(i); });
@@ -298,9 +391,7 @@ std::size_t lk23_orwl_converged(Lk23Problem& p, double tol,
                                 std::size_t max_iters, std::size_t by,
                                 std::size_t bx,
                                 rt::ProgramOptions prog_opts) {
-  if (by == 0 || bx == 0 || by > p.n - 2 || bx > p.n - 2) {
-    throw std::invalid_argument("lk23_orwl_converged: bad block grid");
-  }
+  check_block_grid(p, by, bx, "lk23_orwl_converged");
   if (max_iters == 0) {
     throw std::invalid_argument("lk23_orwl_converged: max_iters must be > 0");
   }
@@ -310,7 +401,7 @@ std::size_t lk23_orwl_converged(Lk23Problem& p, double tol,
   // the per-task iteration budget counts along but never diverges.
   std::atomic<std::size_t> executed{0};
   wire_lk23_tasks(
-      builder, p, max_iters, by, bx,
+      builder, p, max_iters, by, bx, /*with_residual=*/true,
       [tol, max_iters, &executed](Task& task, const BlockSweep& sweep) {
         std::size_t spent = 0;
         const std::size_t ran = task.run_iterations(
@@ -327,17 +418,18 @@ std::size_t lk23_orwl_converged(Lk23Problem& p, double tol,
 
 void lk23_forkjoin(Lk23Problem& p, std::size_t iters, std::size_t by,
                    std::size_t bx, pool::ThreadPool& pool) {
-  if (by == 0 || bx == 0 || by > p.n - 2 || bx > p.n - 2) {
-    throw std::invalid_argument("lk23_forkjoin: bad block grid");
-  }
+  check_block_grid(p, by, bx, "lk23_forkjoin");
   // Per sweep, the anti-diagonals of the block grid are processed in
   // order; blocks on one diagonal are independent (their north/west
-  // blocks belong to earlier diagonals, already updated this sweep).
-  std::vector<double> halo_n, halo_s, halo_w, halo_e;  // filled per block
+  // blocks belong to earlier diagonals, already updated this sweep, and
+  // their south/east blocks to later ones). So a block reads its halos
+  // straight from the grid: they hold exactly the values the sequential
+  // sweep would see.
+  std::vector<std::pair<std::size_t, std::size_t>> wave;
   for (std::size_t l = 0; l < iters; ++l) {
     for (std::size_t d = 0; d <= by + bx - 2; ++d) {
       // Blocks with bi + bj == d.
-      std::vector<std::pair<std::size_t, std::size_t>> wave;
+      wave.clear();
       for (std::size_t bi = 0; bi < by; ++bi) {
         if (d < bi) continue;
         const std::size_t bj = d - bi;
@@ -345,20 +437,7 @@ void lk23_forkjoin(Lk23Problem& p, std::size_t iters, std::size_t by,
       }
       pool.parallel_for(0, wave.size(), [&](std::size_t idx) {
         const auto [bi, bj] = wave[idx];
-        const BlockGeom g = block_geom(p.n, by, bx, bi, bj);
-        const std::size_t n = p.n;
-        // Direct neighbor access: rows g.r0-1 / g.r1 and cols g.c0-1 /
-        // g.c1 hold exactly the values the sequential sweep would see.
-        std::vector<double> hn(g.w()), hs(g.w()), hw(g.h()), he(g.h());
-        for (std::size_t k = 0; k < g.w(); ++k) {
-          hn[k] = p.za[(g.r0 - 1) * n + g.c0 + k];
-          hs[k] = p.za[g.r1 * n + g.c0 + k];
-        }
-        for (std::size_t j = 0; j < g.h(); ++j) {
-          hw[j] = p.za[(g.r0 + j) * n + g.c0 - 1];
-          he[j] = p.za[(g.r0 + j) * n + g.c1];
-        }
-        sweep_block(p, g, hn, hs, hw, he);
+        sweep_block(grid_block(p, block_geom(p.n, by, bx, bi, bj)));
       });
     }
   }

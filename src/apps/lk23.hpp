@@ -12,6 +12,15 @@
 // previous-sweep values. Parallelization pipelines block waves from the
 // north-west to the south-east corner.
 //
+// Every variant below sweeps its cells with one kernel. In raster order
+// each cell waits on its freshly written west neighbour, so a row is one
+// chain of dependent floating-point operations. The kernel instead keeps
+// four rows in flight, each trailing the row above by one column: a cell
+// still reads the north and west values of the current sweep and the
+// south and east values of the previous one, and does the same
+// arithmetic in the same order, so `za` is bit-identical to the raster
+// sweep while four dependency chains overlap.
+//
 // This module provides:
 //  * a sequential reference,
 //  * the ORWL decomposition (one iterative task per block, halo exchange
@@ -25,6 +34,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "orwl/orwl.hpp"
@@ -33,16 +44,19 @@
 
 namespace orwl::apps {
 
-/// Problem coefficients; deterministic pseudo-random fill.
+/// An n x n problem; deterministic pseudo-random fill.
 struct Lk23Problem {
+  /// The five constant coefficient grids (zb, zr, zu, zv, zz), read only
+  /// inside lk23.cpp.
+  struct Coefficients;
+
   std::size_t n = 0;  ///< grid is n x n, interior [1, n-1) updated
   std::vector<double> za;  ///< state, updated in place
-  std::vector<double> zb, zr, zu, zv, zz;  ///< coefficients (constant)
+  /// Never written after generate(), so every copy of a problem shares
+  /// them: a copy costs one grid (`za`), not six.
+  std::shared_ptr<const Coefficients> coefficients;
 
   static Lk23Problem generate(std::size_t n, std::uint64_t seed = 7);
-  double& at(std::vector<double>& v, std::size_t j, std::size_t k) {
-    return v[j * n + k];
-  }
 };
 
 /// Run `iters` sweeps sequentially; mutates p.za.
@@ -59,9 +73,10 @@ void lk23_orwl(Lk23Problem& p, std::size_t iters, std::size_t blocks_y,
 
 /// ORWL decomposition with a converged-predicate loop instead of a fixed
 /// sweep count: after each sweep the per-block residuals (sum of squared
-/// cell updates) are sum-reduced across all tasks, and every task keeps
-/// sweeping until the global residual drops to `tol` or `max_iters`
-/// sweeps ran. Same wiring (and the same bit-exact sweep) as lk23_orwl.
+/// cell updates, summed in raster order) are sum-reduced across all
+/// tasks, and every task keeps sweeping until the global residual drops
+/// to `tol` or `max_iters` sweeps ran. Same wiring (and the same
+/// bit-exact sweep) as lk23_orwl; only this variant computes a residual.
 /// \return The number of sweeps executed (uniform across tasks).
 std::size_t lk23_orwl_converged(Lk23Problem& p, double tol,
                                 std::size_t max_iters, std::size_t blocks_y,

@@ -62,7 +62,7 @@ ProgramBuilder matmul_builder(std::size_t n, std::size_t tasks,
 }  // namespace
 
 void matmul_orwl(MatmulProblem& p, std::size_t tasks,
-                 rt::ProgramOptions prog_opts) {
+                 rt::ProgramOptions prog_opts, rt::ProgramStats* stats_out) {
   const std::size_t n = p.n;
   if (tasks == 0 || n % tasks != 0) {
     throw std::invalid_argument(
@@ -106,6 +106,9 @@ void matmul_orwl(MatmulProblem& p, std::size_t tasks,
 
   Program prog = builder.build();
   prog.run();
+  if (stats_out != nullptr) {
+    *stats_out = prog.stats();
+  }
 }
 
 void matmul_forkjoin(MatmulProblem& p, pool::ThreadPool& pool) {

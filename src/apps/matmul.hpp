@@ -34,9 +34,11 @@ void matmul_sequential(MatmulProblem& p);
 /// ORWL block-cyclic multiply with `tasks` tasks. Each task owns a block
 /// of rows of A and C and circulates column blocks of B around the task
 /// ring through locations (declared up front with the v2 builder). n
-/// must be a multiple of tasks. Overwrites p.c.
+/// must be a multiple of tasks. Overwrites p.c. When `stats_out` is
+/// non-null it receives the runtime's ProgramStats snapshot after the run.
 void matmul_orwl(MatmulProblem& p, std::size_t tasks,
-                 rt::ProgramOptions prog_opts = {});
+                 rt::ProgramOptions prog_opts = {},
+                 rt::ProgramStats* stats_out = nullptr);
 
 /// Fork-join baseline: parallel-for over row blocks, full B shared.
 void matmul_forkjoin(MatmulProblem& p, pool::ThreadPool& pool);

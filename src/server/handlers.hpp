@@ -20,7 +20,8 @@ Handler make_video_handler(apps::VideoParams params);
 
 /// Livermore Kernel 23 (Sec. V-A) as a request handler: each request
 /// runs `iters` sweeps of an n x n problem on a blocks_y x blocks_x task
-/// grid. The problem is regenerated per request (seeded), so requests
+/// grid. The seeded problem is generated once, here; each request sweeps
+/// its own copy of `za` and shares the constant coefficients, so requests
 /// are independent and repeatable.
 Handler make_lk23_handler(std::size_t n, std::size_t iters,
                           std::size_t blocks_y, std::size_t blocks_x,

@@ -90,6 +90,26 @@ TEST(Matmul, OrwlWithAffinityEnabledStillCorrect) {
   expect_close(seq.c, par.c);
 }
 
+TEST(MatmulOrwl, ReportsProgramStats) {
+  // The ring hands every B block on through a lock, so the run grants;
+  // with affinity on (the host topology) its task threads are bound.
+  auto p = MatmulProblem::generate(16);
+  orwl::rt::ProgramStats off;
+  matmul_orwl(p, 4, quiet(), &off);
+  EXPECT_GT(off.control_inline_grants, 0u);
+  EXPECT_FALSE(off.affinity_applied);
+  EXPECT_EQ(off.compute_threads_bound, 0u);
+
+  orwl::rt::ProgramOptions o;
+  o.affinity = orwl::rt::AffinityMode::On;
+  o.acquire_timeout_ms = 30000;
+  orwl::rt::ProgramStats on;
+  matmul_orwl(p, 4, o, &on);
+  EXPECT_GT(on.control_inline_grants, 0u);
+  EXPECT_TRUE(on.affinity_applied);
+  EXPECT_GT(on.compute_threads_bound, 0u);
+}
+
 TEST(Matmul, CommMatrixIsRing) {
   const auto m = matmul_comm_matrix(32, 8);
   ASSERT_EQ(m.order(), 8u);

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -709,6 +710,58 @@ TEST(ServerPrograms, Lk23TenantRunsInsideItsCarveout) {
   // Real programs hand off locks: the rollup shows runtime activity.
   EXPECT_GT(st.runtime.control_events + st.runtime.control_inline_grants,
             0u);
+}
+
+TEST(ServerPrograms, ConcurrentLk23RequestsEachMatchTheSequentialSweep) {
+  // As make_lk23_handler does: one generated input, copied per request,
+  // so both requests share its coefficients; each must still leave
+  // exactly the state a fresh sequential run does.
+  constexpr std::size_t kN = 34, kIters = 3;
+  auto ref = apps::Lk23Problem::generate(kN);
+  apps::lk23_sequential(ref, kIters);
+  const auto input =
+      std::make_shared<const apps::Lk23Problem>(apps::Lk23Problem::generate(kN));
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::vector<std::vector<double>> results;
+
+  const topo::Topology t = topo::make_fig2_machine();
+  Server server(on_fixture(&t));
+  TenantSpec s;
+  s.name = "lk23";
+  s.width_pus = 8;
+  s.min_workers = 2;
+  s.max_workers = 2;
+  // Hold each request until both have started, so they run together.
+  s.handler = [&](const TenantEnv& env) {
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      ++started;
+      cv.notify_all();
+      cv.wait_for(lk, std::chrono::seconds(30), [&] { return started >= 2; });
+    }
+    apps::Lk23Problem p = *input;
+    rt::ProgramStats stats;
+    apps::lk23_orwl(p, kIters, 2, 2, env.program_options(), &stats);
+    std::lock_guard<std::mutex> lk(mu);
+    results.push_back(std::move(p.za));
+    return stats;
+  };
+  const TenantId id = server.admit(std::move(s));
+  ASSERT_TRUE(server.submit(id));
+  ASSERT_TRUE(server.submit(id));
+  server.drain(id);
+
+  const TenantStats st = server.stats(id);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.peak_workers, 2u);
+  std::lock_guard<std::mutex> lk(mu);
+  EXPECT_EQ(started, 2);
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& za : results) EXPECT_EQ(za, ref.za);
 }
 
 TEST(ServerPrograms, VideoTenantRunsInsideItsCarveout) {
