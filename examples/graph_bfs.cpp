@@ -16,9 +16,6 @@
 //
 //   ORWL_STEAL=off ./graph_bfs     # static split: no stealing
 //   ./graph_bfs                    # full locality order (default all)
-//
-// ORWL_STEAL_SPIN=N tunes how many fruitless victim sweeps a worker
-// spins before parking on a futex.
 #include <cstdio>
 #include <cstdlib>
 

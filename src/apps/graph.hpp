@@ -15,7 +15,7 @@
 //  * PageRank is pull-based with a fixed per-vertex summation order —
 //    every floating-point operation sequence is identical to the
 //    sequential reference, so the result is bit-identical under
-//    ORWL_STEAL=off, node, and all.
+//    ORWL_STEAL=off and all.
 #pragma once
 
 #include <cstddef>

@@ -223,29 +223,26 @@ void Program::make_steal_executor() {
   }
   rt::StealExecutor::Config cfg;
   cfg.mode = rt_->steal_mode();
-  cfg.spin = rt_->steal_spin();
-  steal_.exec =
-      std::make_unique<rt::StealExecutor>(topo, std::move(specs), cfg);
+  steal_ = std::make_unique<rt::StealExecutor>(topo, std::move(specs), cfg);
   // Steal traffic feeds the same measured matrix as lock hand-offs:
   // items flowing across nodes skew it and can trip ORWL_REPLACE (no-op
   // when the replace policy keeps no meter).
-  steal_.exec->set_meter(rt_->comm_meter(), n);
-  rt::StealExecutor* ex = steal_.exec.get();
+  steal_->set_meter(rt_->comm_meter(), n);
+  rt::StealExecutor* ex = steal_.get();
   rt_->set_steal_stats_source([ex](rt::ProgramStats& ps) {
     const rt::StealExecutor::Stats s = ex->stats();
     ps.steal_executed = s.executed;
     ps.steal_local = s.local_steals;
     ps.steal_remote = s.remote_steals;
-    ps.steal_lent = s.lend_executed;
     ps.steal_parks = s.parks;
   });
 }
 
 void Program::for_each_impl(TaskId task, std::span<const std::uint64_t> seeds,
                             const ForEachBody& body) {
-  // Adapt the typed body once per call. Workers run their own copy;
-  // lenders run the copy the last arriver parks in StealState (bodies
-  // of one collective are functionally identical by contract).
+  // Adapt the typed body once per call; each task's worker runs its own
+  // copy (bodies of one collective are functionally identical by
+  // contract).
   rt::StealExecutor::ItemFn fn =
       [&body](std::uint64_t item, rt::StealExecutor::WorkerContext& wc) {
         StealContext sc(wc);
@@ -259,24 +256,19 @@ void Program::for_each_impl(TaskId task, std::span<const std::uint64_t> seeds,
   rt_->rendezvous(
       "for_each",
       [&](std::size_t) {
-        if (!steal_.exec) make_steal_executor();
-        for (const std::uint64_t s : seeds) steal_.exec->seed(task, s);
+        if (!steal_) make_steal_executor();
+        for (const std::uint64_t s : seeds) steal_->seed(task, s);
       },
-      [&] {
-        steal_.session_fn = fn;
-        steal_.exec->begin_session(steal_.session_fn);
-      });
+      nullptr);
 
-  steal_.exec->run_worker(task, fn);
+  steal_->run_worker(task, fn);
 
   // Exit rendezvous: a finished worker may not seed the NEXT collective
   // while a sibling of this one could still sweep (it would execute the
-  // new item under the old body). The last one out ends the session so
-  // lock-blocked lenders stop referencing session_fn, and rethrows the
-  // first item failure to every task.
+  // new item under the old body). The last one out rethrows the first
+  // item failure to every task.
   rt_->rendezvous("for_each", nullptr, [&] {
-    steal_.exec->end_session();
-    if (const std::exception_ptr e = steal_.exec->take_error()) {
+    if (const std::exception_ptr e = steal_->take_error()) {
       std::rethrow_exception(e);
     }
   });

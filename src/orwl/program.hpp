@@ -65,8 +65,7 @@ class StealContext {
  public:
   void push(std::uint64_t item) { wc_->push(item); }
 
-  /// Index of the worker executing this item (== the task id for task
-  /// workers, >= num_tasks for lock-blocked lenders).
+  /// Index of the worker executing this item (== its task id).
   std::size_t worker() const noexcept { return wc_->worker(); }
 
  private:
@@ -248,14 +247,6 @@ class Program {
     double published = 0.0;
   };
 
-  /// State of the for_each collective. The executor is built by the
-  /// first task that reaches a for_each and is reused by every later
-  /// collective.
-  struct StealState {
-    std::unique_ptr<rt::StealExecutor> exec;
-    rt::StealExecutor::ItemFn session_fn;  ///< lender body (outlives session)
-  };
-
   /// Build the for_each executor: one worker per task, on the task's
   /// placed PU and shard arena (round-robin PUs while unplaced).
   void make_steal_executor();
@@ -282,7 +273,9 @@ class Program {
   std::vector<TaskBody> bodies_;
   std::vector<std::unique_ptr<FifoChannel>> fifos_;  // declaration order
   Reducer red_;
-  StealState steal_;
+  /// The for_each executor: built by the first task that reaches a
+  /// for_each and reused by every later collective.
+  std::unique_ptr<rt::StealExecutor> steal_;
 };
 
 /// Per-task view of a v2 program — the argument of every task body.
@@ -456,9 +449,11 @@ class Task {
   /// under the topology-aware steal executor (ORWL_STEAL /
   /// Options::steal policy), and the call returns on every task once
   /// ALL items are done (hierarchical termination detection, no
-  /// ping-pong barrier). Bodies of one collective must be functionally
-  /// identical across tasks and must not acquire ORWL locks (a blocked
-  /// acquire inside an item would stall the worker's deque).
+  /// ping-pong barrier). Items run on this program's task threads only:
+  /// a thread blocked on an ORWL lock, of this program or another, just
+  /// parks. Bodies of one collective must be functionally identical
+  /// across tasks and must not acquire ORWL locks (a blocked acquire
+  /// inside an item would stall the worker's deque).
   /// A throwing item counts as executed; the first item exception is
   /// rethrown on every task once all items are done. A task leaving its
   /// body first makes for_each throw std::runtime_error naming it.

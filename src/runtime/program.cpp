@@ -51,7 +51,6 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
       resolve(knob::kReplaceDecay, opts_.replace_decay), 0.0, 1.0);
   replace_interval_ = resolve(knob::kReplaceInterval, opts_.replace_interval);
   steal_mode_ = resolve(knob::kSteal, opts_.steal);
-  steal_spin_ = resolve(knob::kStealSpin, opts_.steal_spin);
 
   // One shard per NUMA node (topology subtree on NUMA-less machines).
   // A queue's shard picks its arena and its CommMeter bank.

@@ -121,10 +121,6 @@ struct ProgramOptions {
   /// orwl::Task::for_each (ORWL_STEAL: off|all, default all).
   std::optional<StealMode> steal;
 
-  /// Fruitless victim sweeps before an executor worker parks.
-  /// ORWL_STEAL_SPIN, default 64.
-  std::optional<std::size_t> steal_spin;
-
   /// Tenant tag carried into lock-protocol diagnostics: every location
   /// queue's acquire-timeout error names its location, owner task, slot
   /// and — when set — this tag, so a stuck program on a multi-tenant
@@ -192,14 +188,12 @@ struct ProgramStats {
   std::uint64_t futex_wakes = 0;
 
   // ---- work-stealing executor (ORWL_STEAL) -------------------------------
-  /// Items executed by the for_each steal executor (workers + lenders).
+  /// Items executed by the for_each steal executor.
   std::uint64_t steal_executed = 0;
   /// Steals served by a victim on the thief's own NUMA node.
   std::uint64_t steal_local = 0;
   /// Steals that crossed NUMA nodes (victim order puts these last).
   std::uint64_t steal_remote = 0;
-  /// Items executed by lock-blocked threads lending their PU.
-  std::uint64_t steal_lent = 0;
   /// Executor worker sleeps after an exhausted spin budget.
   std::uint64_t steal_parks = 0;
 };
@@ -260,10 +254,9 @@ class Program {
 
   // ---- work stealing (the for_each executor) ------------------------------
 
-  /// Resolved steal policy and spin budget (options/env, fixed at
-  /// construction); the orwl facade builds its executor from these.
+  /// Resolved steal policy (options/env, fixed at construction); the
+  /// orwl facade builds its executor from it.
   StealMode steal_mode() const noexcept { return steal_mode_; }
-  std::size_t steal_spin() const noexcept { return steal_spin_; }
 
   /// Install the hook run() uses to fold executor counters into
   /// stats() after the tasks join (set once by the facade when a
@@ -515,7 +508,6 @@ class Program {
   double replace_decay_ = 0.5;
   std::size_t replace_interval_ = 16;
   StealMode steal_mode_ = StealMode::All;
-  std::size_t steal_spin_ = 64;
   std::function<void(ProgramStats&)> steal_stats_source_;
   std::unique_ptr<CommMeter> meter_;
   tm::CommMatrix measured_;

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "runtime/futex.hpp"
-#include "runtime/steal_executor.hpp"
 
 namespace orwl::rt {
 
@@ -204,22 +203,7 @@ void RequestQueue::acquire_slow(Ticket t) {
       return;
     }
   }
-  // Blocked on the lock with a steal session live: lend this PU to the
-  // executor instead of parking it. lend() runs stolen items until the
-  // grant lands (the give-up predicate below), the session quiesces, or
-  // the caller is not lendable (nested block, ORWL_STEAL=off).
-  if (StealExecutor* ex = StealExecutor::current()) {
-    ex->lend([s, t] {
-      return s->word.load(std::memory_order_acquire) == pack(t, kGranted);
-    });
-    if (s->word.load(std::memory_order_acquire) == pack(t, kGranted)) {
-      return;
-    }
-  }
-  acquire_parked(t, s);
-}
-
-void RequestQueue::acquire_parked(Ticket t, Slot* s) {
+  // Blocked: park on the slot's futex word until the grant lands.
   // Announce the parking with a bare CAS — no lock. The granter's
   // exchange either happens first (we observe kGranted below) or sees
   // kParked and then bumps seq before waking; our wait loop reads seq
@@ -358,10 +342,10 @@ void RequestQueue::set_remote_sink(RemoteGrantSink* sink) noexcept {
 }
 
 bool RequestQueue::park_remote(Ticket t) {
-  // Same announcement as acquire_parked: the granter's exchange either
-  // happens first (the CAS sees kGranted and the caller ships the grant)
-  // or sees kRemote and queues the ticket for the sink. Exactly one of
-  // the two owns the hand-off.
+  // Same announcement as acquire_slow's parking: the granter's exchange
+  // either happens first (the CAS sees kGranted and the caller ships the
+  // grant) or sees kRemote and queues the ticket for the sink. Exactly
+  // one of the two owns the hand-off.
   const Window* w = window_.load(std::memory_order_acquire);
   Slot* s = w->slots[t & w->mask].load(std::memory_order_acquire);
   std::uint64_t expected = pack(t, kWaiting);

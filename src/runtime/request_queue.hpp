@@ -244,7 +244,6 @@ class RequestQueue {
   // ---- lock-free paths ---------------------------------------------------
 
   void acquire_slow(Ticket t);
-  void acquire_parked(Ticket t, Slot* s);
   /// Futex-wake the parked slots, then hand the remote ones to the sink
   /// (grant_remote). Runs with mu_ dropped.
   void wake_parked(const std::vector<Slot*>& wake);

@@ -12,18 +12,8 @@ namespace orwl::rt {
 
 namespace {
 
-/// Process-wide lending target (the executor of the active session).
-std::atomic<StealExecutor*> g_current{nullptr};
-
-/// Reentrancy guard: a lent item that blocks on a lock parks normally
-/// instead of lending again (a nested loan would stack loans on the
-/// lender's stack with no bound).
-thread_local bool tl_lending = false;
-
-/// Set while a thread is inside run_worker, so a worker blocked on a
-/// lock inside an item body lends through its own deque and victim
-/// order instead of the anonymous lender path.
-thread_local StealExecutor::WorkerContext* tl_worker_ctx = nullptr;
+/// Fruitless victim sweeps before a worker parks on work_seq_.
+constexpr std::size_t kSpinSweeps = 64;
 
 }  // namespace
 
@@ -32,12 +22,12 @@ const char* to_string(StealMode m) noexcept {
 }
 
 void StealExecutor::WorkerContext::push(std::uint64_t item) {
-  if (deque_ != nullptr && deque_->push(item)) {
+  if (deque_->push(item)) {
     ex_->notify_work();
     return;
   }
-  // Full ring (or an anonymous lender): keep the item thread-local; the
-  // run loop drains overflow before popping or stealing anything else.
+  // Full ring: keep the item thread-local; the run loop drains overflow
+  // before popping or stealing anything else.
   overflow_.push_back(item);
 }
 
@@ -105,39 +95,15 @@ StealExecutor::StealExecutor(const topo::Topology& t,
       }
     }
   }
-
-  lender_victims_.resize(state_.size());
-  for (std::size_t w = 0; w < state_.size(); ++w) {
-    lender_victims_[w] = static_cast<std::uint32_t>(w);
-  }
 }
 
 StealExecutor::~StealExecutor() {
-  end_session();
   for (auto& ws : state_) arena_delete(ws->deque);
 }
 
 void StealExecutor::seed(std::size_t w, std::uint64_t item) {
   WorkerState& ws = *state_.at(w);
   if (!ws.deque->push(item)) ws.seed_spill.push_back(item);
-}
-
-void StealExecutor::begin_session(const ItemFn& fn) {
-  session_fn_.store(&fn, std::memory_order_release);
-  StealExecutor* expected = nullptr;
-  g_current.compare_exchange_strong(expected, this,
-                                    std::memory_order_acq_rel);
-}
-
-void StealExecutor::end_session() {
-  StealExecutor* expected = this;
-  g_current.compare_exchange_strong(expected, nullptr,
-                                    std::memory_order_acq_rel);
-  session_fn_.store(nullptr, std::memory_order_release);
-}
-
-StealExecutor* StealExecutor::current() noexcept {
-  return g_current.load(std::memory_order_acquire);
 }
 
 void StealExecutor::activate(int node) noexcept {
@@ -206,7 +172,7 @@ void StealExecutor::execute(const ItemFn& fn, std::uint64_t item,
                             WorkerContext& ctx) {
   // An item that throws still counts as executed: letting the exception
   // out would leave this worker counted active (no one could see
-  // quiescence again) and tl_worker_ctx pointing at a dead frame.
+  // quiescence again).
   try {
     fn(item, ctx);
   } catch (...) {
@@ -225,8 +191,6 @@ void StealExecutor::run_worker(std::size_t w, const ItemFn& fn) {
   WorkerContext ctx(*this, w, ws.deque);
   ctx.overflow_ = std::move(ws.seed_spill);
   ws.seed_spill.clear();
-  WorkerContext* const prev_ctx = tl_worker_ctx;
-  tl_worker_ctx = &ctx;
 
   const std::size_t steal_limit =
       cfg_.mode == StealMode::All ? ws.victims.size() : 0;
@@ -272,7 +236,7 @@ void StealExecutor::run_worker(std::size_t w, const ItemFn& fn) {
     // Own deque is empty (the pop above failed and only the owner
     // pushes), so quiescence means nothing anywhere can still need us.
     if (quiescent()) break;
-    if (++fruitless >= cfg_.spin) {
+    if (++fruitless >= kSpinSweeps) {
       ws.parks.fetch_add(1, std::memory_order_relaxed);
       parked_.fetch_add(1, std::memory_order_acq_rel);
       const std::uint32_t seq = work_seq_.load(std::memory_order_acquire);
@@ -283,105 +247,6 @@ void StealExecutor::run_worker(std::size_t w, const ItemFn& fn) {
       std::this_thread::yield();
     }
   }
-  tl_worker_ctx = prev_ctx;
-}
-
-std::uint64_t StealExecutor::lend(const std::function<bool()>& give_up) {
-  if (tl_lending) return 0;
-  const ItemFn* const fn = session_fn_.load(std::memory_order_acquire);
-  if (fn == nullptr) return 0;
-
-  // Reuse the worker identity when the blocked thread *is* one of this
-  // executor's workers (a worker whose item body blocked on a lock):
-  // its deque, victim order and node stay valid on its own thread.
-  WorkerContext* const wctx =
-      (tl_worker_ctx != nullptr && tl_worker_ctx->ex_ == this)
-          ? tl_worker_ctx
-          : nullptr;
-  if (wctx == nullptr && cfg_.mode != StealMode::All) {
-    // Anonymous lenders own no deque: with stealing off there is nothing
-    // they could run.
-    return 0;
-  }
-
-  tl_lending = true;
-  WorkerContext local(*this, state_.size(), nullptr);
-  WorkerContext& ctx = wctx != nullptr ? *wctx : local;
-  const int my_node = wctx != nullptr ? state_[ctx.worker_]->node : 0;
-
-  // Rotate the lender order per loan so concurrent lenders fan out.
-  std::vector<std::uint32_t> rotated;
-  const std::vector<std::uint32_t>* order = nullptr;
-  std::size_t limit = 0;
-  if (wctx != nullptr) {
-    const WorkerState& ws = *state_[ctx.worker_];
-    order = &ws.victims;
-    limit = cfg_.mode == StealMode::All ? ws.victims.size() : 0;
-  } else {
-    const std::uint32_t rot =
-        lender_rotation_.fetch_add(1, std::memory_order_relaxed);
-    rotated.reserve(lender_victims_.size());
-    for (std::size_t i = 0; i < lender_victims_.size(); ++i) {
-      rotated.push_back(
-          lender_victims_[(i + rot) % lender_victims_.size()]);
-    }
-    order = &rotated;
-    limit = rotated.size();
-  }
-
-  std::uint64_t ran = 0;
-  bool active = false;
-  std::size_t fruitless = 0;
-  while (!give_up() && fruitless < cfg_.spin) {
-    if (session_fn_.load(std::memory_order_acquire) != fn) break;
-    if (!active) {
-      activate(my_node);
-      active = true;
-    }
-    std::uint64_t item = 0;
-    int victim_node = my_node;
-    std::uint32_t victim_worker = 0;
-    bool got = false;
-    if (!ctx.overflow_.empty()) {
-      item = ctx.overflow_.back();
-      ctx.overflow_.pop_back();
-      got = true;
-    } else if (ctx.deque_ != nullptr && ctx.deque_->pop(item)) {
-      got = true;
-    } else if (sweep(*order, limit, item, victim_node, victim_worker)) {
-      got = true;
-    }
-    if (!got) {
-      deactivate(my_node);
-      active = false;
-      if (quiescent()) break;
-      ++fruitless;
-      std::this_thread::yield();
-      continue;
-    }
-    fruitless = 0;
-    execute(*fn, item, ctx);
-    ++ran;
-  }
-  // Items parked in a pure lender's overflow are invisible to everyone
-  // else — run them before handing the thread back to the lock path.
-  // (A worker's own context keeps its overflow; run_worker drains it.)
-  if (wctx == nullptr) {
-    while (!local.overflow_.empty()) {
-      if (!active) {
-        activate(my_node);
-        active = true;
-      }
-      const std::uint64_t item = local.overflow_.back();
-      local.overflow_.pop_back();
-      execute(*fn, item, local);
-      ++ran;
-    }
-  }
-  if (active) deactivate(my_node);
-  lend_executed_.fetch_add(ran, std::memory_order_relaxed);
-  tl_lending = false;
-  return ran;
 }
 
 StealExecutor::Stats StealExecutor::stats() const noexcept {
@@ -392,8 +257,6 @@ StealExecutor::Stats StealExecutor::stats() const noexcept {
     s.remote_steals += ws->remote_steals.load(std::memory_order_relaxed);
     s.parks += ws->parks.load(std::memory_order_relaxed);
   }
-  s.lend_executed = lend_executed_.load(std::memory_order_relaxed);
-  s.executed += s.lend_executed;
   return s;
 }
 

@@ -20,18 +20,14 @@
 // exits only when the root count is zero AND its own deque is empty, so
 // no seeded or pushed item can be abandoned.
 //
-// Lock-blocked lending: a task thread blocked in RequestQueue's slow
-// path can lend its PU to the executor (lend()) instead of parking
-// immediately — it steals and runs items until its grant arrives or a
-// spin budget runs out. Items executed under lending must not acquire
-// ORWL locks themselves (a nested block would park on the lender's
-// stack and stall the loan; the acquire path refuses nested lending).
+// The executor's workers are the task threads of one program and no
+// other thread: a task blocked on an ORWL lock parks on its slot's futex
+// word (rt::RequestQueue) and never runs another program's items.
 //
-// Knobs (resolved by the program layer; the executor takes a Config):
+// Knob (resolved by the program layer; the executor takes a Config):
 //   ORWL_STEAL      = off|all       — no stealing / full victim order,
 //                     remote nodes last (default all).
-//   ORWL_STEAL_SPIN = N             — fruitless victim sweeps before a
-//                     worker parks (default 64).
+// A worker parks after a fixed 64 fruitless victim sweeps.
 #pragma once
 
 #include <atomic>
@@ -71,7 +67,6 @@ class StealExecutor {
 
   struct Config {
     StealMode mode = StealMode::All;
-    std::size_t spin = 64;            ///< fruitless sweeps before parking
     std::size_t deque_capacity = 8192;
   };
 
@@ -92,8 +87,7 @@ class StealExecutor {
     /// Push a follow-up work item (runnable by any worker).
     void push(std::uint64_t item);
 
-    /// Index of the executing worker; workers() for lenders (threads
-    /// lending a blocked PU have no deque of their own).
+    /// Index of the executing worker.
     std::size_t worker() const noexcept { return worker_; }
 
    private:
@@ -103,16 +97,15 @@ class StealExecutor {
 
     StealExecutor* ex_;
     std::size_t worker_;
-    StealDeque* deque_;  ///< null for lenders
+    StealDeque* deque_;
     std::vector<std::uint64_t> overflow_;
   };
 
   /// Counter snapshot (surfaced as ProgramStats::steal_* and bench JSON).
   struct Stats {
-    std::uint64_t executed = 0;       ///< items run, by anyone
+    std::uint64_t executed = 0;       ///< items run
     std::uint64_t local_steals = 0;   ///< steals from a same-node victim
     std::uint64_t remote_steals = 0;  ///< steals across NUMA nodes
-    std::uint64_t lend_executed = 0;  ///< items run by lock-blocked lenders
     std::uint64_t parks = 0;          ///< worker sleeps after a spin budget
   };
 
@@ -134,29 +127,12 @@ class StealExecutor {
   /// running session; call before the workers start).
   void seed(std::size_t w, std::uint64_t item);
 
-  /// Publish `fn` as the session body and register this executor as the
-  /// process-wide lending target (StealExecutor::current). One session
-  /// at a time per process; a concurrent second session simply runs
-  /// without lenders. `fn` must outlive the session.
-  void begin_session(const ItemFn& fn);
-  void end_session();
-
   /// Participate as worker `w` until global termination: drain own
-  /// work, steal by the victim order, park after `spin` fruitless
-  /// sweeps, exit when the termination tree is quiescent. Every worker
-  /// passed at construction must eventually call this once per session,
-  /// or seeded items on its deque may go unexecuted.
+  /// work, steal by the victim order, park after 64 fruitless sweeps,
+  /// exit when the termination tree is quiescent. Every worker passed
+  /// at construction must eventually call this once per session, or
+  /// seeded items on its deque may go unexecuted.
   void run_worker(std::size_t w, const ItemFn& fn);
-
-  /// Lend the calling (lock-blocked) thread to the steal loop: run
-  /// items until `give_up` returns true, the spin budget is exhausted,
-  /// the session ends, or the executor goes quiescent.
-  /// \return Number of items executed by this loan.
-  std::uint64_t lend(const std::function<bool()>& give_up);
-
-  /// The executor of the process-wide active session (lending target);
-  /// null when no session is active.
-  static StealExecutor* current() noexcept;
 
   /// Bytes one steal charges to the measured comm matrix: the stolen
   /// item's 8-byte payload plus the cache line its working set drags
@@ -171,14 +147,14 @@ class StealExecutor {
   /// this, a for_each whose items keep flowing across NUMA nodes skews
   /// the measured matrix exactly like lock hand-offs do, so sustained
   /// cross-node stealing can trip the ORWL_REPLACE divergence trigger.
-  /// Only workers with task identity record (index < num_tasks; lenders
-  /// have none). Thread-compatible with a running session: the pointer
-  /// is read with acquire on each steal.
+  /// Only workers with task identity record (index < num_tasks).
+  /// Thread-compatible with a running session: the pointer is read with
+  /// acquire on each steal.
   void set_meter(CommMeter* meter, std::size_t num_tasks) noexcept;
 
   /// The first exception an item body threw since the last call, or
   /// null; clears it. A throwing item counts as executed and does not
-  /// stop its worker or lender, so the session still terminates.
+  /// stop its worker, so the session still terminates.
   std::exception_ptr take_error();
 
   Stats stats() const noexcept;
@@ -232,11 +208,6 @@ class StealExecutor {
   alignas(64) std::atomic<std::uint32_t> work_seq_{0};
   std::atomic<int> parked_{0};
 
-  /// Session state: the body lenders run, null between sessions.
-  std::atomic<const ItemFn*> session_fn_{nullptr};
-
-  std::atomic<std::uint64_t> lend_executed_{0};
-
   std::mutex error_mu_;
   std::exception_ptr error_;  ///< first item failure (see take_error)
 
@@ -244,11 +215,6 @@ class StealExecutor {
   /// indices carry task identity.
   std::atomic<CommMeter*> meter_{nullptr};
   std::atomic<std::size_t> meter_tasks_{0};
-
-  /// Victim order used by lenders (all workers, round-robin rotation
-  /// applied per loan so concurrent lenders fan out).
-  std::vector<std::uint32_t> lender_victims_;
-  std::atomic<std::uint32_t> lender_rotation_{0};
 };
 
 }  // namespace orwl::rt

@@ -40,7 +40,6 @@ void accumulate(rt::ProgramStats& into, const rt::ProgramStats& run) {
   into.steal_executed += run.steal_executed;
   into.steal_local += run.steal_local;
   into.steal_remote += run.steal_remote;
-  into.steal_lent += run.steal_lent;
   into.steal_parks += run.steal_parks;
 }
 

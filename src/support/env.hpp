@@ -65,8 +65,6 @@ inline constexpr Knob kReplaceInterval{"ORWL_REPLACE_INTERVAL",
                                        KnobKind::Integer, "16", 1};
 inline constexpr Knob kSteal{"ORWL_STEAL", KnobKind::Choice, "all", 0, 0,
                              {"off", "all"}};
-inline constexpr Knob kStealSpin{"ORWL_STEAL_SPIN", KnobKind::Integer, "64",
-                                 1};
 
 // Topology and memory binding (topo).
 /// No fixed default: unset probes the host.
@@ -99,7 +97,7 @@ inline constexpr Knob kDistShmSlots{"ORWL_DIST_SHM_SLOTS", KnobKind::Integer,
 inline constexpr const Knob* kKnobs[] = {
     &knob::kAffinity, &knob::kDataTransfer, &knob::kReplace,
     &knob::kReplaceThreshold, &knob::kReplaceDecay, &knob::kReplaceInterval,
-    &knob::kSteal, &knob::kStealSpin, &knob::kTopology, &knob::kMemBind,
+    &knob::kSteal, &knob::kTopology, &knob::kMemBind,
     &knob::kServerMaxTenants, &knob::kServerQueueCap,
     &knob::kServerGrowBacklog, &knob::kServerShrinkIdleMs, &knob::kDist,
     &knob::kDistPort, &knob::kDistShmSlots};

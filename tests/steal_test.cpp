@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <exception>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -167,21 +170,16 @@ TEST(VictimTable, Fig2RowsArePermutations) {
 
 // ---- the knobs ----------------------------------------------------------
 
-// The Program resolves ORWL_STEAL / ORWL_STEAL_SPIN once, options beating
-// the environment; the spellings map onto StealMode in order. Parsing
-// itself is covered for every knob by support_test's KnobTable.
-TEST(StealKnobs, ProgramResolvesModeAndSpin) {
+// The Program resolves ORWL_STEAL once, options beating the environment;
+// the spellings map onto StealMode in order. Parsing itself is covered
+// for every knob by support_test's KnobTable.
+TEST(StealKnobs, ProgramResolvesMode) {
   const Topology machine = orwl::topo::make_numa(2, 2, 1);
   orwl::rt::ProgramOptions o;
   o.topology = &machine;
   o.affinity = orwl::rt::AffinityMode::Off;
   ScopedEnv mode(orwl::support::knob::kSteal.name, nullptr);
-  ScopedEnv spin(orwl::support::knob::kStealSpin.name, nullptr);
-  {
-    const orwl::rt::Program p(2, o);
-    EXPECT_EQ(p.steal_mode(), StealMode::All);
-    EXPECT_EQ(p.steal_spin(), 64u);
-  }
+  EXPECT_EQ(orwl::rt::Program(2, o).steal_mode(), StealMode::All);
   const std::pair<const char*, StealMode> spellings[] = {
       {"off", StealMode::Off}, {"all", StealMode::All}};
   for (const auto& [spelling, m] : spellings) {
@@ -191,14 +189,9 @@ TEST(StealKnobs, ProgramResolvesModeAndSpin) {
   }
   mode.set("node");  // a removed mode's spelling fails loudly
   EXPECT_THROW(orwl::rt::Program(2, o), std::invalid_argument);
-  mode.set(nullptr);
-  spin.set("7");
-  EXPECT_EQ(orwl::rt::Program(2, o).steal_spin(), 7u);
+  mode.set("all");
   o.steal = StealMode::Off;
-  o.steal_spin = 5;
-  const orwl::rt::Program p(2, o);
-  EXPECT_EQ(p.steal_mode(), StealMode::Off);
-  EXPECT_EQ(p.steal_spin(), 5u);
+  EXPECT_EQ(orwl::rt::Program(2, o).steal_mode(), StealMode::Off);
 }
 
 // ---- the executor -------------------------------------------------------
@@ -206,7 +199,6 @@ TEST(StealKnobs, ProgramResolvesModeAndSpin) {
 StealExecutor::Config test_config(StealMode mode) {
   StealExecutor::Config cfg;
   cfg.mode = mode;
-  cfg.spin = 16;
   cfg.deque_capacity = 128;  // small on purpose: exercises the overflow
   return cfg;
 }
@@ -331,54 +323,6 @@ TEST(StealExecutor, SessionsAreReusable) {
   }
 }
 
-// An anonymous lender (a thread that is not a worker) drains seeded
-// work during a session — the lock-blocked-lending path without the
-// lock machinery.
-TEST(StealExecutor, AnonymousLenderDrainsSeededWork) {
-  const Topology t = orwl::topo::make_flat(2);
-  StealExecutor ex(t, specs_round_robin(2, 2), test_config(StealMode::All));
-  constexpr std::uint64_t kItems = 50;
-  for (std::uint64_t i = 0; i < kItems; ++i) ex.seed(i % 2, i);
-
-  std::atomic<std::uint64_t> count{0};
-  const StealExecutor::ItemFn fn =
-      [&count](std::uint64_t, StealExecutor::WorkerContext& ctx) {
-        const std::uint64_t c = count.fetch_add(1, std::memory_order_relaxed);
-        if (c == 0) ctx.push(1000);  // re-injection through a lender
-      };
-  ex.begin_session(fn);
-  EXPECT_EQ(StealExecutor::current(), &ex);
-  const std::uint64_t ran = ex.lend([] { return false; });
-  ex.end_session();
-  EXPECT_EQ(StealExecutor::current(), nullptr);
-
-  EXPECT_EQ(ran, kItems + 1);
-  EXPECT_EQ(count.load(std::memory_order_relaxed), kItems + 1);
-  EXPECT_EQ(ex.stats().lend_executed, kItems + 1);
-}
-
-// In Off mode a thread with no deque of its own has nothing to run, so
-// the loan is refused outright.
-TEST(StealExecutor, AnonymousLendersRequireAllMode) {
-  const Topology t = orwl::topo::make_flat(2);
-  StealExecutor ex(t, specs_round_robin(2, 2), test_config(StealMode::Off));
-  ex.seed(0, 7);
-  std::atomic<std::uint64_t> count{0};
-  const StealExecutor::ItemFn fn =
-      [&count](std::uint64_t, StealExecutor::WorkerContext&) {
-        count.fetch_add(1, std::memory_order_relaxed);
-      };
-  ex.begin_session(fn);
-  EXPECT_EQ(ex.lend([] { return false; }), 0u);
-  ex.end_session();
-  // Drain the seed so the deque is empty at destruction.
-  std::thread w0([&] { ex.run_worker(0, fn); });
-  std::thread w1([&] { ex.run_worker(1, fn); });
-  w0.join();
-  w1.join();
-  EXPECT_EQ(count.load(std::memory_order_relaxed), 1u);
-}
-
 // ---- the facade (Task::for_each) ----------------------------------------
 
 TEST(ForEach, EmptyCollectiveTerminates) {
@@ -405,6 +349,86 @@ TEST(ForEach, StatsLandInProgramStats) {
   });
   p.run();
   EXPECT_EQ(p.stats().steal_executed, 100u);
+}
+
+// Items of a for_each run on their own program's task threads only.
+// Program X keeps its two tasks taking turns on one write lock next to
+// program Y's collective, so one of X's threads is blocked on the lock
+// most of the time; a blocked acquirer only parks and must not pick up
+// Y's items.
+TEST(ForEach, ItemsRunOnlyOnTheirProgramsThreads) {
+  constexpr std::uint64_t kItems = 300;
+  orwl::Options o;
+  o.affinity = orwl::rt::AffinityMode::Off;
+  o.steal = StealMode::All;
+
+  // The Max reduction stops both X tasks at the same iteration, so
+  // neither leaves while the other still waits for its grant.
+  std::atomic<bool> y_done{false};
+  std::atomic<std::uint64_t> turns{0};
+  orwl::ProgramBuilder xb(2, o);
+  xb.task(0).owns<int>().writes<int>(orwl::loc(0), 0);
+  xb.task(1).writes<int>(orwl::loc(0), 1);
+  xb.body([&](orwl::Task& task) {
+    const orwl::WriteLink<int> link = task.write_link<int>(orwl::loc(0));
+    task.run_iterations(
+        [](double stop) { return stop > 0.0; },
+        [&](std::size_t) {
+          {
+            orwl::WriteGuard<int> w(link);
+            ++w.ref();
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          }
+          turns.fetch_add(1, std::memory_order_relaxed);
+          return y_done.load(std::memory_order_acquire) ? 1.0 : 0.0;
+        },
+        orwl::ReduceOp::Max);
+  });
+  orwl::Program x = xb.build();
+  std::exception_ptr x_error;
+  std::thread x_runner([&] {
+    try {
+      x.run();
+    } catch (...) {
+      x_error = std::current_exception();
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (turns.load(std::memory_order_relaxed) < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  std::atomic<std::uint64_t> ran{0};
+  std::atomic<std::uint64_t> foreign{0};
+  orwl::Program y(1, o);
+  y.set_task_body([&](orwl::Task& t) {
+    t.schedule();
+    const std::thread::id own = std::this_thread::get_id();
+    std::vector<std::uint64_t> seeds(kItems);
+    std::iota(seeds.begin(), seeds.end(), 0);
+    t.for_each(seeds, [&](std::uint64_t, orwl::StealContext&) {
+      if (std::this_thread::get_id() != own) {
+        foreign.fetch_add(1, std::memory_order_relaxed);
+      }
+      ran.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    });
+  });
+  const std::uint64_t turns_before = turns.load(std::memory_order_relaxed);
+  const RunOutcome out = run_or_abort(y, "for_each next to a lock");
+  const std::uint64_t turns_during =
+      turns.load(std::memory_order_relaxed) - turns_before;
+  y_done.store(true, std::memory_order_release);
+  x_runner.join();
+
+  EXPECT_FALSE(out.error);
+  EXPECT_FALSE(x_error);
+  EXPECT_GT(turns_during, 10u) << "X was not taking turns during the run";
+  EXPECT_EQ(ran.load(), kItems);
+  EXPECT_EQ(foreign.load(), 0u) << "items ran on another program's threads";
+  EXPECT_EQ(y.stats().steal_executed, kItems);
 }
 
 // ---- failures inside and around the collective --------------------------
