@@ -57,7 +57,7 @@ inline void annotate_parking_counters(benchmark::State& state,
 }
 
 /// Program-level variant: arena + parking counters from ProgramStats
-/// (per-shard arenas summed by the runtime). Used by the fixture-driven
+/// (per-node arenas summed by the runtime). Used by the fixture-driven
 /// benches (micro_replace on smp20e7) that the node-miss gate watches.
 inline void annotate_runtime_counters(benchmark::State& state,
                                       const rt::ProgramStats& stats) {

@@ -56,6 +56,7 @@ std::vector<StealExecutor::WorkerSpec> worker_specs() {
   std::vector<StealExecutor::WorkerSpec> specs(kWorkers);
   for (std::size_t w = 0; w < kWorkers; ++w) {
     specs[w].pu = static_cast<int>(w < 4 ? w : 8 + (w - 4));
+    specs[w].node = w < 4 ? 0 : 1;
   }
   return specs;
 }

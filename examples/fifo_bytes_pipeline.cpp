@@ -9,7 +9,7 @@
 // T = void byte view.
 //
 // The frame ring's bookkeeping, like all runtime-internal allocations,
-// comes from the owning shard's NUMA-bound arena; run with
+// comes from the NUMA-bound arena of the owner's node; run with
 //
 //   ./fifo_bytes_pipeline
 //

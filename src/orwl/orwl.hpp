@@ -40,7 +40,6 @@ namespace orwl {
 // v1 surface stays reachable under orwl::rt:: (and orwl::topo::,
 // orwl::tm::, orwl::aff::) for white-box code.
 using rt::AffinityMode;
-using rt::DataTransferMode;
 using rt::FifoConsumer;
 using rt::FifoProducer;
 using rt::ProgramOptions;

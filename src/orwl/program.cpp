@@ -8,6 +8,7 @@
 
 #include "dist/registry.hpp"
 #include "dist/remote.hpp"
+#include "topo/membind.hpp"
 
 namespace orwl {
 
@@ -203,23 +204,13 @@ void Program::make_steal_executor() {
     if (rt_->have_placement() && t < rt_->placement().compute_pu.size()) {
       os = rt_->placement().compute_pu[t];
     }
-    int logical = -1;
-    if (os >= 0) {
-      if (const topo::Object* pu = topo.pu_by_os_index(os)) {
-        logical = static_cast<int>(pu->logical_index);
-      }
-    }
-    if (logical < 0) {
-      logical = npus != 0 ? static_cast<int>(t % npus) : 0;
-    }
-    specs[t].pu = logical;
-    specs[t].arena = &rt::Arena::runtime_default();
-    if (os >= 0) {
-      const int shard = rt_->shard_map().shard_of(os);
-      if (shard >= 0) {
-        specs[t].arena = &rt_->shard_arena(static_cast<std::size_t>(shard));
-      }
-    }
+    const topo::Object* pu = os >= 0 ? topo.pu_by_os_index(os) : nullptr;
+    if (pu == nullptr && npus != 0) pu = topo.pu_at(static_cast<int>(t % npus));
+    specs[t].pu = pu != nullptr ? pu->logical_index : 0;
+    const topo::Object* node =
+        pu != nullptr ? topo::numa_node_of(topo, pu->os_index) : nullptr;
+    specs[t].node = node != nullptr ? node->logical_index : 0;
+    specs[t].arena = &rt_->node_arena(static_cast<std::size_t>(specs[t].node));
   }
   rt::StealExecutor::Config cfg;
   cfg.mode = rt_->steal_mode();

@@ -65,9 +65,6 @@ class StealContext {
  public:
   void push(std::uint64_t item) { wc_->push(item); }
 
-  /// Index of the worker executing this item (== its task id).
-  std::size_t worker() const noexcept { return wc_->worker(); }
-
  private:
   friend class Program;
   explicit StealContext(rt::StealExecutor::WorkerContext& wc) : wc_(&wc) {}
@@ -248,7 +245,8 @@ class Program {
   };
 
   /// Build the for_each executor: one worker per task, on the task's
-  /// placed PU and shard arena (round-robin PUs while unplaced).
+  /// placed PU (round-robin PUs while unplaced), with that PU's node and
+  /// the node's arena.
   void make_steal_executor();
 
   /// The collective behind Task::for_each: entry rendezvous (everyone

@@ -1,18 +1,18 @@
-// rt::Arena — per-shard slab allocator with node-bound backing pages.
+// rt::Arena — per-node slab allocator with node-bound backing pages.
 //
 // The grant engine's hottest structures (slot windows, slot slabs, FIFO
 // rings, meter banks) used to come from the global
 // heap wherever they were first touched — exactly the placement blindness
 // the paper argues against. An Arena carves small objects out of
-// topo::MemBind slabs bound to one NUMA node (the node of the shard it
-// serves), with power-of-two size-class freelists in front so
+// topo::MemBind slabs bound to one NUMA node (a Program keeps one arena
+// per node of its topology), with power-of-two size-class freelists in front so
 // the steady state never re-enters mmap.
 //
 // Ownership and routing: every allocation is prefixed by a small header
 // naming the arena that produced it, so the static Arena::deallocate(p)
 // routes a free back to the owning arena even after the object's queue
-// has been re-routed to a different shard (ORWL_REPLACE moves queues
-// between shards; memory stays on the node it was allocated on).
+// has been re-routed to another node's arena (ORWL_REPLACE moves queues
+// between nodes; memory stays on the node it was allocated on).
 //
 // Thread safety: all public member functions are safe to call
 // concurrently; the arena is one locked freelist per size class. Every
@@ -45,7 +45,7 @@ class Arena {
 
   /// Default slab size. Large enough that a queue's whole slot window
   /// plus a few slot chunks fit in one mmap; small enough that a
-  /// 20-shard program on a laptop does not pin half a gigabyte.
+  /// program on a 20-node machine does not pin half a gigabyte.
   static constexpr std::size_t kDefaultSlabBytes = 256 * 1024;
 
   /// Counter snapshot (also surfaced as ProgramStats::arena_*).

@@ -1,12 +1,6 @@
 #include "runtime/location.hpp"
 
-#include "support/env.hpp"
-
 namespace orwl::rt {
-
-const char* to_string(DataTransferMode p) noexcept {
-  return support::choice_name(support::knob::kDataTransfer, p);
-}
 
 bool Location::bind_home(int node) {
   home_node_.store(node, std::memory_order_release);

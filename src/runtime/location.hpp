@@ -6,12 +6,14 @@
 // accelerator) or an I/O device." (Sec. III)
 //
 // A location owns a NUMA-aware byte buffer (sized by scale()) and the
-// FIFO request queue that serializes access to it. The buffer is a
-// topo::NumaBuffer: once the affinity module has placed the owner task,
-// the runtime binds the buffer to the owner's NUMA node (the "data
-// transfer" that the paper's control threads manage beside lock
-// synchronization, Sec. IV-A). The pages move only when the placement moves: at
-// placement, on re-placement and on live inserts, never at grant time.
+// FIFO request queue that serializes access to it. Both follow the owner
+// task's placed NUMA node, the runtime's one locality index: the queue
+// draws its memory from that node's arena, and once the affinity module
+// has placed the owner, the buffer (a topo::NumaBuffer) is bound to that
+// node — the "data transfer" that the paper's control threads manage
+// beside lock synchronization (Sec. IV-A). The pages move only when the
+// placement moves: at placement, on re-placement and on live inserts,
+// never at grant time.
 #pragma once
 
 #include <atomic>
@@ -24,24 +26,13 @@
 
 namespace orwl::rt {
 
-/// Location-memory policy of the runtime (ORWL_DATA_TRANSFER /
-/// ProgramOptions::data_transfer). Enumerators follow
-/// support::knob::kDataTransfer's spellings.
-enum class DataTransferMode : std::uint8_t {
-  Off,    ///< first-touch only: never bind or migrate location buffers
-  Owner,  ///< bind each buffer to its owner task's placed NUMA node
-};
-
-/// Human-readable policy name ("off", "owner").
-const char* to_string(DataTransferMode p) noexcept;
-
 class Location {
  public:
   /// \param id    Global location id (owner * locations_per_task + slot).
   /// \param owner Task owning (and scaling) this location.
   /// \param slot  Index of this location among its owner's locations.
   /// \param arena Arena backing the request queue's windows and slots
-  ///              (the owner's control-shard arena; null = process arena).
+  ///              (the arena of the owner's node; null = process arena).
   Location(LocationId id, TaskId owner, std::size_t slot,
            rt::Arena* arena = nullptr)
       : id_(id), owner_(owner), slot_(slot), queue_(arena) {}
@@ -119,9 +110,10 @@ class Location {
 
   /// Declare `node` the home of this location (its owner task's placed
   /// NUMA node) and migrate the buffer there. Called by the runtime at
-  /// placement time, on dynamic re-placement, and for live inserts; the
-  /// Program skips the call under DataTransferMode::Off. Thread-safe.
-  /// \param node Topology NUMA-node index; -1 = unknown/unplaced (only
+  /// placement time, on dynamic re-placement, and for live inserts.
+  /// Thread-safe.
+  /// \param node Memory-binding node id (topo::numa_node_of_pu: the OS
+  ///        node id on a detected host); -1 = unknown/unplaced (only
   ///        recorded).
   /// \return true when live storage already bound to another node moved
   ///         here (a data transfer); false for a first binding, an

@@ -14,7 +14,6 @@
 #include "topo/cpuset.hpp"
 #include "topo/detect.hpp"
 #include "topo/membind.hpp"
-#include "topo/shard.hpp"
 
 namespace orwl::rt {
 
@@ -38,12 +37,13 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
     topology_ = &owned_topology_;
   }
 
-  // Every knob is resolved before any thread starts.
+  // Every knob is resolved before any thread starts; a retired one that
+  // is still set fails here instead of being silently ignored.
+  support::reject_retired_knobs();
   using support::resolve;
   namespace knob = support::knob;
   affinity_enabled_ =
       resolve(knob::kAffinity, opts_.affinity) == AffinityMode::On;
-  data_policy_ = resolve(knob::kDataTransfer, opts_.data_transfer);
   replace_policy_ = resolve(knob::kReplace, opts_.replace);
   replace_threshold_ =
       resolve(knob::kReplaceThreshold, opts_.replace_threshold);
@@ -52,34 +52,29 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
   replace_interval_ = resolve(knob::kReplaceInterval, opts_.replace_interval);
   steal_mode_ = resolve(knob::kSteal, opts_.steal);
 
-  // One shard per NUMA node (topology subtree on NUMA-less machines).
-  // A queue's shard picks its arena and its CommMeter bank.
-  shard_map_ = topo::make_shard_map(*topology_,
-                                    topo::recommended_shard_count(*topology_));
-  const std::size_t nshards = shard_map_.num_shards;
-
-  // One node-bound arena per shard. A shard's node is the node of its
-  // PUs (the shard map partitions PUs by NUMA node); -1 (any node) when
-  // the topology has no NUMA level.
-  std::vector<int> shard_nodes(nshards, Arena::kAnyNode);
-  for (std::size_t pu = 0; pu < shard_map_.shard_of_pu_os.size(); ++pu) {
-    const int s = shard_map_.shard_of_pu_os[pu];
-    if (s >= 0 && static_cast<std::size_t>(s) < nshards &&
-        shard_nodes[s] == Arena::kAnyNode) {
-      shard_nodes[s] =
-          topo::numa_node_of_pu(*topology_, static_cast<int>(pu));
+  // One arena per NUMA node, at the node's dense index and bound to it;
+  // a topology without a NUMA level gets a single unbound arena. A task's
+  // node index picks its locations' arena and meter bank.
+  for (const topo::Object* pu : topology_->pus()) {
+    const topo::Object* node = topo::numa_node_of(*topology_, pu->os_index);
+    if (node == nullptr) break;
+    const auto n = static_cast<std::size_t>(node->logical_index);
+    if (n >= arenas_.size()) arenas_.resize(n + 1);
+    if (arenas_[n] == nullptr) {
+      arenas_[n] = std::make_unique<Arena>(
+          topo::numa_node_of_pu(*topology_, pu->os_index));
     }
   }
-  std::vector<Arena*> shard_arenas;
-  arenas_.reserve(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    arenas_.push_back(std::make_unique<Arena>(shard_nodes[s]));
-    shard_arenas.push_back(arenas_.back().get());
+  if (arenas_.empty()) {
+    arenas_.push_back(std::make_unique<Arena>(Arena::kAnyNode));
   }
-  stats_.control_shards = nshards;
+  const std::size_t nodes = arenas_.size();
+  stats_.control_shards = nodes;
 
   if (replace_policy_ != ReplaceMode::Off) {
-    meter_ = std::make_unique<CommMeter>(nshards, num_tasks_, shard_arenas);
+    std::vector<Arena*> banks;
+    for (const auto& a : arenas_) banks.push_back(a.get());
+    meter_ = std::make_unique<CommMeter>(nodes, num_tasks_, banks);
   }
   task_node_ = std::make_unique<std::atomic<int>[]>(num_tasks_);
   for (TaskId t = 0; t < num_tasks_; ++t) {
@@ -90,10 +85,11 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
   for (TaskId t = 0; t < num_tasks_; ++t) {
     for (std::size_t s = 0; s < opts_.locations_per_task; ++s) {
       const LocationId id = t * opts_.locations_per_task + s;
-      // The queue draws windows and slots from its (default) shard's
-      // arena; re-pointed with the routing once a placement exists.
+      // Unplaced, the queue draws windows and slots from its owner's
+      // round-robin arena; route_locked re-points it once a placement
+      // exists.
       locations_.push_back(
-          std::make_unique<Location>(id, t, s, arenas_[t % nshards].get()));
+          std::make_unique<Location>(id, t, s, arenas_[t % nodes].get()));
       locations_.back()->queue().set_acquire_timeout(
           opts_.acquire_timeout_ms);
       // Identity for lock-protocol diagnostics: the acquire-timeout
@@ -104,9 +100,6 @@ Program::Program(std::size_t num_tasks, ProgramOptions opts)
           (opts_.tag.empty() ? std::string()
                              : ", tenant '" + opts_.tag + "'") +
           ")");
-      // Placement-free default routing: owner round-robin. Replaced by
-      // the topology-aware routing once a placement exists.
-      locations_.back()->queue().set_shard(t % nshards);
     }
   }
 
@@ -187,10 +180,13 @@ void Program::register_insert(TaskId task, Location& loc, AccessMode mode,
       Access{task, mode, priority});
   graph_.locations[loc.id()].bytes = loc.size();
   lock.unlock();
-  // Route the queue to its owner's shard now, under the placement
-  // that exists at insert time, instead of leaving it on the constructor's
-  // owner-round-robin shard until the next affinity_compute().
-  route_queue(loc);
+  // Route the location to its owner's node now, under the placement that
+  // exists at insert time, instead of leaving it on the constructor's
+  // owner-round-robin arena until the next affinity_compute().
+  {
+    std::lock_guard place_lock(place_mu_);
+    route_locked(loc);
+  }
   handle->attach_ticket(loc.enqueue_request(mode));
 }
 
@@ -313,70 +309,22 @@ void Program::dependency_get() {
   matrix_version_ = version;
 }
 
-std::size_t Program::shard_for_owner_locked(TaskId owner) const {
-  int shard = have_placement_ && owner < placement_.compute_pu.size()
-                  ? shard_map_.shard_of(placement_.compute_pu[owner])
-                  : -1;
-  if (shard < 0) shard = static_cast<int>(owner % arenas_.size());
-  return static_cast<std::size_t>(shard);
+std::size_t Program::home_index(TaskId owner) const noexcept {
+  const int node = placed_node_of_task(owner);
+  return node >= 0 ? static_cast<std::size_t>(node) : owner % arenas_.size();
 }
 
-void Program::route_queues_locked() {
-  if (arenas_.size() <= 1) return;
-  for (auto& loc : locations_) {
-    const std::size_t shard = shard_for_owner_locked(loc->owner());
-    loc->queue().set_shard(shard);
-    // Future windows/slots of this queue come from the new shard's
-    // arena; already-allocated blocks stay with (and free back to) the
-    // arena that made them.
-    loc->queue().set_arena(arenas_[shard].get());
+bool Program::route_locked(Location& loc) {
+  Arena& arena = *arenas_[home_index(loc.owner())];
+  // Future windows/slots of this queue come from the arena; blocks
+  // already allocated stay with (and free back to) the arena that made
+  // them.
+  loc.queue().set_arena(&arena);
+  if (placed_node_of_task(loc.owner()) < 0 || loc.data() == nullptr) {
+    return false;
   }
-}
-
-void Program::route_queue(Location& loc) {
-  std::lock_guard lock(place_mu_);
-  if (arenas_.size() > 1) {
-    const std::size_t shard = shard_for_owner_locked(loc.owner());
-    loc.queue().set_shard(shard);
-    loc.queue().set_arena(arenas_[shard].get());
-  }
-  // The buffer follows the same rule as the queue: it lives on the
-  // owner's placed node (no-op while unplaced).
-  if (data_policy_ == DataTransferMode::Off) return;
-  if (loc.bind_home(placed_node_of_task(loc.owner()))) {
-    ++stats_.data_transfers;
-  }
-}
-
-void Program::update_task_nodes_locked() {
-  for (TaskId t = 0; t < num_tasks_; ++t) {
-    int node = -1;
-    if (t < placement_.compute_pu.size()) {
-      node = topo::numa_node_of_pu(*topology_, placement_.compute_pu[t]);
-    }
-    task_node_[t].store(node, std::memory_order_release);
-  }
-}
-
-void Program::bind_location_memory_locked() {
-  if (data_policy_ == DataTransferMode::Off) return;
-  std::size_t bound = 0;
-  std::size_t skipped = 0;
-  for (auto& loc : locations_) {
-    const int node = task_node_[loc->owner()].load(std::memory_order_relaxed);
-    if (node < 0) continue;
-    if (loc->data() == nullptr) {
-      // Never-scaled (or zero-sized) buffer: bind_home/migrate would
-      // silently no-op — skip and count instead of reporting a
-      // successful binding that never happened.
-      ++skipped;
-      continue;
-    }
-    if (loc->bind_home(node)) ++stats_.data_transfers;
-    ++bound;
-  }
-  stats_.locations_bound = bound;
-  stats_.locations_skipped_unsized = skipped;
+  if (loc.bind_home(arena.node())) ++stats_.data_transfers;
+  return true;
 }
 
 void Program::compute_placement_locked(const tm::CommMatrix& m) {
@@ -395,11 +343,27 @@ void Program::compute_placement_locked(const tm::CommMatrix& m) {
   placement_recomputes_.fetch_add(1, std::memory_order_relaxed);
   have_placement_ = true;
   placement_matrix_ = m;
-  route_queues_locked();
-  // The memory half of the placement: every location buffer moves to its
-  // owner's NUMA node (re-run here on every dynamic re-placement too).
-  update_task_nodes_locked();
-  bind_location_memory_locked();
+  for (TaskId t = 0; t < num_tasks_; ++t) {
+    const topo::Object* node =
+        t < placement_.compute_pu.size()
+            ? topo::numa_node_of(*topology_, placement_.compute_pu[t])
+            : nullptr;
+    task_node_[t].store(node != nullptr ? node->logical_index : -1,
+                        std::memory_order_release);
+  }
+  // Every queue follows its owner's node, and so does every buffer: the
+  // memory half of the placement, re-run on every re-placement too.
+  std::size_t bound = 0;
+  std::size_t unsized = 0;
+  for (auto& loc : locations_) {
+    if (route_locked(*loc)) {
+      ++bound;
+    } else if (placed_node_of_task(loc->owner()) >= 0) {
+      ++unsized;
+    }
+  }
+  stats_.locations_bound = bound;
+  stats_.locations_skipped_unsized = unsized;
 }
 
 void Program::affinity_compute() {
@@ -469,7 +433,7 @@ void Program::record_handoff(TaskId from, TaskId to,
   const int from_node = placed_node_of_task(from);
   const int to_node = placed_node_of_task(to);
   const bool remote = from_node >= 0 && to_node >= 0 && from_node != to_node;
-  meter->record(loc.queue().shard(), from, to,
+  meter->record(home_index(loc.owner()), from, to,
                 static_cast<std::uint64_t>(loc.size()), remote);
 }
 

@@ -41,7 +41,6 @@
 #include "runtime/graph.hpp"
 #include "runtime/location.hpp"
 #include "runtime/steal_executor.hpp"
-#include "topo/shard.hpp"
 #include "topo/topology.hpp"
 #include "treematch/treematch.hpp"
 
@@ -80,11 +79,6 @@ struct ProgramOptions {
   /// Run the affinity module at orwl_schedule(). Unset follows
   /// ORWL_AFFINITY (default off), the paper's one-variable switch.
   std::optional<AffinityMode> affinity;
-
-  /// Location-memory management: whether location buffers are bound to
-  /// their owner task's placed NUMA node (the "data transfer" half of
-  /// Sec. IV-A). ORWL_DATA_TRANSFER, default owner.
-  std::optional<DataTransferMode> data_transfer;
 
   /// Topology to place on. Null => detect the host machine. The pointed-to
   /// topology must outlive the Program.
@@ -135,7 +129,9 @@ struct ProgramStats {
   /// Grants performed by the queues (RequestQueue::total_grants summed),
   /// all of them on the releasing or enqueuing thread.
   std::uint64_t control_inline_grants = 0;
-  std::size_t control_shards = 0;     ///< locality shards (one per node)
+  /// Node arenas (num_control_shards()): one per NUMA node of the
+  /// topology, one on a machine without a NUMA level.
+  std::size_t control_shards = 0;
   /// Migrations of live location buffers whose home moved: a
   /// re-placement or a live insert rebinding a buffer off the node it was
   /// already bound to. A buffer's first binding is not counted.
@@ -169,15 +165,15 @@ struct ProgramStats {
   std::uint64_t measured_handoffs = 0;
   /// The subset of measured hand-offs crossing NUMA nodes.
   std::uint64_t measured_remote_handoffs = 0;
-  /// Placed locations whose buffer was hint-only/zero-sized at binding
-  /// time: Location::bind_home would silently no-op on them, so they are
-  /// skipped and counted here instead of inflating locations_bound.
+  /// Placed locations whose buffer was never scaled (or zero-sized) at
+  /// placement time: left unbound and counted here instead of inflating
+  /// locations_bound.
   std::size_t locations_skipped_unsized = 0;
 
   // ---- runtime arenas + futex parking -------------------------------------
-  /// Backing bytes the per-shard arenas reserved from the OS.
+  /// Backing bytes the node arenas reserved from the OS.
   std::uint64_t arena_bytes = 0;
-  /// Slab/large-mapping refills across all shard arenas.
+  /// Slab/large-mapping refills across all node arenas.
   std::uint64_t arena_refills = 0;
   /// Refills whose node-bound pages the host could have placed on the
   /// requested node but did not (fixture-only nodes are not misses).
@@ -223,27 +219,27 @@ class Program {
   /// Always 0: the program runs no control thread (kept for the
   /// end-to-end benchmark's runtime.control_threads layer).
   std::size_t num_control_threads() const noexcept { return 0; }
-  /// The number of locality shards, one per NUMA node of the topology.
+  /// The number of node arenas: one per NUMA node of the topology, one
+  /// on a machine without a NUMA level.
   std::size_t num_control_shards() const noexcept { return arenas_.size(); }
-  /// The PU -> shard partition queues and meter banks are routed by.
-  const topo::ShardMap& shard_map() const noexcept { return shard_map_; }
 
-  /// The node-bound arena of shard `s` (runtime-internal memory: queue
-  /// windows and slots, meter banks). Throws std::out_of_range on a bad
-  /// shard index.
-  Arena& shard_arena(std::size_t s) { return *arenas_.at(s); }
+  /// The arena of NUMA node `node` (its dense index, as returned by
+  /// placed_node_of_task): runtime-internal memory of the tasks placed
+  /// there — queue windows and slots, its CommMeter bank, steal deques.
+  /// Bound to the node, or Arena::kAnyNode when the topology has no NUMA
+  /// level. Throws std::out_of_range on a bad index.
+  Arena& node_arena(std::size_t node) { return *arenas_.at(node); }
   Location& location(TaskId task, std::size_t slot = 0);
   const topo::Topology& topology() const noexcept { return *topology_; }
   bool affinity_enabled() const noexcept { return affinity_enabled_; }
 
-  /// The resolved data-transfer policy (options/env, fixed at
-  /// construction).
-  DataTransferMode data_transfer() const noexcept { return data_policy_; }
-
-  /// NUMA node (in this program's topology) of the task's placed PU.
+  /// NUMA node (in this program's topology) of the task's placed PU:
+  /// the one locality index of the runtime. It picks the arena of the
+  /// task's location queues, the CommMeter bank of their hand-offs, and
+  /// (through that arena's node) the node their buffers are bound to.
   /// \param t Task id.
-  /// \return The node's logical index, or -1 while the task is unplaced
-  ///         or the topology has no NUMA level.
+  /// \return The node's dense (logical) index, or -1 while the task is
+  ///         unplaced or the topology has no NUMA level.
   int placed_node_of_task(TaskId t) const noexcept {
     return t < num_tasks_ ? task_node_[t].load(std::memory_order_acquire)
                           : -1;
@@ -404,36 +400,24 @@ class Program {
   /// Bind the calling (task) thread according to the placement.
   void bind_self(TaskId tid);
 
-  /// Shard serving `owner`'s compute PU under the current placement
-  /// (falling back to owner round-robin when unplaced). Caller holds
-  /// place_mu_.
-  std::size_t shard_for_owner_locked(TaskId owner) const;
+  /// Index of the arena and meter bank serving `owner`'s locations: its
+  /// placed node, or owner round-robin while it is unplaced.
+  std::size_t home_index(TaskId owner) const noexcept;
 
-  /// Route every location's queue (its arena and meter bank) to the
-  /// shard of its owner's compute PU (falling back to owner round-robin
-  /// when unplaced). Caller holds place_mu_.
-  void route_queues_locked();
-
-  /// Route one location under the current placement and bind its buffer
-  /// to the owner's placed node. Used for live inserts (dynamic mode), so
-  /// a location first touched after schedule() reaches its owner's shard
-  /// and memory immediately instead of keeping the constructor defaults
-  /// until the next affinity_compute().
-  void route_queue(Location& loc);
-
-  /// Refresh task_node_ (NUMA node per task) from the current placement.
-  /// Caller holds place_mu_.
-  void update_task_nodes_locked();
-
-  /// Bind every location buffer to its owner's placed NUMA node (the
-  /// memory side of affinity_compute; re-run on dynamic re-placement).
-  /// Hint-only/zero-sized buffers are skipped and counted — bind_home
-  /// would silently no-op on them. Caller holds place_mu_.
-  void bind_location_memory_locked();
+  /// Route one location under the current placement: its queue draws
+  /// from the arena of home_index(owner), and once the owner is placed
+  /// its buffer is bound to that arena's node (bind_home). A buffer that
+  /// was never scaled is left unbound: nothing is allocated to place, and
+  /// a sticky binding would claim residency that does not exist. Run at
+  /// placement for every location and at every live insert, so a
+  /// location first touched after schedule() reaches its owner's node at
+  /// once. Caller holds place_mu_.
+  /// \return Whether the buffer was bound to the owner's node.
+  bool route_locked(Location& loc);
 
   /// Algorithm 1 on an explicit matrix, plus everything that must follow
-  /// a new placement: queue re-routing, task-node refresh, memory
-  /// binding. Caller holds place_mu_. The core shared by the declared
+  /// a new placement: the per-task node index, then route_locked on
+  /// every location. Caller holds place_mu_. The core shared by the declared
   /// path (affinity_compute) and the measured path (check_replacement).
   void compute_placement_locked(const tm::CommMatrix& m);
 
@@ -452,19 +436,18 @@ class Program {
   topo::Topology owned_topology_;        // when detected
   const topo::Topology* topology_;       // never null after ctor
   bool affinity_enabled_;
-  DataTransferMode data_policy_ = DataTransferMode::Off;
 
-  /// NUMA node of each task's placed PU (-1 unplaced); written under
-  /// place_mu_, read lock-free by the write-release fast path.
+  /// Dense NUMA-node index of each task's placed PU (-1 unplaced);
+  /// written under place_mu_, read lock-free by record_handoff.
   std::unique_ptr<std::atomic<int>[]> task_node_;
 
-  /// One node-bound arena per shard, backing that shard's queues and
-  /// meter bank. Declared before locations_ and meter_: the arenas must
-  /// be destroyed last, after everything that frees into them.
+  /// One arena per NUMA node (index = the node's dense index), backing
+  /// the queues and meter bank of the tasks placed there. Declared before
+  /// locations_ and meter_: the arenas must be destroyed last, after
+  /// everything that frees into them.
   std::vector<std::unique_ptr<Arena>> arenas_;
 
   std::vector<std::unique_ptr<Location>> locations_;
-  topo::ShardMap shard_map_;
   std::vector<TaskFn> bodies_;
 
   // Insert registration (guarded by graph_mu_).

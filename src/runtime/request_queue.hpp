@@ -34,7 +34,7 @@
 // them).
 //
 // Memory: windows and slot chunks come from the queue's rt::Arena (the
-// node-bound arena of the owner's shard) — nothing on the grant path
+// arena of the owner's placed NUMA node) — nothing on the grant path
 // touches the global heap after warm-up.
 #pragma once
 
@@ -79,9 +79,9 @@ class RequestQueue {
   RequestQueue& operator=(const RequestQueue&) = delete;
 
   /// Switch future window/slot allocations to `arena` (null ignored).
-  /// Thread-safe: the Program re-points queues at their new shard's
-  /// arena on re-placement, possibly while requests are in flight;
-  /// existing blocks free back to the arena that made them.
+  /// Thread-safe: the Program re-points queues at the arena of their
+  /// owner's new node on re-placement, possibly while requests are in
+  /// flight; existing blocks free back to the arena that made them.
   void set_arena(Arena* arena) noexcept;
   Arena* arena() const noexcept {
     return arena_.load(std::memory_order_acquire);
@@ -93,19 +93,6 @@ class RequestQueue {
   }
   std::uint64_t futex_wakes() const noexcept {
     return futex_wakes_.load(std::memory_order_relaxed);
-  }
-
-  /// The locality shard of this queue (the shard of its owner's placed
-  /// PU): it names the arena the Program points the queue at and the
-  /// CommMeter bank its hand-offs are counted in. Thread-safe: the
-  /// Program re-routes queues when a placement is computed, possibly
-  /// while releases are in flight.
-  void set_shard(std::size_t shard) noexcept {
-    shard_.store(static_cast<std::uint32_t>(shard),
-                 std::memory_order_relaxed);
-  }
-  std::size_t shard() const noexcept {
-    return shard_.load(std::memory_order_relaxed);
   }
 
   /// Milliseconds after which acquire() throws (deadlock guard).
@@ -273,7 +260,6 @@ class RequestQueue {
   std::string tag_;
   std::atomic<RemoteGrantSink*> sink_{nullptr};
   std::atomic<std::uint32_t> sink_calls_{0};  ///< sink calls in flight
-  std::atomic<std::uint32_t> shard_{0};
 };
 
 }  // namespace orwl::rt

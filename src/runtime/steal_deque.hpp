@@ -31,7 +31,7 @@
 //    relaxed loads/stores cost nothing on x86/ARM and keep TSan clean.
 //
 // The slot buffer is allocated from an rt::Arena so each worker's deque
-// lives on the NUMA node of the shard that owns the worker's PU.
+// lives on the NUMA node of the worker's PU.
 #pragma once
 
 #include <atomic>
@@ -50,8 +50,8 @@ namespace orwl::rt {
 /// owner and other thieves. size() is a racy estimate for heuristics.
 class StealDeque {
  public:
-  /// \param arena    Arena the slot buffer is carved from (node-bound
-  ///                 to the owning worker's shard).
+  /// \param arena    Arena the slot buffer is carved from (the arena of
+  ///                 the owning worker's node).
   /// \param capacity Ring capacity; rounded up to a power of two,
   ///                 minimum 2.
   explicit StealDeque(Arena& arena, std::size_t capacity = 1024)

@@ -1,5 +1,6 @@
 #include "runtime/steal_executor.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -38,27 +39,23 @@ StealExecutor::StealExecutor(const topo::Topology& t,
     throw std::invalid_argument("StealExecutor: no workers");
   }
 
-  const int numa_depth =
-      t.empty() ? -1 : t.depth_of_type(topo::ObjType::NumaNode);
-  const auto node_of_pu = [&](int pu) {
-    if (numa_depth < 0) return 0;
-    const topo::Object* leaf = t.pu_at(pu);
-    const topo::Object* node =
-        leaf ? leaf->ancestor_of_type(topo::ObjType::NumaNode) : nullptr;
-    return node ? node->logical_index : 0;
-  };
   std::size_t num_nodes = 1;
-  if (numa_depth >= 0) num_nodes = t.at_depth(numa_depth).size();
+  for (const WorkerSpec& spec : workers) {
+    if (spec.node < 0) {
+      throw std::invalid_argument("StealExecutor: negative worker node");
+    }
+    num_nodes = std::max(num_nodes, static_cast<std::size_t>(spec.node) + 1);
+  }
   node_active_ = std::vector<NodeCounter>(num_nodes);
 
-  // Per-worker state: deque slots from the worker's shard arena.
+  // Per-worker state: deque slots from the worker's node arena.
   state_.reserve(workers.size());
   std::vector<std::vector<std::uint32_t>> workers_on_pu(
       t.empty() ? 1 : t.num_pus());
   for (std::size_t w = 0; w < workers.size(); ++w) {
     auto ws = std::make_unique<WorkerState>();
     ws->pu = workers[w].pu;
-    ws->node = node_of_pu(ws->pu);
+    ws->node = workers[w].node;
     Arena& a = workers[w].arena != nullptr ? *workers[w].arena
                                            : Arena::runtime_default();
     ws->deque = arena_new<StealDeque>(a, a, cfg_.deque_capacity);
@@ -160,11 +157,10 @@ void StealExecutor::meter_steal(std::size_t thief, std::uint32_t victim,
   if (meter == nullptr) return;
   const std::size_t tasks = meter_tasks_.load(std::memory_order_relaxed);
   if (thief >= tasks || victim >= tasks || thief == victim) return;
-  // Any shard bank is valid; spreading by the thief's termination-tree
-  // node keeps concurrent thieves on different nodes off one cache line.
-  const std::size_t shard =
-      static_cast<std::size_t>(state_[thief]->node) % meter->num_shards();
-  meter->record(shard, static_cast<TaskId>(victim),
+  // The thief's node bank: concurrent thieves on different nodes stay
+  // off one cache line.
+  meter->record(static_cast<std::size_t>(state_[thief]->node),
+                static_cast<TaskId>(victim),
                 static_cast<TaskId>(thief), kStealBytes, remote);
 }
 
@@ -188,7 +184,7 @@ std::exception_ptr StealExecutor::take_error() {
 
 void StealExecutor::run_worker(std::size_t w, const ItemFn& fn) {
   WorkerState& ws = *state_.at(w);
-  WorkerContext ctx(*this, w, ws.deque);
+  WorkerContext ctx(*this, ws.deque);
   ctx.overflow_ = std::move(ws.seed_spill);
   ws.seed_spill.clear();
 

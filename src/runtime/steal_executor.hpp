@@ -11,9 +11,10 @@
 // PUs last — so a steal is served from the closest non-empty deque.
 //
 // Termination is detected hierarchically, following the topology tree:
-// each worker contributes to a per-NUMA-node active counter; only a
-// node's 0<->1 transitions touch the root counter, so quiescence folds
-// up the tree instead of every worker hammering one global atomic.
+// each worker contributes to the active counter of its NUMA node (the
+// node its WorkerSpec names); only a node's 0<->1 transitions touch the
+// root counter, so quiescence folds up the tree instead of every worker
+// hammering one global atomic.
 // The protocol keeps one invariant: a worker is *active* from before it
 // takes an item (own pop or steal) until its own deque and local
 // overflow are empty and a full victim sweep found nothing. A worker
@@ -70,11 +71,16 @@ class StealExecutor {
     std::size_t deque_capacity = 8192;
   };
 
-  /// One participating worker: the logical PU it runs on (drives the
-  /// victim order and the termination-tree node) and the arena its
-  /// deque slots come from (null = the process-wide default arena).
+  /// One participating worker.
   struct WorkerSpec {
+    /// Logical PU the worker runs on; drives its victim order.
     int pu = 0;
+    /// Dense index (>= 0) of that PU's NUMA node, 0 on a machine without
+    /// a NUMA level: picks the worker's termination-tree counter, tells
+    /// its local steals from remote ones, and names the CommMeter bank
+    /// its steals are recorded in.
+    int node = 0;
+    /// Arena of the deque slots (null = the process-wide default arena).
     Arena* arena = nullptr;
   };
 
@@ -87,16 +93,12 @@ class StealExecutor {
     /// Push a follow-up work item (runnable by any worker).
     void push(std::uint64_t item);
 
-    /// Index of the executing worker.
-    std::size_t worker() const noexcept { return worker_; }
-
    private:
     friend class StealExecutor;
-    WorkerContext(StealExecutor& ex, std::size_t worker, StealDeque* deque)
-        : ex_(&ex), worker_(worker), deque_(deque) {}
+    WorkerContext(StealExecutor& ex, StealDeque* deque)
+        : ex_(&ex), deque_(deque) {}
 
     StealExecutor* ex_;
-    std::size_t worker_;
     StealDeque* deque_;
     std::vector<std::uint64_t> overflow_;
   };
@@ -109,10 +111,11 @@ class StealExecutor {
     std::uint64_t parks = 0;          ///< worker sleeps after a spin budget
   };
 
-  /// \param t       Topology the victim order and termination tree are
-  ///                derived from; must outlive the executor.
+  /// \param t       Topology the victim order is derived from; must
+  ///                outlive the executor.
   /// \param workers One entry per participating worker (>= 1).
   /// \param cfg     Resolved policy knobs.
+  /// \throws std::invalid_argument for no workers or a negative node.
   StealExecutor(const topo::Topology& t, std::vector<WorkerSpec> workers,
                 Config cfg);
   ~StealExecutor();
@@ -163,7 +166,7 @@ class StealExecutor {
   struct alignas(64) WorkerState {
     StealDeque* deque = nullptr;  ///< arena-backed, freed via header
     int pu = 0;
-    int node = 0;  ///< termination-tree node (0 on NUMA-less machines)
+    int node = 0;  ///< WorkerSpec::node
     std::vector<std::uint32_t> victims;     ///< worker indices, nearest first
     std::vector<std::uint64_t> seed_spill;  ///< seeds past deque capacity
     std::atomic<std::uint64_t> executed{0};
@@ -202,7 +205,7 @@ class StealExecutor {
   Config cfg_;
   std::vector<std::unique_ptr<WorkerState>> state_;
 
-  std::vector<NodeCounter> node_active_;  ///< one per NUMA node (>= 1)
+  std::vector<NodeCounter> node_active_;  ///< one per worker node (>= 1)
   alignas(64) std::atomic<std::int64_t> root_active_{0};
 
   alignas(64) std::atomic<std::uint32_t> work_seq_{0};

@@ -3,11 +3,10 @@
 // The paper places ONE program on the whole machine (Algorithm 1 assumes
 // it owns every PU). This layer extends the model to a long-running
 // harness that admits many programs (tenants) onto one host, carving the
-// topology between them with the same contiguous-subtree rule the
-// runtime's ShardMap uses: each tenant receives a run of whole free
+// topology between them: each tenant receives a run of whole free
 // subtrees (topo::carve_subtrees) materialized as a private sub-topology
 // (topo::subtopology), so Algorithm 1 runs unchanged inside the carve and
-// no two tenants ever share a PU, a shard, or an arena node.
+// no two tenants ever share a PU or a runtime arena.
 //
 // Admission is all-or-nothing: when no contiguous run of whole free
 // subtrees covers the requested width, admit() rejects instead of
@@ -31,7 +30,7 @@
 #include "dist/transport.hpp"
 #include "runtime/program.hpp"
 #include "topo/cpuset.hpp"
-#include "topo/shard.hpp"
+#include "topo/carve.hpp"
 #include "topo/topology.hpp"
 
 namespace orwl::server {

@@ -92,6 +92,17 @@ bool iequals(std::string_view a, std::string_view b) noexcept {
                               "\": expected " + std::string(expected));
 }
 
+void reject_retired_knobs() {
+  for (const char* name : kRetiredKnobs) {
+    const auto env = env_string(name);
+    if (env && !env->empty()) {
+      throw std::invalid_argument(std::string(name) + "=\"" + *env +
+                                  "\": this variable was removed and has "
+                                  "no effect; unset it");
+    }
+  }
+}
+
 KnobValue read_knob(const Knob& k) {
   KnobValue v;
   auto env = env_string(k.name);

@@ -49,11 +49,8 @@ struct Knob {
 /// The rows; BUILDING.md's runtime configuration reference documents each.
 namespace knob {
 
-// Placement, location memory, re-placement, stealing (rt::ProgramOptions).
+// Placement, re-placement, stealing (rt::ProgramOptions).
 inline constexpr Knob kAffinity{"ORWL_AFFINITY", KnobKind::Bool, "0"};
-inline constexpr Knob kDataTransfer{"ORWL_DATA_TRANSFER", KnobKind::Choice,
-                                    "owner", 0, 0,
-                                    {"off", "owner"}};
 inline constexpr Knob kReplace{"ORWL_REPLACE", KnobKind::Choice, "off", 0, 0,
                                {"off", "passive", "auto"}};
 /// The divergence is at most 1, so a threshold above 1 never triggers.
@@ -95,12 +92,19 @@ inline constexpr Knob kDistShmSlots{"ORWL_DIST_SHM_SLOTS", KnobKind::Integer,
 
 /// The table: every knob the runtime reads.
 inline constexpr const Knob* kKnobs[] = {
-    &knob::kAffinity, &knob::kDataTransfer, &knob::kReplace,
-    &knob::kReplaceThreshold, &knob::kReplaceDecay, &knob::kReplaceInterval,
-    &knob::kSteal, &knob::kTopology, &knob::kMemBind,
-    &knob::kServerMaxTenants, &knob::kServerQueueCap,
-    &knob::kServerGrowBacklog, &knob::kServerShrinkIdleMs, &knob::kDist,
-    &knob::kDistPort, &knob::kDistShmSlots};
+    &knob::kAffinity, &knob::kReplace, &knob::kReplaceThreshold,
+    &knob::kReplaceDecay, &knob::kReplaceInterval, &knob::kSteal,
+    &knob::kTopology, &knob::kMemBind, &knob::kServerMaxTenants,
+    &knob::kServerQueueCap, &knob::kServerGrowBacklog,
+    &knob::kServerShrinkIdleMs, &knob::kDist, &knob::kDistPort,
+    &knob::kDistShmSlots};
+
+/// Variables the runtime once read and no longer does. A user's old
+/// setting of one would otherwise be silently ignored, so
+/// reject_retired_knobs() refuses them (BUILDING.md lists them too).
+inline constexpr const char* kRetiredKnobs[] = {
+    "ORWL_CONTROL_SHARDS", "ORWL_DATA_TRANSFER", "ORWL_HUGEPAGES",
+    "ORWL_STEAL_SPIN"};
 
 /// A knob read from the environment (or its default) and checked
 /// against its row.
@@ -116,6 +120,12 @@ struct KnobValue {
 /// \throws std::invalid_argument naming the variable for a malformed or
 ///         out-of-range value.
 KnobValue read_knob(const Knob& k);
+
+/// Fail when a retired variable (kRetiredKnobs) is set and non-empty;
+/// rt::Program calls this before it resolves its knobs.
+/// \throws std::invalid_argument naming the variable and saying it was
+///         removed.
+void reject_retired_knobs();
 
 /// Resolve knob `k`: `option` when set, else the environment, else the
 /// row's default. T is the caller's type for the row: bool or an enum

@@ -1,63 +1,10 @@
-#include "topo/shard.hpp"
+#include "topo/carve.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 namespace orwl::topo {
-
-int ShardMap::shard_of(int pu_os_index) const noexcept {
-  if (pu_os_index < 0 ||
-      static_cast<std::size_t>(pu_os_index) >= shard_of_pu_os.size()) {
-    return -1;
-  }
-  return shard_of_pu_os[static_cast<std::size_t>(pu_os_index)];
-}
-
-std::size_t recommended_shard_count(const Topology& t) noexcept {
-  if (t.empty()) return 1;
-  for (ObjType domain :
-       {ObjType::NumaNode, ObjType::Package, ObjType::Group}) {
-    const int d = t.depth_of_type(domain);
-    if (d >= 0 && t.at_depth(d).size() > 1) return t.at_depth(d).size();
-  }
-  return 1;
-}
-
-ShardMap make_shard_map(const Topology& t, std::size_t num_shards) {
-  ShardMap map;
-  if (t.empty()) return map;
-  const std::size_t npus = t.num_pus();
-  map.num_shards = std::clamp<std::size_t>(num_shards, 1, npus);
-
-  // Size the os-index table to the largest PU os index.
-  int max_os = -1;
-  for (const Object* pu : t.pus()) max_os = std::max(max_os, pu->os_index);
-  map.shard_of_pu_os.assign(static_cast<std::size_t>(max_os + 1), -1);
-
-  // Shallowest level with enough objects to carve num_shards subtrees.
-  int part_depth = t.depth() - 1;  // PU level always qualifies (clamped)
-  for (int d = 0; d < t.depth(); ++d) {
-    if (t.at_depth(d).size() >= map.num_shards) {
-      part_depth = d;
-      break;
-    }
-  }
-
-  const auto objs = t.at_depth(part_depth);
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    const int shard =
-        static_cast<int>(i * map.num_shards / objs.size());
-    for (int pu = objs[i]->first_pu; pu <= objs[i]->last_pu; ++pu) {
-      const Object* leaf = t.pu_at(pu);
-      if (leaf != nullptr && leaf->os_index >= 0) {
-        map.shard_of_pu_os[static_cast<std::size_t>(leaf->os_index)] = shard;
-      }
-    }
-  }
-  return map;
-}
 
 namespace {
 

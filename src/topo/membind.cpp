@@ -416,15 +416,15 @@ std::size_t MemBind::page_size() noexcept {
   return page;
 }
 
-int numa_node_of_pu(const Topology& t, int pu_os_index) noexcept {
-  if (t.empty()) return -1;
+const Object* numa_node_of(const Topology& t, int pu_os_index) noexcept {
+  if (t.empty()) return nullptr;
   const Object* pu = t.pu_by_os_index(pu_os_index);
-  if (pu == nullptr) return -1;
-  const Object* node = pu->ancestor_of_type(ObjType::NumaNode);
+  return pu != nullptr ? pu->ancestor_of_type(ObjType::NumaNode) : nullptr;
+}
+
+int numa_node_of_pu(const Topology& t, int pu_os_index) noexcept {
+  const Object* node = numa_node_of(t, pu_os_index);
   if (node == nullptr) return -1;
-  // Detected host topologies carry the real OS node id (what mbind
-  // expects — node ids can be sparse after offlining); synthetic
-  // fixtures leave os_index at -1 and use the logical numbering.
   return node->os_index >= 0 ? node->os_index : node->logical_index;
 }
 

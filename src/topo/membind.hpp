@@ -146,15 +146,24 @@ class MemBind {
   bool real_bind_ = false;  ///< pages were physically bound/migrated
 };
 
-/// NUMA node of a processing unit *inside a given topology* — the fixture
-/// view, as opposed to MemBind::node_of_cpu's host view.
+/// The NUMA node of a processing unit *inside a given topology* — the
+/// fixture view, as opposed to MemBind::node_of_cpu's host view. This is
+/// the one place the runtime asks which locality domain a PU is in: the
+/// node's logical_index is the dense index (0 .. nodes-1) per-node state
+/// is kept under, and numa_node_of_pu gives the id mbind expects.
 ///
 /// \param t           The (possibly synthetic) machine.
 /// \param pu_os_index OS index of the PU, as used by placements.
-/// \return The node id of the PU's NUMA-node ancestor in `t` — the OS
-///         node id for detected host topologies (what mbind expects),
-///         the logical index for synthetic fixtures — or -1 when the PU
-///         is unknown or `t` has no NUMA level.
+/// \return The PU's NUMA-node ancestor in `t`, or null when the PU is
+///         unknown or `t` has no NUMA level.
+const Object* numa_node_of(const Topology& t, int pu_os_index) noexcept;
+
+/// Memory-binding id of a PU's NUMA node (see numa_node_of).
+///
+/// \return The OS node id for detected host topologies (what mbind
+///         expects; ids can be sparse after offlining), the logical index
+///         for synthetic fixtures, which carry no OS node ids; -1 when
+///         the PU is unknown or `t` has no NUMA level.
 int numa_node_of_pu(const Topology& t, int pu_os_index) noexcept;
 
 /// A resizable, zero-initialized byte buffer with a sticky NUMA binding.

@@ -20,7 +20,7 @@
 // Over-subscription: "If oversubscribing is required, ORWL tasks are
 // mapped to the physical cores by going up one level in the tree." The
 // virtual leaf level still picks one representative PU per task (used for
-// shard routing, the NUMA node and the modeled cost), but an
+// the task's NUMA node and the modeled cost), but an
 // oversubscribed task is bound to a group of PUs: the compute PUs of every
 // core under its slot's nearest ancestor that covers more than one core,
 // never above the slot's NUMA node. The OS then balances the tasks of one

@@ -4,130 +4,23 @@
 #include <vector>
 
 #include "support/rng.hpp"
+#include "topo/carve.hpp"
 #include "topo/machines.hpp"
-#include "topo/shard.hpp"
 
 namespace {
 
 using namespace orwl::topo;
 
-/// The three named fixtures every partition property is checked on.
+/// The three named fixtures every carve-out property is checked on.
 std::vector<std::string> named_fixtures() {
   return {"smp20e7", "smp12e5", "fig2"};
 }
 
-// ---------------------------------------------- recommended_shard_count ----
-
-TEST(ShardCount, PaperMachinesGetOneShardPerNumaNode) {
-  EXPECT_EQ(recommended_shard_count(make_smp12e5()), 12u);
-  EXPECT_EQ(recommended_shard_count(make_smp20e7()), 20u);
-}
-
-TEST(ShardCount, Fig2FallsBackToPackages) {
-  // No NUMA level on the Fig. 2 machine; the four sockets are the
-  // locality domains.
-  EXPECT_EQ(recommended_shard_count(make_fig2_machine()), 4u);
-}
-
-TEST(ShardCount, FlatMachineHasNoLocalityDomains) {
-  EXPECT_EQ(recommended_shard_count(make_flat(8)), 1u);
-}
-
-TEST(ShardCount, SyntheticNumaCountsNodes) {
-  EXPECT_EQ(recommended_shard_count(make_numa(2, 4, 1)), 2u);
-}
-
-TEST(ShardCount, EmptyTopologyIsSingleShard) {
-  EXPECT_EQ(recommended_shard_count(Topology{}), 1u);
-}
-
-// ------------------------------------------------------- make_shard_map ----
-
-TEST(ShardMap, Smp20e7OneShardPerNode) {
-  const Topology t = make_smp20e7();
-  const ShardMap m = make_shard_map(t, 20);
-  ASSERT_EQ(m.num_shards, 20u);
-  // 8 cores x 1 PU per node, os indices laid out node-major.
-  EXPECT_EQ(m.shard_of(0), 0);
-  EXPECT_EQ(m.shard_of(7), 0);
-  EXPECT_EQ(m.shard_of(8), 1);
-  EXPECT_EQ(m.shard_of(152), 19);
-  EXPECT_EQ(m.shard_of(159), 19);
-}
-
-TEST(ShardMap, FewerShardsGroupContiguousNodes) {
-  const Topology t = make_smp20e7();
-  const ShardMap m = make_shard_map(t, 4);
-  ASSERT_EQ(m.num_shards, 4u);
-  // 20 nodes over 4 shards: node n -> shard n*4/20 (5 nodes per shard).
-  EXPECT_EQ(m.shard_of(0), 0);
-  EXPECT_EQ(m.shard_of(39), 0);    // node 4, last PU
-  EXPECT_EQ(m.shard_of(40), 1);    // node 5, first PU
-  EXPECT_EQ(m.shard_of(159), 3);
-  // Shards are contiguous in PU order: never decreasing.
-  int prev = 0;
-  for (int pu = 0; pu < 160; ++pu) {
-    const int s = m.shard_of(pu);
-    ASSERT_GE(s, prev) << "PU " << pu;
-    prev = s;
-  }
-}
-
-TEST(ShardMap, Fig2FourShardsAreTheSockets) {
-  const Topology t = make_fig2_machine();
-  const ShardMap m = make_shard_map(t, 4);
-  ASSERT_EQ(m.num_shards, 4u);
-  EXPECT_EQ(m.shard_of(0), 0);
-  EXPECT_EQ(m.shard_of(7), 0);
-  EXPECT_EQ(m.shard_of(8), 1);
-  EXPECT_EQ(m.shard_of(16), 2);
-  EXPECT_EQ(m.shard_of(24), 3);
-  EXPECT_EQ(m.shard_of(31), 3);
-}
-
-TEST(ShardMap, Smp12e5HyperthreadSiblingsShareAShard) {
-  const Topology t = make_smp12e5();
-  const ShardMap m = make_shard_map(t, 12);
-  // Compute PU and its hyperthread sibling must route to the same shard.
-  for (int pu = 0; pu < 192; pu += 2) {
-    EXPECT_EQ(m.shard_of(pu), m.shard_of(pu + 1)) << "PU " << pu;
-  }
-  EXPECT_EQ(m.shard_of(0), 0);
-  EXPECT_EQ(m.shard_of(191), 11);
-}
-
-TEST(ShardMap, ClampsShardCountToPuCount) {
-  const Topology t = make_flat(4);
-  const ShardMap m = make_shard_map(t, 16);
-  EXPECT_EQ(m.num_shards, 4u);
-  EXPECT_EQ(m.shard_of(0), 0);
-  EXPECT_EQ(m.shard_of(3), 3);
-}
-
-TEST(ShardMap, SingleShardMapsEveryPuToZero) {
-  const Topology t = make_smp12e5();
-  const ShardMap m = make_shard_map(t, 1);
-  ASSERT_EQ(m.num_shards, 1u);
-  for (int pu = 0; pu < 192; ++pu) EXPECT_EQ(m.shard_of(pu), 0);
-}
-
-TEST(ShardMap, UnknownOsIndexYieldsMinusOne) {
-  const ShardMap m = make_shard_map(make_flat(4), 2);
-  EXPECT_EQ(m.shard_of(-1), -1);
-  EXPECT_EQ(m.shard_of(99), -1);
-}
-
-TEST(ShardMap, DefaultConstructedMapKnowsNothing) {
-  const ShardMap m;
-  EXPECT_EQ(m.num_shards, 1u);
-  EXPECT_EQ(m.shard_of(0), -1);
-}
-
-// --------------------------- partition invariants (property cases) ----
+// ----------------------------- carve-out invariants (property cases) ----
 //
-// The three invariants every ShardMap partition and every tenant
-// carve-out must satisfy, checked on all named topology fixtures:
-//   1. disjoint    — no PU belongs to two shards / two carve-outs;
+// The three invariants every tenant carve-out must satisfy, checked on
+// all named topology fixtures:
+//   1. disjoint    — no PU belongs to two carve-outs;
 //   2. contiguous-subtree — each piece is a union of consecutive whole
 //      subtrees at one depth (never a fragment of a domain);
 //   3. covers-requested-width — a piece is at least as wide as asked.
@@ -143,45 +36,6 @@ CpuSet pus_of_run(const Topology& t, int depth, std::size_t first,
     }
   }
   return set;
-}
-
-TEST(ShardPartition, EveryPuOfEveryFixtureLandsInExactlyOneShard) {
-  for (const std::string& spec : named_fixtures()) {
-    const Topology t = *make_named(spec);
-    for (std::size_t shards : {1u, 2u, 3u, 4u, 7u}) {
-      const ShardMap m = make_shard_map(t, shards);
-      std::vector<std::size_t> per_shard(m.num_shards, 0);
-      for (const Object* pu : t.pus()) {
-        const int s = m.shard_of(pu->os_index);
-        ASSERT_GE(s, 0) << spec << " shards=" << shards;
-        ASSERT_LT(static_cast<std::size_t>(s), m.num_shards);
-        ++per_shard[static_cast<std::size_t>(s)];
-      }
-      // Disjoint + total: counts sum to num_pus and no shard is empty.
-      std::size_t total = 0;
-      for (std::size_t n : per_shard) {
-        EXPECT_GT(n, 0u) << spec << " shards=" << shards;
-        total += n;
-      }
-      EXPECT_EQ(total, t.num_pus()) << spec << " shards=" << shards;
-    }
-  }
-}
-
-TEST(ShardPartition, ShardsAreContiguousInPuOrderOnEveryFixture) {
-  for (const std::string& spec : named_fixtures()) {
-    const Topology t = *make_named(spec);
-    for (std::size_t shards : {2u, 4u, 5u}) {
-      const ShardMap m = make_shard_map(t, shards);
-      int prev = 0;
-      for (const Object* pu : t.pus()) {
-        const int s = m.shard_of(pu->os_index);
-        ASSERT_GE(s, prev) << spec << " shards=" << shards << " PU "
-                           << pu->os_index;
-        prev = s;
-      }
-    }
-  }
 }
 
 TEST(Carveout, RandomPackingKeepsAllInvariantsOnEveryFixture) {

@@ -1,12 +1,11 @@
-// The data half of Sec. IV-A: NUMA-local location memory. Covers policy
-// resolution (ORWL_DATA_TRANSFER), owner binding at placement /
-// re-placement / live insert, the count of buffers moved when their
-// home moves, and binding under lock contention.
+// The data half of Sec. IV-A: NUMA-local location memory. Covers owner
+// binding at placement / re-placement / live insert, the count of
+// buffers moved when their home moves, and binding under lock
+// contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <stdexcept>
 
 #include "orwl/orwl.hpp"
 #include "support/env.hpp"
@@ -26,54 +25,12 @@ rt::ProgramOptions fixture_opts(const topo::Topology& machine) {
   return o;
 }
 
-TEST(DataTransferMode, ToString) {
-  EXPECT_STREQ(to_string(rt::DataTransferMode::Off), "off");
-  EXPECT_STREQ(to_string(rt::DataTransferMode::Owner), "owner");
-}
-
-TEST(DataTransferMode, ResolvedFromOptionsAndEnv) {
-  const topo::Topology machine = topo::make_numa(2, 2, 1);
-  rt::ProgramOptions o;
-  o.topology = &machine;
-  o.affinity = rt::AffinityMode::Off;
-
-  {
-    support::ScopedEnv env(support::knob::kDataTransfer.name, nullptr);
-    EXPECT_EQ(rt::Program(2, o).data_transfer(),
-              rt::DataTransferMode::Owner)
-        << "unset env must yield the default policy";
-  }
-  {
-    support::ScopedEnv env(support::knob::kDataTransfer.name, "off");
-    EXPECT_EQ(rt::Program(2, o).data_transfer(), rt::DataTransferMode::Off);
-  }
-  {
-    // A removed policy's spelling fails loudly, like any typo.
-    support::ScopedEnv env(support::knob::kDataTransfer.name, "ADAPTIVE");
-    EXPECT_THROW(rt::Program(2, o), std::invalid_argument);
-  }
-  {
-    // A typo'd policy must fail loudly, naming the variable.
-    support::ScopedEnv env(support::knob::kDataTransfer.name, "bogus");
-    EXPECT_THROW(rt::Program(2, o), std::invalid_argument);
-  }
-  {
-    // Explicit options beat the environment.
-    support::ScopedEnv env(support::knob::kDataTransfer.name, "owner");
-    rt::ProgramOptions explicit_off = o;
-    explicit_off.data_transfer = rt::DataTransferMode::Off;
-    EXPECT_EQ(rt::Program(2, explicit_off).data_transfer(),
-              rt::DataTransferMode::Off);
-  }
-}
-
 // ------------------------------------------------------ owner binding ----
 
 TEST(DataTransfer, OwnerBindingFollowsThePlacement) {
   support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
-  o.data_transfer = rt::DataTransferMode::Owner;
   rt::Program prog(4, o);
   prog.set_task_body([](rt::TaskContext& ctx) {
     ctx.scale(4096);
@@ -96,28 +53,6 @@ TEST(DataTransfer, OwnerBindingFollowsThePlacement) {
     EXPECT_EQ(prog.location(t).buffer().resident_node(), node)
         << "emulated residency must follow the placed node";
   }
-}
-
-TEST(DataTransfer, OffPolicyNeverTouchesBuffers) {
-  support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
-  const topo::Topology machine = topo::make_numa(2, 2, 1);
-  rt::ProgramOptions o = fixture_opts(machine);
-  o.data_transfer = rt::DataTransferMode::Off;
-  rt::Program prog(4, o);
-  prog.set_task_body([](rt::TaskContext& ctx) {
-    ctx.scale(4096);
-    rt::Handle2 w;
-    w.write_insert(ctx, ctx.my_location(), 0);
-    ctx.schedule();
-    rt::Section sec(w);
-    sec.as<int>()[0] = 1;
-  });
-  prog.run();
-  for (rt::TaskId t = 0; t < 4; ++t) {
-    EXPECT_EQ(prog.location(t).memory_node(), topo::MemBind::kAnyNode);
-  }
-  EXPECT_EQ(prog.stats().data_transfers, 0u);
-  EXPECT_EQ(prog.stats().locations_bound, 0u);
 }
 
 TEST(DataTransfer, RecomputeRebindsLocations) {
@@ -203,7 +138,6 @@ TEST(DataTransfer, OwnerEndToEndUnderContention) {
   support::ScopedEnv emu(support::knob::kMemBind.name, "emulate");
   const topo::Topology machine = topo::make_numa(2, 2, 1);
   rt::ProgramOptions o = fixture_opts(machine);
-  o.data_transfer = rt::DataTransferMode::Owner;
   constexpr int kIters = 50;
   rt::Program prog(4, o);
   prog.set_task_body([&](rt::TaskContext& ctx) {

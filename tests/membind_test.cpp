@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "support/env.hpp"
@@ -134,6 +135,37 @@ TEST(MemBind, NumaNodeOfPuUsesTheFixtureTopology) {
       << "no NUMA level => no node, callers skip binding";
 
   EXPECT_EQ(numa_node_of_pu(orwl::topo::Topology{}, 0), -1);
+}
+
+TEST(MemBind, NumaNodeOfGivesTheDenseIndexAndTheOsId) {
+  // A host whose node ids are sparse (3 and 7): the node object of a PU
+  // carries both the dense index per-node state is kept under and the
+  // OS id memory binding needs.
+  using orwl::topo::Object;
+  using orwl::topo::ObjType;
+  auto root = std::make_unique<Object>();
+  root->type = ObjType::Machine;
+  int next_pu = 0;
+  for (int id : {3, 7}) {
+    Object& node = root->add_child(ObjType::NumaNode);
+    node.os_index = id;
+    for (int k = 0; k < 2; ++k) {
+      node.add_child(ObjType::PU).os_index = next_pu++;
+    }
+  }
+  const auto t = orwl::topo::Topology::adopt(std::move(root), "sparse");
+
+  const Object* second = numa_node_of(t, 2);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->logical_index, 1);
+  EXPECT_EQ(second->os_index, 7);
+  EXPECT_EQ(numa_node_of_pu(t, 3), 7);
+  ASSERT_NE(numa_node_of(t, 1), nullptr);
+  EXPECT_EQ(numa_node_of(t, 1)->logical_index, 0);
+  EXPECT_EQ(numa_node_of_pu(t, 1), 3);
+  EXPECT_EQ(numa_node_of(t, 9999), nullptr);
+  EXPECT_EQ(numa_node_of(orwl::topo::make_flat(4), 0), nullptr);
+  EXPECT_EQ(numa_node_of(orwl::topo::Topology{}, 0), nullptr);
 }
 
 // ------------------------------------------------------- NumaBuffer ----

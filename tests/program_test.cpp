@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -702,20 +703,61 @@ TEST(Program, HandOffsAreCountedAsInlineGrants) {
   EXPECT_GE(grants, 4u * 20u * 2u);
 }
 
-// --------------------------------------------------- locality shards ----
+// ------------------------------------------------------------ locality ----
+//
+// A task's placed NUMA node is the runtime's one locality index: each of
+// its locations' queues draws from that node's arena, and each sized
+// buffer is bound to the arena's node.
 
-TEST(ProgramShards, ShardCountFollowsNumaNodes) {
+/// Expect the locality invariant for location (t, slot): the queue's
+/// arena is the arena of the owner's node (owner round-robin while
+/// unplaced), and a placed owner's sized buffer sits on that arena's node.
+/// \return The index of the queue's arena.
+std::size_t expect_follows_owner(Program& prog, TaskId t,
+                                 std::size_t slot = 0) {
+  const Location& loc = prog.location(t, slot);
+  const int node = prog.placed_node_of_task(t);
+  const std::size_t want =
+      node >= 0 ? static_cast<std::size_t>(node)
+                : t % prog.num_control_shards();
+  const Arena& arena = prog.node_arena(want);
+  EXPECT_EQ(loc.queue().arena(), &arena) << "task " << t << " slot " << slot;
+  if (node >= 0 && loc.data() != nullptr) {
+    EXPECT_EQ(loc.buffer().node(), arena.node())
+        << "task " << t << " slot " << slot;
+  }
+  return want;
+}
+
+/// A ring of `tasks` tasks, each writing its own location and reading
+/// the next one's, `iters` times.
+void ring_body(Program& prog, std::size_t tasks, int iters) {
+  prog.set_task_body([tasks, iters](TaskContext& ctx) {
+    ctx.scale(128);
+    Handle2 own;
+    Handle2 next;
+    own.write_insert(ctx, ctx.my_location(), 0);
+    next.read_insert(ctx, ctx.location((ctx.id() + 1) % tasks), 1);
+    ctx.schedule();
+    for (int i = 0; i < iters; ++i) {
+      { Section s(own); }
+      { Section s(next); }
+    }
+  });
+}
+
+TEST(Locality, OneArenaPerNumaNode) {
   const auto synthetic = orwl::topo::make_smp20e7();
   ProgramOptions o = quiet_options();
   o.topology = &synthetic;
   o.bind_threads = false;
-  // One shard per NUMA node, however few tasks there are.
+  // One arena per NUMA node, however few tasks there are.
   Program p(4, o);
   EXPECT_EQ(p.num_control_shards(), 20u);
   EXPECT_EQ(p.stats().control_shards, 20u);
-  EXPECT_EQ(p.shard_map().num_shards, 20u);
-  EXPECT_EQ(p.shard_map().shard_of(0), 0);
-  EXPECT_EQ(p.shard_map().shard_of(159), 19);
+  EXPECT_EQ(p.node_arena(0).node(), 0);
+  EXPECT_EQ(p.node_arena(19).node(), 19);
+  EXPECT_THROW(p.node_arena(20), std::out_of_range);
 
   const auto two_nodes = orwl::topo::make_numa(2, 2, 1);
   o.topology = &two_nodes;
@@ -728,11 +770,12 @@ TEST(ProgramShards, ShardCountFollowsNumaNodes) {
   EXPECT_EQ(r.num_control_shards(), 1u);
 }
 
-TEST(ProgramShards, RoutingFollowsTheTopologyShardMap) {
+TEST(Locality, QueueAndBufferFollowTheOwnersNode) {
   // Four nodes of two cores each and eight tasks: the placement fills
-  // every node, so the queues spread over all four shards. Each queue
-  // routes to the shard of its owner's placed PU: it allocates from that
-  // shard's arena, and its hand-offs are metered in that shard's bank.
+  // every node, so the queues spread over all four arenas, and the
+  // hand-offs are metered in four banks.
+  orwl::support::ScopedEnv emu(orwl::support::knob::kMemBind.name,
+                               "emulate");
   const auto machine = orwl::topo::make_numa(4, 2, 1);
   ProgramOptions o;
   o.affinity = AffinityMode::On;
@@ -743,41 +786,80 @@ TEST(ProgramShards, RoutingFollowsTheTopologyShardMap) {
   constexpr std::size_t kTasks = 8;
   Program prog(kTasks, o);
   ASSERT_EQ(prog.num_control_shards(), 4u);
-  for (int node = 0; node < 4; ++node) {
-    EXPECT_EQ(prog.shard_map().shard_of(node * 2), node);  // first PU
-  }
-  prog.set_task_body([&](TaskContext& ctx) {
-    ctx.scale(128);
-    Handle2 own;
-    Handle2 next;
-    own.write_insert(ctx, ctx.my_location(), 0);
-    next.read_insert(ctx, ctx.location((ctx.id() + 1) % kTasks), 1);
-    ctx.schedule();
-    for (int i = 0; i < 5; ++i) {
-      { Section s(own); }
-      { Section s(next); }
-    }
-  });
+  ring_body(prog, kTasks, 5);
   prog.run();
   ASSERT_NE(prog.comm_meter(), nullptr);
-  EXPECT_EQ(prog.comm_meter()->num_shards(), 4u);
+  EXPECT_EQ(prog.comm_meter()->num_nodes(), 4u);
   EXPECT_GT(prog.stats().measured_handoffs, 0u);
-  const auto& pl = prog.placement();
+  EXPECT_EQ(prog.stats().locations_bound, kTasks);
   std::set<std::size_t> used;
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    const int want = prog.shard_map().shard_of(pl.compute_pu[t]);
-    ASSERT_GE(want, 0) << "task " << t;
-    const RequestQueue& q = prog.location(t).queue();
-    EXPECT_EQ(q.shard(), static_cast<std::size_t>(want)) << "task " << t;
-    EXPECT_EQ(q.arena(), &prog.shard_arena(q.shard())) << "task " << t;
-    used.insert(q.shard());
+  for (TaskId t = 0; t < kTasks; ++t) {
+    ASSERT_GE(prog.placed_node_of_task(t), 0) << "task " << t;
+    used.insert(expect_follows_owner(prog, t));
   }
   EXPECT_EQ(used.size(), 4u);
 }
 
-TEST(ProgramShards, ShardedRunCompletesAndCountsGrants) {
+TEST(Locality, TopologyWithoutNumaLevelHasOneUnboundArena) {
+  // The Fig. 2 machine has four sockets but no NUMA level: one arena,
+  // bound to no node, serves every queue, and no buffer is bound.
+  const auto machine = orwl::topo::make_fig2_machine();
+  ProgramOptions o;
+  o.affinity = AffinityMode::On;
+  o.topology = &machine;
+  o.bind_threads = false;
+  o.acquire_timeout_ms = 20000;
+  constexpr std::size_t kTasks = 8;
+  Program prog(kTasks, o);
+  ASSERT_EQ(prog.num_control_shards(), 1u);
+  EXPECT_EQ(prog.node_arena(0).node(), Arena::kAnyNode);
+  ring_body(prog, kTasks, 3);
+  prog.run();
+  EXPECT_EQ(prog.stats().locations_bound, 0u);
+  for (TaskId t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(prog.placed_node_of_task(t), -1) << "task " << t;
+    EXPECT_EQ(expect_follows_owner(prog, t), 0u);
+    EXPECT_EQ(prog.location(t).buffer().node(), Arena::kAnyNode);
+  }
+}
+
+TEST(Locality, ArenasAreBoundToTheNodesOsIds) {
+  // A host whose node ids are sparse (3 and 7): arenas and tasks use the
+  // dense index, memory binding uses the OS id.
+  orwl::support::ScopedEnv emu(orwl::support::knob::kMemBind.name,
+                               "emulate");
+  auto root = std::make_unique<orwl::topo::Object>();
+  root->type = orwl::topo::ObjType::Machine;
+  int next_pu = 0;
+  for (int id : {3, 7}) {
+    orwl::topo::Object& node =
+        root->add_child(orwl::topo::ObjType::NumaNode);
+    node.os_index = id;
+    for (int k = 0; k < 2; ++k) {
+      node.add_child(orwl::topo::ObjType::PU).os_index = next_pu++;
+    }
+  }
+  const auto machine =
+      orwl::topo::Topology::adopt(std::move(root), "sparse");
+  ProgramOptions o;
+  o.affinity = AffinityMode::On;
+  o.topology = &machine;
+  o.bind_threads = false;
+  o.acquire_timeout_ms = 20000;
+  Program prog(4, o);
+  ASSERT_EQ(prog.num_control_shards(), 2u);
+  EXPECT_EQ(prog.node_arena(0).node(), 3);
+  EXPECT_EQ(prog.node_arena(1).node(), 7);
+  ring_body(prog, 4, 3);
+  prog.run();
+  std::set<std::size_t> used;
+  for (TaskId t = 0; t < 4; ++t) used.insert(expect_follows_owner(prog, t));
+  EXPECT_EQ(used.size(), 2u);
+}
+
+TEST(Locality, PlacedRingCompletesAndCountsGrants) {
   // End-to-end: ring of tasks on the smp20e7 fixture; placement routes
-  // every queue to the shard of its owner's PU and the run completes.
+  // every queue to the arena of its owner's node and the run completes.
   const auto synthetic = orwl::topo::make_smp20e7();
   ProgramOptions o;
   o.affinity = AffinityMode::On;
@@ -785,39 +867,17 @@ TEST(ProgramShards, ShardedRunCompletesAndCountsGrants) {
   o.bind_threads = false;
   o.acquire_timeout_ms = 20000;
   Program prog(8, o);
-  prog.set_task_body([&](TaskContext& ctx) {
-    ctx.scale(128);
-    Handle2 own;
-    Handle2 next;
-    own.write_insert(ctx, ctx.my_location(), 0);
-    next.read_insert(ctx, ctx.location((ctx.id() + 1) % 8), 1);
-    ctx.schedule();
-    for (int i = 0; i < 10; ++i) {
-      { Section s(own); }
-      { Section s(next); }
-    }
-  });
+  ring_body(prog, 8, 10);
   prog.run();
   EXPECT_EQ(prog.num_control_shards(), 20u);
   EXPECT_GT(prog.stats().control_inline_grants, 0u);
-  // Queues were re-routed from the placement: every location's shard must
-  // match its owner's compute PU under the program's shard map.
-  const auto& pl = prog.placement();
-  for (std::size_t t = 0; t < 8; ++t) {
-    const int pu = pl.compute_pu[t];
-    if (pu < 0) continue;
-    const int want = prog.shard_map().shard_of(pu);
-    if (want < 0) continue;
-    EXPECT_EQ(prog.location(t).queue().shard(),
-              static_cast<std::size_t>(want))
-        << "task " << t;
-  }
+  for (TaskId t = 0; t < 8; ++t) expect_follows_owner(prog, t);
 }
 
-TEST(ProgramShards, LiveInsertRoutesToOwnersShardImmediately) {
+TEST(Locality, LiveInsertRoutesToTheOwnersNodeImmediately) {
   // Dynamic mode: a location first touched *after* schedule() must be
-  // routed to its owner's placement shard at insert time, not left on the
-  // constructor's owner-round-robin default until the next
+  // routed to its owner's node at insert time, not left on the
+  // constructor's owner-round-robin arena until the next
   // affinity_compute().
   const auto synthetic = orwl::topo::make_smp20e7();
   ProgramOptions o;
@@ -835,6 +895,13 @@ TEST(ProgramShards, LiveInsertRoutesToOwnersShardImmediately) {
     own.write_insert(ctx, ctx.my_location(0), 0);
     next.read_insert(ctx, ctx.location((ctx.id() + 1) % kTasks, 0), 1);
     ctx.schedule();
+    // The placement at schedule() already routed slot 1; leave its queue
+    // on a wrong node's arena so that only the insert can route it back.
+    Program& p = ctx.program();
+    const int node = p.placed_node_of_task(ctx.id());
+    ASSERT_GE(node, 0);
+    ctx.my_location(1).queue().set_arena(&p.node_arena(
+        (static_cast<std::size_t>(node) + 1) % p.num_control_shards()));
     // Live insert on the never-before-used slot-1 location.
     Handle late;
     late.write_insert(ctx, ctx.my_location(1), 0);
@@ -846,31 +913,24 @@ TEST(ProgramShards, LiveInsertRoutesToOwnersShardImmediately) {
   });
   prog.run();
 
-  const auto& pl = prog.placement();
-  const std::size_t nshards = prog.num_control_shards();
+  const std::size_t nodes = prog.num_control_shards();
   bool any_differs_from_default = false;
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    const int pu = t < pl.compute_pu.size() ? pl.compute_pu[t] : -1;
-    std::size_t want = t % nshards;
-    if (pu >= 0 && prog.shard_map().shard_of(pu) >= 0) {
-      want = static_cast<std::size_t>(prog.shard_map().shard_of(pu));
+  for (TaskId t = 0; t < kTasks; ++t) {
+    ASSERT_GE(prog.placed_node_of_task(t), 0) << "task " << t;
+    if (expect_follows_owner(prog, t, 1) != t % nodes) {
+      any_differs_from_default = true;
     }
-    EXPECT_EQ(prog.location(t, 1).queue().shard(), want)
-        << "task " << t;
-    if (want != t % nshards) any_differs_from_default = true;
   }
   // The check above is only meaningful if the placement actually moves
-  // some queue off its round-robin default shard.
+  // some queue off its round-robin default arena.
   EXPECT_TRUE(any_differs_from_default)
       << "placement matched round-robin for every task; test is vacuous";
 }
 
-TEST(ProgramShards, LiveInsertOverwritesStaleRouting) {
+TEST(Locality, LiveInsertOverwritesStaleRouting) {
   // Regression for the insert-time routing itself: even when a queue's
-  // shard was left stale (here simulated directly), the first live insert
-  // must re-route it under the placement state of that moment — before
-  // this fix it kept whatever shard it had until the next
-  // affinity_compute().
+  // arena was left stale (here simulated directly), the first live
+  // insert must re-route it under the placement state of that moment.
   const auto synthetic = orwl::topo::make_smp20e7();
   ProgramOptions o = quiet_options();
   o.topology = &synthetic;
@@ -882,14 +942,15 @@ TEST(ProgramShards, LiveInsertOverwritesStaleRouting) {
     Handle h;
     h.write_insert(ctx, ctx.my_location(0), 0);
     ctx.schedule();
+    Program& p = ctx.program();
     RequestQueue& late_queue = ctx.my_location(1).queue();
-    late_queue.set_shard(ctx.id() + 5);  // stale / wrong shard
+    late_queue.set_arena(&p.node_arena(ctx.id() + 5));  // stale / wrong
     Handle late;
     late.write_insert(ctx, ctx.my_location(1), 0);
     // No placement exists (affinity off), so the insert routes back to
-    // the owner round-robin shard.
-    EXPECT_EQ(late_queue.shard(),
-              ctx.id() % ctx.program().num_control_shards());
+    // the owner round-robin arena.
+    EXPECT_EQ(late_queue.arena(),
+              &p.node_arena(ctx.id() % p.num_control_shards()));
     { Section s(late); }
     { Section s(h); }
   });

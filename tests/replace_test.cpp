@@ -131,13 +131,13 @@ TEST(ReplaceMode, MeterExistsExactlyWhenMeasuring) {
 
 // ----------------------------------------------------- CommMeter unit ----
 
-TEST(CommMeter, AccumulatesPairsAcrossShardsAndSkipsJunk) {
+TEST(CommMeter, AccumulatesPairsAcrossNodesAndSkipsJunk) {
   rt::CommMeter meter(2, 4);
   meter.record(0, 0, 1, 100, /*remote=*/false);
-  meter.record(1, 1, 0, 50, /*remote=*/true);   // other direction, other shard
+  meter.record(1, 1, 0, 50, /*remote=*/true);   // other direction, other node
   meter.record(0, 2, 2, 10, false);             // self hand-off: dropped
   meter.record(0, 9, 1, 10, false);             // out of range: dropped
-  meter.record(7, 2, 3, 30, true);              // bad shard clamps to 0
+  meter.record(7, 2, 3, 30, true);              // bad node clamps to 0
 
   EXPECT_EQ(meter.handoffs(), 3u);
   EXPECT_EQ(meter.remote_handoffs(), 2u);
@@ -180,8 +180,9 @@ TEST(CommMeter, CrossNodeStealsFeedTheMeasuredMatrix) {
   rt::StealExecutor::Config cfg;
   cfg.mode = rt::StealMode::All;
   std::vector<rt::StealExecutor::WorkerSpec> specs(2);
-  specs[0].pu = 0;  // node 0
-  specs[1].pu = 2;  // node 1
+  specs[0].pu = 0;
+  specs[1].pu = 2;
+  specs[1].node = 1;  // PUs 2-3 are node 1
   rt::StealExecutor ex(machine, std::move(specs), cfg);
   ex.set_meter(&meter, 2);
 
@@ -220,6 +221,7 @@ TEST(CommMeter, DetachedMeterRecordsNothing) {
   std::vector<rt::StealExecutor::WorkerSpec> specs(2);
   specs[0].pu = 0;
   specs[1].pu = 2;
+  specs[1].node = 1;
   rt::StealExecutor ex(machine, std::move(specs), cfg);
   ex.set_meter(&meter, 2);
   ex.set_meter(nullptr, 0);  // detach again
@@ -422,18 +424,19 @@ TEST(Replace, AutoReplacesAndStateFollows) {
   EXPECT_GT(s.placement_recomputes, 1u)
       << "a re-placement is an extra Algorithm 1 run";
 
-  // The re-placed state is coherent: every placed task has a node, every
-  // sized location lives on its owner's node (emulated residency), and
-  // every queue routes to a real shard.
+  // The re-placed state is coherent: every placed task has a node, its
+  // location's queue draws from that node's arena, and its sized buffer
+  // lives on the arena's node (emulated residency).
   rt::Program& p = prog.runtime();
   for (TaskId t = 0; t < 4; ++t) {
     const int node = p.placed_node_of_task(t);
     ASSERT_GE(node, 0) << "task " << t << " unplaced after re-placement";
     rt::Location& l = p.location(t, 0);
-    EXPECT_EQ(l.home_node(), p.placed_node_of_task(l.owner()));
+    rt::Arena& arena = p.node_arena(static_cast<std::size_t>(node));
+    EXPECT_EQ(l.queue().arena(), &arena) << "task " << t;
+    EXPECT_EQ(l.home_node(), arena.node());
     EXPECT_EQ(l.memory_node(), l.home_node())
         << "emulated buffer must follow the home node";
-    EXPECT_LT(l.queue().shard(), p.num_control_shards());
   }
 }
 

@@ -18,6 +18,7 @@
 #include "runtime/steal_executor.hpp"
 #include "support/env.hpp"
 #include "topo/machines.hpp"
+#include "topo/membind.hpp"
 #include "topo/victim.hpp"
 
 namespace {
@@ -203,13 +204,29 @@ StealExecutor::Config test_config(StealMode mode) {
   return cfg;
 }
 
-std::vector<StealExecutor::WorkerSpec> specs_round_robin(std::size_t workers,
-                                                         std::size_t pus) {
+/// Worker w on logical PU w mod num_pus, with that PU's NUMA node.
+std::vector<StealExecutor::WorkerSpec> specs_round_robin(const Topology& t,
+                                                         std::size_t workers) {
   std::vector<StealExecutor::WorkerSpec> s(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    s[w].pu = static_cast<int>(w % pus);
+    const orwl::topo::Object* pu = t.pu_at(static_cast<int>(w % t.num_pus()));
+    const orwl::topo::Object* node = orwl::topo::numa_node_of(t, pu->os_index);
+    s[w].pu = pu->logical_index;
+    s[w].node = node != nullptr ? node->logical_index : 0;
   }
   return s;
+}
+
+// A worker's node indexes the termination counters and meter banks, so
+// the executor refuses an empty worker list and a negative node.
+TEST(StealExecutor, RejectsNoWorkersAndNegativeNodes) {
+  const Topology t = orwl::topo::make_numa(2, 2, 1);
+  EXPECT_THROW(StealExecutor(t, {}, test_config(StealMode::All)),
+               std::invalid_argument);
+  std::vector<StealExecutor::WorkerSpec> specs = specs_round_robin(t, 2);
+  specs[1].node = -1;
+  EXPECT_THROW(StealExecutor(t, specs, test_config(StealMode::All)),
+               std::invalid_argument);
 }
 
 // Every seeded item runs exactly once, even when every seed sits on one
@@ -218,7 +235,7 @@ TEST(StealExecutor, AllSeedsRunExactlyOnceFromOneHotDeque) {
   const Topology t = orwl::topo::make_numa(2, 2, 1);  // 4 PUs, 2 nodes
   constexpr std::size_t kWorkers = 4;
   constexpr std::uint64_t kItems = 5000;
-  StealExecutor ex(t, specs_round_robin(kWorkers, 4),
+  StealExecutor ex(t, specs_round_robin(t, kWorkers),
                    test_config(StealMode::All));
   std::vector<std::atomic<int>> ran(kItems);
   for (auto& r : ran) r.store(0, std::memory_order_relaxed);
@@ -251,7 +268,7 @@ TEST(StealExecutor, TerminationSurvivesBurstyReinjection) {
   constexpr std::uint64_t kRoots = 4;
   // A root of depth d expands to 2^d - 1 nodes.
   constexpr std::uint64_t kExpected = kRoots * ((1u << kDepth) - 1);
-  StealExecutor ex(t, specs_round_robin(kWorkers, 4),
+  StealExecutor ex(t, specs_round_robin(t, kWorkers),
                    test_config(StealMode::All));
   for (std::uint64_t r = 0; r < kRoots; ++r) ex.seed(0, kDepth);
 
@@ -279,7 +296,7 @@ TEST(StealExecutor, OffModeRunsEverythingWithoutStealing) {
   const Topology t = orwl::topo::make_numa(2, 2, 1);
   constexpr std::size_t kWorkers = 4;
   constexpr std::uint64_t kItems = 2000;
-  StealExecutor ex(t, specs_round_robin(kWorkers, 4),
+  StealExecutor ex(t, specs_round_robin(t, kWorkers),
                    test_config(StealMode::Off));
   for (std::uint64_t i = 0; i < kItems; ++i) ex.seed(i % kWorkers, i);
 
@@ -308,7 +325,7 @@ TEST(StealExecutor, OffModeRunsEverythingWithoutStealing) {
 // reuses one executor for every for_each of a program).
 TEST(StealExecutor, SessionsAreReusable) {
   const Topology t = orwl::topo::make_flat(2);
-  StealExecutor ex(t, specs_round_robin(2, 2), test_config(StealMode::All));
+  StealExecutor ex(t, specs_round_robin(t, 2), test_config(StealMode::All));
   for (int round = 0; round < 3; ++round) {
     std::atomic<std::uint64_t> count{0};
     const StealExecutor::ItemFn fn =

@@ -5,12 +5,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 
+#include "runtime/program.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "topo/machines.hpp"
 
 namespace {
 
@@ -242,6 +245,34 @@ TEST(KnobTable, EveryRowResolvesAndValidates) {
       EXPECT_TRUE(rejects(k, "nan"));
     }
   }
+}
+
+// A retired variable fails loudly instead of being silently ignored: a
+// Program refuses to start while one is set and non-empty, naming it.
+TEST(RetiredKnobs, ProgramConstructionRejectsEachOne) {
+  const orwl::topo::Topology machine = orwl::topo::make_flat(2);
+  orwl::rt::ProgramOptions o;
+  o.topology = &machine;
+  o.affinity = orwl::rt::AffinityMode::Off;
+  for (const char* name : kRetiredKnobs) {
+    for (const Knob* k : kKnobs) {
+      EXPECT_STRNE(k->name, name) << "a retired name is still a live knob";
+    }
+    ScopedEnv env(name, "1");
+    try {
+      orwl::rt::Program p(2, o);
+      ADD_FAILURE() << name << "=1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find("removed"), std::string::npos) << what;
+    }
+    env.set("");
+    EXPECT_NO_THROW(orwl::rt::Program(2, o)) << name << " set but empty";
+  }
+  // Other ORWL_* names outside the table stay legitimate.
+  ScopedEnv bench("ORWL_BENCH_JSON", "/dev/null");
+  EXPECT_NO_THROW(orwl::rt::Program(2, o));
 }
 
 // BUILDING.md's runtime configuration reference documents the table:

@@ -7,7 +7,7 @@
 #include "apps/video.hpp"
 #include "support/rng.hpp"
 #include "topo/machines.hpp"
-#include "topo/shard.hpp"
+#include "topo/carve.hpp"
 #include "treematch/strategies.hpp"
 #include "treematch/treematch.hpp"
 
